@@ -1905,32 +1905,53 @@ let run_alloc cfg =
   let m = Chacha.Prg.field ctx prg in
   let fast = if cfg.quick then 20_000 else 200_000 in
   let slow = if cfg.quick then 50 else 300 in
+  (* One Queries frame (4096 elements over the bench field) for the codec
+     row, which reports words per decoded element, not per frame. *)
+  let codec = Zwire.codec ctx in
+  let qframe =
+    let vec () = Array.init 512 (fun _ -> Chacha.Prg.field ctx prg) in
+    Zwire.encode ~codec
+      (Zwire.Queries
+         {
+           z_queries = Array.init 3 (fun _ -> vec ());
+           h_queries = Array.init 3 (fun _ -> vec ());
+           t_z = vec ();
+           t_h = vec ();
+         })
+  in
+  (* kernel, iterations, elements per iteration, one iteration *)
   let kernels =
     [
-      ("fp.mul", fast, fun () -> ignore (Fp.mul ctx a b));
-      ("fp.mul_lazy", fast, fun () -> ignore (Fp.mul_lazy ctx a b));
-      ("fp.inv", fast / 10, fun () -> ignore (Fp.inv ctx a));
-      ("prg.field", fast / 10, fun () -> ignore (Chacha.Prg.field ctx prg));
-      ("elgamal.encrypt", slow, fun () -> ignore (Zcrypto.Elgamal.encrypt pk prg m));
+      ("fp.mul", fast, 1, fun () -> ignore (Fp.mul ctx a b));
+      ("fp.mul_lazy", fast, 1, fun () -> ignore (Fp.mul_lazy ctx a b));
+      ("fp.inv", fast / 10, 1, fun () -> ignore (Fp.inv ctx a));
+      ("prg.field", fast / 10, 1, fun () -> ignore (Chacha.Prg.field ctx prg));
+      ("elgamal.encrypt", slow, 1, fun () -> ignore (Zcrypto.Elgamal.encrypt pk prg m));
       ( "ntt.butterfly",
         fast,
+        1,
         (* the packed hot-path butterfly: must be allocation-free *)
         let vb = Fp.Vec.of_array ctx [| a; b |] in
         let twb = Fp.Vec.of_array ctx [| m |] in
         let scb = Fp.scratch_for ctx in
         fun () -> Fp.Vec.butterfly ctx scb vb 0 1 twb 0 );
+      ( "zwire.decode_el",
+        (if cfg.quick then 5 else 20),
+        4096,
+        fun () -> ignore (Zwire.decode ~codec qframe) );
     ]
   in
   Printf.printf "  %-18s %10s %14s %12s\n" "kernel" "iters" "words/op" "us/op";
   let rows =
     List.map
-      (fun (name, iters, f) ->
+      (fun (name, iters, elems, f) ->
         f ();
         (* warm-up: one-time setup allocations land outside the window *)
         let w0 = Gc.minor_words () in
         let (), t = time_thunk (fun () -> for _ = 1 to iters do f () done) in
-        let words = (Gc.minor_words () -. w0) /. float_of_int iters in
-        let us = 1e6 *. t /. float_of_int iters in
+        let ops = float_of_int (iters * elems) in
+        let words = (Gc.minor_words () -. w0) /. ops in
+        let us = 1e6 *. t /. ops in
         Printf.printf "  %-18s %10d %14.1f %12.3f\n" name iters words us;
         (name, iters, words, us))
       kernels
@@ -2098,8 +2119,19 @@ let check_ledger () =
     (* Allocation gate: ceilings on words/op for the hot-path kernels (from
        the alloc experiment). The packed butterfly must stay allocation
        free; the boxed field mults allocate their result nat and nothing
-       else, with headroom for GC accounting noise. *)
-    let alloc_bands = [ ("fp.mul", 120.0); ("fp.mul_lazy", 120.0); ("ntt.butterfly", 2.0) ] in
+       else, with headroom for GC accounting noise. The single-pass byte
+       packers hold a decoded element and a PRG field draw to their result
+       nat (plus rejection retries), far below the quadratic converters'
+       ~277 and ~584 words. *)
+    let alloc_bands =
+      [
+        ("fp.mul", 120.0);
+        ("fp.mul_lazy", 120.0);
+        ("ntt.butterfly", 2.0);
+        ("zwire.decode_el", 24.0);
+        ("prg.field", 64.0);
+      ]
+    in
     List.iter
       (fun (kernel, ceiling) ->
         match List.assoc_opt kernel !alloc_rows with

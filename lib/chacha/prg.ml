@@ -4,6 +4,7 @@ type t = {
   mutable counter : int;
   mutable buf : bytes;
   mutable pos : int;
+  mutable scratch : bytes; (* reused by [field]; Fp.sample clobbers it *)
 }
 
 (* Pad or fold an arbitrary seed string into 32 key bytes. We have no hash
@@ -25,6 +26,7 @@ let of_key key ~nonce =
     counter = 0;
     buf = Bytes.create 0;
     pos = 0;
+    scratch = Bytes.create 0;
   }
 
 let create ?(nonce = 0) ~seed () = of_key (Chacha20.key_of_bytes (key_bytes_of_seed seed)) ~nonce
@@ -43,11 +45,21 @@ let byte t =
   t.pos <- t.pos + 1;
   b
 
+(* Copy the next [n] keystream bytes into [dst] at [off], a block at a
+   time. Refills happen exactly when [byte] would refill, so every caller
+   sees the same stream whichever way it reads. *)
+let rec blit t dst off n =
+  if n > 0 then begin
+    if t.pos >= Bytes.length t.buf then refill t;
+    let k = min n (Bytes.length t.buf - t.pos) in
+    Bytes.blit t.buf t.pos dst off k;
+    t.pos <- t.pos + k;
+    blit t dst (off + k) (n - k)
+  end
+
 let bytes t n =
   let out = Bytes.create n in
-  for i = 0 to n - 1 do
-    Bytes.set out i (Char.chr (byte t))
-  done;
+  blit t out 0 n;
   out
 
 let split t =
@@ -78,9 +90,14 @@ let bool t = byte t land 1 = 1
    retries count per draw, matching what the verifier actually consumes. *)
 let c_field = Zobs.Counter.make "prg.field"
 
+let scratch_bytes t n =
+  if Bytes.length t.scratch < n then t.scratch <- Bytes.create n;
+  blit t t.scratch 0 n;
+  t.scratch
+
 let field ctx t =
   Zobs.Counter.incr c_field;
-  Fieldlib.Fp.sample ctx (fun n -> bytes t n)
+  Fieldlib.Fp.sample ctx (scratch_bytes t)
 
 let rec field_nonzero ctx t =
   let x = field ctx t in

@@ -98,7 +98,7 @@ let generate ?(seed = "zaatar group") ~field_order ~p_bits () =
   let window = Nat.sub hi lo in
   let window_bytes = (Nat.num_bits window + 7) / 8 in
   let rec find_p () =
-    let raw = Nat.of_bytes_le (Chacha.Prg.bytes prg window_bytes) in
+    let raw = Nat.of_bytes_sub (Chacha.Prg.bytes prg window_bytes) 0 window_bytes in
     let m = Nat.add lo (snd (Nat.divmod raw window)) in
     let m = if Nat.is_even m then m else Nat.add m Nat.one in
     let p = Nat.add (Nat.mul q m) Nat.one in

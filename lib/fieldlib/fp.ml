@@ -92,11 +92,6 @@ let of_nat ctx n =
   if Nat.num_limbs n <= 2 * ctx.k then reduce ctx n
   else snd (Nat.divmod n ctx.p)
 
-(* Codec hook (lib/wire): accept only canonical residues — a transmitted
-   element at or above the modulus is a protocol violation, not something
-   to reduce silently. *)
-let of_nat_opt ctx n = if Nat.compare n ctx.p < 0 then Some n else None
-
 let of_int ctx n =
   if n >= 0 then of_nat ctx (Nat.of_int n)
   else begin
@@ -217,16 +212,13 @@ let dot ctx a b =
   Zobs.Counter.add ctx.cnt_mul_lazy !nmul;
   reduce ctx !acc
 
-let sample ctx random_bytes =
-  let rec draw () =
-    let b = random_bytes ctx.sample_bytes in
-    if Bytes.length b <> ctx.sample_bytes then invalid_arg "Fp.sample: bad byte source";
-    let top = Char.code (Bytes.get b (ctx.sample_bytes - 1)) land ctx.sample_mask in
-    Bytes.set b (ctx.sample_bytes - 1) (Char.chr top);
-    let x = Nat.of_bytes_le b in
-    if Nat.compare x ctx.p < 0 then x else draw ()
-  in
-  draw ()
+let rec sample ctx random_bytes =
+  let n = ctx.sample_bytes in
+  let b = random_bytes n in
+  if Bytes.length b < n then invalid_arg "Fp.sample: bad byte source";
+  Bytes.set_uint8 b (n - 1) (Bytes.get_uint8 b (n - 1) land ctx.sample_mask);
+  let x = Nat.of_bytes_sub b 0 n in
+  if Nat.compare x ctx.p < 0 then x else sample ctx random_bytes
 
 let to_string = Nat.to_decimal
 let pp fmt x = Format.pp_print_string fmt (to_string x)

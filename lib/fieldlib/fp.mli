@@ -39,10 +39,6 @@ val of_nat : ctx -> Nat.t -> el
 val of_int : ctx -> int -> el
 (** Accepts negative integers (mapped to [p - |n| mod p]). *)
 
-val of_nat_opt : ctx -> Nat.t -> el option
-(** [None] unless [n] is already a canonical residue in [0, p). The wire
-    codec's range check: transmitted elements are rejected, never reduced. *)
-
 val to_nat : el -> Nat.t
 val to_int_opt : el -> int option
 
@@ -87,8 +83,10 @@ val dot : ctx -> el array -> el array -> el
     primitive (π(q) = <q, u>). *)
 
 val sample : ctx -> (int -> bytes) -> el
-(** [sample ctx random_bytes] draws a uniform element by rejection, pulling
-    [random_bytes n] for fresh entropy. *)
+(** [sample ctx random_bytes] draws a uniform element by rejection. Each
+    round calls [random_bytes n] and reads the first [n] bytes of the
+    buffer it returns, masking the top one in place, so a source may hand
+    back one reused scratch buffer. *)
 
 val to_string : el -> string
 val pp : Format.formatter -> el -> unit

@@ -56,16 +56,16 @@ let to_int a =
   | Some n -> n
   | None -> failwith "Nat.to_int: overflow"
 
-let compare a b =
+(* Top-level and typed at [t] so comparing allocates no closure and uses
+   integer comparison, not the polymorphic one. *)
+let rec compare_from (a : t) (b : t) i =
+  if i < 0 then 0
+  else if a.(i) <> b.(i) then Int.compare a.(i) b.(i)
+  else compare_from a b (i - 1)
+
+let compare (a : t) (b : t) =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Stdlib.compare la lb
-  else
-    let rec go i =
-      if i < 0 then 0
-      else if a.(i) <> b.(i) then Stdlib.compare a.(i) b.(i)
-      else go (i - 1)
-    in
-    go (la - 1)
+  if la <> lb then Int.compare la lb else compare_from a b (la - 1)
 
 let equal a b = compare a b = 0
 
@@ -403,25 +403,55 @@ let to_decimal a =
       Buffer.contents buf
   end
 
-let of_bytes_le b =
-  let acc = ref zero in
-  for i = Bytes.length b - 1 downto 0 do
-    acc := add_int (shift_left !acc 8) (Char.code (Bytes.get b i))
-  done;
-  !acc
+(* Byte <-> limb packers. Both stream bits through one accumulator that
+   never holds more than 31 + 8 bits, so each is a single pass over the
+   bytes; the reader sizes its result exactly from the top non-zero byte
+   and allocates nothing else. *)
 
-let to_bytes_le a len =
-  if num_bits a > len * 8 then invalid_arg "Nat.to_bytes_le: does not fit";
-  let b = Bytes.make len '\000' in
-  let bits = num_bits a in
-  for i = 0 to ((bits + 7) / 8) - 1 do
-    let byte = ref 0 in
-    for k = 7 downto 0 do
-      byte := (!byte lsl 1) lor (if testbit a ((i * 8) + k) then 1 else 0)
+let check_sub buf off len what =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then invalid_arg what
+
+let of_bytes_sub buf off len =
+  check_sub buf off len "Nat.of_bytes_sub: range outside the buffer";
+  let n = ref len in
+  while !n > 0 && Bytes.unsafe_get buf (off + !n - 1) = '\000' do decr n done;
+  let n = !n in
+  if n = 0 then zero
+  else begin
+    let top = Char.code (Bytes.unsafe_get buf (off + n - 1)) in
+    let top_bits = ref 0 in
+    while top lsr !top_bits <> 0 do incr top_bits done;
+    let r = Array.make ((((n - 1) * 8) + !top_bits + base_bits - 1) / base_bits) 0 in
+    let acc = ref 0 and acc_bits = ref 0 and li = ref 0 in
+    for i = off to off + n - 1 do
+      acc := !acc lor (Char.code (Bytes.unsafe_get buf i) lsl !acc_bits);
+      acc_bits := !acc_bits + 8;
+      if !acc_bits >= base_bits then begin
+        r.(!li) <- !acc land mask;
+        incr li;
+        acc := !acc lsr base_bits;
+        acc_bits := !acc_bits - base_bits
+      end
     done;
-    Bytes.set b i (Char.chr !byte)
-  done;
-  b
+    if !acc <> 0 then r.(!li) <- !acc;
+    r
+  end
+
+let to_bytes_sub a buf off len =
+  check_sub buf off len "Nat.to_bytes_sub: range outside the buffer";
+  if num_bits a > len * 8 then invalid_arg "Nat.to_bytes_sub: does not fit";
+  let la = Array.length a in
+  let acc = ref 0 and acc_bits = ref 0 and li = ref 0 in
+  for i = off to off + len - 1 do
+    if !acc_bits < 8 && !li < la then begin
+      acc := !acc lor (a.(!li) lsl !acc_bits);
+      acc_bits := !acc_bits + base_bits;
+      incr li
+    end;
+    Bytes.unsafe_set buf i (Char.unsafe_chr (!acc land 0xff));
+    acc := !acc lsr 8;
+    acc_bits := !acc_bits - 8
+  done
 
 (* ---- Fixed-width in-place kernels -------------------------------------
    These operate on plain [int array] limb buffers of a caller-chosen fixed

@@ -76,10 +76,16 @@ val to_hex : t -> string
 val of_decimal : string -> t
 val to_decimal : t -> string
 
-val of_bytes_le : bytes -> t
-val to_bytes_le : t -> int -> bytes
-(** [to_bytes_le n len] zero-pads to exactly [len] bytes; raises
-    [Invalid_argument] if [n] does not fit. *)
+val of_bytes_sub : bytes -> int -> int -> t
+(** [of_bytes_sub buf off len] reads the little-endian natural in
+    [buf.[off .. off+len-1]] in one pass, allocating only the result.
+    Raises [Invalid_argument] if the range lies outside [buf]. *)
+
+val to_bytes_sub : t -> bytes -> int -> int -> unit
+(** [to_bytes_sub n buf off len] writes [n] little-endian into
+    [buf.[off .. off+len-1]], zero-padded to exactly [len] bytes, without
+    allocating. Raises [Invalid_argument] if [n] needs more than [8*len]
+    bits or the range lies outside [buf]. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -77,7 +77,7 @@ let is_prime n =
           for i = 0 to bytes_needed - 1 do
             Bytes.set b i (Char.chr (xorshift rng land 0xff))
           done;
-          Nat.of_bytes_le b
+          Nat.of_bytes_sub b 0 bytes_needed
         in
         let rec rounds k = if k = 0 then true else if composite_by (random_base ()) then false else rounds (k - 1) in
         rounds extra_rounds

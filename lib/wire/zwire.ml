@@ -150,44 +150,69 @@ let count_recv phase n =
 
 let nat_bytes n = max 1 ((Nat.num_bits n + 7) / 8)
 
-let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+(* Frames are built in one growable buffer. Elements are packed straight
+   into it by [Nat.to_bytes_sub], so encoding allocates no [bytes] per
+   element. *)
+type writer = { mutable out : bytes; mutable len : int }
 
-let put_u16 b v =
+let reserve w n =
+  let need = w.len + n in
+  if need > Bytes.length w.out then begin
+    let out = Bytes.create (max need (2 * Bytes.length w.out)) in
+    Bytes.blit w.out 0 out 0 w.len;
+    w.out <- out
+  end
+
+let put_u8 w v =
+  reserve w 1;
+  Bytes.set_uint8 w.out w.len (v land 0xff);
+  w.len <- w.len + 1
+
+let put_u16 w v =
   if v < 0 || v > 0xffff then invalid_arg "Zwire: u16 out of range";
-  put_u8 b (v lsr 8);
-  put_u8 b v
+  put_u8 w (v lsr 8);
+  put_u8 w v
 
-let put_u32 b v =
+let put_u32 w v =
   if v < 0 || v > 0xffff_ffff then invalid_arg "Zwire: u32 out of range";
-  put_u8 b (v lsr 24);
-  put_u8 b (v lsr 16);
-  put_u8 b (v lsr 8);
-  put_u8 b v
+  put_u8 w (v lsr 24);
+  put_u8 w (v lsr 16);
+  put_u8 w (v lsr 8);
+  put_u8 w v
 
-let put_str b s =
-  put_u16 b (String.length s);
-  Buffer.add_string b s
+let put_raw w s =
+  let n = String.length s in
+  reserve w n;
+  Bytes.blit_string s 0 w.out w.len n;
+  w.len <- w.len + n
 
-let put_nat b n =
-  let len = nat_bytes n in
-  put_u16 b len;
-  Buffer.add_bytes b (Nat.to_bytes_le n len)
+let put_str w s =
+  put_u16 w (String.length s);
+  put_raw w s
 
 (* Fixed-width element; the caller guarantees el < modulus (always true for
    canonical Fp/group residues). *)
-let put_el b ~width (e : Fp.el) = Buffer.add_bytes b (Nat.to_bytes_le (Fp.to_nat e) width)
+let put_el w ~width (e : Fp.el) =
+  reserve w width;
+  Nat.to_bytes_sub (Fp.to_nat e) w.out w.len width;
+  w.len <- w.len + width
 
-let put_vec b ~width (v : Fp.el array) =
-  put_u32 b (Array.length v);
-  Array.iter (put_el b ~width) v
+let put_nat w n =
+  let width = nat_bytes n in
+  put_u16 w width;
+  put_el w ~width n
 
-let put_vecs b ~width (vs : Fp.el array array) =
-  put_u32 b (Array.length vs);
-  Array.iter (put_vec b ~width) vs
+let put_vec w ~width (v : Fp.el array) =
+  put_u32 w (Array.length v);
+  Array.iter (put_el w ~width) v
 
-let put_ct b ~width (ct : Elgamal.ciphertext) =
-  put_el b ~width ct.Elgamal.c1;
-  put_el b ~width ct.Elgamal.c2
+let put_vecs w ~width (vs : Fp.el array array) =
+  put_u32 w (Array.length vs);
+  Array.iter (put_vec w ~width) vs
+
+let put_ct w ~width (ct : Elgamal.ciphertext) =
+  put_el w ~width ct.Elgamal.c1;
+  put_el w ~width ct.Elgamal.c2
 
 (* ------------------------------------------------------------------ *)
 (* Primitive readers                                                   *)
@@ -215,19 +240,23 @@ let get_u32 r what =
   let b = get_u16 r what in
   (a lsl 16) lor b
 
-let get_bytes r n what =
+(* Naturals and elements are read in place from the frame buffer. *)
+let get_fixed r n what =
   need r n what;
-  let b = Bytes.sub r.buf r.pos n in
+  let x = Nat.of_bytes_sub r.buf r.pos n in
   r.pos <- r.pos + n;
-  b
+  x
 
 let get_str r what =
   let len = get_u16 r what in
-  Bytes.to_string (get_bytes r len what)
+  need r len what;
+  let s = Bytes.sub_string r.buf r.pos len in
+  r.pos <- r.pos + len;
+  s
 
 let get_nat r what =
   let len = get_u16 r what in
-  Nat.of_bytes_le (get_bytes r len what)
+  get_fixed r len what
 
 (* A count about to drive an [Array.init]: bound it by the bytes actually
    left in the payload so a corrupted length can never force a huge
@@ -237,18 +266,16 @@ let get_count r ~min_size what =
   if min_size > 0 && n > remaining r / min_size then fail (Truncated what);
   n
 
-(* Element decoding goes through Fp.of_nat_opt: a transmitted residue at or
-   above the modulus is rejected (Out_of_range), never silently reduced.
-   Group elements carry a bare modulus (no Fp.ctx at hand), checked with
-   the same strictness. *)
-let get_el r ~width ~ctx what =
-  let n = Nat.of_bytes_le (get_bytes r width what) in
-  match Fp.of_nat_opt ctx n with Some e -> e | None -> fail (Out_of_range what)
-
+(* A transmitted residue at or above its modulus is rejected
+   (Out_of_range), never silently reduced. Field elements are checked
+   against the field modulus, group elements against the bare group
+   modulus (no Fp.ctx at hand), with the same strictness. *)
 let get_gel r ~width ~modulus what =
-  let n = Nat.of_bytes_le (get_bytes r width what) in
+  let n = get_fixed r width what in
   if Nat.compare n modulus >= 0 then fail (Out_of_range what);
   (n : Fp.el)
+
+let get_el r ~width ~ctx what = get_gel r ~width ~modulus:(Fp.modulus ctx) what
 
 let get_vec r ~width ~ctx what =
   let n = get_count r ~min_size:width what in
@@ -419,16 +446,16 @@ let decode_payload ?codec ~version:v r tag =
 
 let header_len = 2 + 1 + 1 + 4
 
-let encode ?codec ?(version = version) m =
-  if version < min_version || version > 2 then
-    invalid_arg (Printf.sprintf "Zwire.encode: cannot speak version %d" version);
-  let b = Buffer.create 256 in
-  Buffer.add_string b magic;
-  put_u8 b version;
+let encode ?codec ?version:(v = version) m =
+  if v < min_version || v > version then
+    invalid_arg (Printf.sprintf "Zwire.encode: cannot speak version %d" v);
+  let b = { out = Bytes.create 256; len = 0 } in
+  put_raw b magic;
+  put_u8 b v;
   put_u8 b (tag_of_msg m);
   put_u32 b 0 (* payload length backpatched below *);
-  encode_payload ?codec ~version b m;
-  let out = Buffer.to_bytes b in
+  encode_payload ?codec ~version:v b m;
+  let out = Bytes.sub b.out 0 b.len in
   let plen = Bytes.length out - header_len in
   Bytes.set_uint8 out 4 ((plen lsr 24) land 0xff);
   Bytes.set_uint8 out 5 ((plen lsr 16) land 0xff);

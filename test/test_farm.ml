@@ -149,6 +149,20 @@ let counter = Zobs.Registry.counter_value
 let qap_constructions () =
   counter "qap.backend.ntt" + counter "qap.backend.lagrange"
 
+let spin_until ?(timeout_s = 10.0) what pred =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  while not (pred ()) do
+    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting for %s" what;
+    Unix.sleepf 0.005
+  done
+
+(* A client returns as soon as it holds its verdicts; the farm retires
+   the session on a later loop pass, so wait for that before counting. *)
+let wait_retired () =
+  spin_until "every session to retire" (fun () ->
+      let _, act, _, _, _, _ = Znet.Svcstats.totals () in
+      act = 0)
+
 (* Same-digest second connection: the farm serves it from the setup cache
    — zero server-side QAP constructions (the only qap.* construction op
    in the delta is the client's own verifier-side build) — and concurrent
@@ -178,6 +192,7 @@ let test_farm_cache_and_concurrency () =
         true
         (Argument.all_accepted (Domain.join d)))
     domains;
+  wait_retired ();
   let shed, hits, misses, depth = Znet.Svcstats.farm_totals () in
   Alcotest.(check int) "nothing shed" 0 shed;
   Alcotest.(check int) "one cache miss (the cold build)" 1 misses;
@@ -243,13 +258,6 @@ let pump_with_pause comp ~seed ~pause addr =
   go first;
   Argument.Verifier_session.result vs
 
-let spin_until ?(timeout_s = 10.0) what pred =
-  let deadline = Unix.gettimeofday () +. timeout_s in
-  while not (pred ()) do
-    if Unix.gettimeofday () > deadline then Alcotest.failf "timed out waiting for %s" what;
-    Unix.sleepf 0.005
-  done
-
 (* --max-sessions 2, no accept queue: a third concurrent client is shed
    with the busy/retry-after reply while the two in-flight sessions run
    to correct verdicts. *)
@@ -290,6 +298,7 @@ let test_farm_overload_busy () =
         true
         (Argument.all_accepted (Domain.join d)))
     clients;
+  wait_retired ();
   let shed, _, _, _ = Znet.Svcstats.farm_totals () in
   Alcotest.(check int) "shed accounted distinctly" 1 shed;
   let _, _, completed, failed, decode_errors, _ = Znet.Svcstats.totals () in

@@ -45,7 +45,9 @@ let unit_tests =
         Alcotest.check nat "mul2" (Nat.mul a Nat.two) (Nat.shift_left a 1));
     Alcotest.test_case "bytes roundtrip" `Quick (fun () ->
         let a = Nat.of_hex "0102030405060708090a0b0c" in
-        Alcotest.check nat "bytes" a (Nat.of_bytes_le (Nat.to_bytes_le a 16)));
+        let b = Bytes.create 16 in
+        Nat.to_bytes_sub a b 0 16;
+        Alcotest.check nat "bytes" a (Nat.of_bytes_sub b 0 16));
     Alcotest.test_case "karatsuba vs schoolbook cross" `Quick (fun () ->
         (* Large enough to trigger the Karatsuba path. *)
         let mk seed len =
@@ -151,3 +153,109 @@ let regression_tests =
   ]
 
 let suite = suite @ regression_tests
+
+(* ---- Byte <-> limb packers ----
+
+   The original quadratic shift/add reader and bit-at-a-time writer, kept
+   as the oracle for the single-pass packers. *)
+let oracle_of_bytes_le b =
+  let acc = ref Nat.zero in
+  for i = Bytes.length b - 1 downto 0 do
+    acc := Nat.add_int (Nat.shift_left !acc 8) (Char.code (Bytes.get b i))
+  done;
+  !acc
+
+let oracle_to_bytes_le a len =
+  if Nat.num_bits a > len * 8 then invalid_arg "oracle_to_bytes_le: does not fit";
+  let b = Bytes.make len '\000' in
+  let bits = Nat.num_bits a in
+  for i = 0 to ((bits + 7) / 8) - 1 do
+    let byte = ref 0 in
+    for k = 7 downto 0 do
+      byte := (!byte lsl 1) lor if Nat.testbit a ((i * 8) + k) then 1 else 0
+    done;
+    Bytes.set b i (Char.chr !byte)
+  done;
+  b
+
+(* A little-endian body of 0-130 bytes at a random offset inside a larger
+   buffer whose surrounding bytes are junk. Bodies are random, all 0xff,
+   or random with zero high bytes (leading zeros of the number). *)
+type placed = { pre : int; body : string; post : int }
+
+let gen_placed =
+  QCheck.Gen.(
+    int_range 0 130 >>= fun len ->
+    int_range 0 9 >>= fun pre ->
+    int_range 0 9 >>= fun post ->
+    oneof
+      [
+        string_size ~gen:char (return len);
+        return (String.make len '\255');
+        ( int_range 0 len >>= fun zeros ->
+          string_size ~gen:char (return (len - zeros)) >|= fun s -> s ^ String.make zeros '\000' );
+      ]
+    >|= fun body -> { pre; body; post })
+
+let print_placed c =
+  Printf.sprintf "pre=%d post=%d body=%s" c.pre c.post
+    (String.concat "" (List.map (fun ch -> Printf.sprintf "%02x" (Char.code ch)) (List.of_seq (String.to_seq c.body))))
+
+let arb_placed = QCheck.make ~print:print_placed gen_placed
+
+let embed c =
+  let len = String.length c.body in
+  let buf = Bytes.make (c.pre + len + c.post) '\xa5' in
+  Bytes.blit_string c.body 0 buf c.pre len;
+  buf
+
+let raises_invalid f = match f () with _ -> false | exception Invalid_argument _ -> true
+
+let packer_tests =
+  [
+    qtest "of_bytes_sub matches the shift/add oracle" 500 arb_placed (fun c ->
+        let x = Nat.of_bytes_sub (embed c) c.pre (String.length c.body) in
+        Nat.equal x (oracle_of_bytes_le (Bytes.of_string c.body)));
+    qtest "to_bytes_sub matches the bitwise oracle, raises iff too wide" 500
+      (QCheck.pair arb_placed (QCheck.make ~print:string_of_int (QCheck.Gen.int_range 0 132)))
+      (fun (c, width) ->
+        let x = oracle_of_bytes_le (Bytes.of_string c.body) in
+        let buf = Bytes.make (c.pre + width + c.post) '\xa5' in
+        let before = Bytes.copy buf in
+        if Nat.num_bits x > 8 * width then
+          raises_invalid (fun () -> Nat.to_bytes_sub x buf c.pre width)
+          && raises_invalid (fun () -> oracle_to_bytes_le x width)
+          && Bytes.equal buf before
+        else begin
+          Nat.to_bytes_sub x buf c.pre width;
+          Bytes.equal (Bytes.sub buf c.pre width) (oracle_to_bytes_le x width)
+          && Bytes.equal (Bytes.sub buf 0 c.pre) (Bytes.sub before 0 c.pre)
+          && Bytes.equal
+               (Bytes.sub buf (c.pre + width) c.post)
+               (Bytes.sub before (c.pre + width) c.post)
+        end);
+    Alcotest.test_case "packers reject ranges outside the buffer" `Quick (fun () ->
+        let b = Bytes.make 8 '\001' in
+        List.iter
+          (fun (off, len) ->
+            let what = Printf.sprintf "off=%d len=%d" off len in
+            Alcotest.(check bool) ("read " ^ what) true
+              (raises_invalid (fun () -> Nat.of_bytes_sub b off len));
+            Alcotest.(check bool) ("write " ^ what) true
+              (raises_invalid (fun () -> Nat.to_bytes_sub Nat.zero b off len)))
+          [ (-1, 2); (0, 9); (7, 2); (9, 0); (0, -1) ]);
+    Alcotest.test_case "packers at limb boundaries" `Quick (fun () ->
+        (* 2^k - 1 and 2^k around every multiple of 31 bits up to 4 limbs. *)
+        for k = 1 to 124 do
+          List.iter
+            (fun x ->
+              let w = (Nat.num_bits x + 7) / 8 in
+              let b = Bytes.create w in
+              Nat.to_bytes_sub x b 0 w;
+              Alcotest.check nat (Printf.sprintf "k=%d" k) x (Nat.of_bytes_sub b 0 w);
+              Alcotest.(check bytes) (Printf.sprintf "k=%d oracle" k) (oracle_to_bytes_le x w) b)
+            [ Nat.sub (Nat.shift_left Nat.one k) Nat.one; Nat.shift_left Nat.one k ]
+        done);
+  ]
+
+let suite = suite @ packer_tests

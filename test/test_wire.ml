@@ -380,5 +380,108 @@ let version_tests =
         | m -> Alcotest.failf "expected Error_msg, got tag %d" (Zwire.tag_of_msg m));
   ]
 
+(* ---- In-place element reader at the frame boundaries ---- *)
+
+(* Every element of a frame is read straight out of the frame buffer, so
+   the range check must hold wherever the element sits: at the first, a
+   middle and the last element position, for the p61 test field, the
+   NTT-friendly p127_ntt and a group modulus in Commit_request. [p - 1]
+   decodes; [p] and [2^(8w) - 1] are Out_of_range under the element's
+   field name. *)
+
+let frame_of_queries ctx x =
+  let f = Fp.of_int ctx 5 in
+  Zwire.encode ~codec:(Zwire.codec ctx)
+    (Zwire.Queries
+       { z_queries = [| [| x; f; f |] |]; h_queries = [| [| f; x; f |] |]; t_z = [| f; f |]; t_h = [| f; x |] })
+
+(* Header (8) then: z count (4), z vec length (4), z elements; h count (4),
+   h vec length (4), h elements; ... the frame's last element is t_h.(1). *)
+let queries_slots ~width ~frame_len =
+  [ ("queries.z", 16); ("queries.h", 16 + (3 * width) + 8 + width); ("queries.t_h", frame_len - width) ]
+
+let frame_of_commit_request x =
+  let g = Fp.of_int gctx 5 in
+  Zwire.encode
+    (Zwire.Commit_request
+       {
+         group_p = gp;
+         group_q = Primes.p61;
+         group_g = x;
+         y_z = g;
+         y_h = g;
+         enc_r_z = [| { Elgamal.c1 = x; c2 = g }; { Elgamal.c1 = g; c2 = g } |];
+         enc_r_h = [| { Elgamal.c1 = g; c2 = x } |];
+       })
+
+(* Header (8), group_p (2 + w), group_q (2 + 8), g, y_z, y_h, enc_r_z count
+   (4), then enc_r_z.(0).c1; the frame's last element is enc_r_h.(0).c2. *)
+let commit_slots ~width ~frame_len =
+  let off_g = 8 + (2 + width) + (2 + 8) in
+  [ ("commit.group_g", off_g); ("commit.enc_r_z", off_g + (3 * width) + 4); ("commit.enc_r_h", frame_len - width) ]
+
+let check_boundaries ~label ~modulus ~width ~frame ~slots ~decode =
+  let pm1 = Nat.sub modulus Nat.one in
+  let good = frame pm1 in
+  let frame_len = Bytes.length good in
+  (match decode good with
+  | _ -> ()
+  | exception Zwire.Decode_error e -> Alcotest.failf "%s: p-1 refused: %s" label (Zwire.error_to_string e));
+  let all_ones = Nat.sub (Nat.shift_left Nat.one (8 * width)) Nat.one in
+  List.iter
+    (fun (what, off) ->
+      let expect = Bytes.create width in
+      Nat.to_bytes_sub pm1 expect 0 width;
+      Alcotest.(check bytes) (Printf.sprintf "%s: %s slot holds p-1" label what) expect
+        (Bytes.sub good off width);
+      List.iter
+        (fun (vname, v) ->
+          let b = Bytes.copy good in
+          Nat.to_bytes_sub v b off width;
+          let got = match decode b with _ -> None | exception Zwire.Decode_error e -> Some e in
+          check_error (Printf.sprintf "%s: %s = %s" label what vname) (Zwire.Out_of_range what) got)
+        [ ("p", modulus); ("2^(8w)-1", all_ones) ])
+    (slots ~width ~frame_len)
+
+let boundary_tests =
+  let field_case label p =
+    Alcotest.test_case (Printf.sprintf "element range checks at frame edges (%s)" label) `Quick
+      (fun () ->
+        let ctx = Fp.create p in
+        check_boundaries ~label ~modulus:p ~width:(Fp.num_bytes ctx)
+          ~frame:(frame_of_queries ctx) ~slots:queries_slots
+          ~decode:(Zwire.decode ~codec:(Zwire.codec ctx)))
+  in
+  [
+    field_case "p61" Primes.p61;
+    field_case "p127_ntt" Primes.p127_ntt;
+    Alcotest.test_case "element range checks at frame edges (group p89)" `Quick (fun () ->
+        check_boundaries ~label:"p89" ~modulus:gp ~width:(Fp.num_bytes gctx)
+          ~frame:frame_of_commit_request ~slots:commit_slots ~decode:(fun b -> Zwire.decode b));
+  ]
+
+(* ---- Golden frames ---- *)
+
+(* The encoder's output is part of the protocol: these digests pin the
+   exact bytes of one Queries and one Commit_request frame built from a
+   fixed PRG stream, so any change to the element packing (or to the
+   PRG's field draws) shows up here. *)
+let golden_tests =
+  let digest b = Digest.to_hex (Digest.bytes b) in
+  [
+    Alcotest.test_case "golden queries frame" `Quick (fun () ->
+        Alcotest.(check string) "digest" "a057744ccdbbcfadd780633e98d55ddf"
+          (digest (Zwire.encode ~codec:wcodec (sample_msg ()))));
+    Alcotest.test_case "golden commit_request frame" `Quick (fun () ->
+        Alcotest.(check string) "digest" "6264c5f5b87484b09ab593ead49135a1"
+          (digest (Zwire.encode (gen_commit_request (prg_of 19)))));
+    Alcotest.test_case "encodes at Zwire.version" `Quick (fun () ->
+        let msg = sample_msg () in
+        let b = Zwire.encode ~codec:wcodec ~version:Zwire.version msg in
+        Alcotest.(check int) "version byte" Zwire.version (Char.code (Bytes.get b 2));
+        Alcotest.(check bool) "round-trips" true
+          (Zwire.msg_equal msg (Zwire.decode ~codec:wcodec b)));
+  ]
+
 let suite =
-  roundtrip_tests @ corruption_tests @ e2e_tests @ version_tests
+  roundtrip_tests @ corruption_tests @ e2e_tests @ version_tests @ boundary_tests @ golden_tests
