@@ -1919,6 +1919,16 @@ let run_alloc cfg =
            t_h = vec ();
          })
   in
+  (* One prover commitment over a 1,024-term vector with only generic
+     coefficients (every term a Pippenger term), Enc(r) prepared per call
+     as the unprepared path does; the row reports words per term. *)
+  let hom_terms = 1024 in
+  let enc_r = Array.init hom_terms (fun _ -> Zcrypto.Elgamal.encrypt pk prg m) in
+  let u =
+    Array.init hom_terms (fun _ ->
+        let x = Chacha.Prg.field ctx prg in
+        if Fp.is_zero x || Fp.equal x Fp.one then Fp.of_int ctx 2 else x)
+  in
   (* kernel, iterations, elements per iteration, one iteration *)
   let kernels =
     [
@@ -1927,6 +1937,10 @@ let run_alloc cfg =
       ("fp.inv", fast / 10, 1, fun () -> ignore (Fp.inv ctx a));
       ("prg.field", fast / 10, 1, fun () -> ignore (Chacha.Prg.field ctx prg));
       ("elgamal.encrypt", slow, 1, fun () -> ignore (Zcrypto.Elgamal.encrypt pk prg m));
+      ( "elgamal.hom_dot",
+        (if cfg.quick then 2 else 5),
+        hom_terms,
+        fun () -> ignore (Zcrypto.Elgamal.hom_dot pk enc_r u) );
       ( "ntt.butterfly",
         fast,
         1,
@@ -2122,7 +2136,10 @@ let check_ledger () =
        else, with headroom for GC accounting noise. The single-pass byte
        packers hold a decoded element and a PRG field draw to their result
        nat (plus rejection retries), far below the quadratic converters'
-       ~277 and ~584 words. *)
+       ~277 and ~584 words. Group exponentiation runs on packed
+       Montgomery slices, so an encryption allocates its nonce draw and
+       the two converted-out residues (~21,000 words on the boxed REDC),
+       and a commitment term only its share of the partition arrays. *)
     let alloc_bands =
       [
         ("fp.mul", 120.0);
@@ -2130,6 +2147,8 @@ let check_ledger () =
         ("ntt.butterfly", 2.0);
         ("zwire.decode_el", 24.0);
         ("prg.field", 64.0);
+        ("elgamal.encrypt", 2000.0);
+        ("elgamal.hom_dot", 32.0);
       ]
     in
     List.iter

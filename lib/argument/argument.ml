@@ -404,23 +404,20 @@ module Prover_session = struct
       if Array.length cr.Zwire.enc_r_h <> h_len then
         session_error "Enc(r_h) has %d entries, proof vector has %d"
           (Array.length cr.Zwire.enc_r_h) h_len;
-      let req_z =
-        { Commitment.Commit.pk = Elgamal.public_key_of grp ~y:cr.Zwire.y_z;
-          enc_r = cr.Zwire.enc_r_z }
-      in
-      let req_h =
-        { Commitment.Commit.pk = Elgamal.public_key_of grp ~y:cr.Zwire.y_h;
-          enc_r = cr.Zwire.enc_r_h }
-      in
+      let pk_z = Elgamal.public_key_of grp ~y:cr.Zwire.y_z in
+      let pk_h = Elgamal.public_key_of grp ~y:cr.Zwire.y_h in
       (* Commitments are pure functions of the request and the proof
          vectors, so they fan out across instances over the Pool domains
-         (the paper's "crypto hardware" phase, §5.2). *)
+         (the paper's "crypto hardware" phase, §5.2). Enc(r) is converted
+         into packed form once per request and shared read-only. *)
       let commitments =
         Metrics.time t.pm "crypto_ops" (fun () ->
+            let pz = Elgamal.prepare pk_z cr.Zwire.enc_r_z in
+            let ph = Elgamal.prepare pk_h cr.Zwire.enc_r_h in
             Dompool.Pool.map ~domains:t.config.domains
               (fun (p : proof_parts) ->
-                ( Commitment.Commit.prover_commit req_z p.u_z,
-                  Commitment.Commit.prover_commit req_h p.u_h ))
+                ( Commitment.Commit.prover_commit_prepared pz p.u_z,
+                  Commitment.Commit.prover_commit_prepared ph p.u_h ))
               r.parts)
       in
       t.codec <- Some (Zwire.codec ~group_p:cr.Zwire.group_p r.ctx);

@@ -56,7 +56,11 @@ let commit_request ?(domains = 1) ctx grp prg ~len =
   let enc_r = Dompool.Pool.mapi ~domains (fun i ri -> Elgamal.encrypt_with_k pk ~k:ks.(i) ri) r in
   ({ pk; enc_r }, { sk; r })
 
-(* Prover side, one per instance: commit to the linear function <., u>. *)
+(* Prover side, one per instance: commit to the linear function <., u>,
+   over Enc(r) prepared once per request ([Elgamal.prepare]) or per call. *)
+let prover_commit_prepared (pr : Elgamal.prepared) (u : Fp.el array) : Elgamal.ciphertext =
+  Zobs.Span.with_ ~name:"commit.prover_commit" (fun () -> Elgamal.hom_dot_prepared pr u)
+
 let prover_commit (req : request) (u : Fp.el array) : Elgamal.ciphertext =
   Zobs.Span.with_ ~name:"commit.prover_commit" (fun () -> Elgamal.hom_dot req.pk req.enc_r u)
 

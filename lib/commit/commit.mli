@@ -32,7 +32,11 @@ val commit_request :
     sequentially, so the transcript is identical for every domain count. *)
 
 val prover_commit : request -> Fp.el array -> Elgamal.ciphertext
-(** Prover, per instance: Enc(<u, r>) by homomorphic evaluation. *)
+(** Prover, per instance: Enc(<u, r>) by homomorphic evaluation. Converts
+    Enc(r) on every call; a batch should {!Elgamal.prepare} it once. *)
+
+val prover_commit_prepared : Elgamal.prepared -> Fp.el array -> Elgamal.ciphertext
+(** [prover_commit] over a prepared Enc(r); same result. *)
 
 type challenge = {
   t : Fp.el array; (** sent to the prover *)

@@ -16,7 +16,7 @@
    Both fixed bases (g from the group, y from the key) carry fixed-base
    window tables, so encryption and encoding are table lookups plus
    multiplications rather than generic ladders; [hom_dot] is a Pippenger
-   multi-exponentiation (DESIGN.md §8). *)
+   multi-exponentiation over a [prepare]d Enc(r) (DESIGN.md §8). *)
 
 open Fieldlib
 
@@ -53,13 +53,13 @@ let precompute (pk : public_key) =
 
 (* Encrypt with caller-supplied randomness k in [1, q): the deterministic
    core that the parallel commitment pipeline maps over after pre-drawing
-   every k sequentially (transcripts must not depend on the domain count). *)
+   every k sequentially (transcripts must not depend on the domain count).
+   c2 = g^m * y^k is formed in Montgomery form and converted out once. *)
 let encrypt_with_k (pk : public_key) ~(k : Nat.t) (m : Fp.el) : ciphertext =
   Zobs.Counter.incr c_encrypt;
   let grp = pk.grp in
   let gtab = Group.fb_g grp and ytab = Lazy.force pk.y_fb in
-  let gm = Group.fb_pow grp gtab (Fp.to_nat m) in
-  { c1 = Group.fb_pow grp gtab k; c2 = Group.mul grp gm (Group.fb_pow grp ytab k) }
+  { c1 = Group.fb_pow grp gtab k; c2 = Group.fb_pow2 grp gtab (Fp.to_nat m) ytab k }
 
 (* Encrypt a field element (exponent encoding). *)
 let encrypt (pk : public_key) (prg : Chacha.Prg.t) (m : Fp.el) : ciphertext =
@@ -102,40 +102,33 @@ let hom_dot_naive (pk : public_key) (enc_r : ciphertext array) (u : Fp.el array)
     u;
   !acc
 
-(* Enc(<u, r>) from Enc(r): the prover's commitment computation. Zero
-   coefficients are skipped (sparse proof vectors), unit coefficients are a
-   bare homomorphic add, and everything else feeds one Pippenger
-   multi-exponentiation per ciphertext component. *)
-let hom_dot (pk : public_key) (enc_r : ciphertext array) (u : Fp.el array) : ciphertext =
-  let n = Array.length enc_r in
-  if n <> Array.length u then invalid_arg "Elgamal.hom_dot: length mismatch";
-  let grp = pk.grp in
-  let ones1 = ref Group.one and ones2 = ref Group.one in
-  let idx = ref [] and nidx = ref 0 in
-  for i = n - 1 downto 0 do
-    let ui = u.(i) in
-    if Fp.is_zero ui then ()
-    else if Fp.equal ui Fp.one then begin
-      Zobs.Counter.incr c_hom;
-      ones1 := Group.mul grp !ones1 enc_r.(i).c1;
-      ones2 := Group.mul grp !ones2 enc_r.(i).c2
-    end
-    else begin
-      idx := i :: !idx;
-      incr nidx
-    end
+(* Enc(r) in the kernels' packed form, c1/c2 interleaved (element 2i is
+   Enc(r_i).c1, 2i+1 its c2): converted once, then read-only, so one
+   prepared request serves every instance of a batch, across domains. *)
+type prepared = { group : Group.t; len : int; enc : Montgomery.packed }
+
+let prepare (pk : public_key) (enc_r : ciphertext array) : prepared =
+  let len = Array.length enc_r in
+  let pick i = if i land 1 = 0 then enc_r.(i lsr 1).c1 else enc_r.(i lsr 1).c2 in
+  { group = pk.grp; len; enc = Montgomery.pack pk.grp.Group.mont (2 * len) pick }
+
+(* Enc(<u, r>) from a prepared Enc(r): the prover's commitment. Zero
+   coefficients are skipped (sparse proof vectors), unit coefficients are
+   bare homomorphic adds folded into the packed accumulator, and the rest
+   feed one Pippenger pass over both ciphertext components. Each fold and
+   each term is one homomorphic accumulate step (the paper's h row). *)
+let hom_dot_prepared (pr : prepared) (u : Fp.el array) : ciphertext =
+  if pr.len <> Array.length u then invalid_arg "Elgamal.hom_dot: length mismatch";
+  let ones = ref [] and idx = ref [] in
+  for i = pr.len - 1 downto 0 do
+    if Fp.equal u.(i) Fp.one then ones := i :: !ones
+    else if not (Fp.is_zero u.(i)) then idx := i :: !idx
   done;
-  if !nidx = 0 then { c1 = !ones1; c2 = !ones2 }
-  else begin
-    (* Each Pippenger term is one homomorphic accumulate step (the paper's
-       h row), same as the hom_add/hom_scale pair it replaces. *)
-    Zobs.Counter.add c_hom !nidx;
-    let idx = Array.of_list !idx in
-    let exps = Array.map (fun i -> Fp.to_nat u.(i)) idx in
-    let b1 = Array.map (fun i -> enc_r.(i).c1) idx in
-    let b2 = Array.map (fun i -> enc_r.(i).c2) idx in
-    {
-      c1 = Group.mul grp !ones1 (Group.multi_pow grp b1 exps);
-      c2 = Group.mul grp !ones2 (Group.multi_pow grp b2 exps);
-    }
-  end
+  let ones = Array.of_list !ones and idx = Array.of_list !idx in
+  Zobs.Counter.add c_hom (Array.length ones + Array.length idx);
+  let exps = Array.map (fun i -> Fp.to_nat u.(i)) idx in
+  let c = Group.multi_pow_packed pr.group pr.enc ~stride:2 ~ones idx exps in
+  { c1 = c.(0); c2 = c.(1) }
+
+let hom_dot (pk : public_key) (enc_r : ciphertext array) (u : Fp.el array) : ciphertext =
+  hom_dot_prepared (prepare pk enc_r) u

@@ -10,7 +10,8 @@
     evaluates Enc(<u, r>) from Enc(r) without the prover learning r.
 
     Encryption and encoding run on fixed-base window tables for g and y;
-    {!hom_dot} is a Pippenger multi-exponentiation (DESIGN.md §8). *)
+    {!hom_dot} is a Pippenger multi-exponentiation over a {!prepare}d
+    Enc(r) (DESIGN.md §8). *)
 
 open Fieldlib
 
@@ -50,10 +51,17 @@ val hom_add : public_key -> ciphertext -> ciphertext -> ciphertext
 val hom_scale : public_key -> ciphertext -> Fp.el -> ciphertext
 val hom_zero : public_key -> ciphertext
 
+type prepared
+(** Enc(r) packed once in Montgomery form; read-only, so a batch shares it. *)
+
+val prepare : public_key -> ciphertext array -> prepared
+
+val hom_dot_prepared : prepared -> Fp.el array -> ciphertext
+(** Enc(<u, r>): zeros skipped, ones folded, the rest in one Pippenger
+    pass over both ciphertext components ({!Group.multi_pow_packed}). *)
+
 val hom_dot : public_key -> ciphertext array -> Fp.el array -> ciphertext
-(** Skips zero coefficients, folds unit coefficients in with bare
-    homomorphic adds, and serves the rest with Pippenger {!Group.multi_pow}
-    (one per ciphertext component). *)
+(** [hom_dot pk enc_r u = hom_dot_prepared (prepare pk enc_r) u]. *)
 
 val hom_dot_naive : public_key -> ciphertext array -> Fp.el array -> ciphertext
 (** The pre-kernel hom_scale/hom_add fold, kept as the ablation baseline

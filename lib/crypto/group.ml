@@ -18,7 +18,7 @@ type t = {
   g : Fp.el; (* generator of the order-q subgroup, as a mod-p residue *)
   modp : Fp.ctx; (* arithmetic mod p *)
   modq : Fp.ctx; (* arithmetic mod q (exponents); cached, not rebuilt per call *)
-  mont : Montgomery.ctx; (* exponentiation kernels (see the ablation bench) *)
+  mont : Montgomery.ctx; (* exponentiation kernels *)
   g_fb : fb Lazy.t; (* fixed-base window table for g, built on first use *)
 }
 
@@ -36,7 +36,7 @@ let c_multi_terms = Zobs.Counter.make "group.multi_pow.terms"
 
 let pow t (base : element) (e : Nat.t) =
   Zobs.Counter.incr c_pow;
-  Montgomery.pow_nat t.mont base e
+  Montgomery.pow t.mont base e
 
 let pow_barrett t (base : element) (e : Nat.t) =
   Zobs.Counter.incr c_pow;
@@ -50,33 +50,39 @@ let one = Fp.one
 (* ---- Exponentiation kernels (DESIGN.md §8) ---- *)
 
 let fb_precompute ?window t (base : element) : fb =
-  let m = t.mont in
-  Montgomery.fb_precompute m ?window ~bits:(Nat.num_bits t.q) (Montgomery.to_mont m base)
+  Montgomery.fb_precompute t.mont ?window ~bits:(Nat.num_bits t.q) base
 
 let fb_g t = Lazy.force t.g_fb
 
+(* Exponents wider than a Z_q table take the ladder, counted as generic. *)
+let count_fb tab e =
+  Zobs.Counter.incr (if Nat.num_bits e > Montgomery.fb_bits tab then c_pow else c_pow_fb)
+
 let fb_pow t (tab : fb) (e : Nat.t) : element =
-  (* Exponents live in Z_q and the tables cover num_bits q, so the generic
-     fallback only triggers for out-of-range callers (reduce mod q first). *)
-  if Nat.num_bits e > Montgomery.fb_bits tab then
-    let base = Montgomery.of_mont t.mont (Montgomery.fb_pow t.mont tab Nat.one) in
-    pow t base e
-  else begin
-    Zobs.Counter.incr c_pow_fb;
-    Montgomery.of_mont t.mont (Montgomery.fb_pow t.mont tab e)
-  end
+  count_fb tab e;
+  Montgomery.fb_pow t.mont tab e
+
+let fb_pow2 t (tab1 : fb) (e1 : Nat.t) (tab2 : fb) (e2 : Nat.t) : element =
+  count_fb tab1 e1;
+  count_fb tab2 e2;
+  Montgomery.fb_pow2 t.mont tab1 e1 tab2 e2
 
 let pow2 t (b1 : element) (e1 : Nat.t) (b2 : element) (e2 : Nat.t) : element =
   Zobs.Counter.incr c_pow_shamir;
-  let m = t.mont in
-  Montgomery.of_mont m (Montgomery.pow2 m (Montgomery.to_mont m b1) e1 (Montgomery.to_mont m b2) e2)
+  Montgomery.pow2 t.mont b1 e1 b2 e2
+
+(* One multi-exponentiation counted per component that has terms. *)
+let multi_pow_packed ?window ?ones t v ~stride idx (exps : Nat.t array) : element array =
+  if Array.length idx > 0 then begin
+    Zobs.Counter.add c_multi stride;
+    Zobs.Counter.add c_multi_terms (stride * Array.length idx)
+  end;
+  Montgomery.multi_pow t.mont ?window ?ones v ~stride idx exps
 
 let multi_pow ?window t (bases : element array) (exps : Nat.t array) : element =
-  Zobs.Counter.incr c_multi;
-  Zobs.Counter.add c_multi_terms (Array.length bases);
-  let m = t.mont in
-  let mb = Array.map (Montgomery.to_mont m) bases in
-  Montgomery.of_mont m (Montgomery.multi_pow m ?window mb exps)
+  let n = Array.length bases in
+  let v = Montgomery.pack t.mont n (Array.get bases) in
+  (multi_pow_packed ?window t v ~stride:1 (Array.init n Fun.id) exps).(0)
 
 let generate ?(seed = "zaatar group") ~field_order ~p_bits () =
   let q = field_order in
@@ -118,15 +124,16 @@ let generate ?(seed = "zaatar group") ~field_order ~p_bits () =
     if Fp.equal g Fp.one then find_g (h + 1) else g
   in
   let g = find_g 2 in
-  let g_fb = lazy (Montgomery.fb_precompute mont ~bits:q_bits (Montgomery.to_mont mont g)) in
+  let g_fb = lazy (Montgomery.fb_precompute mont ~bits:q_bits g) in
   { p; q; g; modp; modq = Fp.create q; mont; g_fb }
 
 (* Codec hook (lib/wire): rebuild a group from transmitted (p, q, g). The
    prover must not trust the wire, so every structural property [generate]
-   guarantees is re-checked here — q | p - 1, g != 1 and g^q = 1 — before
-   any exponent arithmetic runs on the parameters. Primality of p and q is
-   NOT re-verified (seconds at 1024 bits); a composite modulus degrades
-   soundness for the verifier who chose it, not for the prover. *)
+   guarantees is re-checked here — q | p - 1, g != 1 and g^q = 1 (on the
+   packed ladder) — before any exponent arithmetic runs on the parameters.
+   Primality of p and q is NOT re-verified (seconds at 1024 bits); a
+   composite modulus degrades soundness for the verifier who chose it, not
+   for the prover. *)
 let of_params ~p ~q ~g =
   if Nat.compare p (Nat.of_int 3) < 0 || Nat.is_even p then
     invalid_arg "Group.of_params: p must be odd and >= 3";
@@ -136,14 +143,11 @@ let of_params ~p ~q ~g =
   if not (Nat.is_zero r) then invalid_arg "Group.of_params: q does not divide p - 1";
   if Nat.is_zero g || Nat.compare g p >= 0 then invalid_arg "Group.of_params: g out of range";
   if Nat.equal g Nat.one then invalid_arg "Group.of_params: g = 1 generates nothing";
-  let modp = Fp.create ~tag:Fp.Group p in
-  if not (Fp.equal (Fp.pow modp g q) Fp.one) then
-    invalid_arg "Group.of_params: g is not in the order-q subgroup";
   let mont = Montgomery.create p in
-  let g_fb =
-    lazy (Montgomery.fb_precompute mont ~bits:(Nat.num_bits q) (Montgomery.to_mont mont g))
-  in
-  { p; q; g; modp; modq = Fp.create q; mont; g_fb }
+  if not (Nat.is_one (Montgomery.pow mont g q)) then
+    invalid_arg "Group.of_params: g is not in the order-q subgroup";
+  let g_fb = lazy (Montgomery.fb_precompute mont ~bits:(Nat.num_bits q) g) in
+  { p; q; g; modp = Fp.create ~tag:Fp.Group p; modq = Fp.create q; mont; g_fb }
 
 (* Cache of generated groups, keyed by (field bits, p bits): generation
    costs seconds at 1024 bits. *)

@@ -8,12 +8,12 @@
     p = q*m + 1 of the requested size, so exponent arithmetic coincides
     with field arithmetic.
 
-    Exponentiations go through the DESIGN.md §8 kernel layer: a windowed
-    generic ladder ({!pow}), fixed-base window tables ({!fb_pow}), Shamir
-    simultaneous exponentiation ({!pow2}) and Pippenger bucket
-    multi-exponentiation ({!multi_pow}). Zobs counters [group.pow],
-    [group.pow.fixed_base], [group.pow.shamir] and [group.multi_pow]
-    record which kernel served each exponentiation. *)
+    Exponentiations go through the DESIGN.md §8 kernels on the packed
+    {!Montgomery} engine: a windowed generic ladder ({!pow}), fixed-base
+    window tables ({!fb_pow}), Shamir simultaneous exponentiation
+    ({!pow2}) and Pippenger bucket multi-exponentiation ({!multi_pow}).
+    Zobs counters [group.pow], [group.pow.fixed_base], [group.pow.shamir]
+    and [group.multi_pow] record which kernel served each one. *)
 
 open Fieldlib
 
@@ -33,10 +33,11 @@ type t = {
 type element = Fp.el
 
 val pow : t -> element -> Nat.t -> element
-(** Generic windowed Montgomery ladder (see the ablation bench). *)
+(** Generic windowed Montgomery ladder. *)
 
 val pow_barrett : t -> element -> Nat.t -> element
-(** The Barrett-reduction ladder, kept for the ablation. *)
+(** The Barrett ladder ([Fp.pow] over [modp]): ablation baseline and the
+    kernel tests' independent oracle. *)
 
 val mul : t -> element -> element -> element
 val inv : t -> element -> element
@@ -57,6 +58,9 @@ val fb_pow : t -> fb -> Nat.t -> element
     digit. Falls back to the generic ladder for exponents wider than the
     table (never the case for exponents in Z_q). *)
 
+val fb_pow2 : t -> fb -> Nat.t -> fb -> Nat.t -> element
+(** [b1^e1 * b2^e2] from two tables: ElGamal's [c2 = g^m y^k]. *)
+
 val pow2 : t -> element -> Nat.t -> element -> Nat.t -> element
 (** [pow2 t b1 e1 b2 e2 = b1^e1 * b2^e2], Shamir/Straus simultaneous
     exponentiation in one shared squaring chain. *)
@@ -65,6 +69,11 @@ val multi_pow : ?window:int -> t -> element array -> Nat.t array -> element
 (** [multi_pow t bases exps = prod_i bases.(i)^exps.(i)] by Pippenger
     bucket aggregation; [window] overrides the automatic bucket width
     (tests). *)
+
+val multi_pow_packed :
+  ?window:int -> ?ones:int array -> t -> Montgomery.packed -> stride:int -> int array ->
+  Nat.t array -> element array
+(** {!Montgomery.multi_pow} over elements packed once (e.g. Enc(r)). *)
 
 val generate : ?seed:string -> field_order:Nat.t -> p_bits:int -> unit -> t
 (** Deterministic given [seed]; candidates are screened with
@@ -77,6 +86,6 @@ val cached : field_order:Nat.t -> p_bits:int -> unit -> t
 val of_params : p:Nat.t -> q:Nat.t -> g:element -> t
 (** Rebuild a group from wire-transmitted parameters (the prover side of a
     Zwire [Commit_request]). Re-checks the structure [generate] guarantees
-    — q | p - 1, 1 < g < p, g^q = 1 — and raises [Invalid_argument]
-    otherwise; primality is not re-verified (a composite modulus only hurts
-    the party who chose it). *)
+    — q | p - 1, 1 < g < p, g^q = 1 (on the packed ladder) — and raises
+    [Invalid_argument] otherwise; primality is not re-verified (a composite
+    modulus only hurts the party who chose it). *)

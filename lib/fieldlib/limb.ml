@@ -135,12 +135,13 @@ let mul_low (dst : a) dso (x : a) xo wa (y : a) yo wb wout =
     end
   done
 
-(* Boundary codecs: boxed <-> packed. Only these two allocate. *)
+(* Boundary codecs: boxed <-> packed. Only [to_nat] allocates (its
+   result). *)
 
 let of_nat (n : Nat.t) (dst : a) off w =
-  let l = Nat.to_limbs ~width:w n in
+  if Nat.num_limbs n > w then invalid_arg "Limb.of_nat: width too small";
   for i = 0 to w - 1 do
-    set dst (off + i) l.(i)
+    set dst (off + i) (Nat.limb n i)
   done
 
 let to_nat (src : a) off w =

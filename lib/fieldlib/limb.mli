@@ -3,8 +3,7 @@
     zero-allocation field kernels ({!Fp.Vec}, the packed NTT butterflies,
     the Pippenger bucket arena): the GC sees one custom block instead of a
     boxed [int array] per element. All kernels are offset/width-addressed
-    and allocation-free; only the {!of_nat}/{!to_nat} boundary codecs
-    allocate. *)
+    and allocation-free; only the {!to_nat} boundary codec allocates. *)
 
 type a = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 

@@ -1,232 +1,50 @@
+(* Montgomery arithmetic on packed limb slices: the one multiplication
+   engine under every group exponentiation (DESIGN.md §8). Residues enter
+   Montgomery form (xR mod p, R = 2^(31k)) on the way into a kernel and
+   leave it on the way out; in between they live in [Limb.a] slices and
+   every product is one fused CIOS pass. *)
+
+external get : Limb.a -> int -> int = "%caml_ba_unsafe_ref_1"
+external set : Limb.a -> int -> int -> unit = "%caml_ba_unsafe_set_1"
+
+let mask = (1 lsl 31) - 1
+
 type ctx = {
   p : Nat.t;
   k : int; (* limbs of p; R = 2^(31k) *)
-  r_mod_p : Nat.t; (* R mod p: the Montgomery form of 1 *)
-  r2_mod_p : Nat.t; (* R^2 mod p: converts into Montgomery form *)
-  p' : Nat.t; (* -p^{-1} mod R *)
+  p_a : int array; (* p, k limbs *)
+  p0' : int; (* -p^{-1} mod 2^31 *)
+  consts : Limb.a; (* k-limb slots: R^2 mod p, R mod p (Montgomery one), plain 1 *)
 }
 
-type el = Nat.t
-
-(* One count per REDC multiplication: the unit the exponentiation-ladder
-   cost model is expressed in. *)
+(* One count per REDC product: the unit the exponentiation cost model is
+   expressed in. Conversions at the boundary are not counted. *)
 let c_mul = Zobs.Counter.make "mont.mul"
 
 let modulus ctx = ctx.p
-let equal = Nat.equal
-
-(* p^{-1} mod 2^(31k) by Hensel lifting: x <- x (2 - p x) doubles the
-   number of correct low bits each step. *)
-let inv_mod_r p k =
-  let r_bits = 31 * k in
-  let two = Nat.two in
-  let x = ref Nat.one in
-  (* p odd => p^{-1} = 1 (mod 2) *)
-  let prec = ref 1 in
-  while !prec < r_bits do
-    prec := min (2 * !prec) r_bits;
-    let px = Nat.mul p !x in
-    let px = Nat.truncate_limbs px (((!prec + 30) / 31) + 1) in
-    (* x (2 - p x) mod 2^prec, computed as x*2 - x*p*x avoiding negatives:
-       2 - px == 2 + (2^prec - px) mod 2^prec *)
-    let modulus_prec = Nat.shift_left Nat.one !prec in
-    let px_mod = snd (Nat.divmod px modulus_prec) in
-    let t =
-      if Nat.compare two px_mod >= 0 then Nat.sub two px_mod
-      else Nat.sub (Nat.add modulus_prec two) px_mod
-    in
-    x := snd (Nat.divmod (Nat.mul !x t) modulus_prec)
-  done;
-  !x
 
 let create p =
   if Nat.is_even p || Nat.compare p (Nat.of_int 3) < 0 then
     invalid_arg "Montgomery.create: modulus must be odd and >= 3";
   let k = Nat.num_limbs p in
-  let r = Nat.shift_left Nat.one (31 * k) in
-  let r_mod_p = snd (Nat.divmod r p) in
-  let r2_mod_p = snd (Nat.divmod (Nat.sqr r_mod_p) p) in
-  let r2_mod_p = r2_mod_p in
-  let inv = inv_mod_r p k in
-  let p' = Nat.sub r inv in
-  { p; k; r_mod_p; r2_mod_p; p' }
-
-(* REDC: given t < p*R, return t R^{-1} mod p. *)
-let redc ctx t =
-  let m = Nat.truncate_limbs (Nat.mul (Nat.truncate_limbs t ctx.k) ctx.p') ctx.k in
-  let u = Nat.shift_right_limbs (Nat.add t (Nat.mul m ctx.p)) ctx.k in
-  if Nat.compare u ctx.p >= 0 then Nat.sub u ctx.p else u
-
-let mul ctx a b =
-  Zobs.Counter.incr c_mul;
-  redc ctx (Nat.mul a b)
-
-let sqr ctx a =
-  Zobs.Counter.incr c_mul;
-  redc ctx (Nat.sqr a)
-
-let to_mont ctx x =
-  if Nat.compare x ctx.p >= 0 then invalid_arg "Montgomery.to_mont: input not reduced";
-  redc ctx (Nat.mul x ctx.r2_mod_p)
-
-let of_mont ctx x = redc ctx x
-
-let one ctx = ctx.r_mod_p
-let zero _ctx = Nat.zero
-
-let add ctx a b =
-  let s = Nat.add a b in
-  if Nat.compare s ctx.p >= 0 then Nat.sub s ctx.p else s
-
-let sub ctx a b = if Nat.compare a b >= 0 then Nat.sub a b else Nat.sub (Nat.add a ctx.p) b
-
-let pow ctx b e =
-  let nbits = Nat.num_bits e in
-  let acc = ref (one ctx) in
-  for i = nbits - 1 downto 0 do
-    acc := sqr ctx !acc;
-    if Nat.testbit e i then acc := mul ctx !acc b
+  let r_mod_p = snd (Nat.divmod (Nat.shift_left Nat.one (31 * k)) p) in
+  let consts = Limb.create (3 * k) in
+  Limb.of_nat (snd (Nat.divmod (Nat.sqr r_mod_p) p)) consts 0 k;
+  Limb.of_nat r_mod_p consts k k;
+  set consts (2 * k) 1;
+  (* p^{-1} mod 2^31 by Hensel lifting, x <- x (2 - p x): five doublings
+     of the correct low bits; native ints wrap mod 2^63, keeping them. *)
+  let p0 = Nat.limb p 0 and x = ref 1 in
+  for _ = 1 to 5 do
+    x := !x * (2 - (p0 * !x)) land mask
   done;
-  !acc
+  { p; k; p_a = Array.init k (Nat.limb p); p0' = ((1 lsl 31) - !x) land mask; consts }
 
-(* ------------------------------------------------------------------ *)
-(* Exponentiation kernels (DESIGN.md §8)                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Read bits [lo, lo+w) of e as an integer (w <= 30). *)
-let digit e ~nbits ~lo ~w =
-  let d = ref 0 in
-  let hi = min (nbits - 1) (lo + w - 1) in
-  for j = hi downto lo do
-    d := (!d lsl 1) lor (if Nat.testbit e j then 1 else 0)
-  done;
-  !d
-
-(* Sliding-window square-and-multiply: one table of odd powers
-   b, b^3, ..., b^(2^w - 1), then ~nbits/(w+1) multiplications instead of
-   nbits/2. Window width grows with the exponent size. *)
-let pow_window ctx b e =
-  let nbits = Nat.num_bits e in
-  if nbits <= 8 then pow ctx b e
-  else begin
-    let w = if nbits < 80 then 3 else if nbits < 240 then 4 else 5 in
-    let b2 = sqr ctx b in
-    let tbl = Array.make (1 lsl (w - 1)) b in
-    for i = 1 to Array.length tbl - 1 do
-      tbl.(i) <- mul ctx tbl.(i - 1) b2
-    done;
-    let acc = ref (one ctx) in
-    let i = ref (nbits - 1) in
-    while !i >= 0 do
-      if not (Nat.testbit e !i) then begin
-        acc := sqr ctx !acc;
-        decr i
-      end
-      else begin
-        (* widest window [l, i] of <= w bits whose low bit is set *)
-        let l = ref (max 0 (!i - w + 1)) in
-        while not (Nat.testbit e !l) do
-          incr l
-        done;
-        let width = !i - !l + 1 in
-        let d = digit e ~nbits ~lo:!l ~w:width in
-        for _ = 1 to width do
-          acc := sqr ctx !acc
-        done;
-        acc := mul ctx !acc tbl.(d lsr 1);
-        i := !l - 1
-      end
-    done;
-    !acc
-  end
-
-(* Fixed-base windowed precomputation: tables.(i).(j-1) = b^(j * 2^(w*i)),
-   so b^e is one multiplication per nonzero base-2^w digit of e — no
-   squarings at all once the table exists. The table costs about
-   (bits/w) * 2^w multiplications and pays for itself after a handful of
-   exponentiations. *)
-type fb = {
-  fb_window : int;
-  fb_digits : int;
-  fb_tables : el array array;
-}
-
-let fb_precompute ctx ?(window = 5) ~bits b =
-  if window < 1 || window > 16 then invalid_arg "Montgomery.fb_precompute: window out of range";
-  if bits < 1 then invalid_arg "Montgomery.fb_precompute: bits must be positive";
-  let digits = (bits + window - 1) / window in
-  let m = (1 lsl window) - 1 in
-  let base = ref b in
-  let tables = Array.make digits [||] in
-  for i = 0 to digits - 1 do
-    let t = Array.make m !base in
-    for j = 1 to m - 1 do
-      t.(j) <- mul ctx t.(j - 1) !base
-    done;
-    tables.(i) <- t;
-    if i < digits - 1 then
-      for _ = 1 to window do
-        base := sqr ctx !base
-      done
-  done;
-  { fb_window = window; fb_digits = digits; fb_tables = tables }
-
-let fb_bits fb = fb.fb_window * fb.fb_digits
-
-let fb_pow ctx fb e =
-  let nbits = Nat.num_bits e in
-  if nbits > fb_bits fb then invalid_arg "Montgomery.fb_pow: exponent wider than the table";
-  let acc = ref (one ctx) in
-  let i = ref 0 in
-  while !i * fb.fb_window < nbits do
-    let d = digit e ~nbits ~lo:(!i * fb.fb_window) ~w:fb.fb_window in
-    if d <> 0 then acc := mul ctx !acc fb.fb_tables.(!i).(d - 1);
-    incr i
-  done;
-  !acc
-
-(* Shamir/Straus simultaneous exponentiation: b1^e1 * b2^e2 in one shared
-   squaring chain with a precomputed b1*b2 — about half the cost of two
-   independent ladders. *)
-let pow2 ctx b1 e1 b2 e2 =
-  let n = max (Nat.num_bits e1) (Nat.num_bits e2) in
-  if n = 0 then one ctx
-  else begin
-    let b12 = mul ctx b1 b2 in
-    let acc = ref (one ctx) in
-    for i = n - 1 downto 0 do
-      acc := sqr ctx !acc;
-      let x1 = Nat.testbit e1 i and x2 = Nat.testbit e2 i in
-      if x1 && x2 then acc := mul ctx !acc b12
-      else if x1 then acc := mul ctx !acc b1
-      else if x2 then acc := mul ctx !acc b2
-    done;
-    !acc
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Packed REDC: limb-slice kernels and scratch arenas                   *)
-(* ------------------------------------------------------------------ *)
-
-(* Scratch for REDC on packed slices. Layout of [mtmp] (k limbs of p):
-     [0, 2k)    t = a * b, then t + m*p
-     [2k, 3k)   m = t * p' mod B^k
-     [3k, 5k)   m * p
-   Owned by one domain; obtain via [scratch_for]. *)
-type scratch = {
-  mk : int;
-  mp_l : Limb.a; (* k limbs: p *)
-  mp'_l : Limb.a; (* k limbs: p' *)
-  mtmp : Limb.a; (* 5k limbs *)
-}
-
-let scratch_create ctx =
-  let k = ctx.k in
-  let mp_l = Limb.create k in
-  Limb.of_nat ctx.p mp_l 0 k;
-  let mp'_l = Limb.create k in
-  Limb.of_nat ctx.p' mp'_l 0 k;
-  { mk = k; mp_l; mp'_l; mtmp = Limb.create (5 * k) }
+(* Per-domain working memory: the REDC accumulator [t] (k+1 limbs, a plain
+   array like [p_a]: the inner loop reads those faster than bigarrays) and
+   k-limb slots [r] — 0..2 for a kernel's operands and result, 3 for its
+   temporary (b^2 or b1*b2), 4..19 for the sliding window's odd powers. *)
+type scratch = { t : int array; r : Limb.a }
 
 let scratch_dls : (ctx * scratch) list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
@@ -236,117 +54,285 @@ let scratch_for ctx =
   match List.find_opt (fun (c, _) -> c == ctx) !cache with
   | Some (_, sc) -> sc
   | None ->
-    let sc = scratch_create ctx in
-    cache := (ctx, sc) :: !cache;
+    let sc = { t = Array.make (ctx.k + 1) 0; r = Limb.create (20 * ctx.k) } in
+    (* Bounded: served sessions rebuild their group (Group.of_params). *)
+    cache := (ctx, sc) :: List.filteri (fun i _ -> i < 7) !cache;
     sc
 
-(* dst <- REDC(a * b) on k-limb slices, everything in Montgomery form.
-   [dst] may alias either input slice (inputs are consumed before [dst] is
-   written). One counted [mont.mul], zero allocations. *)
-let mul_into _ctx sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
+(* dst <- a * b * R^{-1} mod p by CIOS: for each limb a_i, add a_i * b and
+   the multiple m * p that clears the low limb, then shift down one limb —
+   multiplying and reducing in one sweep, 2k^2 + k multiply-adds on the
+   (k+1)-limb accumulator. For b < p it stays below 2p, so one conditional
+   subtraction finishes (its borrow out cancels a set top limb). Inputs are
+   consumed before [dst] is written, so [dst] may alias either. Uncounted. *)
+let redc_into ctx sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
+  let k = ctx.k and p = ctx.p_a and t = sc.t and p0' = ctx.p0' in
+  Array.fill t 0 (k + 1) 0;
+  for i = 0 to k - 1 do
+    let ai = get a (ao + i) in
+    let s = Array.unsafe_get t 0 + (ai * get b bo) in
+    let lo = s land mask in
+    let m = lo * p0' land mask in
+    let c1 = ref (s lsr 31) and c2 = ref ((lo + (m * Array.unsafe_get p 0)) lsr 31) in
+    for j = 1 to k - 1 do
+      let s = Array.unsafe_get t j + (ai * get b (bo + j)) + !c1 in
+      c1 := s lsr 31;
+      let s2 = (s land mask) + (m * Array.unsafe_get p j) + !c2 in
+      c2 := s2 lsr 31;
+      Array.unsafe_set t (j - 1) (s2 land mask)
+    done;
+    let s = Array.unsafe_get t k + !c1 + !c2 in
+    Array.unsafe_set t (k - 1) (s land mask);
+    Array.unsafe_set t k (s lsr 31)
+  done;
+  (* t >= p iff t has a top limb or t >= p at their highest differing limb *)
+  let i = ref (k - 1) in
+  while !i > 0 && t.(!i) = p.(!i) do
+    decr i
+  done;
+  let ge = t.(k) <> 0 || t.(!i) >= p.(!i) and borrow = ref 0 in
+  for j = 0 to k - 1 do
+    let s = if ge then t.(j) - p.(j) - !borrow else t.(j) in
+    set dst (dso + j) (s land mask);
+    borrow := s lsr 62
+  done
+
+let mul_into ctx sc dst dso a ao b bo =
   Zobs.Counter.incr c_mul;
-  let k = sc.mk in
-  let t = sc.mtmp in
-  Limb.mul t 0 a ao k b bo k;
-  Limb.mul_low t (2 * k) t 0 k sc.mp'_l 0 k k;
-  Limb.mul t (3 * k) t (2 * k) k sc.mp_l 0 k;
-  let carry = Limb.add t 0 t 0 t (3 * k) (2 * k) in
-  (* u = (t + m*p) / B^k: limbs [k, 2k) with a virtual top limb [carry];
-     u < 2p, so one conditional subtraction suffices (the borrow cancels
-     the virtual carry). *)
-  if carry = 1 || Limb.cmp t k sc.mp_l 0 k >= 0 then
-    ignore (Limb.sub dst dso t k sc.mp_l 0 k)
-  else Limb.blit t k dst dso k
+  redc_into ctx sc dst dso a ao b bo
 
-(* Pippenger bucket multi-exponentiation: prod_i bases.(i)^exps.(i).
-   Exponents are scanned c bits at a time from the top; within a window
-   each base is multiplied into the bucket of its digit, and the weighted
-   bucket sum  sum_j j * bucket_j  is recovered with the running-suffix
-   trick (two multiplications per nonempty-suffix bucket). Cost is about
-   (bits/c) * (n + 2^c) multiplications + bits squarings, against
-   n * 1.5 * bits for n independent ladders.
+(* The boundary: the only places a Nat meets Montgomery form. *)
+let to_mont_into ctx sc x (dst : Limb.a) dso =
+  if Nat.compare x ctx.p >= 0 then invalid_arg "Montgomery.to_mont_into: input not reduced";
+  Limb.of_nat x dst dso ctx.k;
+  redc_into ctx sc dst dso dst dso ctx.consts 0
 
-   The buckets live in one packed arena ([Limb.a] plus a bool occupancy
-   vector) and the inner loop runs [mul_into] on slices: the historical
-   boxed version allocated one option + several naturals per REDC, which
-   dominated the commit pipeline's minor-heap traffic. Multiplication
-   counts and results are unchanged (identity operands are still skipped
-   via the occupancy flags, never multiplied). *)
-let multi_pow ctx ?window (bases : el array) (exps : Nat.t array) =
-  let n = Array.length bases in
-  if n <> Array.length exps then invalid_arg "Montgomery.multi_pow: length mismatch";
-  let maxbits = Array.fold_left (fun m e -> max m (Nat.num_bits e)) 0 exps in
-  if n = 0 || maxbits = 0 then one ctx
+(* REDC against a plain 1, via the register file's output slot 2. *)
+let of_mont ctx sc (src : Limb.a) so =
+  redc_into ctx sc sc.r (2 * ctx.k) src so ctx.consts (2 * ctx.k);
+  Limb.to_nat sc.r (2 * ctx.k) ctx.k
+
+let one_into ctx (dst : Limb.a) dso = Limb.blit ctx.consts ctx.k dst dso ctx.k
+
+(* ---- Exponentiation kernels (DESIGN.md §8) ---- *)
+
+(* Bits [lo, lo+w) of e (w <= 30), zero above the top bit. *)
+let digit e ~lo ~w =
+  let li = lo / 31 and off = lo mod 31 in
+  ((Nat.limb e li lsr off) lor (Nat.limb e (li + 1) lsl (31 - off))) land ((1 lsl w) - 1)
+
+(* dst <- b^e. Sliding-window square-and-multiply: one table of odd powers
+   b, b^3, ..., b^(2^w - 1), then ~nbits/(w+1) multiplications instead of
+   nbits/2, w growing with the exponent; up to 8 bits, plain
+   square-and-multiply. [dst] is the accumulator: it must not overlap [b]. *)
+let pow_into ctx sc (b : Limb.a) bo e (dst : Limb.a) dso =
+  let k = ctx.k and r = sc.r and nbits = Nat.num_bits e in
+  let sqr () = mul_into ctx sc dst dso dst dso dst dso in
+  one_into ctx dst dso;
+  if nbits <= 8 then
+    for i = nbits - 1 downto 0 do
+      sqr ();
+      if Nat.testbit e i then mul_into ctx sc dst dso dst dso b bo
+    done
   else begin
+    let w = if nbits < 80 then 3 else if nbits < 240 then 4 else 5 in
+    let b2 = 3 * k and tbl = 4 * k in
+    mul_into ctx sc r b2 b bo b bo;
+    Limb.blit b bo r tbl k;
+    for i = 1 to (1 lsl (w - 1)) - 1 do
+      mul_into ctx sc r (tbl + (i * k)) r (tbl + ((i - 1) * k)) r b2
+    done;
+    let i = ref (nbits - 1) in
+    while !i >= 0 do
+      if not (Nat.testbit e !i) then begin
+        sqr ();
+        decr i
+      end
+      else begin
+        (* widest window [l, i] of <= w bits whose low bit is set *)
+        let l = ref (max 0 (!i - w + 1)) in
+        while not (Nat.testbit e !l) do
+          incr l
+        done;
+        for _ = !l to !i do
+          sqr ()
+        done;
+        mul_into ctx sc dst dso dst dso r (tbl + ((digit e ~lo:!l ~w:(!i - !l + 1) lsr 1) * k));
+        i := !l - 1
+      end
+    done
+  end
+
+let pow ctx b e =
+  let sc = scratch_for ctx in
+  let b = if Nat.compare b ctx.p < 0 then b else snd (Nat.divmod b ctx.p) in
+  to_mont_into ctx sc b sc.r 0;
+  pow_into ctx sc sc.r 0 e sc.r ctx.k;
+  of_mont ctx sc sc.r ctx.k
+
+(* Fixed-base window table in one arena: entry (i, j) is b^((j+1) * 2^(w*i)),
+   so b^e is one multiplication per nonzero base-2^w digit of e and no
+   squarings; the table costs about (bits/w) * 2^w multiplications. *)
+type fb = { window : int; digits : int; tables : Limb.a }
+
+let fb_precompute ctx ?(window = 5) ~bits b =
+  if window < 1 || window > 16 then invalid_arg "Montgomery.fb_precompute: window out of range";
+  if bits < 1 then invalid_arg "Montgomery.fb_precompute: bits must be positive";
+  let k = ctx.k and sc = scratch_for ctx in
+  let digits = (bits + window - 1) / window and row = ((1 lsl window) - 1) * k in
+  let tb = Limb.create (digits * row) in
+  to_mont_into ctx sc b tb 0;
+  for i = 0 to digits - 1 do
+    let base = i * row in
+    for j = 1 to (row / k) - 1 do
+      mul_into ctx sc tb (base + (j * k)) tb (base + ((j - 1) * k)) tb base
+    done;
+    if i < digits - 1 then begin
+      mul_into ctx sc tb (base + row) tb base tb base;
+      for _ = 2 to window do
+        mul_into ctx sc tb (base + row) tb (base + row) tb (base + row)
+      done
+    end
+  done;
+  { window; digits; tables = tb }
+
+let fb_bits fb = fb.window * fb.digits
+
+(* dst <- b^e from the table; wider exponents take the ladder from b. *)
+let fb_pow_into ctx sc fb e (dst : Limb.a) dso =
+  let nbits = Nat.num_bits e and m = (1 lsl fb.window) - 1 in
+  if nbits > fb_bits fb then pow_into ctx sc fb.tables 0 e dst dso
+  else begin
+    one_into ctx dst dso;
+    let i = ref 0 in
+    while !i * fb.window < nbits do
+      let d = digit e ~lo:(!i * fb.window) ~w:fb.window in
+      if d <> 0 then mul_into ctx sc dst dso dst dso fb.tables (((!i * m) + d - 1) * ctx.k);
+      incr i
+    done
+  end
+
+let fb_pow ctx fb e =
+  let sc = scratch_for ctx in
+  fb_pow_into ctx sc fb e sc.r 0;
+  of_mont ctx sc sc.r 0
+
+let fb_pow2 ctx fb1 e1 fb2 e2 =
+  let sc = scratch_for ctx and k = ctx.k in
+  fb_pow_into ctx sc fb1 e1 sc.r 0;
+  fb_pow_into ctx sc fb2 e2 sc.r k;
+  mul_into ctx sc sc.r 0 sc.r 0 sc.r k;
+  of_mont ctx sc sc.r 0
+
+(* Shamir/Straus simultaneous exponentiation: b1^e1 * b2^e2 in one shared
+   squaring chain with a precomputed b1*b2 — about half the cost of two
+   independent ladders. *)
+let pow2 ctx b1 e1 b2 e2 =
+  let sc = scratch_for ctx and k = ctx.k in
+  let r = sc.r and acc = 2 * k and b12 = 3 * k in
+  to_mont_into ctx sc b1 r 0;
+  to_mont_into ctx sc b2 r k;
+  one_into ctx r acc;
+  let n = max (Nat.num_bits e1) (Nat.num_bits e2) in
+  if n > 0 then mul_into ctx sc r b12 r 0 r k;
+  for i = n - 1 downto 0 do
+    mul_into ctx sc r acc r acc r acc;
+    match (Nat.testbit e1 i, Nat.testbit e2 i) with
+    | true, true -> mul_into ctx sc r acc r acc r b12
+    | true, false -> mul_into ctx sc r acc r acc r 0
+    | false, true -> mul_into ctx sc r acc r acc r k
+    | false, false -> ()
+  done;
+  of_mont ctx sc r acc
+
+(* Residues in Montgomery form, k limbs each, in one arena. *)
+type packed = Limb.a
+
+let pack ctx len f : packed =
+  let sc = scratch_for ctx in
+  let v = Limb.create (len * ctx.k) in
+  for i = 0 to len - 1 do
+    to_mont_into ctx sc (f i) v (i * ctx.k)
+  done;
+  v
+
+(* Pippenger bucket multi-exponentiation, [stride] components at once.
+   Exponents are scanned c bits at a time from the top; within a window
+   each term goes into the bucket of its digit, and sum_b b * bucket_b is
+   recovered with the running-suffix trick (two multiplications per
+   nonempty-suffix bucket): about (bits/c) * (n + 2^c) multiplications +
+   bits squarings per component, against n * 1.5 * bits for n ladders.
+
+   A term's components sit side by side (in [v], buckets and registers):
+   they share digit extraction and bucket occupancy, and each costs what a
+   one-component call would. [ones] (exponent-1 terms) fold into a register
+   starting at one, joining the Pippenger product with one more product. *)
+let multi_pow ctx ?window ?ones (v : packed) ~stride (idx : int array) (exps : Nat.t array) =
+  let n = Array.length idx in
+  if n <> Array.length exps then invalid_arg "Montgomery.multi_pow: length mismatch";
+  let k = ctx.k and sc = scratch_for ctx in
+  let w = stride * k in
+  let regs = Limb.create (4 * w) in
+  let acc = 0 and run = w and wsum = 2 * w and units = 3 * w in
+  (* dst <- dst * src componentwise, or a copy while dst is the identity *)
+  let fold set dst dso src so =
+    if not set then Limb.blit src so dst dso w
+    else
+      for j = 0 to stride - 1 do
+        mul_into ctx sc dst (dso + (j * k)) dst (dso + (j * k)) src (so + (j * k))
+      done
+  in
+  let acc_set = ref false in
+  let maxbits = Array.fold_left (fun m e -> max m (Nat.num_bits e)) 0 exps in
+  if n > 0 && maxbits > 0 then begin
     let c =
       match window with
-      | Some c ->
-        if c < 1 || c > 16 then invalid_arg "Montgomery.multi_pow: window out of range";
-        c
+      | Some c when c < 1 || c > 16 -> invalid_arg "Montgomery.multi_pow: window out of range"
+      | Some c -> c
       | None ->
         (* ~log2 n, the classical optimum for (bits/c)*(n + 2^c) *)
-        let rec lg k acc = if k <= 1 then acc else lg (k lsr 1) (acc + 1) in
+        let rec lg m acc = if m <= 1 then acc else lg (m lsr 1) (acc + 1) in
         min 12 (max 1 (lg n 0 - 1))
     in
-    let k = ctx.k in
-    let sc = scratch_for ctx in
-    let nbuckets = (1 lsl c) - 1 in
-    let packed = Limb.create (n * k) in
-    Array.iteri (fun i b -> Limb.of_nat b packed (i * k) k) bases;
-    let buckets = Limb.create (nbuckets * k) in
-    let occupied = Array.make nbuckets false in
-    (* acc / running / wsum registers, one arena. *)
-    let regs = Limb.create (3 * k) in
-    let acc_o = 0 and run_o = k and wsum_o = 2 * k in
-    let acc_set = ref false in
-    let windows = (maxbits + c - 1) / c in
-    for d = windows - 1 downto 0 do
+    let nb = (1 lsl c) - 1 in
+    let buckets = Limb.create (nb * w) and occupied = Array.make nb false in
+    for d = ((maxbits + c - 1) / c) - 1 downto 0 do
       if !acc_set then
         for _ = 1 to c do
-          mul_into ctx sc regs acc_o regs acc_o regs acc_o
+          fold true regs acc regs acc
         done;
-      Array.fill occupied 0 nbuckets false;
-      let lo = d * c in
+      Array.fill occupied 0 nb false;
       for i = 0 to n - 1 do
-        let e = exps.(i) in
-        let nbits = Nat.num_bits e in
-        if lo < nbits then begin
-          let dv = digit e ~nbits ~lo ~w:c in
-          if dv <> 0 then begin
-            let off = (dv - 1) * k in
-            if occupied.(dv - 1) then mul_into ctx sc buckets off buckets off packed (i * k)
-            else begin
-              Limb.blit packed (i * k) buckets off k;
-              occupied.(dv - 1) <- true
-            end
-          end
+        let dv = digit exps.(i) ~lo:(d * c) ~w:c in
+        if dv > 0 then begin
+          fold occupied.(dv - 1) buckets ((dv - 1) * w) v (idx.(i) * w);
+          occupied.(dv - 1) <- true
         end
       done;
       let run_set = ref false and wsum_set = ref false in
-      for j = nbuckets - 1 downto 0 do
-        if occupied.(j) then
-          if !run_set then mul_into ctx sc regs run_o regs run_o buckets (j * k)
-          else begin
-            Limb.blit buckets (j * k) regs run_o k;
-            run_set := true
-          end;
-        if !run_set then
-          if !wsum_set then mul_into ctx sc regs wsum_o regs wsum_o regs run_o
-          else begin
-            Limb.blit regs run_o regs wsum_o k;
-            wsum_set := true
-          end
-      done;
-      if !wsum_set then
-        if !acc_set then mul_into ctx sc regs acc_o regs acc_o regs wsum_o
-        else begin
-          Limb.blit regs wsum_o regs acc_o k;
-          acc_set := true
+      for b = nb - 1 downto 0 do
+        if occupied.(b) then begin
+          fold !run_set regs run buckets (b * w);
+          run_set := true
+        end;
+        if !run_set then begin
+          fold !wsum_set regs wsum regs run;
+          wsum_set := true
         end
-    done;
-    if !acc_set then Limb.to_nat regs acc_o k else one ctx
-  end
-
-let pow_nat ctx b e =
-  let b = snd (Nat.divmod b ctx.p) in
-  of_mont ctx (pow_window ctx (to_mont ctx b) e)
+      done;
+      if !wsum_set then begin
+        fold !acc_set regs acc regs wsum;
+        acc_set := true
+      end
+    done
+  end;
+  for j = 0 to stride - 1 do
+    if not !acc_set then one_into ctx regs (acc + (j * k));
+    if ones <> None then one_into ctx regs (units + (j * k))
+  done;
+  Option.iter
+    (fun ones ->
+      Array.iter (fun o -> fold true regs units v (o * w)) ones;
+      fold (n > 0) regs acc regs units)
+    ones;
+  Array.init stride (fun j -> of_mont ctx sc regs (acc + (j * k)))

@@ -1,95 +1,98 @@
-(** Montgomery-form modular arithmetic: the multiplication-heavy
-    alternative to {!Fp}'s Barrett reduction, used where long chains of
-    multiplications dominate (group exponentiation in the commitment's
-    ElGamal, §5.1's e/d/h costs).
+(** Montgomery-form modular arithmetic on packed limb slices: the one
+    multiplication engine under every group exponentiation in the
+    commitment's ElGamal (§5.1's e/d/h costs; DESIGN.md §8).
 
-    Elements live in Montgomery representation (xR mod p, R = 2^(31k));
-    convert at the boundary with {!to_mont}/{!of_mont}. The ablation bench
-    compares a Barrett and a Montgomery exponentiation ladder. *)
+    Every product is one fused CIOS REDC ({!mul_into}) over {!Limb.a}
+    slices. The kernels take and return plain residues (naturals below
+    the modulus) and convert into Montgomery form (xR mod p,
+    R = 2^(31k)) on entry and out of it on exit; in between nothing is
+    allocated on the OCaml heap. *)
 
 open Nat
 
 type ctx
-
-type el
-(** An element in Montgomery representation. *)
 
 val create : t -> ctx
 (** Modulus must be odd and >= 3. *)
 
 val modulus : ctx -> t
 
-val to_mont : ctx -> t -> el
-(** Input must be reduced (< p). *)
+(** {2 The fused REDC}
 
-val of_mont : ctx -> el -> t
-
-val one : ctx -> el
-val zero : ctx -> el
-
-val mul : ctx -> el -> el -> el
-val sqr : ctx -> el -> el
-val add : ctx -> el -> el -> el
-val sub : ctx -> el -> el -> el
-
-val pow : ctx -> el -> t -> el
-(** Plain square-and-multiply entirely inside Montgomery form (kept as the
-    ablation baseline; production paths use the kernels below). *)
-
-val pow_window : ctx -> el -> t -> el
-(** Sliding-window square-and-multiply: a table of odd powers up to
-    [2^w - 1] cuts multiplications from [bits/2] to roughly [bits/(w+1)].
-    The window width adapts to the exponent size. *)
-
-(** {2 Exponentiation kernels (DESIGN.md §8)} *)
-
-type fb
-(** A fixed-base window table: precomputed powers [b^(j * 2^(w*i))] so any
-    exponent below the table width costs one multiplication per nonzero
-    base-[2^w] digit — no squarings. *)
-
-val fb_precompute : ctx -> ?window:int -> bits:int -> el -> fb
-(** [fb_precompute ctx ~window ~bits b] builds the table covering exponents
-    of up to [bits] bits. [window] in [1, 16], default 5. Costs about
-    [(bits/window) * 2^window] multiplications. *)
-
-val fb_bits : fb -> int
-(** Widest supported exponent, in bits. *)
-
-val fb_pow : ctx -> fb -> t -> el
-(** Raises [Invalid_argument] if the exponent is wider than the table. *)
-
-val pow2 : ctx -> el -> t -> el -> t -> el
-(** [pow2 ctx b1 e1 b2 e2 = b1^e1 * b2^e2] by Shamir/Straus simultaneous
-    exponentiation: one shared squaring chain, about half the cost of two
-    independent ladders. *)
-
-val multi_pow : ctx -> ?window:int -> el array -> t array -> el
-(** [multi_pow ctx bases exps = prod_i bases.(i)^exps.(i)] by Pippenger
-    bucket aggregation: about [(bits/c) * (n + 2^c)] multiplications for
-    [c ~ log2 n], against [1.5 * n * bits] for independent ladders.
-    [window] overrides the automatic choice of [c] (used by tests). The
-    bucket arena is packed ({!Limb.a} slices + [mul_into]), so the inner
-    loop allocates nothing on the OCaml heap. *)
-
-(** {2 Packed kernels}
-
-    REDC on {!Limb.a} slices. A {!scratch} is owned by one domain —
-    obtain it with {!scratch_for} (domain-local, cached per context); see
-    DESIGN.md §13 for the ownership discipline. *)
+    A {!scratch} is owned by one domain — obtain it with {!scratch_for}
+    (domain-local, cached per context); see DESIGN.md §13 for the
+    ownership discipline. *)
 
 type scratch
 
-val scratch_create : ctx -> scratch
 val scratch_for : ctx -> scratch
 
 val mul_into : ctx -> scratch -> Limb.a -> int -> Limb.a -> int -> Limb.a -> int -> unit
 (** [mul_into ctx sc dst dso a ao b bo]: the k-limb slice of [dst] at
-    [dso] gets [REDC(a * b)] of the k-limb input slices (all Montgomery
-    form). [dst] may alias either input slice. One counted [mont.mul]. *)
+    [dso] gets [a * b * R^-1 mod p] of the k-limb input slices, which
+    must lie below p. One CIOS pass (2k^2 + k multiply-adds); [dst] may
+    alias either input slice. One counted [mont.mul], no allocation. *)
 
-val pow_nat : ctx -> t -> t -> t
-(** [pow_nat ctx b e]: convenience [b^e mod p] over plain naturals
-    (converts in and out; windowed ladder). *)
+val to_mont_into : ctx -> scratch -> t -> Limb.a -> int -> unit
+(** Write [xR mod p] into a k-limb slice. [x] must be reduced (< p). Not
+    counted as a [mont.mul]. *)
 
-val equal : el -> el -> bool
+val of_mont : ctx -> scratch -> Limb.a -> int -> t
+(** Read a Montgomery-form slice back as a plain residue. Not counted. *)
+
+val one_into : ctx -> Limb.a -> int -> unit
+(** Write the Montgomery form of 1 ([R mod p]) into a slice. *)
+
+(** {2 Exponentiation kernels}
+
+    All over plain residues; each counts one [mont.mul] per REDC product. *)
+
+val pow : ctx -> t -> t -> t
+(** [pow ctx b e = b^e mod p] ([b] is reduced first) by the
+    sliding-window ladder: a table of odd powers up to [2^w - 1] cuts
+    multiplications from [bits/2] to roughly [bits/(w+1)]. *)
+
+type fb
+(** A fixed-base window table in one packed arena: the powers
+    [b^(j * 2^(w*i))], so any exponent below the table width costs one
+    multiplication per nonzero base-[2^w] digit — no squarings. *)
+
+val fb_precompute : ctx -> ?window:int -> bits:int -> t -> fb
+(** [fb_precompute ctx ~window ~bits b] builds the table of the reduced
+    residue [b] covering exponents of up to [bits] bits. [window] in
+    [1, 16], default 5. Costs about [(bits/window) * 2^window]
+    multiplications. *)
+
+val fb_bits : fb -> int
+(** Widest exponent the table covers, in bits. *)
+
+val fb_pow : ctx -> fb -> t -> t
+(** [b^e] from the table; wider exponents fall back to {!pow}'s ladder. *)
+
+val fb_pow2 : ctx -> fb -> t -> fb -> t -> t
+(** [fb_pow2 ctx tb1 e1 tb2 e2 = b1^e1 * b2^e2]: two table lookups joined
+    in Montgomery form and converted out once. *)
+
+val pow2 : ctx -> t -> t -> t -> t -> t
+(** [pow2 ctx b1 e1 b2 e2 = b1^e1 * b2^e2] by Shamir/Straus simultaneous
+    exponentiation: one shared squaring chain, about half the cost of two
+    independent ladders. Bases must be reduced. *)
+
+type packed
+(** A vector of residues converted into Montgomery form once, in one
+    arena; read-only afterwards, so domains may share it. *)
+
+val pack : ctx -> int -> (int -> t) -> packed
+(** [pack ctx len f] converts [f 0 .. f (len-1)] (each reduced). *)
+
+val multi_pow :
+  ctx -> ?window:int -> ?ones:int array -> packed -> stride:int -> int array -> t array -> t array
+(** [multi_pow ctx v ~stride idx exps] has [stride] components; component
+    [j] is [prod_t v.(idx.(t) * stride + j)^exps.(t)], by Pippenger bucket
+    aggregation: about [(bits/c) * (n + 2^c)] multiplications per
+    component for [c ~ log2 n], against [1.5 * n * bits] for independent
+    ladders. The components share digit extraction and bucket occupancy.
+    [ones] lists further terms (same layout) with exponent 1; they fold
+    into a per-component accumulator starting at one, which joins the
+    Pippenger product with one more multiplication when [idx] is
+    nonempty. [window] overrides the automatic choice of [c] (tests). *)

@@ -467,6 +467,7 @@ let to_limbs ~width (a : t) : int array =
   r
 
 let of_limbs (l : int array) : t = norm (Array.copy l)
+let limb (a : t) i = if i < Array.length a then Array.unsafe_get a i else 0
 
 let add_into ~width (dst : int array) (a : int array) (b : int array) : int =
   let carry = ref 0 in

@@ -110,6 +110,10 @@ val to_limbs : width:int -> t -> int array
 val of_limbs : int array -> t
 (** Canonicalizing copy of a limb buffer. *)
 
+val limb : t -> int -> int
+(** [limb n i]: the [i]-th base-2^31 limb of [n] ([i >= 0]), zero above
+    the top. Allocation-free. *)
+
 val add_into : width:int -> int array -> int array -> int array -> int
 (** [add_into ~width dst a b] sets [dst.(0..width-1) <- a + b] and returns
     the carry out (0 or 1). [dst] may alias [a] and/or [b]. *)

@@ -97,7 +97,29 @@ let commit_tests =
           (Commitment.Commit.consistency_check vs ch ~commitment:com ans));
   ]
 
-let suite = unit_tests @ commit_tests
+(* The prover rebuilds the group from untrusted wire parameters; every
+   structural check must survive the move of g^q onto the packed ladder. *)
+let of_params_tests =
+  let open Group in
+  [
+    Alcotest.test_case "of_params refuses g outside the order-q subgroup" `Quick (fun () ->
+        let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+        (* The smallest h with h^q <> 1 (Barrett oracle), so g = h lies in
+           range, is not 1, and fails only the subgroup check. *)
+        let rec outside h =
+          let x = Nat.of_int h in
+          if Group.equal (Group.pow_barrett grp x grp.q) Group.one then outside (h + 1) else x
+        in
+        let h = outside 2 in
+        Alcotest.(check bool) "h outside" true (raises (fun () -> of_params ~p:grp.p ~q:grp.q ~g:h));
+        Alcotest.(check bool) "p - 1 outside" true
+          (raises (fun () -> of_params ~p:grp.p ~q:grp.q ~g:(Nat.sub grp.p Nat.one)));
+        Alcotest.(check bool) "g = 1" true (raises (fun () -> of_params ~p:grp.p ~q:grp.q ~g:Nat.one));
+        Alcotest.(check bool) "q does not divide p - 1" true
+          (raises (fun () -> of_params ~p:grp.p ~q:(Nat.add grp.q Nat.two) ~g:grp.g)));
+  ]
+
+let suite = unit_tests @ commit_tests @ of_params_tests
 
 (* Regression: group generation must terminate for field orders just above
    a power of two (p220 = first prime >= 2^219), where a fixed multiplier

@@ -4,8 +4,10 @@ open Zcrypto
 (* Property tests for the DESIGN.md §8 exponentiation kernels: fixed-base
    window tables, Shamir simultaneous exponentiation, Pippenger bucket
    multi-exponentiation, and the parallel commitment pipeline built on
-   them. Every kernel is checked against the generic ladder ({!Group.pow}),
-   which in turn is pinned against the Barrett ladder elsewhere. *)
+   them. Every kernel runs on the packed Montgomery REDC, and so does the
+   generic ladder {!Group.pow}; the oracle is therefore the Barrett ladder
+   {!Group.pow_barrett} with boxed [Fp] multiplications, so a REDC bug
+   cannot hide on both sides. *)
 
 let field = Primes.p61
 let ctx = Fp.create field
@@ -13,7 +15,8 @@ let grp = Group.cached ~field_order:field ~p_bits:192 ()
 let prg seed = Chacha.Prg.create ~seed ()
 let q1 = Nat.sub grp.Group.q Nat.one
 
-let rand_el p = Group.fb_pow grp (Group.fb_g grp) (Fp.to_nat (Chacha.Prg.field ctx p))
+let oracle = Group.pow_barrett grp
+let rand_el p = oracle grp.Group.g (Fp.to_nat (Chacha.Prg.field ctx p))
 let rand_exp p = Fp.to_nat (Chacha.Prg.field ctx p)
 
 (* Exponent edge cases every kernel must handle: 0, 1, and q-1 (the widest
@@ -36,7 +39,7 @@ let fixed_base_tests =
                 (fun e ->
                   check_pow
                     (Printf.sprintf "%s w=%d e=%s" bname window (Nat.to_hex e))
-                    (Group.pow grp base e) (Group.fb_pow grp tab e))
+                    (oracle base e) (Group.fb_pow grp tab e))
                 exps
             done)
           bases);
@@ -44,13 +47,13 @@ let fixed_base_tests =
         let p = prg "fb g" in
         let tab = Group.fb_g grp in
         List.iter
-          (fun e -> check_pow "g table" (Group.pow grp grp.Group.g e) (Group.fb_pow grp tab e))
+          (fun e -> check_pow "g table" (oracle grp.Group.g e) (Group.fb_pow grp tab e))
           (edge_exps @ List.init 16 (fun _ -> rand_exp p)));
     Alcotest.test_case "fb_pow falls back beyond the table range" `Quick (fun () ->
         (* A table sized for Z_q exponents must still be correct for wider
            exponents (generic-ladder fallback). *)
         let wide = Nat.mul grp.Group.q (Nat.of_int 3) in
-        check_pow "wide exponent" (Group.pow grp grp.Group.g wide)
+        check_pow "wide exponent" (oracle grp.Group.g wide)
           (Group.fb_pow grp (Group.fb_g grp) wide));
   ]
 
@@ -66,7 +69,7 @@ let shamir_tests =
           (fun (e1, e2) ->
             let b1 = rand_el p and b2 = rand_el p in
             check_pow "pow2"
-              (Group.mul grp (Group.pow grp b1 e1) (Group.pow grp b2 e2))
+              (Group.mul grp (oracle b1 e1) (oracle b2 e2))
               (Group.pow2 grp b1 e1 b2 e2))
           cases);
   ]
@@ -77,7 +80,7 @@ let multi_pow_tests =
         let p = prg "pippenger" in
         let naive bases exps =
           let acc = ref Group.one in
-          Array.iteri (fun i b -> acc := Group.mul grp !acc (Group.pow grp b exps.(i))) bases;
+          Array.iteri (fun i b -> acc := Group.mul grp !acc (oracle b exps.(i))) bases;
           !acc
         in
         List.iter
@@ -100,6 +103,9 @@ let multi_pow_tests =
           [ 0; 1; 2; 3; 7; 20 ]);
   ]
 
+let ct_equal (a : Elgamal.ciphertext) (b : Elgamal.ciphertext) =
+  Group.equal a.Elgamal.c1 b.Elgamal.c1 && Group.equal a.Elgamal.c2 b.Elgamal.c2
+
 let hom_dot_tests =
   [
     Alcotest.test_case "hom_dot = hom_dot_naive" `Quick (fun () ->
@@ -107,25 +113,69 @@ let hom_dot_tests =
         let _, pk = Elgamal.keygen grp p in
         List.iter
           (fun n ->
-            let r = Array.init n (fun _ -> Chacha.Prg.field ctx p) in
-            let enc_r = Array.map (Elgamal.encrypt pk p) r in
-            (* Mix of zeros (skipped), ones (bare hom_add) and generic
+            let enc_r = Array.init n (fun _ -> Elgamal.encrypt pk p (Chacha.Prg.field ctx p)) in
+            (* One prepared Enc(r) serves a beta = 3 batch of each kind:
+               zeros (skipped), ones (folded) and a mix with generic
                coefficients, the three hom_dot partitions. *)
-            let u =
-              Array.init n (fun i ->
-                  if i mod 4 = 0 then Fp.zero
-                  else if i mod 4 = 1 then Fp.one
-                  else Chacha.Prg.field ctx p)
+            let pr = Elgamal.prepare pk enc_r in
+            let kinds =
+              [
+                ("zeros", fun _ -> Fp.zero);
+                ("ones", fun _ -> Fp.one);
+                ( "mix",
+                  fun i ->
+                    match i mod 3 with 0 -> Fp.zero | 1 -> Fp.one | _ -> Chacha.Prg.field ctx p );
+              ]
             in
-            let a = Elgamal.hom_dot pk enc_r u and b = Elgamal.hom_dot_naive pk enc_r u in
-            Alcotest.(check bool)
-              (Printf.sprintf "n=%d" n) true
-              (Group.equal a.Elgamal.c1 b.Elgamal.c1 && Group.equal a.Elgamal.c2 b.Elgamal.c2))
+            List.iter
+              (fun (kind, coeff) ->
+                for b = 1 to 3 do
+                  let u = Array.init n coeff in
+                  let naive = Elgamal.hom_dot_naive pk enc_r u in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "n=%d %s vector %d" n kind b)
+                    true
+                    (ct_equal (Elgamal.hom_dot_prepared pr u) naive
+                    && ct_equal (Elgamal.hom_dot pk enc_r u) naive)
+                done)
+              kinds)
           [ 0; 1; 5; 24 ]);
   ]
 
 let parallel_tests =
   [
+    Alcotest.test_case "prepared commitments are byte-identical at domains 1 and 4" `Quick
+      (fun () ->
+        let p = prg "prepared domains" in
+        let req_z, _ = Commitment.Commit.commit_request ctx grp p ~len:13 in
+        let req_h, _ = Commitment.Commit.commit_request ctx grp p ~len:7 in
+        let vec n = Array.init n (fun i -> if i mod 4 = 1 then Fp.one else Chacha.Prg.field ctx p) in
+        let batch = Array.init 3 (fun _ -> (vec 13, vec 7)) in
+        let encode coms =
+          Bytes.to_string
+            (Zwire.encode ~codec:(Zwire.codec ~group_p:grp.Group.p ctx) (Zwire.Commitments coms))
+        in
+        let prepare (r : Commitment.Commit.request) =
+          Elgamal.prepare r.Commitment.Commit.pk r.Commitment.Commit.enc_r
+        in
+        let commit domains =
+          let pz = prepare req_z and ph = prepare req_h in
+          encode
+            (Dompool.Pool.map ~domains
+               (fun (uz, uh) ->
+                 ( Commitment.Commit.prover_commit_prepared pz uz,
+                   Commitment.Commit.prover_commit_prepared ph uh ))
+               batch)
+        in
+        let unprepared =
+          encode
+            (Array.map
+               (fun (uz, uh) ->
+                 (Commitment.Commit.prover_commit req_z uz, Commitment.Commit.prover_commit req_h uh))
+               batch)
+        in
+        Alcotest.(check string) "domains 1 = 4" (commit 1) (commit 4);
+        Alcotest.(check string) "prepared = unprepared" unprepared (commit 1));
     Alcotest.test_case "commit_request transcript is domain-count independent" `Quick (fun () ->
         let run domains =
           Commitment.Commit.commit_request ~domains ctx grp (prg "par commit") ~len:17

@@ -125,50 +125,47 @@ let suite = unit_tests @ field_laws "F_p61" ctx61 @ field_laws "F_p127" ctx127
 
 let mont_tests =
   let mctx = Montgomery.create Primes.p127 in
+  let sc = Montgomery.scratch_for mctx in
+  let k = Nat.num_limbs Primes.p127 in
   let byte_src seed =
     let p = Chacha.Prg.create ~seed () in
     fun n -> Chacha.Prg.bytes p n
   in
   let sample src = Fp.sample ctx127 src in
+  (* Slots 0 and 1 hold operands, slot 2 a product. *)
+  let buf = Limb.create (3 * k) in
+  let load slot x = Montgomery.to_mont_into mctx sc (Fp.to_nat x) buf (slot * k) in
+  let read slot = Montgomery.of_mont mctx sc buf (slot * k) in
   [
     Alcotest.test_case "montgomery roundtrip" `Quick (fun () ->
         let src = byte_src "mont rt" in
         for _ = 1 to 50 do
-          let x = Fp.to_nat (sample src) in
-          let m = Montgomery.to_mont mctx x in
-          Alcotest.(check bool) "rt" true (Nat.equal (Montgomery.of_mont mctx m) x)
+          let x = sample src in
+          load 0 x;
+          Alcotest.(check bool) "rt" true (Nat.equal (read 0) (Fp.to_nat x))
         done);
     Alcotest.test_case "montgomery mul matches Fp" `Quick (fun () ->
         let src = byte_src "mont mul" in
         for _ = 1 to 50 do
           let a = sample src and b = sample src in
-          let ma = Montgomery.to_mont mctx (Fp.to_nat a) in
-          let mb = Montgomery.to_mont mctx (Fp.to_nat b) in
-          let prod = Montgomery.of_mont mctx (Montgomery.mul mctx ma mb) in
-          Alcotest.(check bool) "mul" true (Nat.equal prod (Fp.to_nat (Fp.mul ctx127 a b)))
-        done);
-    Alcotest.test_case "montgomery add/sub match Fp" `Quick (fun () ->
-        let src = byte_src "mont addsub" in
-        for _ = 1 to 50 do
-          let a = sample src and b = sample src in
-          let ma = Montgomery.to_mont mctx (Fp.to_nat a) in
-          let mb = Montgomery.to_mont mctx (Fp.to_nat b) in
-          let s = Montgomery.of_mont mctx (Montgomery.add mctx ma mb) in
-          let d = Montgomery.of_mont mctx (Montgomery.sub mctx ma mb) in
-          Alcotest.(check bool) "add" true (Nat.equal s (Fp.to_nat (Fp.add ctx127 a b)));
-          Alcotest.(check bool) "sub" true (Nat.equal d (Fp.to_nat (Fp.sub ctx127 a b)))
+          load 0 a;
+          load 1 b;
+          Montgomery.mul_into mctx sc buf (2 * k) buf 0 buf k;
+          Alcotest.(check bool) "mul" true (Nat.equal (read 2) (Fp.to_nat (Fp.mul ctx127 a b)))
         done);
     Alcotest.test_case "montgomery pow matches Fp.pow" `Quick (fun () ->
         let src = byte_src "mont pow" in
         for _ = 1 to 10 do
           let b = sample src in
           let e = Fp.to_nat (sample src) in
-          let got = Montgomery.pow_nat mctx (Fp.to_nat b) e in
+          let got = Montgomery.pow mctx (Fp.to_nat b) e in
           Alcotest.(check bool) "pow" true (Nat.equal got (Fp.to_nat (Fp.pow ctx127 b e)))
         done);
     Alcotest.test_case "montgomery one/zero" `Quick (fun () ->
-        Alcotest.(check bool) "one" true (Nat.is_one (Montgomery.of_mont mctx (Montgomery.one mctx)));
-        Alcotest.(check bool) "zero" true (Nat.is_zero (Montgomery.of_mont mctx (Montgomery.zero mctx))));
+        Montgomery.one_into mctx buf 0;
+        Limb.clear buf k k;
+        Alcotest.(check bool) "one" true (Nat.is_one (read 0));
+        Alcotest.(check bool) "zero" true (Nat.is_zero (read 1)));
     Alcotest.test_case "montgomery rejects even modulus" `Quick (fun () ->
         Alcotest.(check bool) "raises" true
           (try ignore (Montgomery.create (Nat.of_int 8)); false with Invalid_argument _ -> true));

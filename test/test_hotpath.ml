@@ -128,36 +128,58 @@ let vec_tests =
 (* Montgomery packed REDC                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* CIOS against a Nat oracle at k in {2, 5, 9, 17, 34} limbs: z =
+   x*y*R^-1 mod p is the unique z < p with z*R = x*y (mod p), checked with
+   Nat.mul and Nat.divmod only, for operands 0, 1, p-1 and random, with
+   dst disjoint from, equal to a, to b, or to both. Moduli alternate
+   between all-ones limbs (p = 2^(31k) - 1), a near-full top limb, and a
+   random one; a full top limb is where the accumulator's carry limb
+   decides the final subtraction. *)
+let redc_oracle_law seed =
+  let prg = prg_of seed "redc" in
+  let limb () = Chacha.Prg.int_below prg (1 lsl 31) in
+  let full = (1 lsl 31) - 1 in
+  List.for_all
+    (fun k ->
+      let top, rest =
+        match seed mod 3 with
+        | 0 -> (full, fun () -> full)
+        | 1 -> (full - Chacha.Prg.int_below prg 1024, limb)
+        | _ -> (1 + Chacha.Prg.int_below prg full, limb)
+      in
+      let limbs = Array.init k (fun i -> if i = k - 1 then top else rest ()) in
+      limbs.(0) <- limbs.(0) lor 1;
+      let p = Nat.of_limbs limbs in
+      let m = Montgomery.create p in
+      let sc = Montgomery.scratch_for m in
+      let md x = snd (Nat.divmod x p) in
+      let r = Nat.shift_left Nat.one (31 * k) in
+      let ok z x y = Nat.compare z p < 0 && Nat.equal (md (Nat.mul z r)) (md (Nat.mul x y)) in
+      let below () = md (Nat.of_limbs (Array.init k (fun _ -> limb ()))) in
+      let operands = [ Nat.zero; Nat.one; Nat.sub p Nat.one; below (); below () ] in
+      let buf = Limb.create (3 * k) in
+      let run dst a b x y =
+        Limb.of_nat x buf a k;
+        if b <> a then Limb.of_nat y buf b k;
+        Montgomery.mul_into m sc buf dst buf a buf b;
+        ok (Limb.to_nat buf dst k) x y
+      in
+      List.for_all
+        (fun x ->
+          (* dst == a == b *)
+          run 0 0 0 x x
+          && List.for_all
+               (fun y ->
+                 (* disjoint, dst == a, dst == b *)
+                 run (2 * k) 0 k x y && run 0 0 k x y && run k 0 k x y)
+               operands)
+        operands)
+    [ 2; 5; 9; 17; 34 ]
+
 let mont_tests =
   [
-    qtest "Montgomery.mul_into = x*y*R^-1, dst aliasing either input" 150 QCheck.small_int
-      (fun seed ->
-        let prg = prg_of seed "mont" in
-        let p = Fp.modulus ctx in
-        let m = Montgomery.create p in
-        let k = Nat.num_limbs p in
-        (* REDC(x*y) = x*y*R^-1 mod p for any reduced x, y — no need to
-           enter Montgomery form to state the law. *)
-        let r_mod_p = Fp.of_nat ctx (Nat.shift_left Nat.one (31 * k)) in
-        let x = random_el prg and y = random_el prg in
-        let expect =
-          Fp.to_nat (Fp.mul ctx (Fp.mul ctx x y) (Fp.inv ctx r_mod_p))
-        in
-        let sc = Montgomery.scratch_for m in
-        let buf = Limb.create (3 * k) in
-        let load off e = Limb.of_nat (Fp.to_nat e) buf off k in
-        let slice off = Limb.to_nat buf off k in
-        load 0 x;
-        load k y;
-        Montgomery.mul_into m sc buf (2 * k) buf 0 buf k;
-        let disjoint_ok = Nat.compare (slice (2 * k)) expect = 0 in
-        load 0 x;
-        Montgomery.mul_into m sc buf 0 buf 0 buf k;
-        let alias_a_ok = Nat.compare (slice 0) expect = 0 in
-        load 0 x;
-        load k y;
-        Montgomery.mul_into m sc buf k buf 0 buf k;
-        disjoint_ok && alias_a_ok && Nat.compare (slice k) expect = 0);
+    qtest "Montgomery.mul_into = x*y*R^-1, dst aliasing either input" 60 QCheck.small_int
+      redc_oracle_law;
   ]
 
 (* ------------------------------------------------------------------ *)
