@@ -1908,16 +1908,36 @@ let run_alloc cfg =
   (* One Queries frame (4096 elements over the bench field) for the codec
      row, which reports words per decoded element, not per frame. *)
   let codec = Zwire.codec ctx in
+  let random_rows rows =
+    let q = Fp.Rows.create ctx ~rows ~width:512 in
+    for i = 0 to (rows * 512) - 1 do
+      Chacha.Prg.field_into ctx prg q.Fp.Rows.vec i
+    done;
+    q
+  in
   let qframe =
-    let vec () = Array.init 512 (fun _ -> Chacha.Prg.field ctx prg) in
     Zwire.encode ~codec
       (Zwire.Queries
          {
-           z_queries = Array.init 3 (fun _ -> vec ());
-           h_queries = Array.init 3 (fun _ -> vec ());
-           t_z = vec ();
-           t_h = vec ();
+           z_queries = random_rows 3;
+           h_queries = random_rows 3;
+           t_z = (random_rows 1).Fp.Rows.vec;
+           t_h = (random_rows 1).Fp.Rows.vec;
          })
+  in
+  (* The prover's answers to a 4,096-term query set (8 rows of 512) plus
+     its decommit vector; the row reports words per query term. *)
+  let answer_rows = random_rows 8 and answer_t = (random_rows 1).Fp.Rows.vec in
+  let answer_u = Array.init 512 (fun _ -> Chacha.Prg.field ctx prg) in
+  (* The verifier's query generation for the pam program at the configured
+     rho / rho_lin; the row reports words per element drawn into a row. *)
+  let gq_qap =
+    let comp = Apps.Glue.computation_of (Apps.Glue.compile ctx (Apps.Registry.pam ~scale:cfg.scale)) in
+    Qapb.of_r1cs ~backend:cfg.qap_backend comp.Argsys.Argument.r1cs
+  in
+  Qapb.prewarm gq_qap;
+  let gq_sampled =
+    cfg.rho * 2 * cfg.rho_lin * ((Qapb.sys gq_qap).Constr.R1cs.num_z + Qapb.h_len gq_qap)
   in
   (* One prover commitment over a 1,024-term vector with only generic
      coefficients (every term a Pippenger term), Enc(r) prepared per call
@@ -1953,6 +1973,14 @@ let run_alloc cfg =
         (if cfg.quick then 5 else 20),
         4096,
         fun () -> ignore (Zwire.decode ~codec qframe) );
+      ( "commit.prover_answer",
+        (if cfg.quick then 5 else 20),
+        4096,
+        fun () -> ignore (Commitment.Commit.prover_answer ctx answer_u answer_rows answer_t) );
+      ( "pcp.gen_queries",
+        (if cfg.quick then 1 else 3),
+        gq_sampled,
+        fun () -> ignore (Pcp.Pcp_zaatar.gen_queries ~params:(protocol cfg) gq_qap prg) );
     ]
   in
   Printf.printf "  %-18s %10s %14s %12s\n" "kernel" "iters" "words/op" "us/op";
@@ -2133,10 +2161,12 @@ let check_ledger () =
     (* Allocation gate: ceilings on words/op for the hot-path kernels (from
        the alloc experiment). The packed butterfly must stay allocation
        free; the boxed field mults allocate their result nat and nothing
-       else, with headroom for GC accounting noise. The single-pass byte
-       packers hold a decoded element and a PRG field draw to their result
-       nat (plus rejection retries), far below the quadratic converters'
-       ~277 and ~584 words. Group exponentiation runs on packed
+       else, with headroom for GC accounting noise. A PRG field draw holds
+       to its result nat (plus rejection retries), far below the quadratic
+       converter's ~584 words. Query elements are never boxed: a decoded
+       Queries element and an answered query term cost a fraction of a
+       word (the matrix records and arenas), and a sampled query element
+       only its share of the boxed tau-query vectors. Group exponentiation runs on packed
        Montgomery slices, so an encryption allocates its nonce draw and
        the two converted-out residues (~21,000 words on the boxed REDC),
        and a commitment term only its share of the partition arrays. *)
@@ -2145,7 +2175,9 @@ let check_ledger () =
         ("fp.mul", 120.0);
         ("fp.mul_lazy", 120.0);
         ("ntt.butterfly", 2.0);
-        ("zwire.decode_el", 24.0);
+        ("zwire.decode_el", 1.0);
+        ("commit.prover_answer", 1.0);
+        ("pcp.gen_queries", 4.0);
         ("prg.field", 64.0);
         ("elgamal.encrypt", 2000.0);
         ("elgamal.hom_dot", 32.0);

@@ -241,8 +241,8 @@ module Verifier_session = struct
       }
 
   let check_answers t (a : Zwire.instance_answers) i =
-    let nzq = Array.length t.queries.Pcp.Pcp_zaatar.z_queries in
-    let nhq = Array.length t.queries.Pcp.Pcp_zaatar.h_queries in
+    let nzq = t.queries.Pcp.Pcp_zaatar.z_queries.Fp.Rows.rows in
+    let nhq = t.queries.Pcp.Pcp_zaatar.h_queries.Fp.Rows.rows in
     if Array.length a.Zwire.z_resp <> nzq || Array.length a.Zwire.h_resp <> nhq then
       session_error "instance %d: %d/%d responses, expected %d/%d" i
         (Array.length a.Zwire.z_resp) (Array.length a.Zwire.h_resp) nzq nhq;
@@ -426,21 +426,20 @@ module Prover_session = struct
     | Expect_queries r, Zwire.Queries q ->
       let ctx = r.ctx in
       let num_z = r.comp.r1cs.R1cs.num_z and h_len = Qapb.h_len r.qap in
-      if
-        Array.exists (fun qv -> Array.length qv <> num_z) q.Zwire.z_queries
-        || Array.length q.Zwire.t_z <> num_z
-      then session_error "z-queries must have %d entries" num_z;
-      if
-        Array.exists (fun qv -> Array.length qv <> h_len) q.Zwire.h_queries
-        || Array.length q.Zwire.t_h <> h_len
-      then session_error "h-queries must have %d entries" h_len;
+      let fits (m : Fp.Rows.t) t len =
+        (m.Fp.Rows.rows = 0 || m.Fp.Rows.width = len) && Fp.Vec.length t = len
+      in
+      if not (fits q.Zwire.z_queries q.Zwire.t_z num_z) then
+        session_error "z-queries must have %d entries" num_z;
+      if not (fits q.Zwire.h_queries q.Zwire.t_h h_len) then
+        session_error "h-queries must have %d entries" h_len;
       let answers =
         Array.map
           (fun (parts : proof_parts) ->
-            let oracle =
-              let base = Pcp.Oracle.honest ctx parts.answer_u_z parts.answer_u_h in
-              if parts.nonlinear then Pcp.Oracle.nonlinear ctx base else base
-            in
+            (* The honest oracle packs u once; it answers the queries (through
+               the cheat, if any) and the decommit vectors t. *)
+            let base = Pcp.Oracle.honest ctx parts.answer_u_z parts.answer_u_h in
+            let oracle = if parts.nonlinear then Pcp.Oracle.nonlinear ctx base else base in
             let responses =
               Metrics.time t.pm "answer_queries" (fun () ->
                   Pcp.Pcp_zaatar.answer oracle
@@ -456,8 +455,8 @@ module Prover_session = struct
                   claimed_output = parts.claimed_output;
                   z_resp = responses.Pcp.Pcp_zaatar.z_resp;
                   h_resp = responses.Pcp.Pcp_zaatar.h_resp;
-                  a_t_z = Fp.dot ctx q.Zwire.t_z parts.answer_u_z;
-                  a_t_h = Fp.dot ctx q.Zwire.t_h parts.answer_u_h;
+                  a_t_z = base.Pcp.Oracle.query_z (Fp.Rows.of_vec q.Zwire.t_z) 0;
+                  a_t_h = base.Pcp.Oracle.query_h (Fp.Rows.of_vec q.Zwire.t_h) 0;
                 }))
           r.parts
       in

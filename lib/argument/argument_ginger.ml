@@ -89,11 +89,17 @@ let run_instance ?(config = test_config) (comp : computation) ~(prg : Chacha.Prg
   let responses = Metrics.time pm "answer_queries" (fun () -> Pcp.Pcp_ginger.answer oracle queries) in
   let ans1 =
     Metrics.time pm "answer_queries" (fun () ->
-        { Commitment.Commit.a = responses.Pcp.Pcp_ginger.r1; a_t = Fp.dot ctx ch1.Commitment.Commit.t u1 })
+        {
+          Commitment.Commit.a = responses.Pcp.Pcp_ginger.r1;
+          a_t = oracle.Pcp.Oracle.query_z (Fp.Rows.of_vec ch1.Commitment.Commit.t) 0;
+        })
   in
   let ans2 =
     Metrics.time pm "answer_queries" (fun () ->
-        { Commitment.Commit.a = responses.Pcp.Pcp_ginger.r2; a_t = Fp.dot ctx ch2.Commitment.Commit.t u2 })
+        {
+          Commitment.Commit.a = responses.Pcp.Pcp_ginger.r2;
+          a_t = oracle.Pcp.Oracle.query_h (Fp.Rows.of_vec ch2.Commitment.Commit.t) 0;
+        })
   in
   (* Verifier: checks. *)
   let commit_ok =

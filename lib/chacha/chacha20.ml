@@ -41,14 +41,15 @@ let nonce_of_bytes b =
 
 let key_of_string s = key_of_bytes (Bytes.of_string s)
 
-(* One 64-byte keystream block for a given 32-bit counter. *)
-let block key nonce counter =
-  let init = Array.make 16 0 in
+(* One 64-byte keystream block for a given 32-bit counter, written into
+   [out] with [init] and [st] as the 16-word input and working states:
+   allocation-free, so a PRG can refill one buffer in place. *)
+let block_into key nonce counter ~init ~st out =
   Array.blit sigma 0 init 0 4;
   Array.blit key 0 init 4 8;
   init.(12) <- counter land mask32;
   Array.blit nonce 0 init 13 3;
-  let st = Array.copy init in
+  Array.blit init 0 st 0 16;
   for _ = 1 to 10 do
     (* column rounds *)
     quarter_round st 0 4 8 12;
@@ -61,12 +62,15 @@ let block key nonce counter =
     quarter_round st 2 7 8 13;
     quarter_round st 3 4 9 14
   done;
-  let out = Bytes.create 64 in
   for i = 0 to 15 do
     let w = (st.(i) + init.(i)) land mask32 in
     Bytes.set out (4 * i) (Char.chr (w land 0xff));
     Bytes.set out ((4 * i) + 1) (Char.chr ((w lsr 8) land 0xff));
     Bytes.set out ((4 * i) + 2) (Char.chr ((w lsr 16) land 0xff));
     Bytes.set out ((4 * i) + 3) (Char.chr ((w lsr 24) land 0xff))
-  done;
+  done
+
+let block key nonce counter =
+  let out = Bytes.create 64 in
+  block_into key nonce counter ~init:(Array.make 16 0) ~st:(Array.make 16 0) out;
   out

@@ -16,3 +16,8 @@ val nonce_of_bytes : bytes -> nonce
 val block : key -> nonce -> int -> bytes
 (** [block key nonce counter] is the 64-byte keystream block for a 32-bit
     block counter. *)
+
+val block_into : key -> nonce -> int -> init:int array -> st:int array -> bytes -> unit
+(** [block_into key nonce counter ~init ~st out]: {!block} written into the
+    first 64 bytes of [out], using the 16-word arrays [init] and [st] as
+    scratch. Allocation-free. *)

@@ -2,7 +2,9 @@ type t = {
   key : Chacha20.key;
   nonce : Chacha20.nonce;
   mutable counter : int;
-  mutable buf : bytes;
+  buf : bytes; (* the current 64-byte block, refilled in place *)
+  init : int array; (* ChaCha input and working states for the refill *)
+  st : int array;
   mutable pos : int;
   mutable scratch : bytes; (* reused by [field]; Fp.sample clobbers it *)
 }
@@ -24,8 +26,10 @@ let of_key key ~nonce =
     key;
     nonce = [| nonce land 0xFFFFFFFF; (nonce lsr 32) land 0x3FFFFFFF; 0 |];
     counter = 0;
-    buf = Bytes.create 0;
-    pos = 0;
+    buf = Bytes.create 64;
+    init = Array.make 16 0;
+    st = Array.make 16 0;
+    pos = 64;
     scratch = Bytes.create 0;
   }
 
@@ -34,7 +38,7 @@ let create ?(nonce = 0) ~seed () = of_key (Chacha20.key_of_bytes (key_bytes_of_s
 let c_bytes = Zobs.Counter.make "prg.bytes"
 
 let refill t =
-  t.buf <- Chacha20.block t.key t.nonce t.counter;
+  Chacha20.block_into t.key t.nonce t.counter ~init:t.init ~st:t.st t.buf;
   Zobs.Counter.add c_bytes (Bytes.length t.buf);
   t.counter <- t.counter + 1;
   t.pos <- 0
@@ -98,6 +102,15 @@ let scratch_bytes t n =
 let field ctx t =
   Zobs.Counter.incr c_field;
   Fieldlib.Fp.sample ctx (scratch_bytes t)
+
+(* [field] drawn straight into a packed slot: the same bytes per
+   rejection round, no boxed element. *)
+let field_into ctx t v i =
+  Zobs.Counter.incr c_field;
+  let n = Fieldlib.Fp.num_bytes ctx in
+  while not (Fieldlib.Fp.Vec.sample_bytes ctx v i (scratch_bytes t n)) do
+    ()
+  done
 
 let rec field_nonzero ctx t =
   let x = field ctx t in

@@ -31,5 +31,10 @@ val bool : t -> bool
 val field : Fieldlib.Fp.ctx -> t -> Fieldlib.Fp.el
 (** Uniform field element by rejection sampling; the paper's cost [c]. *)
 
+val field_into : Fieldlib.Fp.ctx -> t -> Fieldlib.Fp.Vec.t -> int -> unit
+(** [field_into ctx t v i]: {!field} written into slot [i] of a packed
+    vector — the same keystream bytes, the same rejections, one
+    [prg.field] count, no allocation. *)
+
 val field_nonzero : Fieldlib.Fp.ctx -> t -> Fieldlib.Fp.el
 val field_array : Fieldlib.Fp.ctx -> t -> int -> Fieldlib.Fp.el array

@@ -67,23 +67,25 @@ let prover_commit (req : request) (u : Fp.el array) : Elgamal.ciphertext =
 (* Decommit challenge, one per batch: the consistency-test vector t and its
    secret coefficients. *)
 type challenge = {
-  t : Fp.el array; (* sent to the prover *)
+  t : Fp.Vec.t; (* sent to the prover *)
   alpha : Fp.el array; (* secret *)
 }
 
-let decommit_challenge ctx (vs : verifier_secret) prg (queries : Fp.el array array) : challenge =
+(* t = r + sum_i alpha_i q_i, accumulated in place over the packed rows:
+   one counted multiplication and one addition per query term. *)
+let decommit_challenge ctx (vs : verifier_secret) prg (queries : Fp.Rows.t) : challenge =
   Zobs.Span.with_ ~name:"commit.decommit_challenge" @@ fun () ->
-  Zobs.Counter.add c_decommit_queries (Array.length queries);
-  let len = Array.length vs.r in
-  let alpha = Array.init (Array.length queries) (fun _ -> Chacha.Prg.field ctx prg) in
-  let t = Array.copy vs.r in
-  Array.iteri
-    (fun i q ->
-      if Array.length q <> len then invalid_arg "Commit.decommit_challenge: query length mismatch";
-      for j = 0 to len - 1 do
-        t.(j) <- Fp.add ctx t.(j) (Fp.mul ctx alpha.(i) q.(j))
-      done)
-    queries;
+  let rows = queries.Fp.Rows.rows and len = Array.length vs.r in
+  Zobs.Counter.add c_decommit_queries rows;
+  let alpha = Array.init rows (fun _ -> Chacha.Prg.field ctx prg) in
+  if rows > 0 && queries.Fp.Rows.width <> len then
+    invalid_arg "Commit.decommit_challenge: query length mismatch";
+  let sc = Fp.scratch_for ctx in
+  let t = Fp.Vec.of_array ctx vs.r and a = Fp.Vec.create ctx 1 in
+  for i = 0 to rows - 1 do
+    Fp.Vec.set a 0 alpha.(i);
+    Fp.Vec.axpy ctx sc t 0 a 0 queries.Fp.Rows.vec (Fp.Rows.row queries i) len
+  done;
   { t; alpha }
 
 (* Prover side, per instance: answer the queries and the test vector. *)
@@ -92,8 +94,14 @@ type answers = {
   a_t : Fp.el; (* pi(t) *)
 }
 
-let prover_answer ctx (u : Fp.el array) (queries : Fp.el array array) (ch_t : Fp.el array) : answers =
-  { a = Array.map (fun q -> Fp.dot ctx q u) queries; a_t = Fp.dot ctx ch_t u }
+(* u is packed once; every answer is one split-column lazy dot. *)
+let prover_answer ctx (u : Fp.el array) (queries : Fp.Rows.t) (ch_t : Fp.Vec.t) : answers =
+  let sc = Fp.scratch_for ctx in
+  let pu = Fp.Vec.of_array ctx u in
+  {
+    a = Array.init queries.Fp.Rows.rows (fun i -> Fp.Rows.dot ctx sc queries i pu);
+    a_t = Fp.Rows.dot ctx sc (Fp.Rows.of_vec ch_t) 0 pu;
+  }
 
 (* Verifier side, per instance: the consistency check
 

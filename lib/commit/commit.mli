@@ -39,20 +39,22 @@ val prover_commit_prepared : Elgamal.prepared -> Fp.el array -> Elgamal.cipherte
 (** [prover_commit] over a prepared Enc(r); same result. *)
 
 type challenge = {
-  t : Fp.el array; (** sent to the prover *)
+  t : Fp.Vec.t; (** sent to the prover *)
   alpha : Fp.el array; (** secret *)
 }
 
-val decommit_challenge : Fp.ctx -> verifier_secret -> Chacha.Prg.t -> Fp.el array array -> challenge
-(** One per batch, over the full query list. *)
+val decommit_challenge : Fp.ctx -> verifier_secret -> Chacha.Prg.t -> Fp.Rows.t -> challenge
+(** One per batch, over the full query matrix: t = r + sum_i alpha_i q_i,
+    built in place as a packed vector (one [fp.mul] per query term). *)
 
 type answers = {
   a : Fp.el array; (** pi(q_i), in query order *)
   a_t : Fp.el; (** pi(t) *)
 }
 
-val prover_answer : Fp.ctx -> Fp.el array -> Fp.el array array -> Fp.el array -> answers
-(** [prover_answer ctx u queries t]. *)
+val prover_answer : Fp.ctx -> Fp.el array -> Fp.Rows.t -> Fp.Vec.t -> answers
+(** [prover_answer ctx u queries t]: packs [u] once and answers every row
+    and [t] with {!Fp.Vec.dot}; allocates only the answers. *)
 
 val consistency_check : verifier_secret -> challenge -> commitment:Elgamal.ciphertext -> answers -> bool
 (** Verifier, per instance. *)

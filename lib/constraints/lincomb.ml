@@ -45,6 +45,7 @@ let is_const (t : t) = IMap.for_all (fun v _ -> v = 0) t
 let as_const (t : t) = if is_const t then Some (const_part t) else None
 
 let terms (t : t) = IMap.bindings t
+let iter f (t : t) = IMap.iter f t
 (* Sorted by variable index; includes the index-0 constant if present. *)
 
 let num_terms (t : t) = IMap.cardinal t

@@ -36,6 +36,9 @@ val as_const : t -> Fp.el option
 val terms : t -> (int * Fp.el) list
 (** Sorted by variable index; includes the index-0 constant if present. *)
 
+val iter : (int -> Fp.el -> unit) -> t -> unit
+(** The terms of {!terms}, in the same order, without building the list. *)
+
 val num_terms : t -> int
 
 val eval : Fp.ctx -> t -> Fp.el array -> Fp.el

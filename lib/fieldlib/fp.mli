@@ -78,9 +78,11 @@ val pow : ctx -> el -> Nat.t -> el
 val pow_int : ctx -> el -> int -> el
 
 val dot : ctx -> el array -> el array -> el
-(** Inner product with lazy reduction: one reduction per partial-sum
-    overflow window rather than per term. The prover's query-answering
-    primitive (π(q) = <q, u>). *)
+(** Boxed inner product with lazy reduction: one reduction per partial-sum
+    overflow window rather than per term; counts one [fp.mul_lazy] per
+    term whose operands are both nonzero. The reference for the packed
+    {!Vec.dot}, which answers the prover's queries; boxed callers are the
+    verifier's <alpha, a> over the group order and the QAP checks. *)
 
 val sample : ctx -> (int -> bytes) -> el
 (** [sample ctx random_bytes] draws a uniform element by rejection. Each
@@ -113,7 +115,7 @@ val scratch_for : ctx -> scratch
 
 module Vec : sig
   (** A packed vector of canonical residues: slot [i] occupies limbs
-      [i*k, (i+1)*k) of one off-heap buffer, where [k] is the limb count
+      [i*k, (i+1)*k) of one {!Limb.a} buffer, where [k] is the limb count
       of the modulus. *)
 
   type t = { n : int; k : int; buf : Limb.a }
@@ -131,12 +133,58 @@ module Vec : sig
   val clear : t -> int -> int -> unit
   val swap : scratch -> t -> int -> int -> unit
 
+  val equal : t -> t -> bool
+
+  val read_bytes : ctx -> t -> int -> bytes -> int -> int -> bool
+  (** [read_bytes ctx v i b off w]: slot [i] gets the [w]-byte
+      little-endian element at [b.[off]], straight into its limbs.
+      Returns [false] unless it is a canonical residue (below p — the
+      strict range check of the wire codec). Allocation-free. *)
+
+  val read_bytes_n : ctx -> t -> int -> int -> bytes -> int -> int -> int
+  (** [read_bytes_n ctx v i n b off w]: {!read_bytes} over [n]
+      consecutive [w]-byte elements into slots [i, i+n), stopping at the
+      first that is not canonical; returns how many were read ([n] when
+      all were). *)
+
+  val write_bytes : t -> int -> bytes -> int -> int -> unit
+  (** [write_bytes v i b off w]: slot [i] as [w] little-endian bytes;
+      the inverse of {!read_bytes} through the same limb routine. *)
+
+  val sample_bytes : ctx -> t -> int -> bytes -> bool
+  (** One rejection round of {!Fp.sample} into slot [i]: masks the top of
+      the first [num_bytes ctx] bytes of the buffer in place and reads
+      them; [false] means rejected, draw again. *)
+
   val mul : ctx -> scratch -> t -> int -> t -> int -> t -> int -> unit
   (** [mul ctx sc dst di a ai b bi]: slot [di] of [dst] gets
       [a.(ai) * b.(bi)]; counted as one [fp.mul]. Any slots may alias. *)
 
   val add : ctx -> scratch -> t -> int -> t -> int -> t -> int -> unit
   val sub : ctx -> scratch -> t -> int -> t -> int -> t -> int -> unit
+
+  val add_n : ctx -> scratch -> t -> int -> t -> int -> t -> int -> int -> unit
+  (** [add_n ctx sc dst di a ai b bi len]: slot-wise [add] over [len]
+      slots; ranges may alias index for index. *)
+
+  val axpy : ctx -> scratch -> t -> int -> t -> int -> t -> int -> int -> unit
+  (** [axpy ctx sc y yi c ci x xi len]: [y.(yi+j) += c.(ci) * x.(xi+j)]
+      for [j < len]; one counted [fp.mul] per term, no allocation. *)
+
+  val dot_bound : ctx -> int
+  (** The most terms {!dot} accepts: [max_int / (k * 2^32)] for a k-limb
+      modulus (2^29 at k = 2, 2^27 at k = 8). Each term adds at most 2k
+      half-products below 2^31 to a column, so no column can overflow an
+      OCaml int below this length. *)
+
+  val dot : ctx -> scratch -> t -> int -> t -> int -> int -> el
+  (** [dot ctx sc a ai b bi len] = sum of [a.(ai+j) * b.(bi+j)], the
+      split-column lazy dot: each 62-bit limb product is split into 31-bit
+      halves summed in plain int columns, then one normalisation and one
+      Barrett reduction per call. Equal to {!Fp.dot} on the same values,
+      counting the same [fp.mul_lazy] (terms with both operands nonzero);
+      allocates only its result. Raises [Invalid_argument] beyond
+      {!dot_bound} or outside either vector. *)
 
   val butterfly : ctx -> scratch -> t -> int -> int -> t -> int -> unit
   (** [butterfly ctx sc data i j tw ti]: the fused Cooley-Tukey step
@@ -145,4 +193,42 @@ module Vec : sig
 
   val scale_all : ctx -> scratch -> t -> t -> int -> unit
   (** Multiply every slot of the vector by slot [ci] of [c]. *)
+end
+
+module Rows : sig
+  (** A PCP query matrix: [rows] rows of [width] canonical residues, row
+      [r] in slots [[r*width, (r+1)*width)] of one packed {!Vec.t} — a row
+      view on the vector's arena, not a second packed type. The wire codec
+      decodes Queries frames into it, the verifier samples into it and the
+      prover answers from it. *)
+
+  type t = { rows : int; width : int; vec : Vec.t }
+
+  val create : ctx -> rows:int -> width:int -> t
+  (** All zero. *)
+
+  val of_vec : Vec.t -> t
+  (** The vector as a one-row matrix, sharing its arena. *)
+
+  val row : t -> int -> int
+  (** Slot index of row [r]'s first element; raises [Invalid_argument]
+      outside [[0, rows)]. *)
+
+  val get : t -> int -> int -> el
+  val set_row : t -> int -> el array -> unit
+  val of_arrays : ctx -> width:int -> el array array -> t
+  (** Raises [Invalid_argument] on a row of another width. *)
+
+  val to_arrays : t -> el array array
+
+  val equal : t -> t -> bool
+  (** Same rows and elements; matrices without rows are equal whatever
+      their width. *)
+
+  val add : ctx -> scratch -> t -> int -> int -> int -> unit
+  (** [add ctx sc q d a b]: row [d] <- row [a] + row [b]. *)
+
+  val dot : ctx -> scratch -> t -> int -> Vec.t -> el
+  (** [dot ctx sc q r u] = <row r, u> by {!Vec.dot}; [u] must have
+      [width] slots. *)
 end

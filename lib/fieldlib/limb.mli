@@ -1,11 +1,14 @@
-(** Packed limb buffers: flat off-heap [Bigarray] arenas of base-2^31 limbs
-    holding many fixed-width numbers side by side. The substrate of the
-    zero-allocation field kernels ({!Fp.Vec}, the packed NTT butterflies,
-    the Pippenger bucket arena): the GC sees one custom block instead of a
+(** Packed limb buffers: flat [bytes] arenas of base-2^31 limbs, one
+    native int64 word each, holding many fixed-width numbers side by side.
+    The substrate of the zero-allocation field kernels ({!Fp.Vec}, the
+    packed NTT butterflies, the query matrices, the Pippenger bucket
+    arena): the GC sees one opaque block, never scanned, instead of a
     boxed [int array] per element. All kernels are offset/width-addressed
     and allocation-free; only the {!to_nat} boundary codec allocates. *)
 
-type a = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type a = bytes
+(** Limb [i] is the native-endian int64 at byte [8i]; access it through
+    {!get} and {!set}. *)
 
 val create : int -> a
 (** Zero-filled buffer of [n] limbs. *)
@@ -43,6 +46,18 @@ val mul_low : a -> int -> a -> int -> int -> a -> int -> int -> int -> unit
 (** [mul_low dst dso x xo wa y yo wb wout]: only the low [wout] limbs of
     the product (the [mod B^k] steps of Barrett and REDC). Same overlap
     rule as {!mul}. *)
+
+val load_bytes : bytes -> int -> int -> a -> int -> int -> bool
+(** [load_bytes b bo nb dst lo w] reads the [nb]-byte little-endian
+    natural at [b.[bo]] into the [w]-limb slot at [dst.(lo)]. Returns
+    [false] when it needs more than [31w] bits; the slot then holds the
+    low [31w] bits. Allocation-free; raises [Invalid_argument] on a range
+    outside either buffer. *)
+
+val store_bytes : a -> int -> int -> bytes -> int -> int -> unit
+(** [store_bytes src lo w b bo nb] writes the [w]-limb slot as [nb]
+    little-endian bytes, zero-padded; raises [Invalid_argument] if it does
+    not fit. The same routine as {!load_bytes}, run the other way. *)
 
 val of_nat : Nat.t -> a -> int -> int -> unit
 (** Write a natural into a [w]-limb slice, zero-padded; raises if it does

@@ -4,8 +4,13 @@
    leave it on the way out; in between they live in [Limb.a] slices and
    every product is one fused CIOS pass. *)
 
-external get : Limb.a -> int -> int = "%caml_ba_unsafe_ref_1"
-external set : Limb.a -> int -> int -> unit = "%caml_ba_unsafe_set_1"
+(* [Limb.get]/[Limb.set] again, so the CIOS loop reads limbs inline:
+   modules are compiled separately (no cross-module inlining). *)
+external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let get (b : Limb.a) i = Int64.to_int (get64u b (i lsl 3))
+let set (b : Limb.a) i v = set64u b (i lsl 3) (Int64.of_int v)
 
 let mask = (1 lsl 31) - 1
 
@@ -41,7 +46,7 @@ let create p =
   { p; k; p_a = Array.init k (Nat.limb p); p0' = ((1 lsl 31) - !x) land mask; consts }
 
 (* Per-domain working memory: the REDC accumulator [t] (k+1 limbs, a plain
-   array like [p_a]: the inner loop reads those faster than bigarrays) and
+   array like [p_a]: the inner loop reads those faster than limb buffers) and
    k-limb slots [r] — 0..2 for a kernel's operands and result, 3 for its
    temporary (b^2 or b1*b2), 4..19 for the sliding window's odd powers. *)
 type scratch = { t : int array; r : Limb.a }

@@ -110,6 +110,11 @@ val to_limbs : width:int -> t -> int array
 val of_limbs : int array -> t
 (** Canonicalizing copy of a limb buffer. *)
 
+val of_limbs_owned : int array -> t
+(** [of_limbs] without the copy: the natural takes over the buffer, which
+    the caller must not mutate afterwards. No allocation when the top
+    limb is non-zero. *)
+
 val limb : t -> int -> int
 (** [limb n i]: the [i]-th base-2^31 limb of [n] ([i >= 0]), zero above
     the top. Allocation-free. *)

@@ -12,27 +12,25 @@ open Fieldlib
 type t = {
   z_len : int;
   h_len : int;
-  query_z : Fp.el array -> Fp.el;
-  query_h : Fp.el array -> Fp.el;
+  query_z : Fp.Rows.t -> int -> Fp.el; (* answers one row of a query matrix *)
+  query_h : Fp.Rows.t -> int -> Fp.el;
 }
 
-let check_len name expected (q : Fp.el array) =
-  if Array.length q <> expected then
-    invalid_arg (Printf.sprintf "Oracle.%s: query length %d, expected %d" name (Array.length q) expected)
+(* <row i of q, u> over a proof vector packed once per oracle. *)
+let linear ctx name (u : Fp.Vec.t) (q : Fp.Rows.t) i =
+  if q.Fp.Rows.width <> Fp.Vec.length u then
+    invalid_arg
+      (Printf.sprintf "Oracle.%s: query length %d, expected %d" name q.Fp.Rows.width
+         (Fp.Vec.length u));
+  Fp.Rows.dot ctx (Fp.scratch_for ctx) q i u
 
 (* The honest oracle for a proof vector (u_z, u_h). *)
 let honest ctx (u_z : Fp.el array) (u_h : Fp.el array) =
   {
     z_len = Array.length u_z;
     h_len = Array.length u_h;
-    query_z =
-      (fun q ->
-        check_len "query_z" (Array.length u_z) q;
-        Fp.dot ctx q u_z);
-    query_h =
-      (fun q ->
-        check_len "query_h" (Array.length u_h) q;
-        Fp.dot ctx q u_h);
+    query_z = linear ctx "query_z" (Fp.Vec.of_array ctx u_z);
+    query_h = linear ctx "query_h" (Fp.Vec.of_array ctx u_h);
   }
 
 (* A linear oracle whose z part encodes the wrong vector: commits to
@@ -42,13 +40,20 @@ let wrong_vector ctx (u_z : Fp.el array) (u_h : Fp.el array) = honest ctx u_z u_
 (* A non-linear oracle: behaves like [inner] except that it adds a
    query-dependent perturbation. Caught by the linearity tests. *)
 let nonlinear ctx (inner : t) =
-  let poison q =
-    (* A deterministic non-linear function of the query: sum of squares. *)
-    Array.fold_left (fun acc x -> Fp.add ctx acc (Fp.sqr ctx x)) Fp.zero q
+  (* A deterministic non-linear function of the query row: the sum of the
+     squares of its elements, read through the packed view. *)
+  let poison (q : Fp.Rows.t) i =
+    let sc = Fp.scratch_for ctx in
+    let acc = Fp.Vec.create ctx 2 and o = Fp.Rows.row q i in
+    for j = 0 to q.Fp.Rows.width - 1 do
+      Fp.Vec.mul ctx sc acc 1 q.Fp.Rows.vec (o + j) q.Fp.Rows.vec (o + j);
+      Fp.Vec.add ctx sc acc 0 acc 0 acc 1
+    done;
+    Fp.Vec.get acc 0
   in
   {
     inner with
-    query_z = (fun q -> Fp.add ctx (inner.query_z q) (poison q));
+    query_z = (fun q i -> Fp.add ctx (inner.query_z q i) (poison q i));
   }
 
 (* An oracle that answers a fixed fraction of queries with garbage. *)
@@ -60,6 +65,6 @@ let flaky ctx (inner : t) prg ~flake_prob_percent =
   in
   {
     inner with
-    query_z = (fun q -> maybe_garble (inner.query_z q));
-    query_h = (fun q -> maybe_garble (inner.query_h q));
+    query_z = (fun q i -> maybe_garble (inner.query_z q i));
+    query_h = (fun q i -> maybe_garble (inner.query_h q i));
   }

@@ -84,65 +84,86 @@ type repetition = {
 }
 
 type queries = {
-  q1 : Fp.el array array; (* to pi1, length |Z| each *)
-  q2 : Fp.el array array; (* to pi2, length |Z|^2 each *)
+  q1 : Fp.Rows.t; (* to pi1, rows of width |Z| *)
+  q2 : Fp.Rows.t; (* to pi2, rows of width |Z|^2 *)
   reps : repetition array;
 }
-
-let add_vec ctx a b = Array.init (Array.length a) (fun i -> Fp.add ctx a.(i) b.(i))
 
 let c_queries_1 = Zobs.Counter.make "pcp_ginger.queries_1"
 let c_queries_2 = Zobs.Counter.make "pcp_ginger.queries_2"
 
+(* As in Pcp_zaatar, rows go through the PRG straight into the packed
+   matrices in the historical draw order. Each repetition fills 3 rho_lin
+   + 3 pi1 rows (triples, qa, qb, gamma1) and 3 rho_lin + 2 pi2 rows
+   (triples, a (x) b, gamma2). *)
 let gen_queries ?(params = paper_params) ctx (bound : Quad.system) (prg : Chacha.Prg.t) : queries =
   Zobs.Span.with_ ~name:"pcp_ginger.gen_queries" @@ fun () ->
   if params.rho_lin < 2 then invalid_arg "Pcp_ginger: rho_lin must be >= 2";
   let n = bound.Quad.num_z in
   let nc = Quad.num_constraints bound in
-  let q1 = ref [] and q2 = ref [] and n1 = ref 0 and n2 = ref 0 in
-  let push1 q = q1 := q :: !q1; incr n1; !n1 - 1 in
-  let push2 q = q2 := q :: !q2; incr n2; !n2 - 1 in
-  let get1 i = List.nth !q1 (!n1 - 1 - i) in
-  let get2 i = List.nth !q2 (!n2 - 1 - i) in
+  let sc = Fp.scratch_for ctx in
+  let q1 = Fp.Rows.create ctx ~rows:(params.rho * ((3 * params.rho_lin) + 3)) ~width:n in
+  let q2 = Fp.Rows.create ctx ~rows:(params.rho * ((3 * params.rho_lin) + 2)) ~width:(n * n) in
+  let n1 = ref 0 and n2 = ref 0 in
+  let next c =
+    incr c;
+    !c - 1
+  in
+  let random_row q c =
+    let i = next c in
+    let o = Fp.Rows.row q i in
+    for j = 0 to q.Fp.Rows.width - 1 do
+      Chacha.Prg.field_into ctx prg q.Fp.Rows.vec (o + j)
+    done;
+    i
+  in
+  let blinded q c v blind =
+    let i = next c in
+    Fp.Rows.set_row q i v;
+    Fp.Rows.add ctx sc q i i blind;
+    i
+  in
   let rand_vec len = Array.init len (fun _ -> Chacha.Prg.field ctx prg) in
   let repetition () =
-    let triple push len =
-      let a = rand_vec len and b = rand_vec len in
-      let c = add_vec ctx a b in
-      let ia = push a in
-      let ib = push b in
-      let ic = push c in
+    let triple q c () =
+      let ia = random_row q c in
+      let ib = random_row q c in
+      let ic = next c in
+      Fp.Rows.add ctx sc q ic ia ib;
       (ia, ib, ic)
     in
-    let lin_1 = Array.init params.rho_lin (fun _ -> triple push1 n) in
-    let lin_2 = Array.init params.rho_lin (fun _ -> triple push2 (n * n)) in
+    let lin_1 = Array.init params.rho_lin (fun _ -> triple q1 n1 ()) in
+    let lin_2 = Array.init params.rho_lin (fun _ -> triple q2 n2 ()) in
     let iblind1, iblind1', _ = lin_1.(0) in
     let iblind2, _, _ = lin_2.(0) in
     let iblind1c, _, _ = lin_1.(1) in
     let iblind2c, _, _ = lin_2.(1) in
     (* quadratic correction *)
-    let a = rand_vec n and b = rand_vec n in
-    let iqa = push1 (add_vec ctx a (get1 iblind1)) in
-    let iqb = push1 (add_vec ctx b (get1 iblind1')) in
-    let iqab = push2 (add_vec ctx (outer ctx a b) (get2 iblind2)) in
+    let a = rand_vec n in
+    let b = rand_vec n in
+    let iqa = blinded q1 n1 a iblind1 in
+    let iqb = blinded q1 n1 b iblind1' in
+    let iqab = blinded q2 n2 (outer ctx a b) iblind2 in
     (* circuit test *)
     let v = rand_vec nc in
     let gamma0, gamma1, gamma2 = circuit_coeffs ctx bound v in
-    let ig1 = push1 (add_vec ctx gamma1 (get1 iblind1c)) in
-    let ig2 = push2 (add_vec ctx gamma2 (get2 iblind2c)) in
+    let ig1 = blinded q1 n1 gamma1 iblind1c in
+    let ig2 = blinded q2 n2 gamma2 iblind2c in
     { lin_1; lin_2; iqa; iqb; iqab; iblind1; iblind1'; iblind2; ig1; ig2; iblind1c; iblind2c; gamma0 }
   in
   let reps = Array.init params.rho (fun _ -> repetition ()) in
-  let q = { q1 = Array.of_list (List.rev !q1); q2 = Array.of_list (List.rev !q2); reps } in
-  Zobs.Counter.add c_queries_1 (Array.length q.q1);
-  Zobs.Counter.add c_queries_2 (Array.length q.q2);
-  q
+  Zobs.Counter.add c_queries_1 q1.Fp.Rows.rows;
+  Zobs.Counter.add c_queries_2 q2.Fp.Rows.rows;
+  { q1; q2; reps }
 
 type responses = { r1 : Fp.el array; r2 : Fp.el array }
 
 let answer (oracle : Oracle.t) (q : queries) : responses =
   Zobs.Span.with_ ~name:"pcp_ginger.answer" (fun () ->
-      { r1 = Array.map oracle.Oracle.query_z q.q1; r2 = Array.map oracle.Oracle.query_h q.q2 })
+      {
+        r1 = Array.init q.q1.Fp.Rows.rows (oracle.Oracle.query_z q.q1);
+        r2 = Array.init q.q2.Fp.Rows.rows (oracle.Oracle.query_h q.q2);
+      })
 
 type verdict = Accept | Reject_linearity of int | Reject_quad_correction of int | Reject_circuit of int
 

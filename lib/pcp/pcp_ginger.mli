@@ -46,8 +46,8 @@ type repetition = {
 }
 
 type queries = {
-  q1 : Fp.el array array; (** to pi1, length |Z| each *)
-  q2 : Fp.el array array; (** to pi2, length |Z|^2 each *)
+  q1 : Fp.Rows.t; (** to pi1, rows of width |Z| *)
+  q2 : Fp.Rows.t; (** to pi2, rows of width |Z|^2 *)
   reps : repetition array;
 }
 

@@ -6,9 +6,10 @@
    divisibility correction test whose queries q_a, q_b, q_c, q_d are
    blinded by self-correction (q1 = qa + q5, ..., q4 = qd + q8).
 
-   Queries are generated as explicit vectors so that the argument layer
-   (lib/argument) can push the very same vectors through the commitment
-   protocol; [decide] then consumes the prover's responses. *)
+   Queries are generated as explicit vectors, the rows of two packed
+   matrices, so that the argument layer (lib/argument) can push the very
+   same rows through the commitment protocol and the wire; [decide] then
+   consumes the prover's responses. *)
 
 open Fieldlib
 open Constr
@@ -40,12 +41,10 @@ type repetition = {
 }
 
 type queries = {
-  z_queries : Fp.el array array;
-  h_queries : Fp.el array array;
+  z_queries : Fp.Rows.t;
+  h_queries : Fp.Rows.t;
   reps : repetition array;
 }
-
-let add_vec ctx a b = Array.init (Array.length a) (fun i -> Fp.add ctx a.(i) b.(i))
 
 (* Commit/decommit-side query volumes: what the batch amortizes (§2.2). *)
 let c_queries_z = Zobs.Counter.make "pcp.queries_z"
@@ -60,61 +59,64 @@ let fresh_tau ctx qap prg =
   in
   go ()
 
+(* Rows are sampled through the PRG straight into the packed matrices, in
+   the order the protocol has always drawn them (per repetition: the z
+   linearity triples, the h triples, then tau), so the transcript is
+   fixed by the seed alone. Each repetition fills 3 rho_lin + 3 z rows
+   (triples, then q1..q3) and 3 rho_lin + 1 h rows (triples, then q4). *)
 let gen_queries ?(params = paper_params) (qap : Qapb.t) (prg : Chacha.Prg.t) : queries =
   Zobs.Span.with_ ~name:"pcp.gen_queries"
     ~attrs:[ ("rho", string_of_int params.rho); ("rho_lin", string_of_int params.rho_lin) ]
   @@ fun () ->
   let ctx = Qapb.ctx qap in
-  let n' = (Qapb.sys qap).R1cs.num_z in
-  let hl = Qapb.h_len qap in
-  let zq = ref [] and hq = ref [] and nz = ref 0 and nh = ref 0 in
-  let push_z q =
-    zq := q :: !zq;
-    incr nz;
-    !nz - 1
+  let sc = Fp.scratch_for ctx in
+  let rows per_rep = params.rho * ((3 * params.rho_lin) + per_rep) in
+  let zq = Fp.Rows.create ctx ~rows:(rows 3) ~width:(Qapb.sys qap).R1cs.num_z in
+  let hq = Fp.Rows.create ctx ~rows:(rows 1) ~width:(Qapb.h_len qap) in
+  let nz = ref 0 and nh = ref 0 in
+  let next n =
+    incr n;
+    !n - 1
   in
-  let push_h q =
-    hq := q :: !hq;
-    incr nh;
-    !nh - 1
+  let random_row q n =
+    let i = next n in
+    let o = Fp.Rows.row q i in
+    for j = 0 to q.Fp.Rows.width - 1 do
+      Chacha.Prg.field_into ctx prg q.Fp.Rows.vec (o + j)
+    done;
+    i
   in
-  let rand_vec len = Array.init len (fun _ -> Chacha.Prg.field ctx prg) in
+  (* q5, q6 random and q7 = q5 + q6. *)
+  let lin_triple q n () =
+    let i5 = random_row q n in
+    let i6 = random_row q n in
+    let i7 = next n in
+    Fp.Rows.add ctx sc q i7 i5 i6;
+    (i5, i6, i7)
+  in
+  (* A divisibility query blinded by self-correction: row <- v + blind. *)
+  let blinded q n v blind =
+    let i = next n in
+    Fp.Rows.set_row q i v;
+    Fp.Rows.add ctx sc q i i blind;
+    i
+  in
   let repetition () =
-    let lin_triple push len =
-      let q5 = rand_vec len and q6 = rand_vec len in
-      let q7 = add_vec ctx q5 q6 in
-      let i5 = push q5 in
-      let i6 = push q6 in
-      let i7 = push q7 in
-      (i5, i6, i7)
-    in
-    let lin_z = Array.init params.rho_lin (fun _ -> lin_triple push_z n') in
-    let lin_h = Array.init params.rho_lin (fun _ -> lin_triple push_h hl) in
+    let lin_z = Array.init params.rho_lin (fun _ -> lin_triple zq nz ()) in
+    let lin_h = Array.init params.rho_lin (fun _ -> lin_triple hq nh ()) in
     let iblind_z, _, _ = lin_z.(0) in
     let iblind_h, _, _ = lin_h.(0) in
-    let q5 = (List.nth !zq (!nz - 1 - iblind_z) : Fp.el array) in
-    let q8 = List.nth !hq (!nh - 1 - iblind_h) in
     let qap_q = fresh_tau ctx qap prg in
-    let qa = Qapb.z_slice qap qap_q.Qapb.a_tau in
-    let qb = Qapb.z_slice qap qap_q.Qapb.b_tau in
-    let qc = Qapb.z_slice qap qap_q.Qapb.c_tau in
-    let iq1 = push_z (add_vec ctx qa q5) in
-    let iq2 = push_z (add_vec ctx qb q5) in
-    let iq3 = push_z (add_vec ctx qc q5) in
-    let iq4 = push_h (add_vec ctx qap_q.Qapb.qd q8) in
+    let iq1 = blinded zq nz (Qapb.z_slice qap qap_q.Qapb.a_tau) iblind_z in
+    let iq2 = blinded zq nz (Qapb.z_slice qap qap_q.Qapb.b_tau) iblind_z in
+    let iq3 = blinded zq nz (Qapb.z_slice qap qap_q.Qapb.c_tau) iblind_z in
+    let iq4 = blinded hq nh qap_q.Qapb.qd iblind_h in
     { lin_z; lin_h; iq1; iq2; iq3; iq4; iblind_z; iblind_h; qap_q }
   in
   let reps = Array.init params.rho (fun _ -> repetition ()) in
-  let q =
-    {
-      z_queries = Array.of_list (List.rev !zq);
-      h_queries = Array.of_list (List.rev !hq);
-      reps;
-    }
-  in
-  Zobs.Counter.add c_queries_z (Array.length q.z_queries);
-  Zobs.Counter.add c_queries_h (Array.length q.h_queries);
-  q
+  Zobs.Counter.add c_queries_z zq.Fp.Rows.rows;
+  Zobs.Counter.add c_queries_h hq.Fp.Rows.rows;
+  { z_queries = zq; h_queries = hq; reps }
 
 (* Responses: one field element per query, in query order. *)
 type responses = { z_resp : Fp.el array; h_resp : Fp.el array }
@@ -122,8 +124,8 @@ type responses = { z_resp : Fp.el array; h_resp : Fp.el array }
 let answer (oracle : Oracle.t) (q : queries) : responses =
   Zobs.Span.with_ ~name:"pcp.answer" (fun () ->
       {
-        z_resp = Array.map oracle.Oracle.query_z q.z_queries;
-        h_resp = Array.map oracle.Oracle.query_h q.h_queries;
+        z_resp = Array.init q.z_queries.Fp.Rows.rows (oracle.Oracle.query_z q.z_queries);
+        h_resp = Array.init q.h_queries.Fp.Rows.rows (oracle.Oracle.query_h q.h_queries);
       })
 
 type verdict = Accept | Reject_linearity of int | Reject_divisibility of int

@@ -7,9 +7,10 @@
     queries q_a, q_b, q_c, q_d are blinded by self-correction
     (q1 = q_a + q5, ..., q4 = q_d + q8).
 
-    Queries are explicit vectors so the argument layer can push the very
-    same vectors through the commitment protocol; {!decide} then consumes
-    the prover's responses. *)
+    Queries are explicit vectors, the rows of two packed {!Fp.Rows}
+    matrices, so the argument layer can push the very same rows through
+    the commitment protocol and the wire; {!decide} then consumes the
+    prover's responses. *)
 
 open Fieldlib
 
@@ -39,13 +40,14 @@ type repetition = {
 }
 
 type queries = {
-  z_queries : Fp.el array array; (** each of length n' *)
-  h_queries : Fp.el array array; (** each of length |C|+1 *)
+  z_queries : Fp.Rows.t; (** rows of width n' *)
+  h_queries : Fp.Rows.t; (** rows of width |C|+1 *)
   reps : repetition array;
 }
 
 val gen_queries : ?params:params -> Qapb.t -> Chacha.Prg.t -> queries
-(** Verifier side; resamples tau internally on {!Qapb.Tau_collision}. *)
+(** Verifier side; resamples tau internally on {!Qapb.Tau_collision}.
+    Rows are drawn through the PRG straight into the packed matrices. *)
 
 type responses = { z_resp : Fp.el array; h_resp : Fp.el array }
 

@@ -31,6 +31,7 @@ type t = {
   log_n : int;
   omega : Fp.el; (* primitive n-th root of unity *)
   domain : Fp.el array; (* w^0 .. w^(n-1) *)
+  domain_v : Fp.Vec.t; (* the same, packed, for the verifier's queries *)
 }
 
 let next_pow2 n =
@@ -48,7 +49,7 @@ let of_r1cs (sys : R1cs.system) =
   for j = 1 to n - 1 do
     domain.(j) <- Fp.mul ctx domain.(j - 1) omega
   done;
-  { ctx; ntt; sys; nc; n; log_n; omega; domain }
+  { ctx; ntt; sys; nc; n; log_n; omega; domain; domain_v = Fp.Vec.of_array ctx domain }
 
 (* ------------------------------------------------------------------ *)
 (* Prover                                                              *)
@@ -161,36 +162,75 @@ type queries = {
 
 exception Tau_collision
 
+(* The barycentric weights on packed slots: the same multiplications and
+   the one inversion as the boxed formula, so op counts are unchanged, but
+   elements are boxed only at the interface (tau in, the four query
+   vectors out). *)
 let queries q ~tau : queries =
   let ctx = q.ctx in
-  let nvars = q.sys.R1cs.num_vars in
-  let diffs = Array.map (fun s -> Fp.sub ctx tau s) q.domain in
-  if Array.exists Fp.is_zero diffs then raise Tau_collision;
-  let inv_diffs = Fp.batch_inv ctx diffs in
-  let tau_n = Fp.pow_int ctx tau q.n in
+  let sc = Fp.scratch_for ctx in
+  let n = q.n and nvars = q.sys.R1cs.num_vars in
+  (* slots: 0 tau, 1 running product then running inverse, 2 scale, 3 temp *)
+  let s = Fp.Vec.create ctx 4 in
+  Fp.Vec.set s 0 tau;
+  let diffs = Fp.Vec.create ctx n in
+  for j = 0 to n - 1 do
+    Fp.Vec.sub ctx sc diffs j s 0 q.domain_v j;
+    if Fp.Vec.is_zero diffs j then raise Tau_collision
+  done;
+  (* Montgomery's batch inversion (as Fp.batch_inv): [inv] holds the
+     prefix products, then 1 / (tau - w^j) in place. *)
+  let inv = Fp.Vec.create ctx n in
+  Fp.Vec.set s 1 Fp.one;
+  for i = 0 to n - 1 do
+    Fp.Vec.blit s 1 inv i 1;
+    Fp.Vec.mul ctx sc s 1 s 1 diffs i
+  done;
+  Fp.Vec.set s 1 (Fp.inv ctx (Fp.Vec.get s 1));
+  for i = n - 1 downto 0 do
+    Fp.Vec.mul ctx sc inv i s 1 inv i;
+    Fp.Vec.mul ctx sc s 1 s 1 diffs i
+  done;
+  let tau_n = Fp.pow_int ctx tau n in
   let d_tau = Fp.sub ctx tau_n Fp.one in
-  let n_inv = Fp.inv ctx (Fp.of_int ctx q.n) in
-  let scale = Fp.mul ctx d_tau n_inv in
-  (* weight_j = (tau^n - 1)/n * w^j / (tau - w^j) *)
-  let weight = Array.init q.n (fun j -> Fp.mul ctx scale (Fp.mul ctx q.domain.(j) inv_diffs.(j))) in
-  let a_tau = Array.make (nvars + 1) Fp.zero in
-  let b_tau = Array.make (nvars + 1) Fp.zero in
-  let c_tau = Array.make (nvars + 1) Fp.zero in
+  let n_inv = Fp.inv ctx (Fp.of_int ctx n) in
+  Fp.Vec.set s 2 (Fp.mul ctx d_tau n_inv);
+  (* weight_j = (tau^n - 1)/n * w^j / (tau - w^j), in place over [inv] *)
+  let weight = inv in
+  for j = 0 to n - 1 do
+    Fp.Vec.mul ctx sc weight j q.domain_v j weight j;
+    Fp.Vec.mul ctx sc weight j s 2 weight j
+  done;
+  let a_tau = Fp.Vec.create ctx (nvars + 1) in
+  let b_tau = Fp.Vec.create ctx (nvars + 1) in
+  let c_tau = Fp.Vec.create ctx (nvars + 1) in
   Array.iteri
     (fun j (k : R1cs.constr) ->
-      let wj = weight.(j) in
       let accumulate dst lc =
-        List.iter (fun (i, coef) -> dst.(i) <- Fp.add ctx dst.(i) (Fp.mul ctx coef wj)) (Lincomb.terms lc)
+        Lincomb.iter
+          (fun i coef ->
+            Fp.Vec.set s 3 coef;
+            Fp.Vec.mul ctx sc s 3 s 3 weight j;
+            Fp.Vec.add ctx sc dst i dst i s 3)
+          lc
       in
       accumulate a_tau k.R1cs.a;
       accumulate b_tau k.R1cs.b;
       accumulate c_tau k.R1cs.c)
     q.sys.R1cs.constraints;
-  let qd = Array.make q.n Fp.one in
-  for i = 1 to q.n - 1 do
-    qd.(i) <- Fp.mul ctx qd.(i - 1) tau
+  let qd = Fp.Vec.create ctx n in
+  Fp.Vec.set qd 0 Fp.one;
+  for i = 1 to n - 1 do
+    Fp.Vec.mul ctx sc qd i qd (i - 1) s 0
   done;
-  { tau; d_tau; a_tau; b_tau; c_tau; qd }
+  {
+    tau;
+    d_tau;
+    a_tau = Fp.Vec.to_array a_tau;
+    b_tau = Fp.Vec.to_array b_tau;
+    c_tau = Fp.Vec.to_array c_tau;
+    qd = Fp.Vec.to_array qd;
+  }
 
 let z_slice q (evals : Fp.el array) = Array.sub evals 1 q.sys.R1cs.num_z
 

@@ -19,6 +19,7 @@ type t = {
   log_n : int;
   omega : Fp.el;
   domain : Fp.el array; (** w^0 .. w^(n-1) *)
+  domain_v : Fp.Vec.t; (** the domain, packed *)
 }
 
 exception Not_divisible

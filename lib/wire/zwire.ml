@@ -8,7 +8,9 @@
    Naturals:       u16 byte count | little-endian bytes
    Field/group el: fixed-width little-endian, width = bytes of the modulus,
                    decoded with a strict < modulus range check
-   Vectors:        u32 BE count | elements *)
+   Vectors:        u32 BE count | elements
+   Query matrices: u32 BE row count | rows as vectors, all of one width;
+                   decoded straight into one packed arena (Fp.Rows) *)
 
 open Fieldlib
 open Zcrypto
@@ -66,10 +68,10 @@ type commit_request = {
 }
 
 type queries = {
-  z_queries : Fp.el array array;
-  h_queries : Fp.el array array;
-  t_z : Fp.el array;
-  t_h : Fp.el array;
+  z_queries : Fp.Rows.t;
+  h_queries : Fp.Rows.t;
+  t_z : Fp.Vec.t;
+  t_h : Fp.Vec.t;
 }
 
 type instance_answers = {
@@ -210,6 +212,27 @@ let put_vecs w ~width (vs : Fp.el array array) =
   put_u32 w (Array.length vs);
   Array.iter (put_vec w ~width) vs
 
+(* Packed slots go straight from limbs to frame bytes. *)
+let put_slots w ~width (v : Fp.Vec.t) off n =
+  reserve w (n * width);
+  for i = 0 to n - 1 do
+    Fp.Vec.write_bytes v (off + i) w.out w.len width;
+    w.len <- w.len + width
+  done
+
+let put_packed w ~width (v : Fp.Vec.t) =
+  put_u32 w (Fp.Vec.length v);
+  put_slots w ~width v 0 (Fp.Vec.length v)
+
+(* A query matrix keeps the vector-of-vectors layout on the wire: row
+   count, then each row as a counted vector. *)
+let put_rows w ~width (q : Fp.Rows.t) =
+  put_u32 w q.Fp.Rows.rows;
+  for r = 0 to q.Fp.Rows.rows - 1 do
+    put_u32 w q.Fp.Rows.width;
+    put_slots w ~width q.Fp.Rows.vec (Fp.Rows.row q r) q.Fp.Rows.width
+  done
+
 let put_ct w ~width (ct : Elgamal.ciphertext) =
   put_el w ~width ct.Elgamal.c1;
   put_el w ~width ct.Elgamal.c2
@@ -285,6 +308,38 @@ let get_vecs r ~width ~ctx what =
   let n = get_count r ~min_size:4 what in
   Array.init n (fun _ -> get_vec r ~width ~ctx what)
 
+(* Elements read straight from the frame into packed slots, with the
+   same strict range check as [get_el]. *)
+let get_slots r ~width ~ctx (v : Fp.Vec.t) off n what =
+  need r (n * width) what;
+  if Fp.Vec.read_bytes_n ctx v off n r.buf r.pos width < n then fail (Out_of_range what);
+  r.pos <- r.pos + (n * width)
+
+let get_packed r ~width ~ctx what =
+  let n = get_count r ~min_size:width what in
+  let v = Fp.Vec.create ctx n in
+  get_slots r ~width ~ctx v 0 n what;
+  v
+
+(* Every row must have the first row's width: a ragged matrix has no
+   packed form, so a differing row count is Out_of_range. The whole
+   matrix must fit in what is left of the payload before its arena is
+   sized. *)
+let get_rows r ~width ~ctx what =
+  let rows = get_count r ~min_size:4 what in
+  if rows = 0 then Fp.Rows.create ctx ~rows:0 ~width:0
+  else begin
+    let cols = get_count r ~min_size:width what in
+    let row_bytes = 4 + (cols * width) in
+    if rows - 1 > (remaining r - (cols * width)) / row_bytes then fail (Truncated what);
+    let q = Fp.Rows.create ctx ~rows ~width:cols in
+    for i = 0 to rows - 1 do
+      if i > 0 && get_u32 r what <> cols then fail (Out_of_range (what ^ " (ragged rows)"));
+      get_slots r ~width ~ctx q.Fp.Rows.vec (i * cols) cols what
+    done;
+    q
+  end
+
 let get_ct r ~width ~modulus what =
   let c1 = get_gel r ~width ~modulus what in
   let c2 = get_gel r ~width ~modulus what in
@@ -344,10 +399,10 @@ let encode_payload ?codec ~version:v b = function
       | Some c -> Fp.num_bytes c.field
       | None -> invalid_arg "Zwire.encode: Queries needs a codec with the field"
     in
-    put_vecs b ~width q.z_queries;
-    put_vecs b ~width q.h_queries;
-    put_vec b ~width q.t_z;
-    put_vec b ~width q.t_h
+    put_rows b ~width q.z_queries;
+    put_rows b ~width q.h_queries;
+    put_packed b ~width q.t_z;
+    put_packed b ~width q.t_h
   | Answers insts ->
     let width =
       match codec with
@@ -412,10 +467,10 @@ let decode_payload ?codec ~version:v r tag =
            (cz, ch)))
   | 5 ->
     let width, ctx = field_width codec "queries (field modulus)" in
-    let z_queries = get_vecs r ~width ~ctx "queries.z" in
-    let h_queries = get_vecs r ~width ~ctx "queries.h" in
-    let t_z = get_vec r ~width ~ctx "queries.t_z" in
-    let t_h = get_vec r ~width ~ctx "queries.t_h" in
+    let z_queries = get_rows r ~width ~ctx "queries.z" in
+    let h_queries = get_rows r ~width ~ctx "queries.h" in
+    let t_z = get_packed r ~width ~ctx "queries.t_z" in
+    let t_h = get_packed r ~width ~ctx "queries.t_h" in
     Queries { z_queries; h_queries; t_z; t_h }
   | 6 ->
     let width, ctx = field_width codec "answers (field modulus)" in
@@ -531,8 +586,9 @@ let msg_equal a b =
   | Commitments x, Commitments y ->
     arr_eq (fun (a1, a2) (b1, b2) -> ct_eq a1 b1 && ct_eq a2 b2) x y
   | Queries x, Queries y ->
-    vecs_eq x.z_queries y.z_queries && vecs_eq x.h_queries y.h_queries && vec_eq x.t_z y.t_z
-    && vec_eq x.t_h y.t_h
+    Fp.Rows.equal x.z_queries y.z_queries
+    && Fp.Rows.equal x.h_queries y.h_queries
+    && Fp.Vec.equal x.t_z y.t_z && Fp.Vec.equal x.t_h y.t_h
   | Answers x, Answers y ->
     arr_eq
       (fun (p : instance_answers) (q : instance_answers) ->

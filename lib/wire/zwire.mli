@@ -76,11 +76,15 @@ type commit_request = {
 }
 
 type queries = {
-  z_queries : Fp.el array array;
-  h_queries : Fp.el array array;
-  t_z : Fp.el array;  (** decommit vector for pi_z *)
-  t_h : Fp.el array;  (** decommit vector for pi_h *)
+  z_queries : Fp.Rows.t;
+  h_queries : Fp.Rows.t;
+  t_z : Fp.Vec.t;  (** decommit vector for pi_z *)
+  t_h : Fp.Vec.t;  (** decommit vector for pi_h *)
 }
+(** Decoded straight from the frame into packed slots, without a boxed
+    element: the strict range check runs on the limbs. Rows of differing
+    widths have no packed form and fail with [Out_of_range]; a matrix
+    without rows decodes with width 0. *)
 
 type instance_answers = {
   claimed_io : Fp.el array;

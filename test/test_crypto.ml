@@ -65,7 +65,10 @@ let commit_tests =
         let u = Array.init 10 (fun i -> Fp.of_int ctx (i + 1)) in
         let req, vs = Commitment.Commit.commit_request ctx grp p ~len:10 in
         let com = Commitment.Commit.prover_commit req u in
-        let queries = Array.init 5 (fun _ -> Array.init 10 (fun _ -> Chacha.Prg.field ctx p)) in
+        let queries =
+          Fp.Rows.of_arrays ctx ~width:10
+            (Array.init 5 (fun _ -> Array.init 10 (fun _ -> Chacha.Prg.field ctx p)))
+        in
         let ch = Commitment.Commit.decommit_challenge ctx vs p queries in
         let ans = Commitment.Commit.prover_answer ctx u queries ch.Commitment.Commit.t in
         Alcotest.(check bool) "accept" true
@@ -75,7 +78,10 @@ let commit_tests =
         let u = Array.init 10 (fun i -> Fp.of_int ctx (i + 1)) in
         let req, vs = Commitment.Commit.commit_request ctx grp p ~len:10 in
         let com = Commitment.Commit.prover_commit req u in
-        let queries = Array.init 5 (fun _ -> Array.init 10 (fun _ -> Chacha.Prg.field ctx p)) in
+        let queries =
+          Fp.Rows.of_arrays ctx ~width:10
+            (Array.init 5 (fun _ -> Array.init 10 (fun _ -> Chacha.Prg.field ctx p)))
+        in
         let ch = Commitment.Commit.decommit_challenge ctx vs p queries in
         let ans = Commitment.Commit.prover_answer ctx u queries ch.Commitment.Commit.t in
         (* Tamper with one PCP answer after committing. *)
@@ -89,7 +95,10 @@ let commit_tests =
         let u' = Array.init 8 (fun i -> Fp.of_int ctx (i + 3)) in
         let req, vs = Commitment.Commit.commit_request ctx grp p ~len:8 in
         let com = Commitment.Commit.prover_commit req u in
-        let queries = Array.init 3 (fun _ -> Array.init 8 (fun _ -> Chacha.Prg.field ctx p)) in
+        let queries =
+          Fp.Rows.of_arrays ctx ~width:8
+            (Array.init 3 (fun _ -> Array.init 8 (fun _ -> Chacha.Prg.field ctx p)))
+        in
         let ch = Commitment.Commit.decommit_challenge ctx vs p queries in
         (* Answer queries with u' while having committed to u. *)
         let ans = Commitment.Commit.prover_answer ctx u' queries ch.Commitment.Commit.t in

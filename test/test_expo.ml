@@ -202,7 +202,10 @@ let parallel_tests =
         let u = Array.init n (fun _ -> Chacha.Prg.field ctx p) in
         let req, vs = Commitment.Commit.commit_request ~domains:3 ctx grp p ~len:n in
         let com = Commitment.Commit.prover_commit req u in
-        let queries = Array.init 4 (fun _ -> Array.init n (fun _ -> Chacha.Prg.field ctx p)) in
+        let queries =
+          Fp.Rows.of_arrays ctx ~width:n
+            (Array.init 4 (fun _ -> Array.init n (fun _ -> Chacha.Prg.field ctx p)))
+        in
         let ch = Commitment.Commit.decommit_challenge ctx vs p queries in
         let ans = Commitment.Commit.prover_answer ctx u queries ch.Commitment.Commit.t in
         Alcotest.(check bool) "accept" true

@@ -125,6 +125,123 @@ let vec_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Packed query kernels: the split-column lazy dot and t = r + sum a*q *)
+(* ------------------------------------------------------------------ *)
+
+(* Counter deltas need Zobs on; the kernels count through it. *)
+let counted name f =
+  Zobs.enable ();
+  Fun.protect ~finally:Zobs.disable (fun () ->
+      let c0 = Zobs.Registry.counter_value name in
+      let r = f () in
+      (r, Zobs.Registry.counter_value name - c0))
+
+(* k = 2, 5 and 8 limbs. *)
+let dot_fields = [ ("p61", Fp.create Primes.p61); ("p127_ntt", ctx); ("p220", Fp.create (Primes.p220 ())) ]
+
+(* A row pattern: a proof-vector-like mix of zeros (skipped and not
+   counted), ones and one-limb values (fewer significant limbs) and full
+   residues, or every element p-1 (the largest column carries the kernel
+   can see). *)
+let dot_operand fctx prg ~maxed len =
+  let pm1 = Fp.sub fctx Fp.zero Fp.one in
+  Array.init len (fun _ ->
+      if maxed then pm1
+      else
+        match Chacha.Prg.int_below prg 6 with
+        | 0 -> Fp.zero
+        | 1 -> Fp.one
+        | 2 -> Fp.of_int fctx (Chacha.Prg.int_below prg (1 lsl 31))
+        | _ -> Chacha.Prg.field fctx prg)
+
+let dot_tests =
+  [
+    qtest "Fp.Vec.dot = Fp.dot with equal fp.mul_lazy, k = 2/5/8, lengths 0/1/257/4097" 6
+      QCheck.small_int (fun seed ->
+        let prg = prg_of seed "dot" in
+        List.for_all
+          (fun (_, fctx) ->
+            let sc = Fp.scratch_for fctx in
+            List.for_all
+              (fun (len, maxed_a, maxed_b) ->
+                let a = dot_operand fctx prg ~maxed:maxed_a len in
+                let b = dot_operand fctx prg ~maxed:maxed_b len in
+                let va = Fp.Vec.of_array fctx a and vb = Fp.Vec.of_array fctx b in
+                let boxed, n_boxed = counted "fp.mul_lazy" (fun () -> Fp.dot fctx a b) in
+                let packed, n_packed = counted "fp.mul_lazy" (fun () -> Fp.Vec.dot fctx sc va 0 vb 0 len) in
+                Fp.equal boxed packed && n_boxed = n_packed)
+              [
+                (0, false, false); (1, false, false); (1, true, true); (257, false, false);
+                (257, true, false); (4097, false, false); (4097, true, true);
+              ])
+          dot_fields);
+    Alcotest.test_case "Fp.Vec.dot at an offset: a row of a query matrix" `Quick (fun () ->
+        let prg = prg_of 3 "dot rows" in
+        let sc = Fp.scratch_for ctx in
+        let width = 37 in
+        let arrays = Array.init 5 (fun _ -> Array.init width (fun _ -> random_el prg)) in
+        let u = Array.init width (fun _ -> random_el prg) in
+        let q = Fp.Rows.of_arrays ctx ~width arrays and pu = Fp.Vec.of_array ctx u in
+        Array.iteri
+          (fun r row ->
+            Alcotest.(check string) (Printf.sprintf "row %d" r) (Fp.to_string (Fp.dot ctx row u))
+              (Fp.to_string (Fp.Rows.dot ctx sc q r pu)))
+          arrays);
+    Alcotest.test_case "Fp.Vec.dot: column-overflow bound is max_int / (k * 2^32)" `Quick (fun () ->
+        List.iter
+          (fun (label, fctx) ->
+            let k = Nat.num_limbs (Fp.modulus fctx) in
+            let bound = Fp.Vec.dot_bound fctx in
+            Alcotest.(check int) (label ^ " bound") (max_int / (k lsl 32)) bound;
+            (* (2k - 1) half-products per column per term, each below 2^31,
+               plus the carries: the bound keeps every column in range. *)
+            Alcotest.(check bool) (label ^ " bound is safe") true (bound <= max_int / (2 * k * (1 lsl 31)));
+            let v = Fp.Vec.create fctx 1 in
+            match Fp.Vec.dot fctx (Fp.scratch_for fctx) v 0 v 0 (bound + 1) with
+            | _ -> Alcotest.failf "%s: %d terms accepted" label (bound + 1)
+            | exception Invalid_argument m ->
+              let has s sub =
+                let n = String.length s and k = String.length sub in
+                let rec go i = i + k <= n && (String.sub s i k = sub || go (i + 1)) in
+                go 0
+              in
+              Alcotest.(check bool) (label ^ " names the bound") true (has m "column-overflow bound"))
+          dot_fields);
+    Alcotest.test_case "packed decommit_challenge = r + sum alpha_i q_i, same fp.mul count" `Quick
+      (fun () ->
+        let grp = Zcrypto.Group.cached ~field_order:(Fp.modulus ctx) ~p_bits:192 () in
+        let width = 23 and rows = 6 in
+        let _, vs = Commitment.Commit.commit_request ctx grp (prg_of 1 "decommit") ~len:width in
+        (* some zero terms: the boxed formula still multiplies them *)
+        let q =
+          let prg = prg_of 2 "q" in
+          Array.init rows (fun i ->
+              Array.init width (fun j -> if (i + j) mod 7 = 0 then Fp.zero else random_el prg))
+        in
+        let ch, n_packed =
+          counted "fp.mul" (fun () ->
+              Commitment.Commit.decommit_challenge ctx vs (prg_of 3 "alpha") (Fp.Rows.of_arrays ctx ~width q))
+        in
+        let boxed, n_boxed =
+          counted "fp.mul" (fun () ->
+              let prg = prg_of 3 "alpha" in
+              let alpha = Array.init rows (fun _ -> Chacha.Prg.field ctx prg) in
+              let t = Array.copy vs.Commitment.Commit.r in
+              Array.iteri
+                (fun i qi -> Array.iteri (fun j x -> t.(j) <- Fp.add ctx t.(j) (Fp.mul ctx alpha.(i) x)) qi)
+                q;
+              (alpha, t))
+        in
+        let alpha, t = boxed in
+        Alcotest.(check (array string)) "alpha" (Array.map Fp.to_string alpha)
+          (Array.map Fp.to_string ch.Commitment.Commit.alpha);
+        Alcotest.(check (array string)) "t" (Array.map Fp.to_string t)
+          (Array.map Fp.to_string (Fp.Vec.to_array ch.Commitment.Commit.t));
+        Alcotest.(check int) "fp.mul delta" n_boxed n_packed;
+        Alcotest.(check int) "one mul per query term" (rows * width) n_packed);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Montgomery packed REDC                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -349,4 +466,4 @@ let transcript_tests =
             (transcript_digest backend "horner" horner_src horner_inputs)))
     [ ("auto", Qapb.Auto); ("lagrange", Qapb.Lagrange) ]
 
-let suite = nat_tests @ vec_tests @ mont_tests @ ntt_tests @ e2e_tests @ transcript_tests
+let suite = nat_tests @ vec_tests @ dot_tests @ mont_tests @ ntt_tests @ e2e_tests @ transcript_tests

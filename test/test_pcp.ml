@@ -91,7 +91,7 @@ let zaatar_tests =
         let prg = Chacha.Prg.create ~seed:"count" () in
         let p = { Pcp_zaatar.rho = 3; rho_lin = 5 } in
         let q = Pcp_zaatar.gen_queries ~params:p qap prg in
-        let total = Array.length q.Pcp_zaatar.z_queries + Array.length q.Pcp_zaatar.h_queries in
+        let total = q.Pcp_zaatar.z_queries.Fp.Rows.rows + q.Pcp_zaatar.h_queries.Fp.Rows.rows in
         Alcotest.(check int) "total" (Pcp_zaatar.num_queries p) total;
         Alcotest.(check int) "per-rep" (3 * ((6 * 5) + 4)) total);
     Alcotest.test_case "query vector lengths" `Quick (fun () ->
@@ -99,12 +99,10 @@ let zaatar_tests =
         let qap = Qapb.of_r1cs ~backend:Qapb.Lagrange sys in
         let prg = Chacha.Prg.create ~seed:"len" () in
         let q = Pcp_zaatar.gen_queries ~params qap prg in
-        Array.iter
-          (fun v -> Alcotest.(check int) "z len" sys.R1cs.num_z (Array.length v))
-          q.Pcp_zaatar.z_queries;
-        Array.iter
-          (fun v -> Alcotest.(check int) "h len" (R1cs.num_constraints sys + 1) (Array.length v))
-          q.Pcp_zaatar.h_queries);
+        Alcotest.(check int) "z len" sys.R1cs.num_z q.Pcp_zaatar.z_queries.Fp.Rows.width;
+        Alcotest.(check int) "h len" (R1cs.num_constraints sys + 1) q.Pcp_zaatar.h_queries.Fp.Rows.width;
+        Alcotest.(check int) "z arena" (q.Pcp_zaatar.z_queries.Fp.Rows.rows * sys.R1cs.num_z)
+          (Fp.Vec.length q.Pcp_zaatar.z_queries.Fp.Rows.vec));
   ]
 
 (* --- Ginger baseline --- *)

@@ -23,31 +23,17 @@ let unit_tests =
         let qap = Qapb.of_r1cs sys in
         let q1 = Pcp_zaatar.gen_queries ~params qap (Chacha.Prg.create ~seed:"shared" ()) in
         let q2 = Pcp_zaatar.gen_queries ~params qap (Chacha.Prg.create ~seed:"shared" ()) in
-        Array.iteri
-          (fun i v ->
-            Array.iteri
-              (fun j x -> Alcotest.(check bool) "same z query" true (Fp.equal x q2.Pcp_zaatar.z_queries.(i).(j)))
-              v)
-          q1.Pcp_zaatar.z_queries;
-        Array.iteri
-          (fun i v ->
-            Array.iteri
-              (fun j x -> Alcotest.(check bool) "same h query" true (Fp.equal x q2.Pcp_zaatar.h_queries.(i).(j)))
-              v)
-          q1.Pcp_zaatar.h_queries);
+        Alcotest.(check bool) "same z queries" true
+          (Fp.Rows.equal q1.Pcp_zaatar.z_queries q2.Pcp_zaatar.z_queries);
+        Alcotest.(check bool) "same h queries" true
+          (Fp.Rows.equal q1.Pcp_zaatar.h_queries q2.Pcp_zaatar.h_queries));
     Alcotest.test_case "different seeds give different queries" `Quick (fun () ->
         let sys, _ = random_sys 42 in
         let qap = Qapb.of_r1cs sys in
         let q1 = Pcp_zaatar.gen_queries ~params qap (Chacha.Prg.create ~seed:"a" ()) in
         let q2 = Pcp_zaatar.gen_queries ~params qap (Chacha.Prg.create ~seed:"b" ()) in
-        let same = ref true in
-        Array.iteri
-          (fun i v ->
-            Array.iteri
-              (fun j x -> if not (Fp.equal x q2.Pcp_zaatar.z_queries.(i).(j)) then same := false)
-              v)
-          q1.Pcp_zaatar.z_queries;
-        Alcotest.(check bool) "differ" false !same);
+        Alcotest.(check bool) "differ" false
+          (Fp.Rows.equal q1.Pcp_zaatar.z_queries q2.Pcp_zaatar.z_queries));
     Alcotest.test_case "flaky oracle is rejected (failure injection)" `Quick (fun () ->
         (* A prover whose storage/links corrupt a fraction of answers: the
            verifier must notice. With hundreds of answered queries, even a
@@ -83,6 +69,58 @@ let unit_tests =
         in
         Alcotest.(check bool) "accepted" true
           (Pcp_zaatar.accepts (Pcp_zaatar.run ~params qap prg oracle ~io)));
+    Alcotest.test_case "Zaatar PCP rejects nonlinear, flaky and wrong-vector oracles" `Quick
+      (fun () ->
+        let sys, w = random_sys 79 in
+        let qap = Qapb.of_r1cs sys in
+        let io = Array.sub w (sys.R1cs.num_z + 1) (R1cs.num_io sys) in
+        let z = Array.sub w 1 sys.R1cs.num_z in
+        let h = Qapb.prover_h qap w in
+        let z' = Array.copy z in
+        z'.(0) <- Fp.add ctx z'.(0) Fp.one;
+        let trials = 10 in
+        let rejected make =
+          let n = ref 0 in
+          for i = 1 to trials do
+            let prg = Chacha.Prg.create ~seed:(Printf.sprintf "packed cheat %d" i) () in
+            if not (Pcp_zaatar.accepts (Pcp_zaatar.run ~params qap prg (make i) ~io)) then incr n
+          done;
+          !n
+        in
+        let flake_src i = Chacha.Prg.create ~seed:(Printf.sprintf "packed flake %d" i) () in
+        Alcotest.(check int) "honest accepted" 0 (rejected (fun _ -> Oracle.honest ctx z h));
+        List.iter
+          (fun (label, make) -> Alcotest.(check int) label trials (rejected make))
+          [
+            ("nonlinear", fun _ -> Oracle.nonlinear ctx (Oracle.honest ctx z h));
+            ("flaky", fun i -> Oracle.flaky ctx (Oracle.honest ctx z h) (flake_src i) ~flake_prob_percent:50);
+            ("wrong vector", fun _ -> Oracle.wrong_vector ctx z' h);
+          ]);
+    Alcotest.test_case "Ginger PCP rejects nonlinear, flaky and wrong-vector oracles" `Quick
+      (fun () ->
+        let fi = Fp.of_int ctx in
+        let bound = Quad.bind_io ctx Test_constr.ginger_sys [| fi 5; fi 28 |] in
+        let uz, uzz = Pcp_ginger.proof_vector ctx [| fi 25 |] in
+        let wz, wzz = Pcp_ginger.proof_vector ctx [| fi 24 |] in
+        let trials = 10 in
+        let rejected make =
+          let n = ref 0 in
+          for i = 1 to trials do
+            let prg = Chacha.Prg.create ~seed:(Printf.sprintf "ginger packed cheat %d" i) () in
+            let v = Pcp_ginger.run ~params:Pcp_ginger.test_params ctx bound prg (make i) in
+            if not (Pcp_ginger.accepts v) then incr n
+          done;
+          !n
+        in
+        let flake_src i = Chacha.Prg.create ~seed:(Printf.sprintf "ginger packed flake %d" i) () in
+        Alcotest.(check int) "honest accepted" 0 (rejected (fun _ -> Oracle.honest ctx uz uzz));
+        List.iter
+          (fun (label, make) -> Alcotest.(check int) label trials (rejected make))
+          [
+            ("nonlinear", fun _ -> Oracle.nonlinear ctx (Oracle.honest ctx uz uzz));
+            ("flaky", fun i -> Oracle.flaky ctx (Oracle.honest ctx uz uzz) (flake_src i) ~flake_prob_percent:50);
+            ("wrong vector", fun _ -> Oracle.wrong_vector ctx wz wzz);
+          ]);
     Alcotest.test_case "batch isolates instances (one cheat does not taint others)" `Quick
       (fun () ->
         (* Run a batch where the underlying witnesses are honest; all must

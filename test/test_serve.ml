@@ -303,4 +303,38 @@ let session_tests =
                   (List.mem "verifier" names && List.mem "prover" names))))
   ]
 
-let suite = http_tests @ scrape_tests @ session_tests
+(* Soundness over the socket: the prover answers the decoded packed
+   query rows through its cheat, and the verifier must refuse every
+   instance. *)
+let soundness_tests =
+  [
+    Alcotest.test_case "TCP provers answering through nonlinear or wrong vectors are rejected" `Quick
+      (fun () ->
+        List.iter
+          (fun (label, strategy) ->
+            with_serve_domain
+              (fun log ->
+                Remote.serve
+                  ~config:{ Argument.test_config with Argument.strategy }
+                  ~lookup:lookup_sq3 ~once:true ~log "127.0.0.1:0")
+              (fun ~cap:_ ~addr ~conn_ref ~join ->
+                let conn = Znet.connect addr in
+                conn_ref := Some conn;
+                let r =
+                  Remote.run_conn ~config:Argument.test_config square_plus_3
+                    ~prg:(Chacha.Prg.create ~seed:("tcp cheat " ^ label) ())
+                    ~inputs:(Array.map (fun x -> [| fi x |]) [| 3; 4; 9 |])
+                    conn
+                in
+                Znet.close conn;
+                conn_ref := None;
+                join ();
+                Alcotest.(check bool) (label ^ ": none accepted") true (Argument.none_accepted r)))
+          [
+            ("nonlinear", Argument.Nonlinear);
+            ("equivocating", Argument.Equivocate);
+            ("corrupt h", Argument.Corrupt_h);
+          ]);
+  ]
+
+let suite = http_tests @ scrape_tests @ session_tests @ soundness_tests

@@ -58,14 +58,24 @@ let gen_commit_request prg =
       enc_r_h = Array.init nh (fun _ -> ct prg);
     }
 
+(* Query matrices are rectangular: one width per matrix. *)
+let rows ?(ctx = fctx) width vs = Fp.Rows.of_arrays ctx ~width vs
+let packed ?(ctx = fctx) v = Fp.Vec.of_array ctx v
+
 let gen_queries prg =
   let nq = Chacha.Prg.int_below prg 4 in
+  let matrix () =
+    let width = Chacha.Prg.int_below prg 6 in
+    rows width (Array.init nq (fun _ -> vec prg width))
+  in
+  let z_queries = matrix () in
+  let h_queries = matrix () in
   Zwire.Queries
     {
-      z_queries = Array.init nq (fun _ -> vec prg (Chacha.Prg.int_below prg 6));
-      h_queries = Array.init nq (fun _ -> vec prg (Chacha.Prg.int_below prg 6));
-      t_z = vec prg (Chacha.Prg.int_below prg 6);
-      t_h = vec prg (Chacha.Prg.int_below prg 6);
+      z_queries;
+      h_queries;
+      t_z = packed (vec prg (Chacha.Prg.int_below prg 6));
+      t_h = packed (vec prg (Chacha.Prg.int_below prg 6));
     }
 
 let gen_answers prg =
@@ -116,7 +126,12 @@ let check_error what expected got =
 let sample_msg () =
   let prg = prg_of 7 in
   Zwire.Queries
-    { z_queries = [| vec prg 5 |]; h_queries = [| vec prg 5 |]; t_z = vec prg 5; t_h = vec prg 5 }
+    {
+      z_queries = rows 5 [| vec prg 5 |];
+      h_queries = rows 5 [| vec prg 5 |];
+      t_z = packed (vec prg 5);
+      t_h = packed (vec prg 5);
+    }
 
 let corruption_tests =
   [
@@ -393,12 +408,23 @@ let frame_of_queries ctx x =
   let f = Fp.of_int ctx 5 in
   Zwire.encode ~codec:(Zwire.codec ctx)
     (Zwire.Queries
-       { z_queries = [| [| x; f; f |] |]; h_queries = [| [| f; x; f |] |]; t_z = [| f; f |]; t_h = [| f; x |] })
+       {
+         z_queries = rows ~ctx 3 [| [| x; f; f |] |];
+         h_queries = rows ~ctx 3 [| [| f; x; f |] |];
+         t_z = packed ~ctx [| x; f |];
+         t_h = packed ~ctx [| f; x |];
+       })
 
 (* Header (8) then: z count (4), z vec length (4), z elements; h count (4),
-   h vec length (4), h elements; ... the frame's last element is t_h.(1). *)
+   h vec length (4), h elements; t_z count (4), t_z elements; ... the
+   frame's last element is t_h.(1). *)
 let queries_slots ~width ~frame_len =
-  [ ("queries.z", 16); ("queries.h", 16 + (3 * width) + 8 + width); ("queries.t_h", frame_len - width) ]
+  [
+    ("queries.z", 16);
+    ("queries.h", 16 + (3 * width) + 8 + width);
+    ("queries.t_z", 16 + (6 * width) + 12);
+    ("queries.t_h", frame_len - width);
+  ]
 
 let frame_of_commit_request x =
   let g = Fp.of_int gctx 5 in
@@ -455,6 +481,7 @@ let boundary_tests =
   [
     field_case "p61" Primes.p61;
     field_case "p127_ntt" Primes.p127_ntt;
+    field_case "p220" (Primes.p220 ());
     Alcotest.test_case "element range checks at frame edges (group p89)" `Quick (fun () ->
         check_boundaries ~label:"p89" ~modulus:gp ~width:(Fp.num_bytes gctx)
           ~frame:frame_of_commit_request ~slots:commit_slots ~decode:(fun b -> Zwire.decode b));
@@ -483,5 +510,206 @@ let golden_tests =
           (Zwire.msg_equal msg (Zwire.decode ~codec:wcodec b)));
   ]
 
+(* ---- Packed query matrices ---- *)
+
+(* The Queries layout written out by hand, element by element from boxed
+   values: the independent reference for the packed encoder, and the only
+   way to build frames the packed types cannot hold (ragged rows). *)
+let raw_queries ctx ~(z : Fp.el array array) ~(h : Fp.el array array) ~(tz : Fp.el array)
+    ~(th : Fp.el array) =
+  let w = Fp.num_bytes ctx in
+  let b = Buffer.create 256 in
+  let u32 buf n = Buffer.add_int32_be buf (Int32.of_int n) in
+  let el x =
+    let by = Bytes.create w in
+    Nat.to_bytes_sub (Fp.to_nat x) by 0 w;
+    Buffer.add_bytes b by
+  in
+  let vec v =
+    u32 b (Array.length v);
+    Array.iter el v
+  in
+  let vecs vs =
+    u32 b (Array.length vs);
+    Array.iter vec vs
+  in
+  vecs z;
+  vecs h;
+  vec tz;
+  vec th;
+  let frame = Buffer.create (Buffer.length b + 8) in
+  Buffer.add_string frame Zwire.magic;
+  Buffer.add_uint8 frame Zwire.version;
+  Buffer.add_uint8 frame 5;
+  u32 frame (Buffer.length b);
+  Buffer.add_buffer frame b;
+  Buffer.to_bytes frame
+
+let packed_fields = [ ("p61", fctx); ("p127_ntt", Fp.create Primes.p127_ntt); ("p220", Fp.create (Primes.p220 ())) ]
+
+(* Random matrices over [ctx], zero rows and zero width included, with
+   0, 1 and p-1 planted as in [vec]. *)
+let gen_arrays ctx prg =
+  let el _ =
+    match Chacha.Prg.int_below prg 8 with
+    | 0 -> Fp.zero
+    | 1 -> Fp.one
+    | 2 -> Fp.sub ctx Fp.zero Fp.one
+    | _ -> Chacha.Prg.field ctx prg
+  in
+  let matrix () =
+    let nrows = Chacha.Prg.int_below prg 4 in
+    let width = Chacha.Prg.int_below prg 6 in
+    Array.init nrows (fun _ -> Array.init width el)
+  in
+  let z = matrix () in
+  let h = matrix () in
+  let tz = Array.init (Chacha.Prg.int_below prg 6) el in
+  let th = Array.init (Chacha.Prg.int_below prg 6) el in
+  (z, h, tz, th)
+
+let queries_of ctx (z, h, tz, th) =
+  let width m = if Array.length m = 0 then 0 else Array.length m.(0) in
+  Zwire.Queries
+    {
+      z_queries = rows ~ctx (width z) z;
+      h_queries = rows ~ctx (width h) h;
+      t_z = packed ~ctx tz;
+      t_h = packed ~ctx th;
+    }
+
+let decode_words_and_gcs codec b =
+  ignore (Zwire.decode ~codec b) (* one-time setup lands outside the window *);
+  Gc.minor ();
+  let g0 = (Gc.quick_stat ()).Gc.minor_collections in
+  let w0 = Gc.minor_words () in
+  let m = Zwire.decode ~codec b in
+  let w1 = Gc.minor_words () in
+  let g1 = (Gc.quick_stat ()).Gc.minor_collections in
+  (m, w1 -. w0, g1 - g0)
+
+(* A verifier session driven over a socket up to its Queries message,
+   which [tamper] replaces with raw bytes; returns the prover's reply. *)
+let reply_to_tampered_queries tamper =
+  let d = Argument.digest square_plus_3 in
+  let cfg = Argument.test_config in
+  with_prover_domain ~server_config:cfg
+    ~lookup:(fun d' -> if String.equal d' d then Some square_plus_3 else None)
+    (fun conn ->
+      let vs =
+        Argument.Verifier_session.create ~config:cfg square_plus_3
+          ~prg:(Chacha.Prg.create ~seed:"wire tampered queries" ())
+          ~inputs:[| [| fi 2 |] |]
+      in
+      let codec = Argument.Verifier_session.codec vs in
+      let rec drive = function
+        | Zwire.Queries q ->
+          Znet.send conn (tamper q);
+          Zwire.decode ~codec (Znet.recv conn)
+        | m -> (
+          Znet.send conn (Zwire.encode ~codec m);
+          match Argument.Verifier_session.on_msg vs (Zwire.decode ~codec (Znet.recv conn)) with
+          | `Send next -> drive next
+          | `Finished _ -> Alcotest.fail "session finished before the Queries message")
+      in
+      drive (Argument.Verifier_session.initial vs))
+
+let expect_error_reply what = function
+  | Zwire.Error_msg m -> Alcotest.(check bool) (what ^ ": non-empty reason") true (String.length m > 0)
+  | m -> Alcotest.failf "%s: expected Error_msg, got tag %d" what (Zwire.tag_of_msg m)
+
+let packed_tests =
+  [
+    qtest "queries encode -> decode -> encode is the identity (p61, p127_ntt, p220)" 40 arb_seed
+      (fun s ->
+        let prg = prg_of s in
+        List.for_all
+          (fun (_, ctx) ->
+            let codec = Zwire.codec ctx in
+            let ((z, h, tz, th) as arrays) = gen_arrays ctx prg in
+            let msg = queries_of ctx arrays in
+            let b = Zwire.encode ~codec msg in
+            let back = Zwire.decode ~codec b in
+            Bytes.equal b (raw_queries ctx ~z ~h ~tz ~th)
+            && Bytes.equal b (Zwire.encode ~codec back)
+            && Zwire.msg_equal msg back)
+          packed_fields);
+    Alcotest.test_case "zero rows and zero width round-trip" `Quick (fun () ->
+        List.iter
+          (fun (z, h, label) ->
+            let msg = queries_of fctx (z, h, [||], [||]) in
+            let b = Zwire.encode ~codec:wcodec msg in
+            Alcotest.(check bytes) (label ^ ": reference bytes") (raw_queries fctx ~z ~h ~tz:[||] ~th:[||]) b;
+            Alcotest.(check bytes) (label ^ ": identity") b
+              (Zwire.encode ~codec:wcodec (Zwire.decode ~codec:wcodec b)))
+          [
+            ([||], [||], "no rows");
+            ([| [||]; [||]; [||] |], [| [||] |], "empty rows");
+            ([||], [| [| Fp.one; Fp.zero |] |], "no z rows");
+          ]);
+    Alcotest.test_case "ragged query rows are Out_of_range" `Quick (fun () ->
+        let f = Fp.of_int fctx 9 in
+        (* short first row, long later row *)
+        let ragged = [| [| f |]; [| f; f; f |] |] in
+        check_error "z" (Zwire.Out_of_range "queries.z (ragged rows)")
+          (decode_fails ~codec:wcodec (raw_queries fctx ~z:ragged ~h:[||] ~tz:[| f |] ~th:[||]));
+        check_error "h" (Zwire.Out_of_range "queries.h (ragged rows)")
+          (decode_fails ~codec:wcodec (raw_queries fctx ~z:[| [| f |] |] ~h:ragged ~tz:[| f |] ~th:[||])));
+    Alcotest.test_case "ragged rows get an Error_msg from the prover session" `Quick (fun () ->
+        expect_error_reply "ragged"
+          (reply_to_tampered_queries (fun q ->
+               let z = Fp.Rows.to_arrays q.Zwire.z_queries in
+               z.(1) <- Array.append z.(1) [| Fp.one |];
+               raw_queries fctx ~z ~h:(Fp.Rows.to_arrays q.Zwire.h_queries)
+                 ~tz:(Fp.Vec.to_array q.Zwire.t_z) ~th:(Fp.Vec.to_array q.Zwire.t_h))));
+    Alcotest.test_case "rows of the wrong width get an Error_msg from the prover session" `Quick
+      (fun () ->
+        List.iter
+          (fun (label, widen_z) ->
+            expect_error_reply label
+              (reply_to_tampered_queries (fun q ->
+                   let widen m = Array.map (fun r -> Array.append r [| Fp.one |]) (Fp.Rows.to_arrays m) in
+                   let z = if widen_z then widen q.Zwire.z_queries else Fp.Rows.to_arrays q.Zwire.z_queries in
+                   let h = if widen_z then Fp.Rows.to_arrays q.Zwire.h_queries else widen q.Zwire.h_queries in
+                   raw_queries fctx ~z ~h ~tz:(Fp.Vec.to_array q.Zwire.t_z) ~th:(Fp.Vec.to_array q.Zwire.t_h))))
+          [ ("width <> num_z", true); ("width <> h_len", false) ]);
+    (* Regression: boxed decoding built every row with Array.init over
+       fresh elements, and OCaml 5 runs a minor collection before every
+       such array longer than 256 words - one per query row, each a
+       stop-the-world pause when a second domain (the profiler) runs. *)
+    Alcotest.test_case "queries decode: no minor GC, words per row independent of width" `Quick
+      (fun () ->
+        let nrows = 8 in
+        let frame width =
+          let prg = prg_of width in
+          let m () = Array.init nrows (fun _ -> Array.init width (fun _ -> fel prg)) in
+          let z = m () in
+          let h = m () in
+          raw_queries fctx ~z ~h ~tz:(Array.init width (fun _ -> fel prg)) ~th:[||]
+        in
+        let words =
+          List.map
+            (fun width ->
+              let m, words, gcs = decode_words_and_gcs wcodec (frame width) in
+              (match m with
+              | Zwire.Queries q -> Alcotest.(check int) "width" width q.Zwire.z_queries.Fp.Rows.width
+              | _ -> Alcotest.fail "not a Queries message");
+              Alcotest.(check int) (Printf.sprintf "minor GCs at width %d" width) 0 gcs;
+              Alcotest.(check bool)
+                (Printf.sprintf "%.0f words for %d rows of %d" words (2 * nrows) width)
+                true
+                (words <= float_of_int (16 * nrows) +. 128.0);
+              words)
+            [ 300; 1200 ]
+        in
+        match words with
+        | [ w300; w1200 ] ->
+          (* 14,400 more elements: one word per element would show as
+             thousands of words; a major-GC pacing step can shift a few. *)
+          Alcotest.(check bool) "independent of width" true (Float.abs (w1200 -. w300) <= 32.0)
+        | _ -> assert false);
+  ]
+
 let suite =
   roundtrip_tests @ corruption_tests @ e2e_tests @ version_tests @ boundary_tests @ golden_tests
+  @ packed_tests
