@@ -1311,13 +1311,15 @@ let run_wire cfg =
   Printf.printf "\nsent and received bytes balance (%d B over %d message(s))\n%!" sent msgs
 
 (* ------------------------------------------------------------------ *)
-(* Farm: concurrent prover farm vs the sequential accept loop          *)
+(* Farm: concurrent prover farm vs one-session-at-a-time serving       *)
 (* ------------------------------------------------------------------ *)
 
 (* Filled by run_farm and folded into BENCH_run.json under "farm".
    Sessions/sec and latency percentiles at N concurrent verifier clients
-   against (a) the pre-farm sequential accept loop, (b) the farm event
-   loop with the setup cache, (c) the farm with the cache disabled.
+   against (a) a farm admitting one session at a time with no setup cache
+   (the others park in its accept queue — the pre-farm sequential accept
+   loop's behaviour), (b) the farm event loop with the setup cache, (c)
+   the farm with the cache disabled.
 
    The clients are *replay* clients: one real verifier session is
    recorded (frames sent, replies received, verdict checked), then every
@@ -1325,10 +1327,37 @@ let run_wire cfg =
    frame to emulate off-box verifier compute, and asserts the prover's
    replies are byte-identical (the honest prover draws nothing from its
    PRG, so replies are a deterministic function of the received frames).
-   Identical clients hit both arms, so the comparison isolates the
-   server: the sequential loop is held hostage by each client's think
+   Identical clients hit every arm, so the comparison isolates the
+   server: one-at-a-time serving is held hostage by each client's think
    time, the event loop overlaps them. *)
 let farm_section : Zobs.Json.t ref = ref Zobs.Json.Null
+
+(* Run [f addr] against a farm in its own domain that exits after
+   [max_conns] sessions; returns [f]'s result and the farm's stats. *)
+let with_bench_farm ~what ~(config : Zfarm.Farm.config) ~lookup ~max_conns f =
+  let stats = Znet.Svcstats.create () in
+  let bound = Atomic.make None in
+  let prefix = "listening on " in
+  let k = String.length prefix in
+  let log l =
+    if String.length l > k && String.sub l 0 k = prefix then
+      Atomic.set bound (Some (String.sub l k (String.length l - k)))
+  in
+  let server =
+    Domain.spawn (fun () -> Zfarm.Farm.serve ~config ~stats ~lookup ~max_conns ~log "127.0.0.1:0")
+  in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec addr () =
+    match Atomic.get bound with
+    | Some a -> a
+    | None ->
+      if Unix.gettimeofday () > deadline then failwith (what ^ ": serve never bound");
+      Unix.sleepf 0.005;
+      addr ()
+  in
+  let r = f (addr ()) in
+  Domain.join server;
+  (r, stats)
 
 let record_session ~config comp ~prg ~inputs addr =
   let conn = Znet.connect addr in
@@ -1370,7 +1399,7 @@ let replay_session ~think_s ~addr transcript =
     transcript
 
 let run_farm cfg =
-  banner "Farm: sessions/sec at concurrent verifier clients (event loop vs sequential accept)";
+  banner "Farm: sessions/sec at concurrent verifier clients (event loop vs one at a time)";
   let ctx = ctx_of cfg in
   let compiled =
     Zlang.Compile.compile ~ctx
@@ -1394,28 +1423,11 @@ let run_farm cfg =
   let think_ms = if cfg.quick then 25 else 60 in
   let think_s = float_of_int think_ms /. 1000.0 in
   let inputs = [| Apps.Glue.field_inputs ctx [| 7; 11 |] |] in
-  (* Record the reference session against a throwaway one-shot server. *)
-  let transcript =
-    let srv = Znet.listen "127.0.0.1:0" in
-    let addr = Znet.bound_addr srv in
-    let server =
-      Domain.spawn (fun () ->
-          let c = Znet.accept srv in
-          (try
-             Argsys.Remote.handle_conn ~config ~lookup
-               ~prg:(Chacha.Prg.create ~seed:"bench farm record prover" ())
-               c
-           with _ -> ());
-          try Znet.close c with _ -> ())
-    in
-    let t =
-      record_session ~config comp
-        ~prg:(Chacha.Prg.create ~seed:"bench farm verifier" ())
-        ~inputs addr
-    in
-    Domain.join server;
-    Znet.close_server srv;
-    t
+  (* Record the reference session against a throwaway one-shot farm. *)
+  let transcript, _ =
+    with_bench_farm ~what:"farm" ~config:{ Zfarm.Farm.default with arg_config = config } ~lookup
+      ~max_conns:1
+      (record_session ~config comp ~prg:(Chacha.Prg.create ~seed:"bench farm verifier" ()) ~inputs)
   in
   let frames = List.length transcript in
   Printf.printf
@@ -1429,82 +1441,27 @@ let run_farm cfg =
     let ok = Array.for_all (fun d -> Domain.join d) doms in
     (Unix.gettimeofday () -. t0, ok)
   in
-  (* Arm 1: the pre-farm behavior — accept, serve to completion, repeat. *)
-  let seq_wall, seq_ok =
-    let srv = Znet.listen ~backlog:(clients + 4) "127.0.0.1:0" in
-    let addr = Znet.bound_addr srv in
-    let server =
-      Domain.spawn (fun () ->
-          for i = 1 to clients do
-            let c = Znet.accept srv in
-            (try
-               Argsys.Remote.handle_conn ~config ~lookup
-                 ~prg:(Chacha.Prg.create ~seed:(Printf.sprintf "bench farm seq %d" i) ())
-                 c
-             with _ -> ());
-            try Znet.close c with _ -> ()
-          done)
-    in
-    let r = run_clients addr in
-    Domain.join server;
-    Znet.close_server srv;
-    r
-  in
-  (* Arms 2 and 3: the farm event loop, with and without the setup cache. *)
-  let farm_arm ~cache_bytes =
-    Znet.Svcstats.reset ();
+  (* Arm 1: the pre-farm behaviour — one session at a time, no setup
+     cache, every other client parked unread in the accept queue. *)
+  let farm_arm ~max_sessions ~cache_bytes =
     let fc =
       {
         Zfarm.Farm.default with
         arg_config = config;
-        max_sessions = clients + 2;
+        max_sessions;
+        accept_queue = clients;
         setup_cache_bytes = cache_bytes;
       }
     in
-    let mu = Mutex.create () in
-    let lines = ref [] in
-    let log s =
-      Mutex.lock mu;
-      lines := s :: !lines;
-      Mutex.unlock mu
+    let (wall, ok), stats =
+      with_bench_farm ~what:"farm" ~config:fc ~lookup ~max_conns:clients run_clients
     in
-    let server =
-      Domain.spawn (fun () ->
-          Zfarm.Farm.serve ~config:fc ~lookup ~max_conns:clients ~log "127.0.0.1:0")
-    in
-    let addr =
-      let prefix = "listening on " in
-      let k = String.length prefix in
-      let deadline = Unix.gettimeofday () +. 10.0 in
-      let rec poll () =
-        let hit =
-          Mutex.lock mu;
-          let r =
-            List.find_map
-              (fun l ->
-                if String.length l > k && String.sub l 0 k = prefix then
-                  Some (String.sub l k (String.length l - k))
-                else None)
-              !lines
-          in
-          Mutex.unlock mu;
-          r
-        in
-        match hit with
-        | Some a -> a
-        | None ->
-          if Unix.gettimeofday () > deadline then failwith "farm: serve never bound";
-          Unix.sleepf 0.005;
-          poll ()
-      in
-      poll ()
-    in
-    let wall, ok = run_clients addr in
-    Domain.join server;
-    let _, hits, misses, _ = Znet.Svcstats.farm_totals () in
-    let lat = Znet.Svcstats.latency_ms () in
-    (wall, ok, hits, misses, lat)
+    let _, hits, misses, _ = Znet.Svcstats.farm_totals stats in
+    (wall, ok, hits, misses, Znet.Svcstats.latency_ms stats)
   in
+  let seq_wall, seq_ok, _, _, _ = farm_arm ~max_sessions:1 ~cache_bytes:0 in
+  (* Arms 2 and 3: the farm event loop, with and without the setup cache. *)
+  let farm_arm = farm_arm ~max_sessions:(clients + 2) in
   let built_before = Zobs.Registry.counter_value "farm.setup.built" in
   let farm_wall, farm_ok, hits, misses, (p50, p95, p99) =
     farm_arm ~cache_bytes:Zfarm.Farm.default.Zfarm.Farm.setup_cache_bytes
@@ -1514,10 +1471,10 @@ let run_farm cfg =
   let per_s w = float_of_int clients /. w in
   let speedup = seq_wall /. farm_wall in
   Printf.printf "%-28s %10s %14s\n" "server" "wall s" "sessions/s";
-  Printf.printf "%-28s %10.3f %14.2f\n" "sequential accept loop" seq_wall (per_s seq_wall);
+  Printf.printf "%-28s %10.3f %14.2f\n" "one at a time (no cache)" seq_wall (per_s seq_wall);
   Printf.printf "%-28s %10.3f %14.2f\n" "farm (setup cache)" farm_wall (per_s farm_wall);
   Printf.printf "%-28s %10.3f %14.2f\n\n" "farm (cache disabled)" nocache_wall (per_s nocache_wall);
-  Printf.printf "speedup vs sequential: %.2fx (acceptance floor 4x)\n" speedup;
+  Printf.printf "speedup vs one at a time: %.2fx (acceptance floor 4x)\n" speedup;
   Printf.printf "setup cache: %d hit(s), %d miss(es); warm-session QAP constructions: %d\n" hits
     misses warm_builds;
   Printf.printf "session latency ms (farm, cached): p50 %.1f  p95 %.1f  p99 %.1f\n%!" p50 p95 p99;
@@ -1591,27 +1548,11 @@ let run_obs_overhead cfg =
   let clients = 8 in
   let rounds = if cfg.quick then 2 else 3 in
   let inputs = [| Apps.Glue.field_inputs ctx [| 7; 11 |] |] in
-  let transcript =
-    let srv = Znet.listen "127.0.0.1:0" in
-    let addr = Znet.bound_addr srv in
-    let server =
-      Domain.spawn (fun () ->
-          let c = Znet.accept srv in
-          (try
-             Argsys.Remote.handle_conn ~config ~lookup
-               ~prg:(Chacha.Prg.create ~seed:"bench obs record prover" ())
-               c
-           with _ -> ());
-          try Znet.close c with _ -> ())
-    in
-    let t =
-      record_session ~config comp
-        ~prg:(Chacha.Prg.create ~seed:"bench obs verifier" ())
-        ~inputs addr
-    in
-    Domain.join server;
-    Znet.close_server srv;
-    t
+  let transcript, _ =
+    with_bench_farm ~what:"obs-overhead"
+      ~config:{ Zfarm.Farm.default with arg_config = config }
+      ~lookup ~max_conns:1
+      (record_session ~config comp ~prg:(Chacha.Prg.create ~seed:"bench obs verifier" ()) ~inputs)
   in
   (* No think time: the comparison is server-bound on purpose, so any
      recorder/sampler cost lands squarely in the measured wall. One arm
@@ -1629,7 +1570,6 @@ let run_obs_overhead cfg =
   let arm ~flight_cap ~profile_hz =
     let best = ref infinity and all_ok = ref true in
     for _ = 1 to rounds do
-      Znet.Svcstats.reset ();
       let fc =
         {
           Zfarm.Farm.default with
@@ -1639,46 +1579,9 @@ let run_obs_overhead cfg =
           profile_hz;
         }
       in
-      let mu = Mutex.create () in
-      let lines = ref [] in
-      let log s =
-        Mutex.lock mu;
-        lines := s :: !lines;
-        Mutex.unlock mu
+      let (wall, ok), _ =
+        with_bench_farm ~what:"obs-overhead" ~config:fc ~lookup ~max_conns:clients run_clients
       in
-      let server =
-        Domain.spawn (fun () ->
-            Zfarm.Farm.serve ~config:fc ~lookup ~max_conns:clients ~log "127.0.0.1:0")
-      in
-      let addr =
-        let prefix = "listening on " in
-        let k = String.length prefix in
-        let deadline = Unix.gettimeofday () +. 10.0 in
-        let rec poll () =
-          let hit =
-            Mutex.lock mu;
-            let r =
-              List.find_map
-                (fun l ->
-                  if String.length l > k && String.sub l 0 k = prefix then
-                    Some (String.sub l k (String.length l - k))
-                  else None)
-                !lines
-            in
-            Mutex.unlock mu;
-            r
-          in
-          match hit with
-          | Some a -> a
-          | None ->
-            if Unix.gettimeofday () > deadline then failwith "obs-overhead: serve never bound";
-            Unix.sleepf 0.005;
-            poll ()
-        in
-        poll ()
-      in
-      let wall, ok = run_clients addr in
-      Domain.join server;
       all_ok := !all_ok && ok;
       if wall < !best then best := wall
     done;
@@ -2275,7 +2178,7 @@ let baseline_diff ~drift path cfg =
   (* Farm: client count, frames/session, cache hit/miss counts, the
      warm-session construction count (must stay 0) and transcript
      identity are deterministic and compared exactly; the speedup over
-     the sequential loop is wall-clock and held to the drift band. *)
+     one-at-a-time serving is wall-clock and held to the drift band. *)
   (match (Zobs.Json.member "farm" base, !farm_section) with
   | None, Zobs.Json.Null -> err "neither run has a farm section (run the farm experiment)"
   | None, _ -> err "%s has no farm section — refresh the baseline" path

@@ -84,7 +84,7 @@ let timeout_arg =
     value
     & opt pos_int_conv 30000
     & info [ "timeout-ms" ]
-        ~doc:"Socket connect/read/write timeout in milliseconds (with --listen/--connect).")
+        ~doc:"Socket connect/read/write timeout in milliseconds (with --connect).")
 
 let print_stats (c : Zlang.Compile.compiled) =
   let s = Zlang.Compile.stats c in
@@ -539,8 +539,7 @@ let serve_cmd =
       & info [ "trace-dir" ] ~docv:"DIR"
           ~doc:"Write one Chrome-trace sidecar per connection (prover_connN.json), mergeable \
                 with `zaatar trace-merge`. The farm's flight recorder feeds these (plus \
-                forensic_connN.jsonl bundles on error/slow sessions); the --sequential loop \
-                needs tracing enabled (--trace/--metrics/ZAATAR_TRACE).")
+                forensic_connN.jsonl bundles on error/slow sessions).")
   in
   let log_json =
     Arg.(
@@ -581,13 +580,6 @@ let serve_cmd =
           ~doc:"Byte bound of the per-digest setup cache (compiled QAP, subproduct trees, \
                 twiddle plans, LRU-evicted). 0 disables the cache.")
   in
-  let sequential =
-    Arg.(
-      value & flag
-      & info [ "sequential" ]
-          ~doc:"Use the one-connection-at-a-time reference loop instead of the concurrent \
-                farm.")
-  in
   let slow_session_ms =
     Arg.(
       value
@@ -622,8 +614,8 @@ let serve_cmd =
                 --live` (0 disables the sampler).")
   in
   let run files listen once metrics_listen trace_dir log_json max_sessions accept_queue
-      session_timeout_ms setup_cache_mb sequential slow_session_ms recent_cap flight_cap
-      profile_hz timeout_ms bits config obs =
+      session_timeout_ms setup_cache_mb slow_session_ms recent_cap flight_cap profile_hz bits
+      config obs =
     with_obs ~process:"prover" obs @@ fun () ->
     (match log_json with
     | Some "stderr" -> Zobs.Log.set_sink (`Channel stderr)
@@ -641,40 +633,34 @@ let serve_cmd =
         Hashtbl.replace table d comp)
       files;
     let log s = Printf.printf "%s\n%!" s in
-    Znet.Svcstats.set_recent_cap recent_cap;
-    if sequential then
-      Argsys.Remote.serve ~config ~lookup:(Hashtbl.find_opt table) ~once ~timeout_ms
-        ?metrics_listen ?trace_dir ~log listen
-    else begin
-      let fconfig =
-        {
-          Zfarm.Farm.arg_config = config;
-          max_sessions;
-          accept_queue;
-          session_timeout_ms;
-          setup_cache_bytes = setup_cache_mb * 1024 * 1024;
-          busy_retry_ms = Zfarm.Farm.default.Zfarm.Farm.busy_retry_ms;
-          trace_dir;
-          slow_session_ms;
-          flight_cap;
-          profile_hz;
-        }
-      in
-      Zfarm.Farm.serve ~config:fconfig ~lookup:(Hashtbl.find_opt table)
-        ?max_conns:(if once then Some 1 else None)
-        ?metrics_listen ~log listen
-    end;
+    let fconfig =
+      {
+        Zfarm.Farm.arg_config = config;
+        max_sessions;
+        accept_queue;
+        session_timeout_ms;
+        setup_cache_bytes = setup_cache_mb * 1024 * 1024;
+        busy_retry_ms = Zfarm.Farm.default.Zfarm.Farm.busy_retry_ms;
+        trace_dir;
+        slow_session_ms;
+        flight_cap;
+        profile_hz;
+      }
+    in
+    Zfarm.Farm.serve ~config:fconfig ~stats:(Znet.Svcstats.create ~recent_cap ())
+      ~lookup:(Hashtbl.find_opt table)
+      ?max_conns:(if once then Some 1 else None)
+      ?metrics_listen ~log listen;
     0
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run a networked prover: accept verifier connections concurrently and prove \
-             batches on demand (see --sequential for the reference loop)")
+             batches on demand")
     Term.(
       const run $ files $ listen $ once $ metrics_listen $ trace_dir $ log_json $ max_sessions
-      $ accept_queue $ session_timeout_ms $ setup_cache_mb $ sequential $ slow_session_ms
-      $ recent_cap $ flight_cap $ profile_hz $ timeout_arg $ field_bits_arg $ protocol_args
-      $ obs_args)
+      $ accept_queue $ session_timeout_ms $ setup_cache_mb $ slow_session_ms $ recent_cap
+      $ flight_cap $ profile_hz $ field_bits_arg $ protocol_args $ obs_args)
 
 (* JSON field accessors shared by `zaatar stats` and `zaatar top`. *)
 let jnum j k =

@@ -1,16 +1,10 @@
-(* Socket drivers for the split verifier/prover argument: the same
-   Verifier_session/Prover_session state machines as the in-process
-   loopback, pumped over a Znet connection instead of a function call.
-   `zaatar serve` wraps [serve]; `zaatar run --connect` wraps
-   [run_connect].
+(* The verifier's socket driver for the split argument: the same
+   Verifier_session state machine as the in-process loopback, pumped over
+   a Znet connection instead of a function call. `zaatar run --connect`
+   wraps [run_connect]; the prover side is the Zfarm event loop.
 
    Observability: every wire operation runs under a net.send/net.recv Zobs
-   span; receive waits also feed per-phase wire.latency_us histograms. The
-   serve path additionally keeps always-on per-connection Svcstats
-   (rendered by the --metrics-listen endpoint), emits structured log lines
-   with peer/digest/phase fields, and — when tracing is on — writes one
-   prover-side Chrome-trace sidecar per connection, stamped with the
-   verifier's trace id so the two files merge into one Perfetto view. *)
+   span; receive waits also feed per-phase wire.latency_us histograms. *)
 
 open Fieldlib
 open Argument
@@ -25,29 +19,20 @@ let observe_latency phase us =
   | Some h -> Zobs.Histogram.observe h us
   | None -> ()
 
-let send ?stats conn codec msg =
+let send conn codec msg =
   let b = Zwire.encode ?codec msg in
   let phase = Zwire.phase_of_msg msg in
-  Zobs.Span.with_ ~name:"net.send" ~attrs:[ ("phase", phase) ] (fun () -> Znet.send conn b);
-  match stats with
-  | Some c -> Znet.Svcstats.record_sent c ~phase (Bytes.length b)
-  | None -> ()
+  Zobs.Span.with_ ~name:"net.send" ~attrs:[ ("phase", phase) ] (fun () -> Znet.send conn b)
 
 (* One framed receive + decode. The latency histogram sees the whole wait —
    peer think time plus network — which is exactly what a stalled phase
    looks like from this side of the wire. *)
-let recv ?stats conn codec =
+let recv conn codec =
   let t0 = Unix.gettimeofday () in
   let raw = Zobs.Span.with_ ~name:"net.recv" (fun () -> Znet.recv conn) in
   let m = Zwire.decode ?codec raw in
-  let phase = Zwire.phase_of_msg m in
-  observe_latency phase (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
-  (match stats with
-  | Some c -> Znet.Svcstats.record_recv c ~phase (Bytes.length raw)
-  | None -> ());
+  observe_latency (Zwire.phase_of_msg m) (int_of_float ((Unix.gettimeofday () -. t0) *. 1e6));
   m
-
-(* ---- Verifier (client) side ---- *)
 
 let run_conn ?(config = default_config) ?trace_id (comp : computation) ~(prg : Chacha.Prg.t)
     ~(inputs : Fp.el array array) (conn : Znet.conn) : batch_result =
@@ -74,147 +59,3 @@ let run_connect ?config ?trace_id ?timeout_ms ~addr (comp : computation) ~prg ~i
   Fun.protect
     ~finally:(fun () -> Znet.close conn)
     (fun () -> run_conn ?config ?trace_id comp ~prg ~inputs conn)
-
-(* ---- Prover (server) side ---- *)
-
-(* Serve one connection to completion. Anything the wire or the session
-   objects to — malformed frames, protocol violations, invalid group
-   parameters — is reported to the peer as an Error_msg before giving up;
-   transport failures (peer already gone) are swallowed, there is nobody
-   left to tell. *)
-let handle_conn ?(config = default_config) ?stats ~lookup ~(prg : Chacha.Prg.t)
-    (conn : Znet.conn) : unit =
-  let ps = Prover_session.create ~config ~lookup ~prg () in
-  let step () =
-    let m = recv ?stats conn (Prover_session.codec ps) in
-    let phase = Zwire.phase_of_msg m in
-    let t0 = Unix.gettimeofday () in
-    (match (m, stats) with
-    | Zwire.Hello h, Some c -> Znet.Svcstats.set_digest c h.Zwire.digest
-    | _ -> ());
-    let finish r =
-      (match stats with
-      | Some c -> Znet.Svcstats.record_phase_time c ~phase (Unix.gettimeofday () -. t0)
-      | None -> ());
-      r
-    in
-    match Prover_session.on_msg ps m with
-    | `Send reply ->
-      (* Fetch the codec after on_msg: the transition may have extended it
-         (Hello fixes the field, Commit_request the group). *)
-      send ?stats conn (Prover_session.codec ps) reply;
-      finish true
-    | `Finished (Some reply) ->
-      send ?stats conn (Prover_session.codec ps) reply;
-      finish false
-    | `Finished None -> finish false
-  in
-  let report msg =
-    try send ?stats conn (Prover_session.codec ps) (Zwire.Error_msg msg)
-    with Znet.Net_error _ -> ()
-  in
-  try
-    while step () do
-      ()
-    done
-  with
-  | Session_error m ->
-    report m;
-    raise (Session_error m)
-  | Zwire.Decode_error e ->
-    Znet.Svcstats.record_decode_error ();
-    let m = "malformed message: " ^ Zwire.error_to_string e in
-    report m;
-    raise (Session_error m)
-  | Invalid_argument m ->
-    let m = "invalid parameters: " ^ m in
-    report m;
-    raise (Session_error m)
-
-(* ---- Metrics endpoint ---- *)
-
-let metrics_render () = Zobs.Prometheus.render ~extra:(Znet.Svcstats.prometheus ()) ()
-let metrics_json () = Zobs.Json.to_string (Znet.Svcstats.json ())
-
-(* Routes: /metrics (Prometheus text, also served at /), /json, /healthz
-   (built into Metrics_http; [ready] gates it — the farm flips it once its
-   accept loop is live), and /profile (folded stacks from the sampling
-   profiler when the server runs one, else the completed-span folding —
-   the latter is only meaningful on the sequential path). *)
-let start_metrics ?ready ?profile addr =
-  let profile_body () =
-    match profile with Some f -> f () | None -> Zobs.Sink.folded_stacks ()
-  in
-  Znet.Metrics_http.start ?healthz:ready addr ~render:(fun path ->
-      match path with
-      | "/metrics" | "/" -> Some ("text/plain; version=0.0.4", metrics_render ())
-      | "/json" -> Some ("application/json", metrics_json ())
-      | "/profile" -> Some ("text/plain", profile_body ())
-      | _ -> None)
-
-type log = string -> unit
-
-let serve ?(config = default_config) ~lookup ?(seed = "zaatar prover") ?(once = false)
-    ?timeout_ms ?metrics_listen ?trace_dir ?(log : log = prerr_endline) (addr : string) : unit
-    =
-  let srv = Znet.listen addr in
-  log (Printf.sprintf "listening on %s" (Znet.bound_addr srv));
-  let metrics = Option.map start_metrics metrics_listen in
-  (match metrics with
-  | Some m -> log (Printf.sprintf "metrics on %s" (Znet.Metrics_http.bound_addr m))
-  | None -> ());
-  let serve_one () =
-    let conn = Znet.accept srv in
-    (match timeout_ms with Some ms -> Znet.set_timeout conn ms | None -> ());
-    let stats = Znet.Svcstats.begin_conn ~peer:(Znet.peer conn) in
-    let cid = stats.Znet.Svcstats.id in
-    let conn_fields more =
-      Zobs.Log.int "conn" cid :: Zobs.Log.str "peer" (Znet.peer conn) :: more
-    in
-    Zobs.Log.info ~fields:(conn_fields []) "connection accepted";
-    (* Mark the span buffer so the sidecar trace holds only this
-       connection's events. *)
-    let mark = Zobs.Span.event_count () in
-    (* A fresh PRG per connection: only adversarial strategies draw from
-       it, and each session's transcript must not depend on its
-       predecessors. *)
-    let prg = Chacha.Prg.create ~seed () in
-    (try
-       handle_conn ~config ~stats ~lookup ~prg conn;
-       Znet.Svcstats.end_conn stats `Ok;
-       Zobs.Log.info
-         ~fields:(conn_fields [ Zobs.Log.str "digest" stats.Znet.Svcstats.digest ])
-         "session complete";
-       log "session complete"
-     with
-    | Session_error m ->
-      Znet.Svcstats.end_conn stats (`Error m);
-      Zobs.Log.error
-        ~fields:(conn_fields [ Zobs.Log.str "digest" stats.Znet.Svcstats.digest;
-                               Zobs.Log.str "cause" m ])
-        "session error";
-      log ("session error: " ^ m)
-    | Znet.Net_error e ->
-      (match e with Znet.Timeout _ -> Znet.Svcstats.record_timeout () | _ -> ());
-      let m = Znet.error_to_string e in
-      Znet.Svcstats.end_conn stats (`Error m);
-      Zobs.Log.error ~fields:(conn_fields [ Zobs.Log.str "cause" m ]) "connection error";
-      log ("connection error: " ^ m));
-    Znet.close conn;
-    match trace_dir with
-    | Some dir when Zobs.enabled () ->
-      let path = Filename.concat dir (Printf.sprintf "prover_conn%d.json" cid) in
-      Zobs.Sink.write_chrome_trace ~pid:1 ~process_name:"prover"
-        ~events:(Zobs.Span.events_since mark) path;
-      log (Printf.sprintf "trace written to %s" path)
-    | _ -> ()
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Znet.close_server srv;
-      match metrics with Some m -> Znet.Metrics_http.stop m | None -> ())
-    (fun () ->
-      serve_one ();
-      while not once do
-        serve_one ()
-      done)

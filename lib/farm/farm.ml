@@ -1,7 +1,7 @@
 (* Zfarm: the concurrent multi-tenant prover farm behind `zaatar serve`
-   (DESIGN.md §14).
+   (DESIGN.md §14), and the only prover server.
 
-   The sequential loop in Remote.serve holds every later verifier hostage
+   A one-connection-at-a-time loop would hold every later verifier hostage
    to the current one: a peer that thinks for a second between messages
    costs the whole service a second. Here one event loop multiplexes many
    in-flight Prover_session state machines over select/nonblocking
@@ -22,12 +22,13 @@
    that — or when a parked connection outwaits the session timeout — the
    farm sheds load with a wire [busy retry-after] Error_msg instead of
    letting the kernel backlog time verifiers out silently. Everything is
-   accounted in the always-on Svcstats (shed, cache hit/miss, queue depth,
-   session-latency percentiles) and rendered by the Prometheus/JSON
-   endpoint. *)
+   accounted in the farm's always-on Svcstats value (shed, cache hit/miss,
+   queue depth, session-latency percentiles) and rendered by the
+   Prometheus/JSON endpoint below. *)
 
 open Fieldlib
 open Argsys
+module Svcstats = Znet.Svcstats
 
 type config = {
   arg_config : Argument.config;
@@ -71,10 +72,30 @@ let approx_qap_bytes qap =
   | Qapb.Ntt -> ((2 * Qapb.h_len qap) + nc) * el_bytes
   | Qapb.Lagrange | Qapb.Auto -> nc * (log2 + 6) * el_bytes
 
-let c_sessions = Zobs.Counter.make "farm.sessions"
-let c_shed = Zobs.Counter.make "farm.shed"
 let c_setup_built = Zobs.Counter.make "farm.setup.built"
 let h_session_ms = Zobs.Histogram.make "farm.session_ms"
+
+(* ------------------------------------------------------------------ *)
+(* Metrics endpoint                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let metrics_render stats = Zobs.Prometheus.render ~extra:(Svcstats.prometheus stats) ()
+let metrics_json stats = Zobs.Json.to_string (Svcstats.json stats)
+
+(* Routes: /metrics (Prometheus text, also served at /), /json, /healthz
+   (built into Metrics_http; [ready] gates it — the farm flips it once its
+   accept loop is live), and /profile (folded stacks from the sampling
+   profiler when the farm runs one, else the completed-span folding). *)
+let start_metrics stats ?ready ?profile addr =
+  let profile_body () =
+    match profile with Some f -> f () | None -> Zobs.Sink.folded_stacks ()
+  in
+  Znet.Metrics_http.start ?healthz:ready addr ~render:(fun path ->
+      match path with
+      | "/metrics" | "/" -> Some ("text/plain; version=0.0.4", metrics_render stats)
+      | "/json" -> Some ("application/json", metrics_json stats)
+      | "/profile" -> Some ("text/plain", profile_body ())
+      | _ -> None)
 
 (* ------------------------------------------------------------------ *)
 (* Sessions                                                            *)
@@ -84,7 +105,7 @@ type session = {
   conn : Znet.conn;
   reader : Znet.Frame_reader.t;
   ps : Argument.Prover_session.t;
-  stats : Znet.Svcstats.conn;
+  cstats : Svcstats.conn;
   sid : int;
   outq : (bytes * int ref) Queue.t;  (* framed bytes, write offset *)
   flight : Zobs.Flight.t option;  (* per-session event ring; None when disabled *)
@@ -108,8 +129,8 @@ type job_out = {
   j_decode_err : bool;
 }
 
-let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
-    ?(stop = fun () -> false) ?metrics_listen ?(log : string -> unit = prerr_endline)
+let serve ?(config = default) ?(stats = Svcstats.create ()) ~lookup ?(seed = "zaatar prover")
+    ?max_conns ?(stop = fun () -> false) ?metrics_listen ?(log : string -> unit = prerr_endline)
     (addr : string) : unit =
   let srv = Znet.listen ~backlog:(config.max_sessions + config.accept_queue + 16) addr in
   Znet.set_server_nonblocking srv;
@@ -127,7 +148,7 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
   (match profiler with Some p -> Zobs.Profiler.start p | None -> ());
   let metrics =
     Option.map
-      (Remote.start_metrics
+      (start_metrics stats
          ~ready:(fun () -> Atomic.get live)
          ?profile:(Option.map (fun p () -> Zobs.Profiler.folded p) profiler))
       metrics_listen
@@ -141,7 +162,7 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
     else None
   in
   (* The per-digest setup hook is built per session so cache outcomes land
-     in that session's flight ring as well as the global Svcstats. *)
+     in that session's flight ring as well as the farm's Svcstats. *)
   let setup_for flight =
     Option.map
       (fun cache digest (comp : Argument.computation) ->
@@ -157,10 +178,10 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
         in
         (match outcome with
         | `Hit ->
-          Znet.Svcstats.record_cache_hit ();
+          Svcstats.record_cache_hit stats;
           Option.iter (fun fl -> Zobs.Flight.record fl ~detail:digest Zobs.Flight.Cache_hit) flight
         | `Miss ->
-          Znet.Svcstats.record_cache_miss ();
+          Svcstats.record_cache_miss stats;
           Option.iter (fun fl -> Zobs.Flight.record fl ~detail:digest Zobs.Flight.Cache_miss) flight);
         qap)
       cache
@@ -170,10 +191,9 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
   let closed_count = ref 0 in
   let timeout_s = float_of_int config.session_timeout_ms /. 1000.0 in
   let now () = Unix.gettimeofday () in
-  let set_queue_depth () = Znet.Svcstats.set_queue_depth (Queue.length parked) in
+  let set_queue_depth () = Svcstats.set_queue_depth stats (Queue.length parked) in
   let shed conn =
-    Znet.Svcstats.record_shed ();
-    Zobs.Counter.incr c_shed;
+    Svcstats.record_shed stats;
     let b = Znet.frame (Zwire.encode (Zwire.busy_msg ~retry_after_ms:config.busy_retry_ms)) in
     (* Best effort: a fresh socket's send buffer swallows the small frame;
        if the peer is already gone there is nobody to tell. *)
@@ -184,8 +204,7 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
   in
   let admit conn =
     Znet.set_nonblocking conn;
-    let stats = Znet.Svcstats.begin_conn ~peer:(Znet.peer conn) in
-    Zobs.Counter.incr c_sessions;
+    let cstats = Svcstats.begin_conn stats ~peer:(Znet.peer conn) in
     let flight =
       if config.flight_cap > 0 then Some (Zobs.Flight.create ~cap:config.flight_cap ())
       else None
@@ -202,8 +221,8 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
                predecessors'. *)
             ~prg:(Chacha.Prg.create ~seed ())
             ();
-        stats;
-        sid = stats.Znet.Svcstats.id;
+        cstats;
+        sid = cstats.Svcstats.id;
         outq = Queue.create ();
         flight;
         digest = "";
@@ -219,9 +238,9 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
       ~fields:[ Zobs.Log.int "conn" s.sid; Zobs.Log.str "peer" (Znet.peer conn) ]
       "connection accepted"
   in
-  (* Dump the flight ring: always a Chrome-trace sidecar (same
-     prover_connN.json naming as the sequential path, so trace-merge picks
-     it up unchanged), plus the JSONL forensic bundle when the session
+  (* Dump the flight ring: always a Chrome-trace sidecar
+     (prover_connN.json, which trace-merge takes as the prover's half of
+     a distributed trace), plus the JSONL forensic bundle when the session
      erred or outran --slow-session-ms. *)
   let dump_flight s ~duration_ms =
     match (config.trace_dir, s.flight) with
@@ -271,14 +290,14 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
     in
     (match s.closing with
     | `Ok | `No ->
-      Znet.Svcstats.end_conn s.stats `Ok;
+      Svcstats.end_conn stats s.cstats `Ok;
       Zobs.Log.info ~fields:(fields []) "session complete";
       log "session complete"
     | `Err m ->
-      Znet.Svcstats.end_conn s.stats (`Error m);
+      Svcstats.end_conn stats s.cstats (`Error m);
       Zobs.Log.error ~fields:(fields [ Zobs.Log.str "cause" m ]) "session error";
       log ("session error: " ^ m));
-    let duration_ms = Znet.Svcstats.duration_s s.stats *. 1000.0 in
+    let duration_ms = Svcstats.duration_s s.cstats *. 1000.0 in
     frec s
       ~detail:(match s.closing with `Err m -> m | _ -> "ok")
       (Zobs.Flight.Mark "finished");
@@ -325,7 +344,7 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
             fail_session s (Znet.error_to_string (Znet.Closed (Znet.peer s.conn ^ " closed the connection")))
       done
     with Znet.Net_error e ->
-      (match e with Znet.Timeout _ -> Znet.Svcstats.record_timeout () | _ -> ());
+      (match e with Znet.Timeout _ -> Svcstats.record_timeout stats | _ -> ());
       fail_session s (Znet.error_to_string e)
   in
   (* Run one session's queued frames through its state machine. Runs on a
@@ -335,7 +354,7 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
     let replies = ref [] in
     let enqueue reply =
       let b = Zwire.encode ?codec:(Argument.Prover_session.codec s.ps) reply in
-      Znet.Svcstats.record_sent s.stats ~phase:(Zwire.phase_of_msg reply) (Bytes.length b);
+      Svcstats.record_sent s.cstats ~phase:(Zwire.phase_of_msg reply) (Bytes.length b);
       replies := Znet.frame b :: !replies
     in
     let rec go inbox =
@@ -345,7 +364,7 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
         match
           let m = Zwire.decode ?codec:(Argument.Prover_session.codec s.ps) raw in
           let phase = Zwire.phase_of_msg m in
-          Znet.Svcstats.record_recv s.stats ~phase (Bytes.length raw);
+          Svcstats.record_recv s.cstats ~phase (Bytes.length raw);
           (match m with
           | Zwire.Hello h ->
             s.digest <- h.Zwire.digest;
@@ -353,12 +372,12 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
                is meaningless with many sessions in flight — keep this
                session's own id for its sidecar. *)
             s.trace_id <- h.Zwire.trace_id;
-            Znet.Svcstats.set_digest s.stats h.Zwire.digest
+            Svcstats.set_digest s.cstats h.Zwire.digest
           | _ -> ());
           let t0 = Unix.gettimeofday () in
           let r = Argument.Prover_session.on_msg s.ps m in
           let dur = Unix.gettimeofday () -. t0 in
-          Znet.Svcstats.record_phase_time s.stats ~phase dur;
+          Svcstats.record_phase_time s.cstats ~phase dur;
           frec s ~dur ~detail:phase (Zobs.Flight.Phase phase);
           r
         with
@@ -400,7 +419,7 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
   let apply_job (s, out) =
     s.inbox <- [];
     List.iter (fun b -> Queue.add (b, ref 0) s.outq) out.j_replies;
-    if out.j_decode_err then Znet.Svcstats.record_decode_error ();
+    if out.j_decode_err then Svcstats.record_decode_error stats;
     (match out.j_final with
     | `Open -> ()
     | `Done_ok -> if s.closing = `No then s.closing <- `Ok
@@ -470,7 +489,7 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
     end;
     Hashtbl.fold (fun _ s acc -> if s.deadline < t then s :: acc else acc) sessions []
     |> List.iter (fun s ->
-           Znet.Svcstats.record_timeout ();
+           Svcstats.record_timeout stats;
            frec s Zobs.Flight.Timeout;
            fail_session s "session timeout";
            Queue.clear s.outq;
@@ -535,6 +554,6 @@ let serve ?(config = default) ~lookup ?(seed = "zaatar prover") ?max_conns
         promote_parked ();
         (* Event-loop health: how long this iteration parked in select vs
            worked, and how many fds the wakeup brought. *)
-        Znet.Svcstats.record_loop_iter ~busy_s:(now () -. t_wake) ~wait_s:(t_wake -. t)
+        Svcstats.record_loop_iter stats ~busy_s:(now () -. t_wake) ~wait_s:(t_wake -. t)
           ~ready:(List.length rs + List.length ws)
       done)

@@ -1,5 +1,5 @@
 (** Zfarm: the concurrent multi-tenant prover farm behind [zaatar serve]
-    (DESIGN.md §14).
+    (DESIGN.md §14) — the only prover server.
 
     One event loop multiplexes many in-flight {!Argsys.Argument.Prover_session}
     state machines over [select]/nonblocking sockets — slow verifiers never
@@ -11,10 +11,13 @@
     [accept_queue] connections beyond [max_sessions] and sheds the rest
     with a wire [busy retry-after] reply ({!Zwire.busy_msg}).
 
-    The sequential loop ({!Argsys.Remote.serve}) and the in-process
-    loopback stay as the transcript-bit-identical reference paths; the
-    farm pumps the same state machines over the same codec, so its
-    per-session byte streams are identical too. *)
+    The farm pumps the same state machines over the same codec as the
+    in-process loopback ({!Argsys.Argument.run_batch}), so its per-session
+    byte streams are the loopback's: the honest prover draws nothing from
+    its PRG, and a farm at [max_conns:1] is the reference transcript.
+
+    Each farm accounts its sessions in a {!Znet.Svcstats.t} it is given
+    (or makes), so two farms in one process never share counters. *)
 
 type config = {
   arg_config : Argsys.Argument.config;
@@ -48,6 +51,7 @@ val approx_qap_bytes : Qapb.t -> int
 
 val serve :
   ?config:config ->
+  ?stats:Znet.Svcstats.t ->
   lookup:(string -> Argsys.Argument.computation option) ->
   ?seed:string ->
   ?max_conns:int ->
@@ -61,9 +65,9 @@ val serve :
     returns true or — when [max_conns] is given — that many sessions have
     closed and none remain in flight (the CLI maps [--once] to
     [max_conns:1]). A fresh per-session PRG derives from [seed]; session
-    errors are logged and accounted, never fatal to the loop.
-    [metrics_listen] starts the Prometheus/JSON endpoint
-    ({!Argsys.Remote.start_metrics}) alongside, with [/healthz] turning
+    errors are logged and accounted in [stats] (default: a fresh
+    {!Znet.Svcstats.create}), never fatal to the loop. [metrics_listen]
+    starts {!start_metrics} on [stats] alongside, with [/healthz] turning
     200 once the event loop is live and [/profile] serving the sampling
     profiler's folded stacks.
 
@@ -73,3 +77,23 @@ val serve :
     Chrome-trace sidecar stamped with the verifier's trace id; sessions
     that error — or outlast [config.slow_session_ms] — additionally dump
     a JSONL forensic bundle. *)
+
+(** {1 Metrics endpoint} *)
+
+val metrics_render : Znet.Svcstats.t -> string
+(** Prometheus text exposition: the farm's Svcstats series followed by
+    every global Zobs counter/histogram/span aggregate. *)
+
+val metrics_json : Znet.Svcstats.t -> string
+(** JSON snapshot of the farm's server counters, loop health and
+    per-connection stats. *)
+
+val start_metrics :
+  Znet.Svcstats.t -> ?ready:(unit -> bool) -> ?profile:(unit -> string) -> string ->
+  Znet.Metrics_http.t
+(** Start the metrics HTTP server on ["HOST:PORT"] (port 0 picks an
+    ephemeral port — read it back with {!Znet.Metrics_http.bound_addr}).
+    Serves [/metrics] (Prometheus text, also at [/]), [/json], [/healthz]
+    (readiness: 200 ["ok"] while [ready] — default always — holds, 503
+    otherwise) and [/profile] (folded stacks: the sampling profiler's
+    when [profile] is given, else the completed-span folding). *)

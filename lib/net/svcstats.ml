@@ -1,13 +1,14 @@
-(* Svcstats: per-connection accounting for the serve path. Unlike the Zobs
-   registry — process-global, gated by the tracing flag — these stats are
-   always on (the server operator wants them regardless of tracing) and
-   keyed by connection, so one scrape distinguishes a slow peer from a slow
-   prover. The global Zobs counters keep the cumulative totals; this module
-   adds the per-connection breakdown the `--metrics-listen` endpoint and
-   `zaatar stats` expose.
+(* Svcstats: per-connection accounting for one prover farm. Unlike the
+   Zobs registry — process-global, gated by the tracing flag — these stats
+   are always on (the server operator wants them regardless of tracing)
+   and keyed by connection, so one scrape distinguishes a slow peer from a
+   slow prover. The global Zobs counters keep the cumulative totals; a
+   [t] adds the per-connection breakdown the `--metrics-listen` endpoint
+   and `zaatar stats` expose.
 
-   All state lives behind one mutex: the serve loop mutates from its
-   accept thread while the metrics HTTP domain renders snapshots. *)
+   Each farm owns its [t]. All of a [t]'s state, its connections
+   included, lives behind one mutex: the farm loop and its Pool workers
+   mutate while the metrics HTTP domain renders snapshots. *)
 
 type phase_stats = {
   mutable p_sent : int; (* bytes *)
@@ -17,6 +18,7 @@ type phase_stats = {
 }
 
 type conn = {
+  mu : Mutex.t; (* the owning [t]'s *)
   id : int;
   peer : string;
   mutable digest : string; (* computation digest, once the Hello names it *)
@@ -30,85 +32,79 @@ type conn = {
   mutable phases : (string * phase_stats) list; (* insertion order *)
 }
 
-let mu = Mutex.create ()
-let next_id = ref 0
-let accepted = ref 0
-let failed = ref 0
-let completed = ref 0
-let decode_errors = ref 0
-let timeouts = ref 0
-
-(* Farm-layer accounting: connections shed by admission control (distinct
-   from decode errors — the peer did nothing wrong, the server was full),
-   setup-cache traffic, and the current accept-queue depth gauge. *)
-let shed = ref 0
-let cache_hits = ref 0
-let cache_misses = ref 0
-let queue_depth = ref 0
-let active : conn list ref = ref []
-let recent : conn list ref = ref [] (* finished connections, newest first *)
-
 (* Completed-connection ring capacity (--recent-cap). The ring feeds the
    latency percentiles and the per-connection series, so its depth trades
    scrape-payload size against percentile sample count. *)
 let default_recent_cap = 64
-let recent_cap = ref default_recent_cap
-
-(* Event-loop health (Zscope, DESIGN.md §15): per-iteration accounting of
-   the farm's select loop. Always on, like everything else here — the
-   buckets reuse the Zobs power-of-two histogram layout so the renderers
-   share [Zobs.Histogram.percentile_of_snapshot]. *)
-let loop_iters = ref 0
-let loop_busy_s = ref 0.0 (* seconds spent working between select returns *)
-let loop_wait_s = ref 0.0 (* seconds parked inside select *)
-let loop_ready_total = ref 0
-let loop_iter_us_b = Array.make 63 0 (* whole-iteration duration, µs *)
-let loop_ready_b = Array.make 63 0 (* fds ready per wakeup *)
-let depth_trend : (float * int) list ref = ref [] (* (ts, queue depth), newest first *)
 let depth_trend_cap = 120
 
-let locked f =
+type t = {
+  mu : Mutex.t;
+  recent_cap : int;
+  mutable next_id : int;
+  mutable accepted : int;
+  mutable failed : int;
+  mutable completed : int;
+  mutable decode_errors : int;
+  mutable timeouts : int;
+  (* Farm-layer accounting: connections shed by admission control
+     (distinct from decode errors — the peer did nothing wrong, the server
+     was full), setup-cache traffic, and the accept-queue depth gauge. *)
+  mutable shed : int;
+  mutable cache_hits : int;
+  mutable cache_misses : int;
+  mutable queue_depth : int;
+  mutable active : conn list;
+  mutable recent : conn list; (* finished connections, newest first *)
+  (* Event-loop health (Zscope, DESIGN.md §15): per-iteration accounting
+     of the farm's select loop, always on like everything else here. *)
+  mutable loop_iters : int;
+  mutable loop_busy_s : float; (* seconds spent working between select returns *)
+  mutable loop_wait_s : float; (* seconds parked inside select *)
+  mutable loop_ready_total : int;
+  loop_iter_us : Zobs.Histogram.t; (* whole-iteration duration, µs *)
+  loop_ready : Zobs.Histogram.t; (* fds ready per wakeup *)
+  mutable depth_trend : (float * int) list; (* (ts, queue depth), newest first *)
+}
+
+let create ?(recent_cap = default_recent_cap) () =
+  {
+    mu = Mutex.create ();
+    recent_cap = max 1 recent_cap;
+    next_id = 0;
+    accepted = 0;
+    failed = 0;
+    completed = 0;
+    decode_errors = 0;
+    timeouts = 0;
+    shed = 0;
+    cache_hits = 0;
+    cache_misses = 0;
+    queue_depth = 0;
+    active = [];
+    recent = [];
+    loop_iters = 0;
+    loop_busy_s = 0.0;
+    loop_wait_s = 0.0;
+    loop_ready_total = 0;
+    loop_iter_us = Zobs.Histogram.create "loop.iter_us";
+    loop_ready = Zobs.Histogram.create "loop.ready_fds";
+    depth_trend = [];
+  }
+
+let locked mu f =
   Mutex.lock mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
-let trim_recent () =
-  if List.length !recent > !recent_cap then
-    recent := List.filteri (fun i _ -> i < !recent_cap) !recent
+let take n l = List.filteri (fun i _ -> i < n) l
 
-let set_recent_cap n =
-  locked (fun () ->
-      recent_cap := max 1 n;
-      trim_recent ())
-
-let reset () =
-  locked (fun () ->
-      next_id := 0;
-      accepted := 0;
-      failed := 0;
-      completed := 0;
-      decode_errors := 0;
-      timeouts := 0;
-      shed := 0;
-      cache_hits := 0;
-      cache_misses := 0;
-      queue_depth := 0;
-      active := [];
-      recent := [];
-      recent_cap := default_recent_cap;
-      loop_iters := 0;
-      loop_busy_s := 0.0;
-      loop_wait_s := 0.0;
-      loop_ready_total := 0;
-      Array.fill loop_iter_us_b 0 (Array.length loop_iter_us_b) 0;
-      Array.fill loop_ready_b 0 (Array.length loop_ready_b) 0;
-      depth_trend := [])
-
-let begin_conn ~peer =
-  locked (fun () ->
-      incr accepted;
+let begin_conn t ~peer =
+  locked t.mu (fun () ->
+      t.accepted <- t.accepted + 1;
       let c =
         {
-          id = !next_id;
+          mu = t.mu;
+          id = t.next_id;
           peer;
           digest = "";
           started = Unix.gettimeofday ();
@@ -121,8 +117,8 @@ let begin_conn ~peer =
           phases = [];
         }
       in
-      incr next_id;
-      active := c :: !active;
+      t.next_id <- t.next_id + 1;
+      t.active <- c :: t.active;
       c)
 
 let phase_of c name =
@@ -133,84 +129,69 @@ let phase_of c name =
     c.phases <- c.phases @ [ (name, p) ];
     p
 
-let set_digest c d = locked (fun () -> c.digest <- d)
+let set_digest (c : conn) d = locked c.mu (fun () -> c.digest <- d)
 
-let record_sent c ~phase n =
-  locked (fun () ->
+let record_sent (c : conn) ~phase n =
+  locked c.mu (fun () ->
       c.bytes_sent <- c.bytes_sent + n;
       c.msgs <- c.msgs + 1;
       let p = phase_of c phase in
       p.p_sent <- p.p_sent + n;
       p.p_msgs <- p.p_msgs + 1)
 
-let record_recv c ~phase n =
-  locked (fun () ->
+let record_recv (c : conn) ~phase n =
+  locked c.mu (fun () ->
       c.bytes_recv <- c.bytes_recv + n;
       let p = phase_of c phase in
       p.p_recv <- p.p_recv + n)
 
-let record_phase_time c ~phase s =
-  locked (fun () ->
+let record_phase_time (c : conn) ~phase s =
+  locked c.mu (fun () ->
       let p = phase_of c phase in
       p.p_seconds <- p.p_seconds +. s)
 
-let record_decode_error () = locked (fun () -> incr decode_errors)
-let record_timeout () = locked (fun () -> incr timeouts)
-let record_shed () = locked (fun () -> incr shed)
+let record_decode_error t = locked t.mu (fun () -> t.decode_errors <- t.decode_errors + 1)
+let record_timeout t = locked t.mu (fun () -> t.timeouts <- t.timeouts + 1)
+let record_shed t = locked t.mu (fun () -> t.shed <- t.shed + 1)
+let record_cache_hit t = locked t.mu (fun () -> t.cache_hits <- t.cache_hits + 1)
+let record_cache_miss t = locked t.mu (fun () -> t.cache_misses <- t.cache_misses + 1)
+let set_queue_depth t n = locked t.mu (fun () -> t.queue_depth <- n)
 
 (* One event-loop iteration: [wait_s] inside select, [busy_s] doing work
    after it, [ready] fds select reported. Also samples the current accept-
    queue depth into the bounded trend ring. *)
-let record_loop_iter ~busy_s ~wait_s ~ready =
-  locked (fun () ->
-      incr loop_iters;
-      loop_busy_s := !loop_busy_s +. busy_s;
-      loop_wait_s := !loop_wait_s +. wait_s;
-      loop_ready_total := !loop_ready_total + ready;
-      let bump arr v =
-        let i = Zobs.Histogram.bucket_of v in
-        arr.(i) <- arr.(i) + 1
-      in
-      bump loop_iter_us_b (int_of_float ((busy_s +. wait_s) *. 1e6));
-      bump loop_ready_b ready;
-      depth_trend :=
-        (Unix.gettimeofday (), !queue_depth)
-        :: (if List.length !depth_trend >= depth_trend_cap then
-              List.filteri (fun i _ -> i < depth_trend_cap - 1) !depth_trend
-            else !depth_trend))
+let record_loop_iter t ~busy_s ~wait_s ~ready =
+  locked t.mu (fun () ->
+      t.loop_iters <- t.loop_iters + 1;
+      t.loop_busy_s <- t.loop_busy_s +. busy_s;
+      t.loop_wait_s <- t.loop_wait_s +. wait_s;
+      t.loop_ready_total <- t.loop_ready_total + ready;
+      Zobs.Histogram.record t.loop_iter_us (int_of_float ((busy_s +. wait_s) *. 1e6));
+      Zobs.Histogram.record t.loop_ready ready;
+      t.depth_trend <-
+        (Unix.gettimeofday (), t.queue_depth) :: take (depth_trend_cap - 1) t.depth_trend)
 
-let bucket_snapshot arr =
-  let out = ref [] in
-  for i = Array.length arr - 1 downto 0 do
-    if arr.(i) > 0 then out := (Zobs.Histogram.lower_bound i, arr.(i)) :: !out
-  done;
-  !out
+let loop_utilization_unlocked t =
+  let total = t.loop_busy_s +. t.loop_wait_s in
+  if total <= 0.0 then 0.0 else t.loop_busy_s /. total
 
-let loop_utilization_unlocked () =
-  let total = !loop_busy_s +. !loop_wait_s in
-  if total <= 0.0 then 0.0 else !loop_busy_s /. total
+(* (iterations, busy_s, wait_s, ready_total), for tests. *)
+let loop_totals t =
+  locked t.mu (fun () -> (t.loop_iters, t.loop_busy_s, t.loop_wait_s, t.loop_ready_total))
 
-(* (iterations, busy_s, wait_s, ready_total) — tests and the serve
-   summary line. *)
-let loop_totals () = locked (fun () -> (!loop_iters, !loop_busy_s, !loop_wait_s, !loop_ready_total))
-let record_cache_hit () = locked (fun () -> incr cache_hits)
-let record_cache_miss () = locked (fun () -> incr cache_misses)
-let set_queue_depth n = locked (fun () -> queue_depth := n)
-
-let end_conn c outcome =
-  locked (fun () ->
+let end_conn t c outcome =
+  locked t.mu (fun () ->
       c.finished <- Some (Unix.gettimeofday ());
       (match outcome with
       | `Ok ->
         c.status <- "ok";
-        incr completed
+        t.completed <- t.completed + 1
       | `Error msg ->
         c.status <- "error";
         c.error <- msg;
-        incr failed);
-      active := List.filter (fun x -> x.id <> c.id) !active;
-      recent := c :: !recent;
-      trim_recent ())
+        t.failed <- t.failed + 1);
+      t.active <- List.filter (fun x -> x.id <> c.id) t.active;
+      t.recent <- take t.recent_cap (c :: t.recent))
 
 let duration_s c =
   match c.finished with Some t -> t -. c.started | None -> Unix.gettimeofday () -. c.started
@@ -218,10 +199,10 @@ let duration_s c =
 (* Session-latency percentiles over the completed-connection ring: the
    always-on counterpart of the (tracing-gated) wire latency histograms.
    Nearest-rank on up to [recent_cap] samples. *)
-let latency_ms_unlocked () =
+let latency_ms_unlocked t =
   let ds =
-    List.filter_map (fun c -> Option.map (fun t -> (t -. c.started) *. 1000.0) c.finished)
-      !recent
+    List.filter_map (fun c -> Option.map (fun f -> (f -. c.started) *. 1000.0) c.finished)
+      t.recent
     |> Array.of_list
   in
   Array.sort compare ds;
@@ -232,7 +213,7 @@ let latency_ms_unlocked () =
   in
   (pct 0.50, pct 0.95, pct 0.99)
 
-let latency_ms () = locked latency_ms_unlocked
+let latency_ms t = locked t.mu (fun () -> latency_ms_unlocked t)
 
 (* ------------------------------------------------------------------ *)
 (* Renderers                                                           *)
@@ -241,74 +222,42 @@ let latency_ms () = locked latency_ms_unlocked
 (* Per-connection Prometheus series, labelled by connection id, peer,
    digest and phase. Prepended to the global Zobs exposition by the
    metrics endpoint via [Zobs.Prometheus.render ~extra]. *)
-let prometheus () =
-  locked (fun () ->
+let prometheus t =
+  locked t.mu (fun () ->
       let b = Buffer.create 2048 in
       let open Zobs.Prometheus in
-      typ b "zaatar_server_connections_accepted_total" "counter";
-      int_metric b ~name:"zaatar_server_connections_accepted_total" !accepted;
-      typ b "zaatar_server_connections_active" "gauge";
-      int_metric b ~name:"zaatar_server_connections_active" (List.length !active);
-      typ b "zaatar_server_connections_completed_total" "counter";
-      int_metric b ~name:"zaatar_server_connections_completed_total" !completed;
-      typ b "zaatar_server_connections_failed_total" "counter";
-      int_metric b ~name:"zaatar_server_connections_failed_total" !failed;
-      typ b "zaatar_server_decode_errors_total" "counter";
-      int_metric b ~name:"zaatar_server_decode_errors_total" !decode_errors;
-      typ b "zaatar_server_timeouts_total" "counter";
-      int_metric b ~name:"zaatar_server_timeouts_total" !timeouts;
-      typ b "zaatar_server_connections_shed_total" "counter";
-      int_metric b ~name:"zaatar_server_connections_shed_total" !shed;
-      typ b "zaatar_server_setup_cache_hits_total" "counter";
-      int_metric b ~name:"zaatar_server_setup_cache_hits_total" !cache_hits;
-      typ b "zaatar_server_setup_cache_misses_total" "counter";
-      int_metric b ~name:"zaatar_server_setup_cache_misses_total" !cache_misses;
-      typ b "zaatar_server_queue_depth" "gauge";
-      int_metric b ~name:"zaatar_server_queue_depth" !queue_depth;
-      typ b "zaatar_loop_iterations_total" "counter";
-      int_metric b ~name:"zaatar_loop_iterations_total" !loop_iters;
-      typ b "zaatar_loop_busy_seconds_total" "counter";
-      float_metric b ~name:"zaatar_loop_busy_seconds_total" !loop_busy_s;
-      typ b "zaatar_loop_wait_seconds_total" "counter";
-      float_metric b ~name:"zaatar_loop_wait_seconds_total" !loop_wait_s;
-      typ b "zaatar_loop_utilization" "gauge";
-      float_metric b ~name:"zaatar_loop_utilization" (loop_utilization_unlocked ());
-      typ b "zaatar_loop_ready_fds_total" "counter";
-      int_metric b ~name:"zaatar_loop_ready_fds_total" !loop_ready_total;
-      (* Cumulative le-bucket expositions of the two loop histograms, plus
-         approximate percentile gauges, in the Zobs renderer's shape. *)
-      let histo name arr =
-        let snap = bucket_snapshot arr in
-        if snap <> [] then begin
-          typ b name "histogram";
-          let total =
-            List.fold_left
-              (fun acc (lo, c) ->
-                let acc = acc + c in
-                let le = if lo = 0 then "0" else string_of_int ((2 * lo) - 1) in
-                int_metric b ~labels:[ ("le", le) ] ~name:(name ^ "_bucket") acc;
-                acc)
-              0 snap
-          in
-          int_metric b ~labels:[ ("le", "+Inf") ] ~name:(name ^ "_bucket") total;
-          int_metric b ~name:(name ^ "_count") total;
-          List.iter
-            (fun (suffix, p) ->
-              match Zobs.Histogram.percentile_of_snapshot snap p with
-              | Some v -> int_metric b ~name:(name ^ "_" ^ suffix) v
-              | None -> ())
-            [ ("p50", 50.0); ("p95", 95.0); ("p99", 99.0) ]
-        end
+      let int_series kind name v =
+        typ b name kind;
+        int_metric b ~name v
       in
-      histo "zaatar_loop_iter_us" loop_iter_us_b;
-      histo "zaatar_loop_ready_fds" loop_ready_b;
-      let p50, p95, p99 = latency_ms_unlocked () in
+      let float_series kind name v =
+        typ b name kind;
+        float_metric b ~name v
+      in
+      int_series "counter" "zaatar_server_connections_accepted_total" t.accepted;
+      int_series "gauge" "zaatar_server_connections_active" (List.length t.active);
+      int_series "counter" "zaatar_server_connections_completed_total" t.completed;
+      int_series "counter" "zaatar_server_connections_failed_total" t.failed;
+      int_series "counter" "zaatar_server_decode_errors_total" t.decode_errors;
+      int_series "counter" "zaatar_server_timeouts_total" t.timeouts;
+      int_series "counter" "zaatar_server_connections_shed_total" t.shed;
+      int_series "counter" "zaatar_server_setup_cache_hits_total" t.cache_hits;
+      int_series "counter" "zaatar_server_setup_cache_misses_total" t.cache_misses;
+      int_series "gauge" "zaatar_server_queue_depth" t.queue_depth;
+      int_series "counter" "zaatar_loop_iterations_total" t.loop_iters;
+      float_series "counter" "zaatar_loop_busy_seconds_total" t.loop_busy_s;
+      float_series "counter" "zaatar_loop_wait_seconds_total" t.loop_wait_s;
+      float_series "gauge" "zaatar_loop_utilization" (loop_utilization_unlocked t);
+      int_series "counter" "zaatar_loop_ready_fds_total" t.loop_ready_total;
+      histogram b ~name:"zaatar_loop_iter_us" (Zobs.Histogram.snapshot t.loop_iter_us);
+      histogram b ~name:"zaatar_loop_ready_fds" (Zobs.Histogram.snapshot t.loop_ready);
+      let p50, p95, p99 = latency_ms_unlocked t in
       typ b "zaatar_server_session_latency_ms" "gauge";
       List.iter
         (fun (q, v) ->
           float_metric b ~labels:[ ("quantile", q) ] ~name:"zaatar_server_session_latency_ms" v)
         [ ("0.5", p50); ("0.95", p95); ("0.99", p99) ];
-      let conns = !active @ !recent in
+      let conns = t.active @ t.recent in
       if conns <> [] then begin
         List.iter
           (fun (n, k) -> typ b n k)
@@ -374,60 +323,57 @@ let conn_json c =
              c.phases) );
     ]
 
-let json () =
-  locked (fun () ->
+let json t =
+  locked t.mu (fun () ->
       let open Zobs.Json in
       Obj
         [
           ( "server",
             Obj
               [
-                ("accepted", Num (float_of_int !accepted));
-                ("active", Num (float_of_int (List.length !active)));
-                ("completed", Num (float_of_int !completed));
-                ("failed", Num (float_of_int !failed));
-                ("decode_errors", Num (float_of_int !decode_errors));
-                ("timeouts", Num (float_of_int !timeouts));
-                ("shed", Num (float_of_int !shed));
-                ("cache_hits", Num (float_of_int !cache_hits));
-                ("cache_misses", Num (float_of_int !cache_misses));
-                ("queue_depth", Num (float_of_int !queue_depth));
+                ("accepted", Num (float_of_int t.accepted));
+                ("active", Num (float_of_int (List.length t.active)));
+                ("completed", Num (float_of_int t.completed));
+                ("failed", Num (float_of_int t.failed));
+                ("decode_errors", Num (float_of_int t.decode_errors));
+                ("timeouts", Num (float_of_int t.timeouts));
+                ("shed", Num (float_of_int t.shed));
+                ("cache_hits", Num (float_of_int t.cache_hits));
+                ("cache_misses", Num (float_of_int t.cache_misses));
+                ("queue_depth", Num (float_of_int t.queue_depth));
                 ( "latency_ms",
-                  let p50, p95, p99 = latency_ms_unlocked () in
+                  let p50, p95, p99 = latency_ms_unlocked t in
                   Obj [ ("p50", Num p50); ("p95", Num p95); ("p99", Num p99) ] );
               ] );
           ( "loop",
-            let pcts arr =
-              let snap = bucket_snapshot arr in
+            let pcts h =
               let p q =
-                match Zobs.Histogram.percentile_of_snapshot snap q with
-                | Some v -> float_of_int v
-                | None -> 0.0
+                Option.fold ~none:0.0 ~some:float_of_int (Zobs.Histogram.percentile h q)
               in
               Obj [ ("p50", Num (p 50.0)); ("p95", Num (p 95.0)); ("p99", Num (p 99.0)) ]
             in
             Obj
               [
-                ("iterations", Num (float_of_int !loop_iters));
-                ("busy_s", Num !loop_busy_s);
-                ("wait_s", Num !loop_wait_s);
-                ("utilization", Num (loop_utilization_unlocked ()));
+                ("iterations", Num (float_of_int t.loop_iters));
+                ("busy_s", Num t.loop_busy_s);
+                ("wait_s", Num t.loop_wait_s);
+                ("utilization", Num (loop_utilization_unlocked t));
                 ( "ready_avg",
                   Num
-                    (if !loop_iters = 0 then 0.0
-                     else float_of_int !loop_ready_total /. float_of_int !loop_iters) );
-                ("iter_us", pcts loop_iter_us_b);
-                ("ready_fds", pcts loop_ready_b);
+                    (if t.loop_iters = 0 then 0.0
+                     else float_of_int t.loop_ready_total /. float_of_int t.loop_iters) );
+                ("iter_us", pcts t.loop_iter_us);
+                ("ready_fds", pcts t.loop_ready);
                 ( "queue_depth_trend",
-                  Arr (List.rev_map (fun (_, d) -> Num (float_of_int d)) !depth_trend) );
+                  Arr (List.rev_map (fun (_, d) -> Num (float_of_int d)) t.depth_trend) );
               ] );
-          ("connections", Arr (List.map conn_json (!active @ !recent)));
+          ("connections", Arr (List.map conn_json (t.active @ t.recent)));
         ])
 
-(* Quick snapshot for tests and the serve summary line. *)
-let totals () =
-  locked (fun () ->
-      (!accepted, List.length !active, !completed, !failed, !decode_errors, !timeouts))
+(* Quick snapshot for tests and the bench. *)
+let totals t =
+  locked t.mu (fun () ->
+      (t.accepted, List.length t.active, t.completed, t.failed, t.decode_errors, t.timeouts))
 
 (* Farm-layer snapshot: shed count, cache hits/misses, queue depth. *)
-let farm_totals () = locked (fun () -> (!shed, !cache_hits, !cache_misses, !queue_depth))
+let farm_totals t = locked t.mu (fun () -> (t.shed, t.cache_hits, t.cache_misses, t.queue_depth))

@@ -217,17 +217,30 @@ module Frame_reader = struct
     max_frame : int;
     hdr : bytes;
     mutable hdr_off : int;
-    mutable payload : bytes; (* length 0 until the header is complete *)
+    mutable len : int; (* the header's payload length, once complete *)
+    mutable payload : bytes; (* grows toward [len] as bytes arrive *)
     mutable payload_off : int;
   }
 
   let create ?(max_frame = 1 lsl 30) () =
-    { max_frame; hdr = Bytes.create 4; hdr_off = 0; payload = Bytes.empty; payload_off = 0 }
+    { max_frame; hdr = Bytes.create 4; hdr_off = 0; len = 0; payload = Bytes.empty; payload_off = 0 }
 
   let reset t =
     t.hdr_off <- 0;
+    t.len <- 0;
     t.payload <- Bytes.empty;
     t.payload_off <- 0
+
+  (* The payload buffer starts at [initial_payload] bytes and doubles (up
+     to [len]) only when full, so a length prefix alone never buys a
+     large allocation: memory follows the bytes the peer actually sent. *)
+  let initial_payload = 64 * 1024
+
+  let grow t =
+    let cap = min t.len (max initial_payload (2 * Bytes.length t.payload)) in
+    let b = Bytes.create cap in
+    Bytes.blit t.payload 0 b 0 t.payload_off;
+    t.payload <- b
 
   (* Read what the socket has; [`Frame p] resets the state for the next
      frame. EOF at a frame boundary is [`Eof]; EOF mid-frame raises
@@ -236,7 +249,7 @@ module Frame_reader = struct
     let read_into buf off len =
       match Unix.read conn.fd buf off len with
       | 0 ->
-        if t.hdr_off = 0 && Bytes.length t.payload = 0 then `Eof
+        if t.hdr_off = 0 then `Eof
         else fail (Closed (conn.peer ^ " went away mid-frame (peer crash?)"))
       | n -> `Read n
       | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
@@ -259,17 +272,18 @@ module Frame_reader = struct
               lor Bytes.get_uint8 t.hdr 3
             in
             if len > t.max_frame then fail (Frame_too_large len);
-            t.payload <- Bytes.create len;
-            t.payload_off <- 0
+            t.len <- len
           end;
           go ()
-      else if t.payload_off < Bytes.length t.payload then
+      else if t.payload_off < t.len then begin
+        if t.payload_off = Bytes.length t.payload then grow t;
         match read_into t.payload t.payload_off (Bytes.length t.payload - t.payload_off) with
         | `Eof -> `Eof (* unreachable: read_into raises mid-frame *)
         | `Again -> `Awaiting
         | `Read n ->
           t.payload_off <- t.payload_off + n;
           go ()
+      end
       else begin
         let p = t.payload in
         reset t;

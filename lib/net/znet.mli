@@ -94,7 +94,9 @@ module Frame_reader : sig
   type t
 
   val create : ?max_frame:int -> unit -> t
-  (** Fresh reader (default [max_frame] 1 GiB, as {!recv}). *)
+  (** Fresh reader (default [max_frame] 1 GiB, as {!recv}). The payload
+      buffer starts at 64 KiB and doubles as bytes arrive, so memory
+      follows what the peer sent, not what its length prefix claims. *)
 
   val step : t -> conn -> [ `Frame of bytes | `Awaiting | `Eof ]
   (** Consume whatever bytes the socket has: [`Frame p] when a full frame

@@ -170,8 +170,9 @@ let write_jsonl ~header t path =
   output_string oc (jsonl ~header t);
   close_out oc
 
-(* The Perfetto-mergeable sidecar: same file shape as the sequential
-   serve's per-connection traces, stamped with the session's own trace id
-   (not the process-global one, which is meaningless under concurrency). *)
+(* The Perfetto-mergeable sidecar: the Chrome-trace shape
+   [Sink.write_chrome_trace] gives every export, stamped with the
+   session's own trace id (not the process-global one, which is
+   meaningless under concurrency). *)
 let write_sidecar ?(pid = 1) ?(process_name = "prover") ~trace_id t path =
   Sink.write_chrome_trace ~pid ~process_name ~trace_id ~events:(to_span_events t) path

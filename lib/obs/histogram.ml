@@ -24,14 +24,19 @@ let snapshot h =
   done;
   !out
 
+(* An unregistered histogram whose [record] ignores the tracing flag: for
+   always-on owners that render it themselves (the farm's loop health). *)
+let create name = { name; buckets = Array.init nbuckets (fun _ -> Atomic.make 0) }
+
 let make name =
-  let h = { name; buckets = Array.init nbuckets (fun _ -> Atomic.make 0) } in
+  let h = create name in
   Registry.register_histogram name
     (fun () -> snapshot h)
     (fun () -> Array.iter (fun a -> Atomic.set a 0) h.buckets);
   h
 
-let observe h v = if Registry.on () then ignore (Atomic.fetch_and_add h.buckets.(bucket_of v) 1)
+let record h v = ignore (Atomic.fetch_and_add h.buckets.(bucket_of v) 1)
+let observe h v = if Registry.on () then record h v
 let name h = h.name
 
 let total h = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 h.buckets

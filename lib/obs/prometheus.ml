@@ -52,33 +52,35 @@ let render_counters b =
       int_metric b ~name:n v)
     (Registry.counter_values ())
 
-(* Bucket i of a Zobs histogram counts values in [lo, 2*lo), so the
-   inclusive upper bound Prometheus wants for `le` is 2*lo - 1 (and 0 for
-   the v <= 0 bucket). *)
+(* One histogram family: cumulative le-buckets, count, and approximate
+   p50/p95/p99 gauges; nothing for an empty snapshot. Bucket i of a Zobs
+   histogram counts values in [lo, 2*lo), so the inclusive upper bound
+   Prometheus wants for `le` is 2*lo - 1 (and 0 for the v <= 0 bucket). *)
+let histogram b ~name buckets =
+  if buckets <> [] then begin
+    typ b name "histogram";
+    let total =
+      List.fold_left
+        (fun acc (lo, c) ->
+          let acc = acc + c in
+          let le = if lo = 0 then "0" else string_of_int ((2 * lo) - 1) in
+          int_metric b ~labels:[ ("le", le) ] ~name:(name ^ "_bucket") acc;
+          acc)
+        0 buckets
+    in
+    int_metric b ~labels:[ ("le", "+Inf") ] ~name:(name ^ "_bucket") total;
+    int_metric b ~name:(name ^ "_count") total;
+    List.iter
+      (fun (suffix, p) ->
+        match Histogram.percentile_of_snapshot buckets p with
+        | Some v -> int_metric b ~name:(name ^ "_" ^ suffix) v
+        | None -> ())
+      [ ("p50", 50.0); ("p95", 95.0); ("p99", 99.0) ]
+  end
+
 let render_histograms b =
   List.iter
-    (fun (name, buckets) ->
-      if buckets <> [] then begin
-        let n = "zaatar_" ^ sanitize name in
-        typ b n "histogram";
-        let total =
-          List.fold_left
-            (fun acc (lo, c) ->
-              let acc = acc + c in
-              let le = if lo = 0 then "0" else string_of_int ((2 * lo) - 1) in
-              int_metric b ~labels:[ ("le", le) ] ~name:(n ^ "_bucket") acc;
-              acc)
-            0 buckets
-        in
-        int_metric b ~labels:[ ("le", "+Inf") ] ~name:(n ^ "_bucket") total;
-        int_metric b ~name:(n ^ "_count") total;
-        List.iter
-          (fun (suffix, p) ->
-            match Histogram.percentile_of_snapshot buckets p with
-            | Some v -> int_metric b ~name:(n ^ "_" ^ suffix) v
-            | None -> ())
-          [ ("p50", 50.0); ("p95", 95.0); ("p99", 99.0) ]
-      end)
+    (fun (name, buckets) -> histogram b ~name:("zaatar_" ^ sanitize name) buckets)
     (Registry.histogram_values ())
 
 let render_spans b =

@@ -148,17 +148,15 @@ if grep -qvE '^[^ ]+ [0-9]+$' "$tmp/matmul.folded"; then
 fi
 
 echo "== socket smoke (zaatar serve / run --connect, metrics + traces) =="
-# Start a one-shot sequential prover on an ephemeral port with the live
-# metrics endpoint and per-connection trace sidecars, scrape the endpoint
-# with `zaatar stats`, verify a traced batch against it over TCP, and merge
-# the two Chrome traces into one two-pid view. --sequential is explicit:
-# --trace-dir no longer implies the sequential loop (the farm has its own
-# flight-recorder sidecars, exercised by the farm smoke below).
+# Start a one-shot prover on an ephemeral port with the live metrics
+# endpoint and per-connection trace sidecars, scrape the endpoint with
+# `zaatar stats`, verify a traced batch against it over TCP, and merge the
+# verifier's trace with the farm's flight-recorder sidecar into one
+# two-pid view.
 dune build bin/zaatar_cli.exe
 mkdir -p "$tmp/traces"
 : > "$tmp/serve.log"
 dune exec bin/zaatar_cli.exe -- serve examples/payroll.zl --listen 127.0.0.1:0 --once \
-  --sequential \
   --metrics-listen 127.0.0.1:0 --trace "$tmp/prover_proc.json" --trace-dir "$tmp/traces" \
   --log-json "$tmp/serve_log.jsonl" \
   > "$tmp/serve.log" 2>&1 &

@@ -125,20 +125,65 @@ let test_frame_reader () =
   | _ -> Alcotest.fail "mid-frame EOF should raise Closed");
   Znet.close rd2
 
+(* [f reader_conn writer_fd] over a fresh socketpair, nonblocking on the
+   reading side. *)
+let with_socketpair f =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rd = Znet.of_fd a and wr = Znet.of_fd b in
+  Znet.set_nonblocking rd;
+  Fun.protect ~finally:(fun () -> Znet.close rd; Znet.close wr) (fun () -> f rd b)
+
+(* A header claiming a 1 GiB frame buys nothing until the bytes arrive:
+   the reader grows its payload buffer with the data, so a peer that
+   sends a length prefix and stalls costs kilobytes, not a gigabyte. An
+   honest multi-megabyte frame dribbled in odd-sized chunks still comes
+   out byte-identical. *)
+let test_frame_reader_lazy_payload () =
+  with_socketpair (fun rd wr ->
+      let reader = Znet.Frame_reader.create () in
+      let hostile = Bytes.make 12 'x' in
+      Bytes.set_int32_be hostile 0 (Int32.of_int ((1 lsl 30) - 1));
+      ignore (Unix.write wr hostile 0 (Bytes.length hostile));
+      let before = Gc.allocated_bytes () in
+      let r = Znet.Frame_reader.step reader rd in
+      let bytes = Gc.allocated_bytes () -. before in
+      Alcotest.(check bool) "unfinished frame awaits" true (r = `Awaiting);
+      Alcotest.(check bool)
+        (Printf.sprintf "1 GiB header allocated %.0f bytes (< 1 MiB)" bytes)
+        true (bytes < 1048576.0));
+  with_socketpair (fun rd wr ->
+      let reader = Znet.Frame_reader.create () in
+      let payload = Bytes.init ((3 * 1024 * 1024) + 17) (fun i -> Char.chr ((i * 131) land 0xff)) in
+      let framed = Znet.frame payload in
+      let got = ref None and off = ref 0 and chunk = ref 1 in
+      while !got = None do
+        let n = min !chunk (Bytes.length framed - !off) in
+        if n > 0 then off := !off + Unix.write wr framed !off n;
+        chunk := (!chunk * 7 mod 65521) + 1;
+        match Znet.Frame_reader.step reader rd with
+        | `Frame p -> got := Some p
+        | `Awaiting -> if n = 0 then Alcotest.fail "reader stalled with every byte written"
+        | `Eof -> Alcotest.fail "unexpected EOF"
+      done;
+      Alcotest.(check int) "every byte consumed" (Bytes.length framed) !off;
+      Alcotest.(check bool) "dribbled frame is byte-identical" true (Option.get !got = payload))
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end farm runs                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* [body stats addr] against a farm that exits after [max_conns]
+   sessions; [stats] is that farm's own accounting. *)
 let with_farm ?(fconfig = { Zfarm.Farm.default with arg_config = config }) ~max_conns body =
-  Znet.Svcstats.reset ();
+  let stats = Znet.Svcstats.create () in
   let cap = Test_serve.capture () in
   let server =
     Domain.spawn (fun () ->
-        Zfarm.Farm.serve ~config:fconfig ~lookup ~max_conns
+        Zfarm.Farm.serve ~config:fconfig ~stats ~lookup ~max_conns
           ~log:(Test_serve.log_to cap) "127.0.0.1:0")
   in
   let addr = Test_serve.wait_for cap "listening on " in
-  Fun.protect ~finally:(fun () -> Domain.join server) (fun () -> body addr)
+  Fun.protect ~finally:(fun () -> Domain.join server) (fun () -> body stats addr)
 
 let run_client ?(comp = square_plus_3) ~seed addr =
   let prg = Chacha.Prg.create ~seed () in
@@ -158,9 +203,9 @@ let spin_until ?(timeout_s = 10.0) what pred =
 
 (* A client returns as soon as it holds its verdicts; the farm retires
    the session on a later loop pass, so wait for that before counting. *)
-let wait_retired () =
+let wait_retired stats =
   spin_until "every session to retire" (fun () ->
-      let _, act, _, _, _, _ = Znet.Svcstats.totals () in
+      let _, act, _, _, _, _ = Znet.Svcstats.totals stats in
       act = 0)
 
 (* Same-digest second connection: the farm serves it from the setup cache
@@ -169,7 +214,7 @@ let wait_retired () =
    same-digest clients all verify. *)
 let test_farm_cache_and_concurrency () =
   Test_serve.with_tracing @@ fun () ->
-  with_farm ~max_conns:5 @@ fun addr ->
+  with_farm ~max_conns:5 @@ fun stats addr ->
   let r1 = run_client ~seed:"farm-client-1" addr in
   Alcotest.(check bool) "first client verdicts" true (Argument.all_accepted r1);
   let built_cold = counter "farm.setup.built" in
@@ -192,18 +237,18 @@ let test_farm_cache_and_concurrency () =
         true
         (Argument.all_accepted (Domain.join d)))
     domains;
-  wait_retired ();
-  let shed, hits, misses, depth = Znet.Svcstats.farm_totals () in
+  wait_retired stats;
+  let shed, hits, misses, depth = Znet.Svcstats.farm_totals stats in
   Alcotest.(check int) "nothing shed" 0 shed;
   Alcotest.(check int) "one cache miss (the cold build)" 1 misses;
   Alcotest.(check int) "four warm sessions hit" 4 hits;
   Alcotest.(check int) "queue drained" 0 depth;
-  let a, act, completed, failed, _, _ = Znet.Svcstats.totals () in
+  let a, act, completed, failed, _, _ = Znet.Svcstats.totals stats in
   Alcotest.(check int) "all five accepted" 5 a;
   Alcotest.(check int) "none active" 0 act;
   Alcotest.(check int) "all five completed" 5 completed;
   Alcotest.(check int) "none failed" 0 failed;
-  let prom = Znet.Svcstats.prometheus () in
+  let prom = Znet.Svcstats.prometheus stats in
   List.iter
     (fun series ->
       Alcotest.(check bool) (series ^ " exposed") true (Test_serve.contains prom series))
@@ -226,12 +271,12 @@ let test_farm_eviction_under_tiny_bound () =
   let fconfig =
     { Zfarm.Farm.default with arg_config = config; setup_cache_bytes = one_entry + (one_entry / 2) }
   in
-  with_farm ~fconfig ~max_conns:3 @@ fun addr ->
+  with_farm ~fconfig ~max_conns:3 @@ fun stats addr ->
   let r1 = run_client ~seed:"evict-1" addr in
   let r2 = run_client ~comp:cube ~seed:"evict-2" addr in
   let r3 = run_client ~seed:"evict-3" addr in
   List.iter (fun r -> Alcotest.(check bool) "verdicts" true (Argument.all_accepted r)) [ r1; r2; r3 ];
-  let _, hits, misses, _ = Znet.Svcstats.farm_totals () in
+  let _, hits, misses, _ = Znet.Svcstats.farm_totals stats in
   Alcotest.(check int) "every connection missed" 3 misses;
   Alcotest.(check int) "no hits under the tiny bound" 0 hits;
   Alcotest.(check int) "rebuilt each time" 3 (counter "farm.setup.built")
@@ -265,7 +310,7 @@ let test_farm_overload_busy () =
   let fconfig =
     { Zfarm.Farm.default with arg_config = config; max_sessions = 2; accept_queue = 0 }
   in
-  with_farm ~fconfig ~max_conns:2 @@ fun addr ->
+  with_farm ~fconfig ~max_conns:2 @@ fun stats addr ->
   let in_flight = Atomic.make 0 and release = Atomic.make false in
   let pause () =
     Atomic.incr in_flight;
@@ -298,13 +343,57 @@ let test_farm_overload_busy () =
         true
         (Argument.all_accepted (Domain.join d)))
     clients;
-  wait_retired ();
-  let shed, _, _, _ = Znet.Svcstats.farm_totals () in
+  wait_retired stats;
+  let shed, _, _, _ = Znet.Svcstats.farm_totals stats in
   Alcotest.(check int) "shed accounted distinctly" 1 shed;
-  let _, _, completed, failed, decode_errors, _ = Znet.Svcstats.totals () in
+  let _, _, completed, failed, decode_errors, _ = Znet.Svcstats.totals stats in
   Alcotest.(check int) "two completed" 2 completed;
   Alcotest.(check int) "no failures" 0 failed;
   Alcotest.(check int) "shed is not a decode error" 0 decode_errors
+
+(* Two farms in one process, each with its own Svcstats: one serves two
+   same-digest clients (a cold miss, then a cache hit), the other one
+   client; neither starts its clients until both are listening. Every
+   count stays with the farm that earned it. *)
+let test_two_farms_independent_stats () =
+  let listening = Atomic.make 0 in
+  let both_listening () =
+    Atomic.incr listening;
+    spin_until "both farms to listen" (fun () -> Atomic.get listening = 2)
+  in
+  let farm_a = Atomic.make None in
+  let a =
+    Domain.spawn (fun () ->
+        with_farm ~max_conns:2 @@ fun stats addr ->
+        both_listening ();
+        let r1 = run_client ~seed:"two-farms-a1" addr in
+        let r2 = run_client ~seed:"two-farms-a2" addr in
+        wait_retired stats;
+        Atomic.set farm_a (Some stats);
+        Argument.all_accepted r1 && Argument.all_accepted r2)
+  in
+  let b_ok, b_stats =
+    with_farm ~max_conns:1 @@ fun stats addr ->
+    both_listening ();
+    let r = run_client ~comp:cube ~seed:"two-farms-b" addr in
+    wait_retired stats;
+    (Argument.all_accepted r, stats)
+  in
+  Alcotest.(check bool) "farm A clients verify" true (Domain.join a);
+  Alcotest.(check bool) "farm B client verifies" true b_ok;
+  let a_stats = Option.get (Atomic.get farm_a) in
+  let check name stats ~sessions ~hits ~misses =
+    let accepted, active, completed, failed, _, _ = Znet.Svcstats.totals stats in
+    let _, h, m, _ = Znet.Svcstats.farm_totals stats in
+    Alcotest.(check int) (name ^ " accepted") sessions accepted;
+    Alcotest.(check int) (name ^ " completed") sessions completed;
+    Alcotest.(check int) (name ^ " none active") 0 active;
+    Alcotest.(check int) (name ^ " none failed") 0 failed;
+    Alcotest.(check int) (name ^ " cache hits") hits h;
+    Alcotest.(check int) (name ^ " cache misses") misses m
+  in
+  check "farm A" a_stats ~sessions:2 ~hits:1 ~misses:1;
+  check "farm B" b_stats ~sessions:1 ~hits:0 ~misses:1
 
 (* Flight recorder end to end: a farm with --trace-dir and a 1 ms slow
    threshold serves one traced client, then must have dumped (a) a
@@ -319,7 +408,7 @@ let test_farm_flight_sidecars () =
     { Zfarm.Farm.default with arg_config = config; trace_dir = Some dir; slow_session_ms = 1 }
   in
   let trace_id = Zobs.mint_trace_id () in
-  with_farm ~fconfig ~max_conns:1 (fun addr ->
+  with_farm ~fconfig ~max_conns:1 (fun _ addr ->
       let prg = Chacha.Prg.create ~seed:"flight-e2e" () in
       let r =
         Remote.run_connect ~config ~trace_id ~addr square_plus_3 ~prg
@@ -378,6 +467,8 @@ let suite =
     Alcotest.test_case "setup cache: LRU within a byte bound" `Quick test_cache_lru;
     Alcotest.test_case "wire: busy/retry-after convention" `Quick test_busy_wire;
     Alcotest.test_case "znet: resumable frame reader" `Quick test_frame_reader;
+    Alcotest.test_case "znet: frame reader allocates as bytes arrive" `Quick
+      test_frame_reader_lazy_payload;
     Alcotest.test_case "farm: warm sessions skip setup, concurrent clients verify" `Slow
       test_farm_cache_and_concurrency;
     Alcotest.test_case "farm: LRU eviction under a tiny cache bound" `Slow
@@ -386,4 +477,6 @@ let suite =
       test_farm_overload_busy;
     Alcotest.test_case "farm: flight sidecars merge, forensic bundle on slow" `Slow
       test_farm_flight_sidecars;
+    Alcotest.test_case "farm: two farms in one process keep separate stats" `Slow
+      test_two_farms_independent_stats;
   ]

@@ -1,8 +1,9 @@
-(* End-to-end observability for the serve path: the live HTTP metrics
-   endpoint scraped mid-session on an ephemeral port, Svcstats counters
-   against a full TCP session, per-connection byte balance against the
-   global wire counters, and verifier/prover Chrome-trace merging into one
-   two-pid view under a single trace id. *)
+(* End-to-end observability for the serve path, against a farm serving
+   one session: the live HTTP metrics endpoint scraped mid-session on an
+   ephemeral port, the farm's Svcstats counters against a full TCP
+   session, per-connection byte balance against the global wire counters,
+   verifier/prover Chrome-trace merging into one two-pid view under a
+   single trace id, and the golden list of exposed metric families. *)
 
 open Argsys
 
@@ -80,14 +81,25 @@ let lookup_sq3 =
   let d = Argument.digest square_plus_3 in
   fun d' -> if String.equal d' d then Some square_plus_3 else None
 
-(* Run [body] against a one-shot serve loop in its own domain. Teardown
-   cannot hang: any connection the body registered in [conn_ref] is
-   closed, the accept loop is kicked with a throwaway connect if the body
-   never reached it, and the domain is joined exactly once — the body
-   calls [join] itself when it wants the loop's final state. *)
-let with_serve_domain serve body =
+(* Run [body] against a farm in its own domain, serving one session when
+   [once] (the default), else until teardown. Teardown cannot hang: any
+   connection the body registered in [conn_ref] is closed, the farm is
+   told to stop if the body never let it finish, and the domain is joined
+   exactly once — the body calls [join] itself when it wants the farm's
+   final state. *)
+let with_farm_domain ?(config = Argument.test_config) ?trace_dir ?metrics_listen ?(once = true)
+    stats body =
   let cap = capture () in
-  let server = Domain.spawn (fun () -> serve (log_to cap)) in
+  let stop = Atomic.make false in
+  let server =
+    Domain.spawn (fun () ->
+        Zfarm.Farm.serve
+          ~config:{ Zfarm.Farm.default with Zfarm.Farm.arg_config = config; trace_dir }
+          ~stats ~lookup:lookup_sq3
+          ?max_conns:(if once then Some 1 else None)
+          ~stop:(fun () -> Atomic.get stop)
+          ?metrics_listen ~log:(log_to cap) "127.0.0.1:0")
+  in
   let addr = wait_for cap "listening on " in
   let conn_ref : Znet.conn option ref = ref None in
   let joined = ref false in
@@ -105,7 +117,7 @@ let with_serve_domain serve body =
         conn_ref := None
       | None -> ());
       if not !joined then begin
-        (try Znet.close (Znet.connect ~retries:0 addr) with _ -> ());
+        Atomic.set stop true;
         join ()
       end)
     (fun () -> body ~cap ~addr ~conn_ref ~join)
@@ -149,11 +161,8 @@ let http_tests =
 let scrape_tests =
   [
     Alcotest.test_case "live scrape of an ephemeral-port serve mid-session" `Quick (fun () ->
-        Znet.Svcstats.reset ();
-        with_serve_domain
-          (fun log ->
-            Remote.serve ~config:Argument.test_config ~lookup:lookup_sq3 ~once:true
-              ~metrics_listen:"127.0.0.1:0" ~log "127.0.0.1:0")
+        let stats = Znet.Svcstats.create () in
+        with_farm_domain ~metrics_listen:"127.0.0.1:0" stats
           (fun ~cap ~addr ~conn_ref ~join ->
             let maddr = wait_for cap "metrics on " in
             (* Open a session and park it after the Hello exchange so the
@@ -199,12 +208,12 @@ let scrape_tests =
               Option.get (Option.bind (Zobs.Json.member "connections" j) Zobs.Json.to_arr)
             in
             Alcotest.(check int) "one connection listed" 1 (List.length conns);
-            (* Hang up mid-protocol: the prover records a connection error
-               and the once-loop winds down. *)
+            (* Hang up mid-protocol: the farm records a session error and,
+               its one session closed, winds down. *)
             Znet.close conn;
             conn_ref := None;
             join ();
-            let accepted, active, completed, failed, _, _ = Znet.Svcstats.totals () in
+            let accepted, active, completed, failed, _, _ = Znet.Svcstats.totals stats in
             Alcotest.(check int) "accepted" 1 accepted;
             Alcotest.(check int) "none active" 0 active;
             Alcotest.(check int) "none completed" 0 completed;
@@ -216,14 +225,10 @@ let session_tests =
     Alcotest.test_case "traced TCP session: counters, byte balance, merged trace" `Quick
       (fun () ->
         with_tracing (fun () ->
-            Znet.Svcstats.reset ();
+            let stats = Znet.Svcstats.create () in
             let dir = temp_dir () in
             let trace_id = Zobs.mint_trace_id () in
-            with_serve_domain
-              (fun log ->
-                Remote.serve ~config:Argument.test_config ~lookup:lookup_sq3 ~once:true
-                  ~trace_dir:dir ~log "127.0.0.1:0")
-              (fun ~cap:_ ~addr ~conn_ref:_ ~join ->
+            with_farm_domain ~trace_dir:dir stats (fun ~cap:_ ~addr ~conn_ref:_ ~join ->
                 let inputs = Array.map (fun x -> [| fi x |]) [| 2; 5 |] in
                 let r =
                   Remote.run_connect ~config:Argument.test_config ~trace_id ~addr square_plus_3
@@ -233,7 +238,7 @@ let session_tests =
                 join ();
                 Alcotest.(check bool) "batch accepted" true (Argument.all_accepted r);
                 let accepted, active, completed, failed, decode_errors, _ =
-                  Znet.Svcstats.totals ()
+                  Znet.Svcstats.totals stats
                 in
                 Alcotest.(check int) "accepted" 1 accepted;
                 Alcotest.(check int) "active drained" 0 active;
@@ -248,7 +253,7 @@ let session_tests =
                 let wire_sent = counter "wire.bytes.sent"
                 and wire_recv = counter "wire.bytes.recv" in
                 Alcotest.(check int) "encode/decode ledger balances" wire_sent wire_recv;
-                let j = Zobs.Json.parse (Remote.metrics_json ()) in
+                let j = Zobs.Json.parse (Zfarm.Farm.metrics_json stats) in
                 let conns =
                   Option.get (Option.bind (Zobs.Json.member "connections" j) Zobs.Json.to_arr)
                 in
@@ -312,11 +317,9 @@ let soundness_tests =
       (fun () ->
         List.iter
           (fun (label, strategy) ->
-            with_serve_domain
-              (fun log ->
-                Remote.serve
-                  ~config:{ Argument.test_config with Argument.strategy }
-                  ~lookup:lookup_sq3 ~once:true ~log "127.0.0.1:0")
+            with_farm_domain
+              ~config:{ Argument.test_config with Argument.strategy }
+              (Znet.Svcstats.create ())
               (fun ~cap:_ ~addr ~conn_ref ~join ->
                 let conn = Znet.connect addr in
                 conn_ref := Some conn;
@@ -337,4 +340,176 @@ let soundness_tests =
           ]);
   ]
 
-let suite = http_tests @ scrape_tests @ session_tests @ soundness_tests
+(* ---- Golden scrape ---- *)
+
+(* The exposition's metric families ([# TYPE] names, sorted) and the
+   /json key paths, after one honest session against a farm. Lint finding
+   counters and the counters other suites make are created on first use,
+   so whether they appear depends on which suites ran earlier in the
+   process: they are left out. *)
+let type_names text =
+  let created_on_use name =
+    List.exists (contains name) [ "zaatar_lint_findings_"; "zaatar_test_" ]
+  in
+  String.split_on_char '\n' text
+  |> List.filter_map (fun line ->
+         match String.split_on_char ' ' line with
+         | [ "#"; "TYPE"; name; _ ] when not (created_on_use name) -> Some name
+         | _ -> None)
+  |> List.sort_uniq compare
+
+(* Every key path of a JSON value; array elements merge under "[]". *)
+let json_paths j =
+  let rec go prefix j acc =
+    match j with
+    | Zobs.Json.Obj kvs ->
+      List.fold_left
+        (fun acc (k, v) ->
+          let p = prefix ^ "." ^ k in
+          go p v (p :: acc))
+        acc kvs
+    | Zobs.Json.Arr xs -> List.fold_left (fun acc x -> go (prefix ^ "[]") x acc) acc xs
+    | _ -> acc
+  in
+  List.sort_uniq compare (go "" j [])
+
+let scrape_after_session () =
+  with_farm_domain ~metrics_listen:"127.0.0.1:0" ~once:false (Znet.Svcstats.create ())
+  @@ fun ~cap ~addr ~conn_ref:_ ~join:_ ->
+  let maddr = wait_for cap "metrics on " in
+  let r =
+    Remote.run_connect ~config:Argument.test_config ~addr square_plus_3
+      ~prg:(Chacha.Prg.create ~seed:"golden scrape" ())
+      ~inputs:[| [| fi 2 |] |]
+  in
+  Alcotest.(check bool) "session accepted" true (Argument.all_accepted r);
+  let get_json () = Zobs.Json.parse (snd (Znet.Metrics_http.get maddr "/json")) in
+  let deadline = Unix.gettimeofday () +. 10.0 in
+  let rec retired () =
+    let j = get_json () in
+    let server k =
+      Option.bind (Option.bind (Zobs.Json.member "server" j) (Zobs.Json.member k)) Zobs.Json.to_num
+    in
+    match (server "active", server "completed") with
+    | Some 0.0, Some 1.0 -> j
+    | _ ->
+      if Unix.gettimeofday () > deadline then Alcotest.fail "session never retired";
+      Unix.sleepf 0.01;
+      retired ()
+  in
+  let j = retired () in
+  let code, text = Znet.Metrics_http.get maddr "/metrics" in
+  Alcotest.(check int) "scrape 200" 200 code;
+  check_prometheus_shape text;
+  (type_names text, json_paths j)
+
+(* Every family a farm exposes after one session, tracing off. Shed and
+   accepted sessions are counted once, as
+   zaatar_server_connections_{shed,accepted}_total. *)
+let golden_families =
+  [
+    "zaatar_commit_consistency_checks"; "zaatar_commit_decommit_queries"; "zaatar_commit_enc_r";
+    "zaatar_compile_ginger_constraints"; "zaatar_compile_ginger_variables";
+    "zaatar_compile_zaatar_constraints"; "zaatar_compile_zaatar_variables";
+    "zaatar_conn_bytes_recv_total"; "zaatar_conn_bytes_sent_total";
+    "zaatar_conn_duration_seconds"; "zaatar_conn_msgs_total"; "zaatar_conn_phase_seconds_total";
+    "zaatar_elgamal_decrypt"; "zaatar_elgamal_encrypt"; "zaatar_elgamal_hom_op";
+    "zaatar_farm_setup_built"; "zaatar_fp_inv";
+    "zaatar_fp_inv_group"; "zaatar_fp_mul"; "zaatar_fp_mul_group"; "zaatar_fp_mul_lazy";
+    "zaatar_fp_mul_lazy_group"; "zaatar_gc_compactions_total"; "zaatar_gc_heap_words";
+    "zaatar_gc_major_collections_total"; "zaatar_gc_major_words_total";
+    "zaatar_gc_minor_collections_total"; "zaatar_gc_minor_words_total";
+    "zaatar_gc_promoted_words_total"; "zaatar_gc_top_heap_words"; "zaatar_group_multi_pow";
+    "zaatar_group_multi_pow_terms"; "zaatar_group_pow"; "zaatar_group_pow_fixed_base";
+    "zaatar_group_pow_shamir"; "zaatar_ledger_ops_total"; "zaatar_loop_busy_seconds_total";
+    "zaatar_loop_iter_us"; "zaatar_loop_iterations_total"; "zaatar_loop_ready_fds";
+    "zaatar_loop_ready_fds_total"; "zaatar_loop_utilization"; "zaatar_loop_wait_seconds_total";
+    "zaatar_mont_mul"; "zaatar_net_frames_recv"; "zaatar_net_frames_sent";
+    "zaatar_ntt_butterfly"; "zaatar_pcp_ginger_queries_1"; "zaatar_pcp_ginger_queries_2";
+    "zaatar_pcp_queries_h"; "zaatar_pcp_queries_z"; "zaatar_prg_bytes"; "zaatar_prg_field";
+    "zaatar_qap_backend_lagrange"; "zaatar_qap_backend_ntt";
+    "zaatar_server_connections_accepted_total"; "zaatar_server_connections_active";
+    "zaatar_server_connections_completed_total"; "zaatar_server_connections_failed_total";
+    "zaatar_server_connections_shed_total"; "zaatar_server_decode_errors_total";
+    "zaatar_server_queue_depth"; "zaatar_server_session_latency_ms";
+    "zaatar_server_setup_cache_hits_total"; "zaatar_server_setup_cache_misses_total";
+    "zaatar_server_timeouts_total"; "zaatar_wire_bytes_recv"; "zaatar_wire_bytes_recv_answer";
+    "zaatar_wire_bytes_recv_commit"; "zaatar_wire_bytes_recv_hello";
+    "zaatar_wire_bytes_recv_query"; "zaatar_wire_bytes_recv_verdict"; "zaatar_wire_bytes_sent";
+    "zaatar_wire_bytes_sent_answer"; "zaatar_wire_bytes_sent_commit";
+    "zaatar_wire_bytes_sent_hello"; "zaatar_wire_bytes_sent_query";
+    "zaatar_wire_bytes_sent_verdict"; "zaatar_wire_msgs"; "zaatar_wire_msgs_answer";
+    "zaatar_wire_msgs_commit"; "zaatar_wire_msgs_hello"; "zaatar_wire_msgs_query";
+    "zaatar_wire_msgs_verdict";
+  ]
+
+(* The families tracing adds: span, ledger-phase and histogram series. *)
+let golden_traced_families =
+  [
+    "zaatar_farm_session_ms"; "zaatar_ledger_phase_major_words_total";
+    "zaatar_ledger_phase_minor_words_total"; "zaatar_ledger_phase_ops_total";
+    "zaatar_ledger_phase_seconds_total"; "zaatar_span_calls_total";
+    "zaatar_span_exclusive_seconds_total"; "zaatar_span_seconds_total";
+    "zaatar_wire_latency_us_answer"; "zaatar_wire_latency_us_commit";
+    "zaatar_wire_latency_us_hello";
+  ]
+
+let golden_json_paths =
+  [
+    ".connections"; ".connections[].bytes_recv"; ".connections[].bytes_sent";
+    ".connections[].digest"; ".connections[].duration_s"; ".connections[].error";
+    ".connections[].id"; ".connections[].msgs"; ".connections[].peer"; ".connections[].phase";
+    ".connections[].phases"; ".connections[].phases.answer";
+    ".connections[].phases.answer.msgs"; ".connections[].phases.answer.recv";
+    ".connections[].phases.answer.seconds"; ".connections[].phases.answer.sent";
+    ".connections[].phases.commit"; ".connections[].phases.commit.msgs";
+    ".connections[].phases.commit.recv"; ".connections[].phases.commit.seconds";
+    ".connections[].phases.commit.sent"; ".connections[].phases.hello";
+    ".connections[].phases.hello.msgs"; ".connections[].phases.hello.recv";
+    ".connections[].phases.hello.seconds"; ".connections[].phases.hello.sent";
+    ".connections[].phases.query"; ".connections[].phases.query.msgs";
+    ".connections[].phases.query.recv"; ".connections[].phases.query.seconds";
+    ".connections[].phases.query.sent"; ".connections[].phases.verdict";
+    ".connections[].phases.verdict.msgs"; ".connections[].phases.verdict.recv";
+    ".connections[].phases.verdict.seconds"; ".connections[].phases.verdict.sent";
+    ".connections[].started_s"; ".connections[].status"; ".loop"; ".loop.busy_s";
+    ".loop.iter_us"; ".loop.iter_us.p50"; ".loop.iter_us.p95"; ".loop.iter_us.p99";
+    ".loop.iterations"; ".loop.queue_depth_trend"; ".loop.ready_avg"; ".loop.ready_fds";
+    ".loop.ready_fds.p50"; ".loop.ready_fds.p95"; ".loop.ready_fds.p99"; ".loop.utilization";
+    ".loop.wait_s"; ".server"; ".server.accepted"; ".server.active"; ".server.cache_hits";
+    ".server.cache_misses"; ".server.completed"; ".server.decode_errors"; ".server.failed";
+    ".server.latency_ms"; ".server.latency_ms.p50"; ".server.latency_ms.p95";
+    ".server.latency_ms.p99"; ".server.queue_depth"; ".server.shed"; ".server.timeouts";
+  ]
+
+(* The /json paths `zaatar stats`, `zaatar top` and zbench's probe read. *)
+let reader_paths =
+  [
+    ".server.accepted"; ".server.active"; ".server.completed"; ".server.failed";
+    ".server.decode_errors"; ".server.timeouts"; ".server.shed"; ".server.cache_hits";
+    ".server.cache_misses"; ".server.queue_depth"; ".server.latency_ms.p50";
+    ".server.latency_ms.p95"; ".server.latency_ms.p99"; ".loop.iterations"; ".loop.utilization";
+    ".loop.ready_avg"; ".loop.iter_us.p50"; ".loop.iter_us.p95"; ".loop.iter_us.p99";
+    ".connections[].id"; ".connections[].peer"; ".connections[].digest";
+    ".connections[].status"; ".connections[].phase"; ".connections[].duration_s";
+    ".connections[].bytes_sent"; ".connections[].bytes_recv"; ".connections[].msgs";
+  ]
+
+let golden_tests =
+  [
+    Alcotest.test_case "golden scrape: metric families and /json paths" `Slow (fun () ->
+        Zobs.reset ();
+        let families, paths = scrape_after_session () in
+        Alcotest.(check (list string)) "metric families, tracing off" golden_families families;
+        let traced, traced_paths = with_tracing scrape_after_session in
+        Alcotest.(check (list string)) "metric families, tracing on"
+          (List.sort compare (golden_families @ golden_traced_families))
+          traced;
+        Alcotest.(check (list string)) "/json paths" golden_json_paths paths;
+        Alcotest.(check (list string)) "/json paths, tracing on" golden_json_paths traced_paths;
+        List.iter
+          (fun p -> Alcotest.(check bool) (p ^ " read by a client") true (List.mem p paths))
+          reader_paths);
+  ]
+
+let suite = http_tests @ scrape_tests @ session_tests @ soundness_tests @ golden_tests

@@ -1,6 +1,7 @@
 (* Zwire codec and socket-driver tests: round-trip properties per message
    type, decode-error taxonomy on truncated/corrupted frames, and an
-   end-to-end fork+socketpair run checked against the in-process loopback. *)
+   end-to-end session served by a farm over TCP, checked against the
+   in-process loopback. *)
 
 open Fieldlib
 open Zcrypto
@@ -204,7 +205,7 @@ let corruption_tests =
         | None -> Alcotest.fail "decoded without group modulus");
   ]
 
-(* ---- End-to-end: socketpair vs loopback ---- *)
+(* ---- End-to-end: farm over TCP vs in-process loopback ---- *)
 
 let fi = Fp.of_int fctx
 
@@ -228,34 +229,34 @@ let square_plus_3 : Argument.computation =
   in
   { Argument.r1cs; num_inputs = 1; num_outputs = 1; solve }
 
-(* Run a batch against a prover living in its own domain, over a Unix
-   socketpair. The protocol is strict request/response ping-pong, so two
-   blocking endpoints in one process cannot deadlock. (Unix.fork is off
-   limits here: earlier suites in the runner already spawned domains.)
-   Returns the verifier-side batch result. *)
+(* Run [body] against a farm on 127.0.0.1 living in its own domain: it serves
+   one session (strict request/response ping-pong, so the blocking client
+   and the farm in one process cannot deadlock) and stops early if [body]
+   raises before its session ends. (Unix.fork is off limits here: earlier
+   suites in the runner already spawned domains.) *)
 let with_prover_domain ~lookup ~server_config (body : Znet.conn -> 'a) : 'a =
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let server_conn = Znet.of_fd b and client_conn = Znet.of_fd a in
+  let bound = Atomic.make "" and stop = Atomic.make false in
+  let prefix = "listening on " in
+  let log l =
+    if String.starts_with ~prefix l then
+      Atomic.set bound (String.sub l (String.length prefix) (String.length l - String.length prefix))
+  in
   let server =
     Domain.spawn (fun () ->
-        Fun.protect
-          ~finally:(fun () -> try Znet.close server_conn with _ -> ())
-          (fun () ->
-            try
-              Remote.handle_conn ~config:server_config ~lookup
-                ~prg:(Chacha.Prg.create ~seed:"wire e2e prover" ())
-                server_conn
-            with Argument.Session_error _ | Znet.Net_error _ -> ()))
+        Zfarm.Farm.serve
+          ~config:{ Zfarm.Farm.default with Zfarm.Farm.arg_config = server_config }
+          ~lookup ~seed:"wire e2e prover" ~max_conns:1 ~stop:(fun () -> Atomic.get stop) ~log
+          "127.0.0.1:0")
   in
-  let finish () =
-    (try Znet.close client_conn with _ -> ());
-    Domain.join server
-  in
-  let res = try body client_conn with e -> finish (); raise e in
-  finish ();
-  res
+  Fun.protect ~finally:(fun () -> Domain.join server) @@ fun () ->
+  while Atomic.get bound = "" do
+    Unix.sleepf 0.001
+  done;
+  let conn = Znet.connect (Atomic.get bound) in
+  Fun.protect ~finally:(fun () -> Znet.close conn) @@ fun () ->
+  try body conn with e -> Atomic.set stop true; raise e
 
-let run_over_socketpair ~server_config ~seed inputs =
+let run_over_farm ~server_config ~seed inputs =
   let d = Argument.digest square_plus_3 in
   with_prover_domain ~server_config
     ~lookup:(fun d' -> if String.equal d' d then Some square_plus_3 else None)
@@ -278,7 +279,7 @@ let e2e_tests =
         let seed = "wire e2e verifier" in
         let inputs = Array.map (fun x -> [| fi x |]) [| 2; 5; 11 |] in
         let sock =
-          run_over_socketpair ~server_config:Argument.test_config ~seed inputs
+          run_over_farm ~server_config:Argument.test_config ~seed inputs
         in
         let loop =
           Argument.run_batch ~config:Argument.test_config square_plus_3
@@ -291,7 +292,7 @@ let e2e_tests =
     Alcotest.test_case "cheating remote prover rejected" `Quick (fun () ->
         let inputs = Array.map (fun x -> [| fi x |]) [| 3; 4; 9 |] in
         let r =
-          run_over_socketpair
+          run_over_farm
             ~server_config:{ Argument.test_config with Argument.strategy = Argument.Wrong_output }
             ~seed:"wire e2e cheat" inputs
         in

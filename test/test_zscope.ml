@@ -19,48 +19,46 @@ let leq = Alcotest.float 1e-3
 
 (* A finished connection with an exact, synthetic duration: [finished] is
    mutable precisely so tests can pin latencies deterministically. *)
-let finished_conn ~ms =
-  let c = Znet.Svcstats.begin_conn ~peer:"t" in
-  Znet.Svcstats.end_conn c `Ok;
+let finished_conn stats ~ms =
+  let c = Znet.Svcstats.begin_conn stats ~peer:"t" in
+  Znet.Svcstats.end_conn stats c `Ok;
   c.Znet.Svcstats.finished <- Some (c.Znet.Svcstats.started +. (ms /. 1000.0));
   c
 
 let test_latency_percentiles () =
-  Znet.Svcstats.reset ();
+  let stats = Znet.Svcstats.create () in
   (* empty ring: all percentiles are 0, not an exception *)
-  let p50, p95, p99 = Znet.Svcstats.latency_ms () in
+  let p50, p95, p99 = Znet.Svcstats.latency_ms stats in
   Alcotest.(check leq) "empty p50" 0.0 p50;
   Alcotest.(check leq) "empty p95" 0.0 p95;
   Alcotest.(check leq) "empty p99" 0.0 p99;
   (* one sample: every percentile is that sample *)
-  ignore (finished_conn ~ms:42.0);
-  let p50, p95, p99 = Znet.Svcstats.latency_ms () in
+  ignore (finished_conn stats ~ms:42.0);
+  let p50, p95, p99 = Znet.Svcstats.latency_ms stats in
   Alcotest.(check leq) "single p50" 42.0 p50;
   Alcotest.(check leq) "single p95" 42.0 p95;
   Alcotest.(check leq) "single p99" 42.0 p99;
   (* active (unfinished) connections contribute nothing *)
-  let _active = Znet.Svcstats.begin_conn ~peer:"t" in
-  let p50', _, _ = Znet.Svcstats.latency_ms () in
+  let _active = Znet.Svcstats.begin_conn stats ~peer:"t" in
+  let p50', _, _ = Znet.Svcstats.latency_ms stats in
   Alcotest.(check leq) "active conn excluded" 42.0 p50';
   (* ring wraparound: cap 4, six completions — only the newest four
      (30..60 ms) survive, and nearest-rank picks p50=40, p95=p99=60 *)
-  Znet.Svcstats.reset ();
-  Znet.Svcstats.set_recent_cap 4;
-  List.iter (fun ms -> ignore (finished_conn ~ms)) [ 10.0; 20.0; 30.0; 40.0; 50.0; 60.0 ];
-  let p50, p95, p99 = Znet.Svcstats.latency_ms () in
+  let stats = Znet.Svcstats.create ~recent_cap:4 () in
+  List.iter (fun ms -> ignore (finished_conn stats ~ms)) [ 10.0; 20.0; 30.0; 40.0; 50.0; 60.0 ];
+  let p50, p95, p99 = Znet.Svcstats.latency_ms stats in
   Alcotest.(check leq) "wraparound p50 over newest four" 40.0 p50;
   Alcotest.(check leq) "wraparound p95" 60.0 p95;
   Alcotest.(check leq) "wraparound p99" 60.0 p99;
   (* shed connections never enter the ring: the percentiles are unmoved
      and the shed counter accounts them separately *)
-  Znet.Svcstats.record_shed ();
-  Znet.Svcstats.record_shed ();
-  let p50', p95', _ = Znet.Svcstats.latency_ms () in
+  Znet.Svcstats.record_shed stats;
+  Znet.Svcstats.record_shed stats;
+  let p50', p95', _ = Znet.Svcstats.latency_ms stats in
   Alcotest.(check leq) "shed excluded from p50" p50 p50';
   Alcotest.(check leq) "shed excluded from p95" p95 p95';
-  let shed, _, _, _ = Znet.Svcstats.farm_totals () in
-  Alcotest.(check int) "shed accounted" 2 shed;
-  Znet.Svcstats.reset ()
+  let shed, _, _, _ = Znet.Svcstats.farm_totals stats in
+  Alcotest.(check int) "shed accounted" 2 shed
 
 (* ------------------------------------------------------------------ *)
 (* Svcstats: event-loop health                                         *)
@@ -72,16 +70,16 @@ let jnum j k =
   | None -> Alcotest.failf "missing numeric field %s" k
 
 let test_loop_health () =
-  Znet.Svcstats.reset ();
-  Znet.Svcstats.set_queue_depth 3;
-  Znet.Svcstats.record_loop_iter ~busy_s:0.002 ~wait_s:0.008 ~ready:3;
-  Znet.Svcstats.record_loop_iter ~busy_s:0.001 ~wait_s:0.004 ~ready:1;
-  let iters, busy, wait, ready = Znet.Svcstats.loop_totals () in
+  let stats = Znet.Svcstats.create () in
+  Znet.Svcstats.set_queue_depth stats 3;
+  Znet.Svcstats.record_loop_iter stats ~busy_s:0.002 ~wait_s:0.008 ~ready:3;
+  Znet.Svcstats.record_loop_iter stats ~busy_s:0.001 ~wait_s:0.004 ~ready:1;
+  let iters, busy, wait, ready = Znet.Svcstats.loop_totals stats in
   Alcotest.(check int) "iterations" 2 iters;
   Alcotest.(check int) "ready fds total" 4 ready;
   Alcotest.(check feq) "busy seconds" 0.003 busy;
   Alcotest.(check feq) "wait seconds" 0.012 wait;
-  let j = Znet.Svcstats.json () in
+  let j = Znet.Svcstats.json stats in
   let loop =
     match Zobs.Json.member "loop" j with
     | Some l -> l
@@ -99,7 +97,7 @@ let test_loop_health () =
   List.iter
     (fun d -> Alcotest.(check (option feq)) "trend sampled the gauge" (Some 3.0) (Zobs.Json.to_num d))
     trend;
-  let prom = Znet.Svcstats.prometheus () in
+  let prom = Znet.Svcstats.prometheus stats in
   List.iter
     (fun series -> Alcotest.(check bool) (series ^ " exposed") true (contains prom series))
     [
@@ -111,9 +109,8 @@ let test_loop_health () =
       "zaatar_loop_iter_us_count 2";
       "zaatar_loop_ready_fds_p99";
     ];
-  Znet.Svcstats.reset ();
-  let iters, _, _, _ = Znet.Svcstats.loop_totals () in
-  Alcotest.(check int) "reset clears loop state" 0 iters
+  let iters, _, _, _ = Znet.Svcstats.loop_totals (Znet.Svcstats.create ()) in
+  Alcotest.(check int) "a fresh value starts with no loop state" 0 iters
 
 (* ------------------------------------------------------------------ *)
 (* Flight recorder ring                                                *)
@@ -226,7 +223,7 @@ let test_profiler_samples_live_stacks () =
 let test_healthz_and_profile_routes () =
   let ready = ref false in
   let m =
-    Argsys.Remote.start_metrics ~ready:(fun () -> !ready)
+    Zfarm.Farm.start_metrics (Znet.Svcstats.create ()) ~ready:(fun () -> !ready)
       ~profile:(fun () -> "probe;leaf 3\n")
       "127.0.0.1:0"
   in
