@@ -636,6 +636,7 @@ let run_fig7 cfg =
       h = 91e-6;
       f_lazy = 68e-9;
       f = 210e-9;
+      f_packed = 210e-9 (* one GMP multiplication kernel *);
       f_div = 2e-6;
       c = 160e-9;
       field_bits = 128;
@@ -1834,11 +1835,17 @@ let run_alloc cfg =
   let answer_u = Array.init 512 (fun _ -> Chacha.Prg.field ctx prg) in
   (* The verifier's query generation for the pam program at the configured
      rho / rho_lin; the row reports words per element drawn into a row. *)
-  let gq_qap =
-    let comp = Apps.Glue.computation_of (Apps.Glue.compile ctx (Apps.Registry.pam ~scale:cfg.scale)) in
-    Qapb.of_r1cs ~backend:cfg.qap_backend comp.Argsys.Argument.r1cs
-  in
+  let pam = Apps.Registry.pam ~scale:cfg.scale in
+  let pam_comp = Apps.Glue.computation_of (Apps.Glue.compile ctx pam) in
+  let gq_qap = Qapb.of_r1cs ~backend:cfg.qap_backend pam_comp.Argsys.Argument.r1cs in
   Qapb.prewarm gq_qap;
+  (* The prover's H for one pam witness; the row reports words per
+     padded-domain slot. *)
+  let pam_w =
+    pam_comp.Argsys.Argument.solve
+      (Apps.Glue.field_inputs ctx
+         (pam.Apps.App_def.gen_inputs (Chacha.Prg.create ~seed:"alloc bench pam" ())))
+  in
   let gq_sampled =
     cfg.rho * 2 * cfg.rho_lin * ((Qapb.sys gq_qap).Constr.R1cs.num_z + Qapb.h_len gq_qap)
   in
@@ -1867,11 +1874,17 @@ let run_alloc cfg =
       ( "ntt.butterfly",
         fast,
         1,
-        (* the packed hot-path butterfly: must be allocation-free *)
+        (* the packed hot-path butterfly, its twiddle in Montgomery form
+           as the NTT plans hold it: must be allocation-free *)
         let vb = Fp.Vec.of_array ctx [| a; b |] in
-        let twb = Fp.Vec.of_array ctx [| m |] in
+        let twb = Fp.Vec.create ctx 1 in
+        Fp.Vec.set_mont ctx twb 0 m;
         let scb = Fp.scratch_for ctx in
         fun () -> Fp.Vec.butterfly ctx scb vb 0 1 twb 0 );
+      ( "qap.prover_h",
+        (if cfg.quick then 2 else 5),
+        Qapb.h_len gq_qap,
+        fun () -> ignore (Qapb.prover_h gq_qap pam_w) );
       ( "zwire.decode_el",
         (if cfg.quick then 5 else 20),
         4096,
@@ -2072,12 +2085,16 @@ let check_ledger () =
        only its share of the boxed tau-query vectors. Group exponentiation runs on packed
        Montgomery slices, so an encryption allocates its nonce draw and
        the two converted-out residues (~21,000 words on the boxed REDC),
-       and a commitment term only its share of the partition arrays. *)
+       and a commitment term only its share of the partition arrays. The
+       NTT prover's H costs its packed arenas and the boxed result, a few
+       words per domain slot; boxing the row evaluations again would cost
+       ~80. *)
     let alloc_bands =
       [
         ("fp.mul", 120.0);
         ("fp.mul_lazy", 120.0);
         ("ntt.butterfly", 2.0);
+        ("qap.prover_h", 12.0);
         ("zwire.decode_el", 1.0);
         ("commit.prover_answer", 1.0);
         ("pcp.gen_queries", 4.0);

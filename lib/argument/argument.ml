@@ -83,7 +83,7 @@ type proof_parts = {
 let build_proof_parts ctx comp (qap : Qapb.t) strategy prg (x : Fp.el array) (pm : Metrics.t) :
     proof_parts =
   let w = Metrics.time pm "solve_constraints" (fun () -> comp.solve x) in
-  assert (R1cs.satisfied ctx comp.r1cs w);
+  assert (Qapb.satisfied qap w);
   let num_z = comp.r1cs.R1cs.num_z in
   match strategy with
   | Honest ->

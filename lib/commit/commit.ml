@@ -83,7 +83,7 @@ let decommit_challenge ctx (vs : verifier_secret) prg (queries : Fp.Rows.t) : ch
   let sc = Fp.scratch_for ctx in
   let t = Fp.Vec.of_array ctx vs.r and a = Fp.Vec.create ctx 1 in
   for i = 0 to rows - 1 do
-    Fp.Vec.set a 0 alpha.(i);
+    Fp.Vec.set_mont ctx a 0 alpha.(i);
     Fp.Vec.axpy ctx sc t 0 a 0 queries.Fp.Rows.vec (Fp.Rows.row queries i) len
   done;
   { t; alpha }

@@ -84,13 +84,18 @@ let zaatar_prover ?(ntt_domain : int option) ?(exp_bits = 127) (p : Params.t)
       (* Subproduct-tree interpolate-multiply-divide: O(|C| log^2 |C|). *)
       s.t_local +. (3.0 *. p.Params.f *. fi s.c_zaatar *. (log2 s.c_zaatar ** 2.0))
     | Some n ->
-      (* NTT pipeline: ~4.5 n log n + 10 n multiplications (see ntt_muls). *)
-      s.t_local +. (p.Params.f *. fi (ntt_muls n))
+      (* NTT pipeline: ~4.5 n log n + 10 n multiplications (see ntt_muls),
+         each a packed REDC product priced as one butterfly. *)
+      s.t_local +. (p.Params.f_packed *. fi (ntt_muls n))
   in
   let u = u_len ~ntt_domain s in
+  (* The rho*l'+1 answers per proof-vector entry are split-column lazy
+     dots (DESIGN.md §13), one f_lazy per term, as the op audit's
+     answer_queries row counts them; the Ginger prover answers through
+     the same oracle. *)
   let issue_responses =
     ((p.Params.h /. multiexp_speedup ~bits:exp_bits u)
-    +. ((fi (pp.rho * ell') +. 1.0) *. p.Params.f))
+    +. ((fi (pp.rho * ell') +. 1.0) *. p.Params.f_lazy))
     *. fi u
   in
   { construct_u; issue_responses; total_p = construct_u +. issue_responses }
@@ -99,7 +104,7 @@ let ginger_prover (p : Params.t) (pp : protocol_params) s =
   let ell = (3 * pp.rho_lin) + 2 in
   let construct_u = s.t_local +. (p.Params.f *. fi (s.z_ginger * s.z_ginger)) in
   let issue_responses =
-    (p.Params.h +. ((fi (pp.rho * ell) +. 1.0) *. p.Params.f)) *. fi (u_ginger s)
+    (p.Params.h +. ((fi (pp.rho * ell) +. 1.0) *. p.Params.f_lazy)) *. fi (u_ginger s)
   in
   { construct_u; issue_responses; total_p = construct_u +. issue_responses }
 

@@ -8,6 +8,8 @@
      h      ciphertext add plus multiply (one homomorphic accumulate step)
      f_lazy field multiplication without the final reduction
      f      field multiplication
+     f_packed  one packed NTT butterfly (DESIGN.md §13): the NTT prover's
+            multiplication, a REDC rather than a boxed Barrett product
      f_div  field division (inverse + multiply)
      c      pseudorandomly generate a field element (ChaCha + rejection)
 
@@ -22,6 +24,7 @@ type t = {
   h : float;
   f_lazy : float;
   f : float;
+  f_packed : float;
   f_div : float;
   c : float;
   field_bits : int;
@@ -48,6 +51,12 @@ let measure ?(iters = 1000) ctx (grp : Group.t) : t =
   let sink = ref Fp.zero in
   let f = time_per iters (fun () -> sink := Fp.mul ctx (pick ()) (pick ())) in
   let f_lazy = time_per iters (fun () -> ignore (Fp.mul_lazy ctx (pick ()) (pick ()))) in
+  let f_packed =
+    let v = Fp.Vec.of_array ctx [| pick (); pick () |] and tw = Fp.Vec.create ctx 1 in
+    Fp.Vec.set_mont ctx tw 0 (pick ());
+    let sc = Fp.scratch_for ctx in
+    time_per iters (fun () -> Fp.Vec.butterfly ctx sc v 0 1 tw 0)
+  in
   let f_div = time_per (max 100 (iters / 10)) (fun () -> sink := Fp.div ctx (pick ()) (pick ())) in
   let c = time_per iters (fun () -> sink := Chacha.Prg.field ctx prg) in
   let crypto_iters = max 20 (iters / 50) in
@@ -64,6 +73,7 @@ let measure ?(iters = 1000) ctx (grp : Group.t) : t =
     h;
     f_lazy;
     f;
+    f_packed;
     f_div;
     c;
     field_bits = Fp.bits ctx;
@@ -71,6 +81,7 @@ let measure ?(iters = 1000) ctx (grp : Group.t) : t =
   }
 
 let pp_row fmt (p : t) =
-  Format.fprintf fmt "%4d bits | e=%.1fus d=%.1fus h=%.1fus f_lazy=%.0fns f=%.0fns f_div=%.1fus c=%.0fns"
+  Format.fprintf fmt
+    "%4d bits | e=%.1fus d=%.1fus h=%.1fus f_lazy=%.0fns f=%.0fns f_packed=%.0fns f_div=%.1fus c=%.0fns"
     p.field_bits (p.e *. 1e6) (p.d *. 1e6) (p.h *. 1e6) (p.f_lazy *. 1e9) (p.f *. 1e9)
-    (p.f_div *. 1e6) (p.c *. 1e9)
+    (p.f_packed *. 1e9) (p.f_div *. 1e6) (p.c *. 1e9)

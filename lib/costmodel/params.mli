@@ -12,6 +12,9 @@ type t = {
   h : float; (** ciphertext add plus multiply (homomorphic accumulate) *)
   f_lazy : float; (** field multiplication without the final reduction *)
   f : float; (** field multiplication *)
+  f_packed : float;
+      (** one packed NTT butterfly: a REDC against a Montgomery-form
+          twiddle, an add and a sub (the NTT prover's multiplication) *)
   f_div : float; (** field division *)
   c : float; (** pseudorandom field element (ChaCha + rejection) *)
   field_bits : int;

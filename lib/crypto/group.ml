@@ -118,7 +118,7 @@ let generate ?(seed = "zaatar group") ~field_order ~p_bits () =
      land in fp.*.group, not the Figure-3 field ledger. The exponent
      context modq IS the PCP field, so it keeps the default Field tag. *)
   let modp = Fp.create ~tag:Fp.Group p in
-  let mont = Montgomery.create p in
+  let mont = Fp.mont modp in
   let rec find_g h =
     let g = Fp.pow modp (Fp.of_int modp h) m in
     if Fp.equal g Fp.one then find_g (h + 1) else g
@@ -143,11 +143,12 @@ let of_params ~p ~q ~g =
   if not (Nat.is_zero r) then invalid_arg "Group.of_params: q does not divide p - 1";
   if Nat.is_zero g || Nat.compare g p >= 0 then invalid_arg "Group.of_params: g out of range";
   if Nat.equal g Nat.one then invalid_arg "Group.of_params: g = 1 generates nothing";
-  let mont = Montgomery.create p in
+  let modp = Fp.create ~tag:Fp.Group p in
+  let mont = Fp.mont modp in
   if not (Nat.is_one (Montgomery.pow mont g q)) then
     invalid_arg "Group.of_params: g is not in the order-q subgroup";
   let g_fb = lazy (Montgomery.fb_precompute mont ~bits:(Nat.num_bits q) g) in
-  { p; q; g; modp = Fp.create ~tag:Fp.Group p; modq = Fp.create q; mont; g_fb }
+  { p; q; g; modp; modq = Fp.create q; mont; g_fb }
 
 (* Cache of generated groups, keyed by (field bits, p bits): generation
    costs seconds at 1024 bits. *)

@@ -16,6 +16,7 @@ type ctx = {
   sample_mask : int; (* mask for the top sampled byte *)
   dot_window : int; (* lazy products that can be accumulated before reduction *)
   p_limbs : Limb.a; (* p as k packed limbs: the range check of packed reads and samples *)
+  mont : Montgomery.ctx; (* the packed kernels' REDC; a group over p shares it *)
   cnt_mul : Zobs.Counter.t;
   cnt_mul_lazy : Zobs.Counter.t;
   cnt_inv : Zobs.Counter.t;
@@ -57,12 +58,14 @@ let create ?(tag = Field) p =
     sample_mask = (1 lsl (((p_bits - 1) mod 8) + 1)) - 1;
     dot_window;
     p_limbs;
+    mont = Montgomery.create p;
     cnt_mul;
     cnt_mul_lazy;
     cnt_inv;
   }
 
 let modulus ctx = ctx.p
+let mont ctx = ctx.mont
 let bits ctx = ctx.p_bits
 let num_bytes ctx = (ctx.p_bits + 7) / 8
 let zero = Nat.zero
@@ -102,8 +105,6 @@ let of_int ctx n =
     let m = of_nat ctx (Nat.of_int (-n)) in
     if Nat.is_zero m then Nat.zero else Nat.sub ctx.p m
   end
-
-let two ctx = of_int ctx 2
 
 let to_signed_int ctx x =
   let half = Nat.shift_right ctx.p 1 in
@@ -232,35 +233,35 @@ let pp fmt x = Format.pp_print_string fmt (to_string x)
 (* ------------------------------------------------------------------ *)
 
 (* Per-context scratch arena for the packed kernels: the modulus and the
-   two Barrett constants as limb slices, the lazy dot's int columns, and
-   one temporary area. Layout of [tmp] (k = limbs of p):
-     [0, 2k+2+2e)     q2 = q1 * mu (e = 1 for the dot's wide reduction)
-     then             r2 = (q3 * p) mod B^(k+1), then r = r1 - r2
-     [4k+4, 6k+4)     product a*b awaiting reduction
-     [6k+4, 7k+4)     butterfly slot t; also the dot's and axpy's result
-     [7k+4, 8k+4)     butterfly slot u
-     [8k+4, 10k+5)    the dot's normalised column sum
-   The wide reduction's r ends at 4k+6, inside the product area, which a
-   dot never uses. A scratch is owned by exactly one domain (see
-   [scratch_for]); nothing here is safe to share across domains. *)
+   lazy dot's Barrett constant as limb slices, the dot's int columns, the
+   REDC accumulator, and one temporary area. Layout of [tmp] (k = limbs
+   of p):
+     [0, 4k+6)        the dot's wide Barrett reduction (q2, r2, r)
+     [4k+6, 6k+7)     the dot's normalised column sum
+     [6k+7, 7k+7)     slot t: a kernel's REDC product, the swap temporary
+                      and the dot's result
+   A scratch is owned by exactly one domain (see [scratch_for]); nothing
+   here is safe to share across domains. *)
 type scratch = {
   sk : int; (* limbs of p *)
   p_l : Limb.a; (* k+1 limbs, p zero-padded *)
-  mu_l : Limb.a; (* k+1 limbs: floor(B^2k / p) *)
   mu_wide : Limb.a; (* k+2 limbs: floor(B^(2k+1) / p) *)
   cols : int array; (* 2k columns of the split lazy dot *)
-  tmp : Limb.a; (* 10k+5 limbs *)
+  tmp : Limb.a; (* 7k+7 limbs *)
+  ms : Montgomery.scratch;
 }
 
 let limb_mask = (1 lsl 31) - 1
 
-(* [Limb.get] again, for the per-limb loops below (the dot, the codec's
-   range check): modules are compiled separately (no cross-module
-   inlining), and a call per limb would cost more than the multiply it
-   feeds. *)
+(* [Limb.get]/[Limb.set] again, for the per-limb loops below (modular
+   add/sub, the dot, the codec's range check): modules are compiled
+   separately (no cross-module inlining), and a call per limb would cost
+   more than the work it feeds. *)
 external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
+external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let lget (b : Limb.a) i = Int64.to_int (get64u b (i lsl 3))
+let lset (b : Limb.a) i v = set64u b (i lsl 3) (Int64.of_int v)
 
 let scratch_create ctx =
   let k = ctx.k in
@@ -273,10 +274,10 @@ let scratch_create ctx =
   {
     sk = k;
     p_l = limbs ctx.p (k + 1);
-    mu_l = limbs ctx.mu (k + 1);
     mu_wide = limbs mu_wide (k + 2);
     cols = Array.make (2 * k) 0;
-    tmp = Limb.create ((10 * k) + 5);
+    tmp = Limb.create ((7 * k) + 7);
+    ms = Montgomery.scratch_for ctx.mont;
   }
 
 (* One scratch per (domain, context): domain-local storage keyed by context
@@ -299,22 +300,20 @@ let scratch_for ctx =
     cache := (ctx, sc) :: !cache;
     sc
 
-(* Barrett reduction (HAC 14.42) generalised to inputs below B^(2k+e):
-   with mu = floor(B^(2k+e) / p) on k+1+e limbs, q3 = floor(floor(x /
-   B^(k-1)) * mu / B^(k+1+e)) is within 2 of x div p, so r = x - q3*p < 3p
-   is formed mod B^(k+1) and corrected by at most two subtractions. e = 0
-   is the per-product reduction ([mu_l]), mirroring [reduce] above limb for
-   limb; e = 1 ([mu_wide]) reduces a lazy dot's whole sum at once. [x] may
-   live in [sc.tmp] at or above 4k+4 (e = 0) or 8k+4 (e = 1); nothing
-   below is read from it. *)
-let barrett sc ~e (mu : Limb.a) (dst : Limb.a) dso (x : Limb.a) xo =
+(* The lazy dot's one reduction: Barrett (HAC 14.42) generalised to a sum
+   x < B^(2k+1). With mu = floor(B^(2k+1) / p) on k+2 limbs, q3 =
+   floor(floor(x / B^(k-1)) * mu / B^(k+2)) is within 2 of x div p, so r =
+   x - q3*p < 3p is formed mod B^(k+1) and corrected by at most two
+   subtractions. [x] lives in [sc.tmp] at 4k+6; nothing below is read from
+   it. *)
+let barrett_wide sc (dst : Limb.a) dso (x : Limb.a) xo =
   let k = sc.sk in
   let t = sc.tmp in
-  let w = k + 1 + e in
+  let w = k + 2 in
   let off_r2 = 2 * w in
   let off_r = off_r2 + k + 1 in
   (* q1 = x >> (k-1) limbs (w limbs); q2 = q1 * mu at t[0]. *)
-  Limb.mul t 0 x (xo + k - 1) w mu 0 w;
+  Limb.mul t 0 x (xo + k - 1) w sc.mu_wide 0 w;
   (* q3 = q2 >> w limbs; r2 = q3 * p mod B^(k+1). *)
   Limb.mul_low t off_r2 t w w sc.p_l 0 (k + 1) (k + 1);
   (* r = (x mod B^(k+1)) - r2 mod B^(k+1); the true value is >= 0. *)
@@ -324,26 +323,35 @@ let barrett sc ~e (mu : Limb.a) (dst : Limb.a) dso (x : Limb.a) xo =
   done;
   Limb.blit t off_r dst dso k
 
-let reduce_slice sc dst dso x xo = barrett sc ~e:0 sc.mu_l dst dso x xo
+(* dst <- a + sign * b over k limbs (sign = 1 or -1); returns the carry
+   (1) or borrow (-1) out, else 0. Index-synchronous, so [dst] may alias
+   either input. *)
+let add_signed k (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo sign =
+  let c = ref 0 in
+  for l = 0 to k - 1 do
+    let s = lget a (ao + l) + (sign * lget b (bo + l)) + !c in
+    lset dst (dso + l) (s land limb_mask);
+    c := s asr 31
+  done;
+  !c
 
-(* Modular add/sub on k-limb slices; dst may alias either input. *)
+(* Modular add/sub on k-limb slices: one pass, then at most one
+   correction by p; dst may alias either input. *)
 let add_slice sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
-  let k = sc.sk in
-  let c = Limb.add dst dso a ao b bo k in
-  if c = 1 || Limb.cmp dst dso sc.p_l 0 k >= 0 then
-    ignore (Limb.sub dst dso dst dso sc.p_l 0 k)
+  let k = sc.sk and p = sc.p_l in
+  let c = add_signed k dst dso a ao b bo 1 in
+  let i = ref (k - 1) in
+  while !i > 0 && lget dst (dso + !i) = lget p !i do
+    decr i
+  done;
+  if c = 1 || lget dst (dso + !i) >= lget p !i then ignore (add_signed k dst dso dst dso p 0 (-1))
 
 let sub_slice sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
-  let k = sc.sk in
-  let bw = Limb.sub dst dso a ao b bo k in
-  if bw = 1 then ignore (Limb.add dst dso dst dso sc.p_l 0 k)
+  if add_signed sc.sk dst dso a ao b bo (-1) = -1 then
+    ignore (add_signed sc.sk dst dso dst dso sc.p_l 0 1)
 
-let mul_slice ctx sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
-  Zobs.Counter.incr ctx.cnt_mul;
-  let k = sc.sk in
-  let off_prod = (4 * k) + 4 in
-  Limb.mul sc.tmp off_prod a ao k b bo k;
-  reduce_slice sc dst dso sc.tmp off_prod
+(* Slot t of [tmp]: where a kernel parks its REDC product. *)
+let off_t sc = (6 * sc.sk) + 7
 
 (* Vectors of packed canonical residues: slot [i] of a vector over a k-limb
    modulus occupies limbs [i*k, (i+1)*k). *)
@@ -392,8 +400,6 @@ module Vec = struct
     done;
     !j
 
-  let read_bytes ctx v i b off w = read_bytes_n ctx v i 1 b off w = 1
-
   let write_bytes (v : t) i b off w =
     check "write_bytes" v i 1;
     Limb.store_bytes v.buf (i * v.k) v.k b off w
@@ -403,17 +409,27 @@ module Vec = struct
     let n = ctx.sample_bytes in
     if Bytes.length b < n then invalid_arg "Fp.Vec.sample_bytes: bad byte source";
     Bytes.set_uint8 b (n - 1) (Bytes.get_uint8 b (n - 1) land ctx.sample_mask);
-    read_bytes ctx v i b 0 n
+    read_bytes_n ctx v i 1 b 0 n = 1
 
   let swap sc (v : t) i j =
-    let k = v.k in
-    let off_t = (6 * k) + 4 in
-    Limb.blit v.buf (i * k) sc.tmp off_t k;
+    let k = v.k and o = off_t sc in
+    Limb.blit v.buf (i * k) sc.tmp o k;
     Limb.blit v.buf (j * k) v.buf (i * k) k;
-    Limb.blit sc.tmp off_t v.buf (j * k) k
+    Limb.blit sc.tmp o v.buf (j * k) k
 
+  (* Montgomery form (xR mod p) is for constants only: slots stay
+     canonical, and a constant in this form turns a product into one
+     REDC, c*R * x * R^-1 = c*x. *)
+  let set_mont ctx (v : t) i (x : el) =
+    check "set_mont" v i 1;
+    Montgomery.to_mont_into ctx.mont (Montgomery.scratch_for ctx.mont) x v.buf (i * v.k)
+
+  (* a*b*R^-1, then times R^2: two uncounted REDCs, one counted mul. *)
   let mul ctx sc (dst : t) di (a : t) ai (b : t) bi =
-    mul_slice ctx sc dst.buf (di * dst.k) a.buf (ai * a.k) b.buf (bi * b.k)
+    Zobs.Counter.incr ctx.cnt_mul;
+    let d = dst.buf and o = di * dst.k in
+    Montgomery.redc_into ctx.mont sc.ms d o a.buf (ai * a.k) b.buf (bi * b.k);
+    Montgomery.to_mont_slice ctx.mont sc.ms d o d o
 
   let add _ctx sc (dst : t) di (a : t) ai (b : t) bi =
     add_slice sc dst.buf (di * dst.k) a.buf (ai * a.k) b.buf (bi * b.k)
@@ -429,18 +445,48 @@ module Vec = struct
       add ctx sc dst (di + j) a (ai + j) b (bi + j)
     done
 
-  (* y.(yi+j) += c.(ci) * x.(xi+j): one counted [mul_slice] and one
-     [add_slice] per term, the product parked in the butterfly's t slot. *)
+  (* y.(yi+j) += c.(ci) * x.(xi+j), c in Montgomery form: one REDC and one
+     [add_slice] per term, the product parked in slot t. *)
   let axpy ctx sc (y : t) yi (c : t) ci (x : t) xi len =
     check "axpy" y yi len;
     check "axpy" c ci 1;
     check "axpy" x xi len;
-    let k = sc.sk in
-    let off_t = (6 * k) + 4 in
+    let k = sc.sk and o = off_t sc in
+    Zobs.Counter.add ctx.cnt_mul len;
     for j = 0 to len - 1 do
-      mul_slice ctx sc sc.tmp off_t c.buf (ci * k) x.buf ((xi + j) * k);
-      add_slice sc y.buf ((yi + j) * k) y.buf ((yi + j) * k) sc.tmp off_t
+      Montgomery.redc_into ctx.mont sc.ms sc.tmp o c.buf (ci * k) x.buf ((xi + j) * k);
+      add_slice sc y.buf ((yi + j) * k) y.buf ((yi + j) * k) sc.tmp o
     done
+
+  (* Sparse mat-vec over compressed rows. Term t's tag (the low two bits
+     of [idx.(t)]) selects its coefficient: +1 and -1 are one add or sub,
+     anything else is the next unread slot of [coef] (Montgomery form),
+     one REDC. Each term counts one [fp.mul], as [Lincomb.eval] does. *)
+  let spmv ctx sc ~(ptr : int array) ~(idx : int array) (coef : t) (x : t) (dst : t) =
+    let rows = Array.length ptr - 1 in
+    check "spmv" dst 0 rows;
+    if ptr.(0) <> 0 || ptr.(rows) > Array.length idx then
+      invalid_arg "Fp.Vec.spmv: row pointers outside the term array";
+    let k = sc.sk and o = off_t sc and d = dst.buf in
+    let ci = ref 0 in
+    for r = 0 to rows - 1 do
+      let ro = r * k in
+      Limb.clear d ro k;
+      for t = ptr.(r) to ptr.(r + 1) - 1 do
+        let e = idx.(t) in
+        let v = e lsr 2 in
+        if v >= x.n then invalid_arg "Fp.Vec.spmv: column outside the vector";
+        match e land 3 with
+        | 1 -> add_slice sc d ro d ro x.buf (v * k)
+        | 2 -> sub_slice sc d ro d ro x.buf (v * k)
+        | _ ->
+          if !ci >= coef.n then invalid_arg "Fp.Vec.spmv: more terms than coefficients";
+          Montgomery.redc_into ctx.mont sc.ms sc.tmp o coef.buf (!ci * k) x.buf (v * k);
+          add_slice sc d ro d ro sc.tmp o;
+          incr ci
+      done
+    done;
+    Zobs.Counter.add ctx.cnt_mul ptr.(rows)
 
   (* Each column takes at most 2k half-products below 2^31 per term, and
      the carries the normalisation adds stay below one more such share, so
@@ -490,7 +536,7 @@ module Vec = struct
       end
     done;
     Zobs.Counter.add ctx.cnt_mul_lazy !terms;
-    let t = sc.tmp and xo = (8 * k) + 4 and ro = (6 * k) + 4 in
+    let t = sc.tmp and xo = (4 * k) + 6 and ro = off_t sc in
     let carry = ref 0 in
     for c = 0 to (2 * k) - 1 do
       let s = Array.unsafe_get cols c + !carry in
@@ -498,25 +544,26 @@ module Vec = struct
       carry := s lsr 31
     done;
     Limb.set t (xo + (2 * k)) !carry;
-    barrett sc ~e:1 sc.mu_wide t ro t xo;
+    barrett_wide sc t ro t xo;
     Limb.to_nat t ro k
 
-  (* Fused CT butterfly: t = data[j] * tw[ti]; data[j] <- data[i] - t;
-     data[i] <- data[i] + t. One counted field mul, zero allocations. *)
+  (* Fused CT butterfly, tw in Montgomery form: t = data[j] * tw[ti] by
+     one REDC; data[j] <- data[i] - t; data[i] <- data[i] + t. One counted
+     field mul, zero allocations. *)
   let butterfly ctx sc (data : t) i j (tw : t) ti =
     Zobs.Counter.incr ctx.cnt_mul;
-    let k = sc.sk in
-    let off_prod = (4 * k) + 4 and off_t = (6 * k) + 4 and off_u = (7 * k) + 4 in
-    Limb.mul sc.tmp off_prod data.buf (j * k) k tw.buf (ti * k) k;
-    reduce_slice sc sc.tmp off_t sc.tmp off_prod;
-    Limb.blit data.buf (i * k) sc.tmp off_u k;
-    add_slice sc data.buf (i * k) sc.tmp off_u sc.tmp off_t;
-    sub_slice sc data.buf (j * k) sc.tmp off_u sc.tmp off_t
+    let k = sc.sk and o = off_t sc and d = data.buf in
+    Montgomery.redc_into ctx.mont sc.ms sc.tmp o d (j * k) tw.buf (ti * k);
+    sub_slice sc d (j * k) d (i * k) sc.tmp o;
+    add_slice sc d (i * k) d (i * k) sc.tmp o
 
-  (* Multiply every slot of [v] by slot [ci] of [c]. *)
+  (* Multiply every slot of [v] by slot [ci] of [c] (Montgomery form). *)
   let scale_all ctx sc (v : t) (c : t) ci =
+    check "scale_all" c ci 1;
+    let k = sc.sk in
+    Zobs.Counter.add ctx.cnt_mul v.n;
     for i = 0 to v.n - 1 do
-      mul ctx sc v i v i c ci
+      Montgomery.redc_into ctx.mont sc.ms v.buf (i * k) v.buf (i * k) c.buf (ci * k)
     done
 end
 

@@ -1,9 +1,10 @@
-(** Prime fields F_p with Barrett reduction.
+(** Prime fields F_p.
 
     The PCP protocols, the QAP construction and the commitment all work over
     a large prime field (§5.1 of the paper uses 128-bit and 220-bit prime
-    moduli). A [ctx] carries the modulus and the precomputed Barrett
-    constant; elements are canonical naturals in [0, p). *)
+    moduli). A [ctx] carries the modulus, the Barrett constant of the boxed
+    API and the {!Montgomery} context of the packed kernels; elements are
+    canonical naturals in [0, p). *)
 
 type ctx
 
@@ -22,6 +23,11 @@ val create : ?tag:tag -> Nat.t -> ctx
     [tag] defaults to [Field]. *)
 
 val modulus : ctx -> Nat.t
+
+val mont : ctx -> Montgomery.ctx
+(** The REDC context every packed product runs on; a group over the same
+    modulus shares it instead of building its own. *)
+
 val bits : ctx -> int
 (** Bit length of the modulus. *)
 
@@ -31,7 +37,6 @@ val num_bytes : ctx -> int
 
 val zero : el
 val one : el
-val two : ctx -> el
 
 val of_nat : ctx -> Nat.t -> el
 (** Reduce an arbitrary natural modulo p. *)
@@ -95,19 +100,16 @@ val pp : Format.formatter -> el -> unit
 
 (** {2 Packed elements}
 
-    Zero-allocation kernels over flat {!Limb} arenas. A {!scratch} holds
-    the modulus/Barrett constants as limb slices plus preallocated
-    temporaries for one reduction; every packed operation threads one
-    through explicitly. Ownership discipline: a scratch belongs to exactly
+    Zero-allocation kernels over flat {!Limb} arenas. Slots hold
+    canonical residues; every product is the group's fused CIOS REDC
+    ({!Montgomery.redc_into}); only precomputed constants are kept in
+    Montgomery form ({!Vec.set_mont}). A {!scratch} holds the modulus,
+    the lazy dot's Barrett constant, the REDC accumulator and one product
+    slot; every packed operation threads one through explicitly. Ownership discipline: a scratch belongs to exactly
     one domain — obtain it via {!scratch_for} (domain-local, cached per
-    context) rather than sharing a {!scratch_create} result across
-    [Dompool] workers. See DESIGN.md §13. *)
+    context), never share one across [Dompool] workers. See DESIGN.md §13. *)
 
 type scratch
-
-val scratch_create : ctx -> scratch
-(** A fresh arena; prefer {!scratch_for} unless you are managing domains
-    yourself. *)
 
 val scratch_for : ctx -> scratch
 (** The calling domain's cached arena for this context (created on first
@@ -133,19 +135,18 @@ module Vec : sig
   val clear : t -> int -> int -> unit
   val swap : scratch -> t -> int -> int -> unit
 
+  val set_mont : ctx -> t -> int -> el -> unit
+  (** Slot [i] gets [xR mod p], the form the constants of {!axpy},
+      {!butterfly}, {!scale_all} and {!spmv} take. Uncounted. *)
+
   val equal : t -> t -> bool
 
-  val read_bytes : ctx -> t -> int -> bytes -> int -> int -> bool
-  (** [read_bytes ctx v i b off w]: slot [i] gets the [w]-byte
-      little-endian element at [b.[off]], straight into its limbs.
-      Returns [false] unless it is a canonical residue (below p — the
-      strict range check of the wire codec). Allocation-free. *)
-
   val read_bytes_n : ctx -> t -> int -> int -> bytes -> int -> int -> int
-  (** [read_bytes_n ctx v i n b off w]: {!read_bytes} over [n]
-      consecutive [w]-byte elements into slots [i, i+n), stopping at the
-      first that is not canonical; returns how many were read ([n] when
-      all were). *)
+  (** [read_bytes_n ctx v i n b off w]: slots [i, i+n) get the [n]
+      consecutive [w]-byte little-endian elements at [b.[off]], straight
+      into their limbs, stopping at the first that is not a canonical
+      residue (below p — the strict range check of the wire codec);
+      returns how many were read ([n] when all were). Allocation-free. *)
 
   val write_bytes : t -> int -> bytes -> int -> int -> unit
   (** [write_bytes v i b off w]: slot [i] as [w] little-endian bytes;
@@ -158,18 +159,25 @@ module Vec : sig
 
   val mul : ctx -> scratch -> t -> int -> t -> int -> t -> int -> unit
   (** [mul ctx sc dst di a ai b bi]: slot [di] of [dst] gets
-      [a.(ai) * b.(bi)]; counted as one [fp.mul]. Any slots may alias. *)
+      [a.(ai) * b.(bi)] by two REDCs ([abR^-1], then times [R^2]);
+      counted as one [fp.mul]. Any slots may alias. *)
 
   val add : ctx -> scratch -> t -> int -> t -> int -> t -> int -> unit
   val sub : ctx -> scratch -> t -> int -> t -> int -> t -> int -> unit
 
-  val add_n : ctx -> scratch -> t -> int -> t -> int -> t -> int -> int -> unit
-  (** [add_n ctx sc dst di a ai b bi len]: slot-wise [add] over [len]
-      slots; ranges may alias index for index. *)
-
   val axpy : ctx -> scratch -> t -> int -> t -> int -> t -> int -> int -> unit
-  (** [axpy ctx sc y yi c ci x xi len]: [y.(yi+j) += c.(ci) * x.(xi+j)]
-      for [j < len]; one counted [fp.mul] per term, no allocation. *)
+  (** [axpy ctx sc y yi c ci x xi len]: [y.(yi+j) += c * x.(xi+j)] for
+      [j < len], slot [ci] of [c] holding [c] in Montgomery form; one
+      REDC and one counted [fp.mul] per term, no allocation. *)
+
+  val spmv : ctx -> scratch -> ptr:int array -> idx:int array -> t -> t -> t -> unit
+  (** [spmv ctx sc ~ptr ~idx coef x dst]: [dst = M x] for M in compressed
+      rows: row [r] is terms [[ptr.(r), ptr.(r+1))], term [t] reads slot
+      [idx.(t) lsr 2] of [x] times +1 (tag [idx.(t) land 3 = 1]), -1 (tag
+      2) or the next unread slot of [coef] in Montgomery form (tag 0).
+      [dst] must not share an arena with [x] or [coef]. Counts one
+      [fp.mul] per term, as [Lincomb.eval] does. Raises [Invalid_argument]
+      on [ptr.(0) <> 0], a column outside [x] or too few coefficients. *)
 
   val dot_bound : ctx -> int
   (** The most terms {!dot} accepts: [max_int / (k * 2^32)] for a k-limb
@@ -181,18 +189,20 @@ module Vec : sig
   (** [dot ctx sc a ai b bi len] = sum of [a.(ai+j) * b.(bi+j)], the
       split-column lazy dot: each 62-bit limb product is split into 31-bit
       halves summed in plain int columns, then one normalisation and one
-      Barrett reduction per call. Equal to {!Fp.dot} on the same values,
+      wide Barrett reduction per call. Equal to {!Fp.dot} on the same values,
       counting the same [fp.mul_lazy] (terms with both operands nonzero);
       allocates only its result. Raises [Invalid_argument] beyond
       {!dot_bound} or outside either vector. *)
 
   val butterfly : ctx -> scratch -> t -> int -> int -> t -> int -> unit
   (** [butterfly ctx sc data i j tw ti]: the fused Cooley-Tukey step
-      [t = data.(j) * tw.(ti); data.(j) <- data.(i) - t;
-      data.(i) <- data.(i) + t]. One counted field mul, no allocation. *)
+      [t = data.(j) * w; data.(j) <- data.(i) - t;
+      data.(i) <- data.(i) + t], slot [ti] of [tw] holding [w] in
+      Montgomery form. One REDC and one counted field mul, no allocation. *)
 
   val scale_all : ctx -> scratch -> t -> t -> int -> unit
-  (** Multiply every slot of the vector by slot [ci] of [c]. *)
+  (** Multiply every slot of the vector by the Montgomery-form slot [ci]
+      of [c] (not the same vector): one REDC and one [fp.mul] per slot. *)
 end
 
 module Rows : sig

@@ -56,18 +56,8 @@ let is_zero_slice (x : a) xo w =
   done;
   !z
 
-(* dst <- x + y over [w] limbs; returns the carry out. Index-synchronous,
+(* dst <- x - y mod 2^(31w); returns the borrow out. Index-synchronous,
    so [dst] may alias either input. *)
-let add (dst : a) dso (x : a) xo (y : a) yo w =
-  let carry = ref 0 in
-  for i = 0 to w - 1 do
-    let s = get x (xo + i) + get y (yo + i) + !carry in
-    set dst (dso + i) (s land mask);
-    carry := s lsr base_bits
-  done;
-  !carry
-
-(* dst <- x - y mod 2^(31w); returns the borrow out. Aliasing as [add]. *)
 let sub (dst : a) dso (x : a) xo (y : a) yo w =
   let borrow = ref 0 in
   for i = 0 to w - 1 do

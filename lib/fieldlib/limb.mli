@@ -13,12 +13,8 @@ type a = bytes
 val create : int -> a
 (** Zero-filled buffer of [n] limbs. *)
 
-val length : a -> int
 val get : a -> int -> int
 val set : a -> int -> int -> unit
-val fill : a -> int -> int -> int -> unit
-(** [fill b off w v] sets [b.(off .. off+w-1)] to [v]. *)
-
 val clear : a -> int -> int -> unit
 
 val blit : a -> int -> a -> int -> int -> unit
@@ -29,13 +25,9 @@ val cmp : a -> int -> a -> int -> int -> int
 
 val is_zero_slice : a -> int -> int -> bool
 
-val add : a -> int -> a -> int -> a -> int -> int -> int
-(** [add dst dso x xo y yo w] sets [dst <- x + y] over [w] limbs and
-    returns the carry out. [dst] may alias either input slice. *)
-
 val sub : a -> int -> a -> int -> a -> int -> int -> int
 (** [sub dst dso x xo y yo w] sets [dst <- x - y mod 2^(31w)] and returns
-    the borrow out. Aliasing as {!add}. *)
+    the borrow out. [dst] may alias either input slice. *)
 
 val mul : a -> int -> a -> int -> int -> a -> int -> int -> unit
 (** [mul dst dso x xo wa y yo wb]: full schoolbook product into

@@ -26,8 +26,6 @@ type ctx = {
    expressed in. Conversions at the boundary are not counted. *)
 let c_mul = Zobs.Counter.make "mont.mul"
 
-let modulus ctx = ctx.p
-
 let create p =
   if Nat.is_even p || Nat.compare p (Nat.of_int 3) < 0 then
     invalid_arg "Montgomery.create: modulus must be odd and >= 3";
@@ -72,7 +70,10 @@ let scratch_for ctx =
    consumed before [dst] is written, so [dst] may alias either. Uncounted. *)
 let redc_into ctx sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
   let k = ctx.k and p = ctx.p_a and t = sc.t and p0' = ctx.p0' in
-  Array.fill t 0 (k + 1) 0;
+  (* a loop, not [Array.fill]: that is a C call per product *)
+  for j = 0 to k do
+    Array.unsafe_set t j 0
+  done;
   for i = 0 to k - 1 do
     let ai = get a (ao + i) in
     let s = Array.unsafe_get t 0 + (ai * get b bo) in
@@ -106,11 +107,15 @@ let mul_into ctx sc dst dso a ao b bo =
   Zobs.Counter.incr c_mul;
   redc_into ctx sc dst dso a ao b bo
 
+(* REDC against R^2: x -> xR mod p. *)
+let to_mont_slice ctx sc (dst : Limb.a) dso (src : Limb.a) so =
+  redc_into ctx sc dst dso src so ctx.consts 0
+
 (* The boundary: the only places a Nat meets Montgomery form. *)
 let to_mont_into ctx sc x (dst : Limb.a) dso =
   if Nat.compare x ctx.p >= 0 then invalid_arg "Montgomery.to_mont_into: input not reduced";
   Limb.of_nat x dst dso ctx.k;
-  redc_into ctx sc dst dso dst dso ctx.consts 0
+  to_mont_slice ctx sc dst dso dst dso
 
 (* REDC against a plain 1, via the register file's output slot 2. *)
 let of_mont ctx sc (src : Limb.a) so =

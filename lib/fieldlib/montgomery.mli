@@ -15,8 +15,6 @@ type ctx
 val create : t -> ctx
 (** Modulus must be odd and >= 3. *)
 
-val modulus : ctx -> t
-
 (** {2 The fused REDC}
 
     A {!scratch} is owned by one domain — obtain it with {!scratch_for}
@@ -32,6 +30,13 @@ val mul_into : ctx -> scratch -> Limb.a -> int -> Limb.a -> int -> Limb.a -> int
     [dso] gets [a * b * R^-1 mod p] of the k-limb input slices, which
     must lie below p. One CIOS pass (2k^2 + k multiply-adds); [dst] may
     alias either input slice. One counted [mont.mul], no allocation. *)
+
+val redc_into : ctx -> scratch -> Limb.a -> int -> Limb.a -> int -> Limb.a -> int -> unit
+(** {!mul_into} without the count, for {!Fp.Vec}, which counts [fp.mul]. *)
+
+val to_mont_slice : ctx -> scratch -> Limb.a -> int -> Limb.a -> int -> unit
+(** [to_mont_slice ctx sc dst dso src so]: [dst <- src * R mod p] (REDC
+    against R^2; [dst] may alias [src]). Uncounted. *)
 
 val to_mont_into : ctx -> scratch -> t -> Limb.a -> int -> unit
 (** Write [xR mod p] into a k-limb slice. [x] must be reduced (< p). Not

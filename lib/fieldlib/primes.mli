@@ -10,10 +10,6 @@ val probably_prime : ?bases:int list -> Nat.t -> bool
     strong-probable-prime rounds. Confirm final candidates with
     {!is_prime}. *)
 
-val prime_ge : Nat.t -> Nat.t
-(** Smallest prime at or above the argument. *)
-
-val mersenne : int -> Nat.t
 val first_prime_with_bits : int -> Nat.t
 
 val p61 : Nat.t

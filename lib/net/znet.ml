@@ -134,9 +134,11 @@ let write_all conn buf =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
 
-let read_all conn buf ~what =
+(* Fill [buf] from [off] to its end; [`Header] at offset 0 is a frame
+   boundary, where EOF is an orderly close rather than a crash. *)
+let read_all ?(off = 0) conn buf ~what =
   let len = Bytes.length buf in
-  let off = ref 0 in
+  let off = ref off in
   while !off < len do
     match Unix.read conn.fd buf !off (len - !off) with
     | 0 ->
@@ -149,6 +151,16 @@ let read_all conn buf ~what =
       fail (Closed (conn.peer ^ " reset the connection"))
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
   done
+
+(* A payload buffer starts at [initial_payload] bytes and doubles toward
+   the frame length only when full, so a length prefix alone never buys a
+   large allocation: memory follows the bytes the peer actually sent. *)
+let initial_payload = 64 * 1024
+
+let grown buf ~filled ~len =
+  let b = Bytes.create (min len (max initial_payload (2 * Bytes.length buf))) in
+  Bytes.blit buf 0 b 0 filled;
+  b
 
 let send conn payload =
   let len = Bytes.length payload in
@@ -171,10 +183,14 @@ let recv ?(max_frame = 1 lsl 30) conn =
     lor Bytes.get_uint8 hdr 3
   in
   if len > max_frame then fail (Frame_too_large len);
-  let payload = Bytes.create len in
-  read_all conn payload ~what:`Payload;
+  let payload = ref Bytes.empty in
+  while Bytes.length !payload < len do
+    let filled = Bytes.length !payload in
+    payload := grown !payload ~filled ~len;
+    read_all ~off:filled conn !payload ~what:`Payload
+  done;
   Zobs.Counter.incr c_frames_recv;
-  payload
+  !payload
 
 (* ------------------------------------------------------------------ *)
 (* Servers                                                             *)
@@ -231,16 +247,7 @@ module Frame_reader = struct
     t.payload <- Bytes.empty;
     t.payload_off <- 0
 
-  (* The payload buffer starts at [initial_payload] bytes and doubles (up
-     to [len]) only when full, so a length prefix alone never buys a
-     large allocation: memory follows the bytes the peer actually sent. *)
-  let initial_payload = 64 * 1024
-
-  let grow t =
-    let cap = min t.len (max initial_payload (2 * Bytes.length t.payload)) in
-    let b = Bytes.create cap in
-    Bytes.blit t.payload 0 b 0 t.payload_off;
-    t.payload <- b
+  let grow t = t.payload <- grown t.payload ~filled:t.payload_off ~len:t.len
 
   (* Read what the socket has; [`Frame p] resets the state for the next
      frame. EOF at a frame boundary is [`Eof]; EOF mid-frame raises

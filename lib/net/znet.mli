@@ -59,7 +59,9 @@ val send : conn -> bytes -> unit
 
 val recv : ?max_frame:int -> conn -> bytes
 (** Read one frame (default [max_frame] 1 GiB guards the length prefix).
-    Raises [Net_error (Closed _)] on EOF — including mid-frame peer
+    The payload buffer starts at 64 KiB and doubles as bytes arrive, as in
+    {!Frame_reader}, so a length prefix alone never buys a large
+    allocation. Raises [Net_error (Closed _)] on EOF — including mid-frame peer
     crashes, which are reported distinctly — and [Net_error (Timeout _)]
     on an idle wire. *)
 

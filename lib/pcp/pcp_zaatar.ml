@@ -37,7 +37,7 @@ type repetition = {
   iq4 : int; (* into h queries; blinded by q8 = first lin_h component *)
   iblind_z : int; (* q5 *)
   iblind_h : int; (* q8 *)
-  qap_q : Qapb.queries;
+  qap_q : Qap.queries;
 }
 
 type queries = {
@@ -107,10 +107,10 @@ let gen_queries ?(params = paper_params) (qap : Qapb.t) (prg : Chacha.Prg.t) : q
     let iblind_z, _, _ = lin_z.(0) in
     let iblind_h, _, _ = lin_h.(0) in
     let qap_q = fresh_tau ctx qap prg in
-    let iq1 = blinded zq nz (Qapb.z_slice qap qap_q.Qapb.a_tau) iblind_z in
-    let iq2 = blinded zq nz (Qapb.z_slice qap qap_q.Qapb.b_tau) iblind_z in
-    let iq3 = blinded zq nz (Qapb.z_slice qap qap_q.Qapb.c_tau) iblind_z in
-    let iq4 = blinded hq nh qap_q.Qapb.qd iblind_h in
+    let iq1 = blinded zq nz (Qapb.z_slice qap qap_q.Qap.a_tau) iblind_z in
+    let iq2 = blinded zq nz (Qapb.z_slice qap qap_q.Qap.b_tau) iblind_z in
+    let iq3 = blinded zq nz (Qapb.z_slice qap qap_q.Qap.c_tau) iblind_z in
+    let iq4 = blinded hq nh qap_q.Qap.qd iblind_h in
     { lin_z; lin_h; iq1; iq2; iq3; iq4; iblind_z; iblind_h; qap_q }
   in
   let reps = Array.init params.rho (fun _ -> repetition ()) in
@@ -151,14 +151,14 @@ let decide (qap : Qapb.t) (q : queries) (r : responses) ~(io : Fp.el array) : ve
       if not lin_ok then Reject_linearity k
       else begin
         let qq = rep.qap_q in
-        let la = Qapb.io_contribution qap qq.Qapb.a_tau io in
-        let lb = Qapb.io_contribution qap qq.Qapb.b_tau io in
-        let lc = Qapb.io_contribution qap qq.Qapb.c_tau io in
+        let la = Qapb.io_contribution qap qq.Qap.a_tau io in
+        let lb = Qapb.io_contribution qap qq.Qap.b_tau io in
+        let lc = Qapb.io_contribution qap qq.Qap.c_tau io in
         let a_tau = Fp.add ctx (Fp.sub ctx rz.(rep.iq1) rz.(rep.iblind_z)) la in
         let b_tau = Fp.add ctx (Fp.sub ctx rz.(rep.iq2) rz.(rep.iblind_z)) lb in
         let c_tau = Fp.add ctx (Fp.sub ctx rz.(rep.iq3) rz.(rep.iblind_z)) lc in
         let h_tau = Fp.sub ctx rh.(rep.iq4) rh.(rep.iblind_h) in
-        let lhs = Fp.mul ctx qq.Qapb.d_tau h_tau in
+        let lhs = Fp.mul ctx qq.Qap.d_tau h_tau in
         let rhs = Fp.sub ctx (Fp.mul ctx a_tau b_tau) c_tau in
         if Fp.equal lhs rhs then check_reps (k + 1) else Reject_divisibility k
       end

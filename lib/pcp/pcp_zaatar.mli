@@ -36,7 +36,7 @@ type repetition = {
   iq4 : int;
   iblind_z : int;
   iblind_h : int;
-  qap_q : Qapb.queries;
+  qap_q : Qap.queries;
 }
 
 type queries = {

@@ -10,7 +10,8 @@ open Fieldlib
 
 (* Per-size packed transform plan: stage-major twiddle tables (stage [len]
    occupies indices [len/2 - 1, len - 2], entry j holding w_len^j) plus the
-   packed 1/n. Built once per (ctx, log_n) under the plan lock and then
+   packed 1/n, all in Montgomery form so every butterfly and every scaling
+   is one REDC. Built once per (ctx, log_n) under the plan lock and then
    read-only, so concurrent domains can share one ctx. *)
 type plan = {
   fwd_tw : Fp.Vec.t;
@@ -39,68 +40,14 @@ let root_of_order t log_n =
   done;
   !w
 
-let bit_reverse_permute (a : Fp.el array) =
-  let n = Array.length a in
-  let j = ref 0 in
-  for i = 0 to n - 2 do
-    if i < !j then begin
-      let tmp = a.(i) in
-      a.(i) <- a.(!j);
-      a.(!j) <- tmp
-    end;
-    let bit = ref (n lsr 1) in
-    while !j land !bit <> 0 do
-      j := !j lxor !bit;
-      bit := !bit lsr 1
-    done;
-    j := !j lor !bit
-  done
-
 let h_size = Zobs.Histogram.make "ntt.size"
 let c_butterfly = Zobs.Counter.make "ntt.butterfly"
 
 let rec log2_floor n = if n <= 1 then 0 else 1 + log2_floor (n lsr 1)
 
-(* In-place iterative radix-2 Cooley-Tukey. [a] must have power-of-two
-   length. *)
-let transform t (a : Fp.el array) w =
-  let f = t.field in
-  let n = Array.length a in
-  Zobs.Histogram.observe h_size n;
-  Zobs.Counter.add c_butterfly (n / 2 * log2_floor n);
-  bit_reverse_permute a;
-  let len = ref 2 in
-  while !len <= n do
-    (* w_len = w^(n / len) *)
-    let wlen = ref w in
-    let m = ref n in
-    while !m > !len do
-      wlen := Fp.sqr f !wlen;
-      m := !m / 2
-    done;
-    let half = !len / 2 in
-    let i = ref 0 in
-    while !i < n do
-      let wp = ref Fp.one in
-      for k = 0 to half - 1 do
-        let u = a.(!i + k) in
-        let v = Fp.mul f a.(!i + k + half) !wp in
-        a.(!i + k) <- Fp.add f u v;
-        a.(!i + k + half) <- Fp.sub f u v;
-        wp := Fp.mul f !wp !wlen
-      done;
-      i := !i + !len
-    done;
-    len := !len * 2
-  done
-
 let log2_exact n =
   let rec go n l = if n = 1 then l else if n land 1 = 1 then invalid_arg "Ntt: size not a power of two" else go (n lsr 1) (l + 1) in
   go n 0
-
-(* ------------------------------------------------------------------ *)
-(* Packed transforms (the production prover path)                       *)
-(* ------------------------------------------------------------------ *)
 
 let build_plan t log_n =
   let f = t.field in
@@ -119,7 +66,7 @@ let build_plan t log_n =
       done;
       let wp = ref Fp.one in
       for j = 0 to half - 1 do
-        Fp.Vec.set tw (half - 1 + j) !wp;
+        Fp.Vec.set_mont f tw (half - 1 + j) !wp;
         wp := Fp.mul f !wp !wlen
       done;
       len := !len * 2
@@ -128,7 +75,7 @@ let build_plan t log_n =
   in
   let w = root_of_order t log_n in
   let n_inv = Fp.Vec.create f 1 in
-  Fp.Vec.set n_inv 0 (Fp.inv f (Fp.of_int f n));
+  Fp.Vec.set_mont f n_inv 0 (Fp.inv f (Fp.of_int f n));
   { fwd_tw = mk w; inv_tw = mk (Fp.inv f w); n_inv }
 
 let plan_for t log_n =
@@ -189,20 +136,14 @@ let inverse_vec t (v : Fp.Vec.t) =
   transform_vec t v plan.inv_tw;
   Fp.Vec.scale_all t.field (Fp.scratch_for t.field) v plan.n_inv 0
 
-let forward t (a : Fp.el array) =
-  let a = Array.copy a in
-  let log_n = log2_exact (Array.length a) in
-  transform t a (root_of_order t log_n);
-  a
+(* The boxed entry points run the packed transform on a copy. *)
+let boxed t f (a : Fp.el array) =
+  let v = Fp.Vec.of_array t.field a in
+  f t v;
+  Fp.Vec.to_array v
 
-let inverse t (a : Fp.el array) =
-  let a = Array.copy a in
-  let n = Array.length a in
-  let log_n = log2_exact n in
-  let w = root_of_order t log_n in
-  transform t a (Fp.inv t.field w);
-  let n_inv = Fp.inv t.field (Fp.of_int t.field n) in
-  Array.map (Fp.mul t.field n_inv) a
+let forward t a = boxed t forward_vec a
+let inverse t a = boxed t inverse_vec a
 
 let next_pow2 n =
   let rec go p = if p >= n then p else go (2 * p) in
@@ -213,14 +154,19 @@ let next_pow2 n =
 let mul t (p : Poly.t) (q : Poly.t) : Poly.t =
   if Poly.is_zero p || Poly.is_zero q then Poly.zero
   else begin
-    let dn = Poly.degree p + Poly.degree q + 1 in
-    let n = next_pow2 dn in
+    let f = t.field in
+    let n = next_pow2 (Poly.degree p + Poly.degree q + 1) in
     let pad (x : Poly.t) =
-      let a = Array.make n Fp.zero in
-      Array.blit (Poly.coeffs x) 0 a 0 (Poly.degree x + 1);
-      a
+      let v = Fp.Vec.create f n in
+      Array.iteri (Fp.Vec.set v) (Poly.coeffs x);
+      forward_vec t v;
+      v
     in
-    let fa = forward t (pad p) and fb = forward t (pad q) in
-    let prod = Array.init n (fun i -> Fp.mul t.field fa.(i) fb.(i)) in
-    Poly.of_coeffs (inverse t prod)
+    let fa = pad p and fb = pad q in
+    let sc = Fp.scratch_for f in
+    for i = 0 to n - 1 do
+      Fp.Vec.mul f sc fa i fa i fb i
+    done;
+    inverse_vec t fa;
+    Poly.of_coeffs (Fp.Vec.to_array fa)
   end

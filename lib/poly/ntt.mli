@@ -16,10 +16,11 @@ val root_of_order : ctx -> int -> Fp.el
     the field's 2-adicity. *)
 
 val forward : ctx -> Fp.el array -> Fp.el array
-(** In natural order; length must be a power of two. Boxed reference
-    implementation (differential baseline for the packed path). *)
+(** In natural order; length must be a power of two. {!forward_vec} on a
+    packed copy. *)
 
 val inverse : ctx -> Fp.el array -> Fp.el array
+(** {!inverse_vec} on a packed copy. *)
 
 val prewarm : ctx -> int -> unit
 (** [prewarm t log_n] builds and caches the size-2^log_n twiddle plan so a
@@ -27,14 +28,15 @@ val prewarm : ctx -> int -> unit
 
 val forward_vec : ctx -> Fp.Vec.t -> unit
 (** In-place packed transform over precomputed stage-major twiddle tables
-    (cached per size in the ctx, thread-safe): one counted field mul per
-    butterfly, no per-element allocation. The production prover path. *)
+    in Montgomery form (cached per size in the ctx, thread-safe): one REDC
+    and one counted field mul per butterfly, no per-element allocation.
+    The production prover path. *)
 
 val inverse_vec : ctx -> Fp.Vec.t -> unit
 (** In-place packed inverse, including the 1/n scaling. *)
 
 val mul : ctx -> Poly.t -> Poly.t -> Poly.t
 (** Polynomial product by pointwise multiplication in the evaluation
-    domain. *)
+    domain, on the packed transforms. *)
 
 val next_pow2 : int -> int

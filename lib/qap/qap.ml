@@ -65,19 +65,13 @@ let eval_rows ctx (rows : (R1cs.constr -> Lincomb.t)) sys nc (w : Fp.el array) =
     sys.R1cs.constraints;
   out
 
-let interpolated_abc qap (w : Fp.el array) =
-  let ctx = qap.ctx and sys = qap.sys and nc = qap.nc in
-  let ip = Lazy.force qap.interp in
-  let a = Polylib.Subproduct.interpolate_with ctx ip (eval_rows ctx (fun k -> k.R1cs.a) sys nc w) in
-  let b = Polylib.Subproduct.interpolate_with ctx ip (eval_rows ctx (fun k -> k.R1cs.b) sys nc w) in
-  let c = Polylib.Subproduct.interpolate_with ctx ip (eval_rows ctx (fun k -> k.R1cs.c) sys nc w) in
-  (a, b, c)
-
-(* P_w(t) = A(t)B(t) - C(t). *)
+(* P_w(t) = A(t)B(t) - C(t), each of A, B, C interpolated from its row
+   evaluations. *)
 let pw_poly qap (w : Fp.el array) =
-  let ctx = qap.ctx in
-  let a, b, c = interpolated_abc qap w in
-  Polylib.Poly.(sub ctx (mul ctx a b) c)
+  let ctx = qap.ctx and ip = Lazy.force qap.interp in
+  let interp row = Polylib.Subproduct.interpolate_with ctx ip (eval_rows ctx row qap.sys qap.nc w) in
+  let a = interp (fun k -> k.R1cs.a) and b = interp (fun k -> k.R1cs.b) in
+  Polylib.Poly.(sub ctx (mul ctx a b) (interp (fun k -> k.R1cs.c)))
 
 (* Coefficients of H = P_w / D, padded to length |C|+1. Raises [Failure] if
    w does not satisfy the constraints (non-zero remainder, Claim A.1). *)

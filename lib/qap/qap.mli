@@ -32,9 +32,6 @@ val of_r1cs : R1cs.system -> t
 (** Raises [Invalid_argument] if the system is empty or the field has
     fewer than |C|+1 elements (the sigma_j must be distinct). *)
 
-val interpolated_abc : t -> Fp.el array -> Polylib.Poly.t * Polylib.Poly.t * Polylib.Poly.t
-(** The polynomials A(t), B(t), C(t) for a full assignment [w]. *)
-
 val pw_poly : t -> Fp.el array -> Polylib.Poly.t
 (** P_w(t) = A(t)B(t) - C(t). *)
 
@@ -55,7 +52,7 @@ type queries = {
           is the oracle query q_a, index 0 and the IO indices feed L_a *)
   b_tau : Fp.el array;
   c_tau : Fp.el array;
-  qd : Fp.el array; (** (1, tau, ..., tau^{|C|}) *)
+  qd : Fp.el array; (** (1, tau, ..., tau^(h_len - 1)); h_len = |C|+1 here *)
 }
 
 val queries : t -> tau:Fp.el -> queries

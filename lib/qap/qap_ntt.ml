@@ -22,6 +22,12 @@
 open Fieldlib
 open Constr
 
+(* One constraint matrix (A, B or C) in compressed rows for
+   [Fp.Vec.spmv]: row j's terms are [ptr.(j), ptr.(j+1)), each an index
+   [var lsl 2 lor tag] (tag 1: coefficient +1, 2: -1, 0: the next slot of
+   [coef], in Montgomery form). *)
+type csr = { ptr : int array; idx : int array; coef : Fp.Vec.t }
+
 type t = {
   ctx : Fp.ctx;
   ntt : Polylib.Ntt.ctx;
@@ -32,11 +38,25 @@ type t = {
   omega : Fp.el; (* primitive n-th root of unity *)
   domain : Fp.el array; (* w^0 .. w^(n-1) *)
   domain_v : Fp.Vec.t; (* the same, packed, for the verifier's queries *)
+  mat_a : csr;
+  mat_b : csr;
+  mat_c : csr;
 }
 
 let next_pow2 n =
   let rec go p l = if p >= n then (p, l) else go (2 * p) (l + 1) in
   go 1 0
+
+let compile ctx (rows : Lincomb.t array) =
+  let ptr = Array.make (Array.length rows + 1) 0 in
+  Array.iteri (fun j lc -> ptr.(j + 1) <- ptr.(j) + Lincomb.num_terms lc) rows;
+  let terms = List.concat_map Lincomb.terms (Array.to_list rows) in
+  let m1 = Fp.neg ctx Fp.one in
+  let tag c = if Fp.equal c Fp.one then 1 else if Fp.equal c m1 then 2 else 0 in
+  let general = List.filter (fun (_, c) -> tag c = 0) terms in
+  let coef = Fp.Vec.create ctx (List.length general) in
+  List.iteri (fun i (_, c) -> Fp.Vec.set_mont ctx coef i c) general;
+  { ptr; idx = Array.of_list (List.map (fun (v, c) -> (v lsl 2) lor tag c) terms); coef }
 
 let of_r1cs (sys : R1cs.system) =
   let ctx = sys.R1cs.field in
@@ -49,53 +69,60 @@ let of_r1cs (sys : R1cs.system) =
   for j = 1 to n - 1 do
     domain.(j) <- Fp.mul ctx domain.(j - 1) omega
   done;
-  { ctx; ntt; sys; nc; n; log_n; omega; domain; domain_v = Fp.Vec.of_array ctx domain }
+  let mat f = compile ctx (Array.map f sys.R1cs.constraints) in
+  { ctx; ntt; sys; nc; n; log_n; omega; domain; domain_v = Fp.Vec.of_array ctx domain;
+    mat_a = mat (fun k -> k.R1cs.a); mat_b = mat (fun k -> k.R1cs.b); mat_c = mat (fun k -> k.R1cs.c) }
 
 (* ------------------------------------------------------------------ *)
 (* Prover                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let eval_rows q (row : R1cs.constr -> Lincomb.t) (w : Fp.el array) =
+(* Slots [0, nc) of [va], [vb] and [vc] get the A, B and C row
+   evaluations at w: one sparse mat-vec each, counted as Lincomb.eval
+   counts. *)
+let eval_rows q (w : Fp.el array) va vb vc =
+  if Array.length w <> q.sys.R1cs.num_vars + 1 then invalid_arg "Qap_ntt: bad assignment length";
+  let wv = Fp.Vec.of_array q.ctx w and sc = Fp.scratch_for q.ctx in
+  List.iter2
+    (fun m dst -> Fp.Vec.spmv q.ctx sc ~ptr:m.ptr ~idx:m.idx m.coef wv dst)
+    [ q.mat_a; q.mat_b; q.mat_c ] [ va; vb; vc ]
+
+(* R1cs.satisfied on the packed rows: the same verdict and the same
+   counted muls (the row terms, then one product per row up to the first
+   violated row). *)
+let satisfied q (w : Fp.el array) =
+  let ctx = q.ctx and sc = Fp.scratch_for q.ctx and nc = q.nc in
+  let a = Fp.Vec.create ctx nc and b = Fp.Vec.create ctx nc and c = Fp.Vec.create ctx nc in
+  eval_rows q w a b c;
+  if not (Fp.equal w.(0) Fp.one) then invalid_arg "Qap_ntt.satisfied: w0 must be 1";
+  let rec go j =
+    j >= nc || (Fp.Vec.mul ctx sc a j a j b j; Fp.Vec.sub ctx sc a j a j c j; Fp.Vec.is_zero a j && go (j + 1))
+  in
+  go 0
+
+(* Boxed row evaluations over the padded domain, for the reference below. *)
+let eval_rows_boxed q (row : R1cs.constr -> Lincomb.t) (w : Fp.el array) =
   let out = Array.make q.n Fp.zero in
   Array.iteri (fun j k -> out.(j) <- Lincomb.eval q.ctx (row k) w) q.sys.R1cs.constraints;
   out
 
-(* Coefficients (length n) of the degree-<n polynomial interpolating the
-   row evaluations over the domain: one inverse NTT. *)
-let interpolate q evals = Polylib.Ntt.inverse q.ntt evals
-
-let pw_coeffs q (w : Fp.el array) =
-  let ctx = q.ctx in
-  let a = Polylib.Poly.of_coeffs (interpolate q (eval_rows q (fun k -> k.R1cs.a) w)) in
-  let b = Polylib.Poly.of_coeffs (interpolate q (eval_rows q (fun k -> k.R1cs.b) w)) in
-  let c = Polylib.Poly.of_coeffs (interpolate q (eval_rows q (fun k -> k.R1cs.c) w)) in
-  let ab = Polylib.Ntt.mul q.ntt a b in
-  Polylib.Poly.sub ctx ab c
-
 exception Not_divisible
 
-(* Packed coefficients of P_w = A*B - C on the doubled domain: three
-   inverse NTTs for the interpolations, two forwards + pointwise + one
-   inverse for the product, everything in one flat arena per vector. The
-   result vector has 2n slots; slots [n, 2n) are H, slots [0, n) must be
-   the negated H when w satisfies the constraints. *)
+(* Packed coefficients of P_w = A*B - C on the doubled domain. A and B
+   are evaluated and interpolated in the low halves of their 2n-slot
+   product vectors (an n-slot view of the same arena), C in its own
+   vector; two forwards, the pointwise product and one inverse follow.
+   Slots [n, 2n) of the result are H; slots [0, n) must be the negated H
+   when w satisfies the constraints. *)
 let pw_packed q (w : Fp.el array) =
   let ctx = q.ctx in
   let sc = Fp.scratch_for ctx in
   let n = q.n in
   let n2 = 2 * n in
-  let interp_packed row =
-    let v = Fp.Vec.of_array ctx (eval_rows q row w) in
-    Polylib.Ntt.inverse_vec q.ntt v;
-    v
-  in
-  let a = interp_packed (fun k -> k.R1cs.a) in
-  let b = interp_packed (fun k -> k.R1cs.b) in
-  let c = interp_packed (fun k -> k.R1cs.c) in
-  let fa = Fp.Vec.create ctx n2 in
-  Fp.Vec.blit a 0 fa 0 n;
-  let fb = Fp.Vec.create ctx n2 in
-  Fp.Vec.blit b 0 fb 0 n;
+  let fa = Fp.Vec.create ctx n2 and fb = Fp.Vec.create ctx n2 and c = Fp.Vec.create ctx n in
+  let lo_a = { fa with Fp.Vec.n } and lo_b = { fb with Fp.Vec.n } in
+  eval_rows q w lo_a lo_b c;
+  List.iter (Polylib.Ntt.inverse_vec q.ntt) [ lo_a; lo_b; c ];
   Polylib.Ntt.forward_vec q.ntt fa;
   Polylib.Ntt.forward_vec q.ntt fb;
   for i = 0 to n2 - 1 do
@@ -110,6 +137,8 @@ let pw_packed q (w : Fp.el array) =
 
 (* H = P_w / (t^n - 1) by coefficient folding; raises if the division is
    not exact (Claim A.1 analog: w does not satisfy the constraints). *)
+let pw_coeffs q w = Polylib.Poly.of_coeffs (Fp.Vec.to_array (pw_packed q w))
+
 let prover_h q (w : Fp.el array) : Fp.el array =
   Zobs.Span.with_ ~name:"qap_ntt.prover_h" (fun () ->
       let ctx = q.ctx in
@@ -136,9 +165,9 @@ let prover_h_forced q (w : Fp.el array) : Fp.el array =
 let prover_h_reference q (w : Fp.el array) : Fp.el array =
   let ctx = q.ctx in
   let interp evals = Polylib.Subproduct.interpolate_points ctx q.domain evals in
-  let a = interp (eval_rows q (fun k -> k.R1cs.a) w) in
-  let b = interp (eval_rows q (fun k -> k.R1cs.b) w) in
-  let c = interp (eval_rows q (fun k -> k.R1cs.c) w) in
+  let a = interp (eval_rows_boxed q (fun k -> k.R1cs.a) w) in
+  let b = interp (eval_rows_boxed q (fun k -> k.R1cs.b) w) in
+  let c = interp (eval_rows_boxed q (fun k -> k.R1cs.c) w) in
   let p = Polylib.Poly.(sub ctx (mul ctx a b) c) in
   let d = Polylib.Poly.(sub ctx (monomial Fp.one q.n) one) in
   let h, r = Polylib.Poly.div_rem_fast ctx p d in
@@ -151,22 +180,13 @@ let prover_h_reference q (w : Fp.el array) : Fp.el array =
 (* Verifier                                                            *)
 (* ------------------------------------------------------------------ *)
 
-type queries = {
-  tau : Fp.el;
-  d_tau : Fp.el; (* tau^n - 1 *)
-  a_tau : Fp.el array; (* indexed by variable 0..num_vars *)
-  b_tau : Fp.el array;
-  c_tau : Fp.el array;
-  qd : Fp.el array; (* 1, tau, ..., tau^(n-1) *)
-}
-
-exception Tau_collision
+exception Tau_collision = Qap.Tau_collision
 
 (* The barycentric weights on packed slots: the same multiplications and
    the one inversion as the boxed formula, so op counts are unchanged, but
    elements are boxed only at the interface (tau in, the four query
    vectors out). *)
-let queries q ~tau : queries =
+let queries q ~tau : Qap.queries =
   let ctx = q.ctx in
   let sc = Fp.scratch_for ctx in
   let n = q.n and nvars = q.sys.R1cs.num_vars in
@@ -224,7 +244,7 @@ let queries q ~tau : queries =
     Fp.Vec.mul ctx sc qd i qd (i - 1) s 0
   done;
   {
-    tau;
+    Qap.tau;
     d_tau;
     a_tau = Fp.Vec.to_array a_tau;
     b_tau = Fp.Vec.to_array b_tau;

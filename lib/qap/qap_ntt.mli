@@ -10,6 +10,11 @@
 open Fieldlib
 open Constr
 
+type csr
+(** One constraint matrix compiled into packed compressed rows: a
+    coefficient arena in Montgomery form, column indices and a +-1 tag
+    per term (the operand of {!Fp.Vec.spmv}). *)
+
 type t = {
   ctx : Fp.ctx;
   ntt : Polylib.Ntt.ctx;
@@ -20,23 +25,33 @@ type t = {
   omega : Fp.el;
   domain : Fp.el array; (** w^0 .. w^(n-1) *)
   domain_v : Fp.Vec.t; (** the domain, packed *)
+  mat_a : csr; (** the system's A, B and C rows, compiled once *)
+  mat_b : csr;
+  mat_c : csr;
 }
 
 exception Not_divisible
 exception Tau_collision
+(** The same exception as {!Qap.Tau_collision}. *)
 
 val of_r1cs : R1cs.system -> t
 (** The field must have 2-adicity at least log2 |C| (use
     {!Primes.bls12_381_fr}). *)
 
+val satisfied : t -> Fp.el array -> bool
+(** [R1cs.satisfied] on the compiled rows: the same verdict and the same
+    counted [fp.mul]s, by the sparse mat-vec {!prover_h} runs. Raises
+    [Invalid_argument] on an assignment of the wrong length or with
+    [w0 <> 1]. *)
+
 val pw_coeffs : t -> Fp.el array -> Polylib.Poly.t
-(** Boxed P_w = A*B - C (kept for the test-suite; the prover entry points
-    below run the packed pipeline). *)
+(** P_w = A*B - C, its 2n coefficients read off the packed pipeline of
+    {!prover_h} (for the test-suite). *)
 
 val prover_h : t -> Fp.el array -> Fp.el array
-(** Packed fast path (span [qap_ntt.prover_h]): three inverse NTTs, the
-    doubled-domain product, coefficient folding — all over {!Fp.Vec}
-    arenas. Raises {!Not_divisible} if w does not satisfy the
+(** Packed fast path (span [qap_ntt.prover_h]): three sparse mat-vecs
+    for the row evaluations, three inverse NTTs, the doubled-domain
+    product, coefficient folding — all over {!Fp.Vec} arenas. Raises {!Not_divisible} if w does not satisfy the
     constraints. *)
 
 val prover_h_forced : t -> Fp.el array -> Fp.el array
@@ -48,15 +63,8 @@ val prover_h_reference : t -> Fp.el array -> Fp.el array
     roots-of-unity domain, boxed product, Newton division by t^n - 1.
     Bit-identical to {!prover_h} on satisfying witnesses. *)
 
-type queries = {
-  tau : Fp.el;
-  d_tau : Fp.el; (** tau^n - 1 *)
-  a_tau : Fp.el array;
-  b_tau : Fp.el array;
-  c_tau : Fp.el array;
-  qd : Fp.el array; (** 1, tau, ..., tau^(n-1) *)
-}
+val queries : t -> tau:Fp.el -> Qap.queries
+(** Here [qd] has the n entries (1, tau, ..., tau^(n-1)). *)
 
-val queries : t -> tau:Fp.el -> queries
 val z_slice : t -> Fp.el array -> Fp.el array
 val io_contribution : t -> Fp.el array -> Fp.el array -> Fp.el

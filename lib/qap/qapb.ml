@@ -27,7 +27,7 @@ let backend_of_string = function
 type t = L of Qap.t | N of Qap_ntt.t
 
 exception Not_divisible = Qap_ntt.Not_divisible
-exception Tau_collision
+exception Tau_collision = Qap.Tau_collision
 
 (* Selection telemetry: which pipeline production runs actually took. *)
 let c_ntt = Zobs.Counter.make "qap.backend.ntt"
@@ -82,32 +82,17 @@ let prewarm = function
     Polylib.Ntt.prewarm q.Qap_ntt.ntt q.Qap_ntt.log_n;
     Polylib.Ntt.prewarm q.Qap_ntt.ntt (q.Qap_ntt.log_n + 1)
 
+let satisfied t w =
+  match t with L q -> R1cs.satisfied q.Qap.ctx q.Qap.sys w | N q -> Qap_ntt.satisfied q w
+
 let prover_h t w =
   match t with L q -> Qap.prover_h q w | N q -> Qap_ntt.prover_h q w
 
 let prover_h_forced t w =
   match t with L q -> Qap.prover_h_forced q w | N q -> Qap_ntt.prover_h_forced q w
 
-type queries = {
-  tau : Fp.el;
-  d_tau : Fp.el;
-  a_tau : Fp.el array;
-  b_tau : Fp.el array;
-  c_tau : Fp.el array;
-  qd : Fp.el array;
-}
-
-let queries t ~tau : queries =
-  match t with
-  | L q -> (
-    match Qap.queries q ~tau with
-    | { Qap.tau; d_tau; a_tau; b_tau; c_tau; qd } -> { tau; d_tau; a_tau; b_tau; c_tau; qd }
-    | exception Qap.Tau_collision -> raise Tau_collision)
-  | N q -> (
-    match Qap_ntt.queries q ~tau with
-    | { Qap_ntt.tau; d_tau; a_tau; b_tau; c_tau; qd } ->
-      { tau; d_tau; a_tau; b_tau; c_tau; qd }
-    | exception Qap_ntt.Tau_collision -> raise Tau_collision)
+let queries t ~tau =
+  match t with L q -> Qap.queries q ~tau | N q -> Qap_ntt.queries q ~tau
 
 let z_slice t evals = match t with L q -> Qap.z_slice q evals | N q -> Qap_ntt.z_slice q evals
 

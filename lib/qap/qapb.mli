@@ -48,22 +48,17 @@ val prewarm : t -> unit
 (** Force one-time lazy structure (subproduct trees, twiddle plans) so a
     timed section measures steady-state prover work. *)
 
+val satisfied : t -> Fp.el array -> bool
+(** [R1cs.satisfied] of the system: on the NTT backend by the compiled
+    sparse rows ({!Qap_ntt.satisfied}), with the same verdict and count. *)
+
 val prover_h : t -> Fp.el array -> Fp.el array
 (** Raises {!Not_divisible} (NTT) or [Failure] (Lagrange) on an
     unsatisfying witness. *)
 
 val prover_h_forced : t -> Fp.el array -> Fp.el array
 
-type queries = {
-  tau : Fp.el;
-  d_tau : Fp.el;
-  a_tau : Fp.el array;
-  b_tau : Fp.el array;
-  c_tau : Fp.el array;
-  qd : Fp.el array; (** (1, tau, ..., tau^(h_len - 1)) *)
-}
-
-val queries : t -> tau:Fp.el -> queries
+val queries : t -> tau:Fp.el -> Qap.queries
 (** Raises {!Tau_collision} (either backend) when tau hits an
     interpolation point; the caller resamples. *)
 

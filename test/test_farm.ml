@@ -168,6 +168,47 @@ let test_frame_reader_lazy_payload () =
       Alcotest.(check int) "every byte consumed" (Bytes.length framed) !off;
       Alcotest.(check bool) "dribbled frame is byte-identical" true (Option.get !got = payload))
 
+(* The blocking reader of [run --connect] obeys the same rule: a hostile
+   1 GiB length prefix followed by 8 bytes and a close ends in the
+   mid-frame Closed error having allocated kilobytes, and a 3 MiB frame
+   written in odd-sized dribbles by another domain comes out
+   byte-identical. *)
+let test_recv_lazy_payload () =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rd = Znet.of_fd a in
+  let hostile = Bytes.make 12 'x' in
+  Bytes.set_int32_be hostile 0 (Int32.of_int ((1 lsl 30) - 1));
+  ignore (Unix.write b hostile 0 (Bytes.length hostile));
+  Unix.close b;
+  let before = Gc.allocated_bytes () in
+  (match Znet.recv rd with
+  | _ -> Alcotest.fail "a truncated payload was accepted"
+  | exception Znet.Net_error (Znet.Closed m) ->
+    Alcotest.(check string) "classified as a truncated payload" "fd went away mid-frame (peer crash?)" m);
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "1 GiB header allocated %.0f bytes (< 1 MiB)" bytes)
+    true (bytes < 1048576.0);
+  Znet.close rd;
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let rd = Znet.of_fd a in
+  let payload = Bytes.init ((3 * 1024 * 1024) + 17) (fun i -> Char.chr ((i * 131) land 0xff)) in
+  let framed = Znet.frame payload in
+  let writer =
+    Domain.spawn (fun () ->
+        let off = ref 0 and chunk = ref 1 in
+        while !off < Bytes.length framed do
+          let n = min !chunk (Bytes.length framed - !off) in
+          off := !off + Unix.write b framed !off n;
+          chunk := (!chunk * 7 mod 65521) + 1
+        done;
+        Unix.close b)
+  in
+  let got = Znet.recv rd in
+  Domain.join writer;
+  Znet.close rd;
+  Alcotest.(check bool) "dribbled frame is byte-identical" true (got = payload)
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end farm runs                                                *)
 (* ------------------------------------------------------------------ *)
@@ -469,6 +510,7 @@ let suite =
     Alcotest.test_case "znet: resumable frame reader" `Quick test_frame_reader;
     Alcotest.test_case "znet: frame reader allocates as bytes arrive" `Quick
       test_frame_reader_lazy_payload;
+    Alcotest.test_case "znet: blocking recv allocates as bytes arrive" `Quick test_recv_lazy_payload;
     Alcotest.test_case "farm: warm sessions skip setup, concurrent clients verify" `Slow
       test_farm_cache_and_concurrency;
     Alcotest.test_case "farm: LRU eviction under a tiny cache bound" `Slow

@@ -107,9 +107,10 @@ let vec_tests =
         let xs = Array.init 3 (fun _ -> random_el prg) in
         let expect_hi w x y = Fp.add ctx x (Fp.mul ctx w y) in
         let expect_lo w x y = Fp.sub ctx x (Fp.mul ctx w y) in
-        (* twiddle in a separate vector *)
+        (* twiddle in a separate vector, in Montgomery form *)
         let v = Fp.Vec.of_array ctx [| xs.(0); xs.(1) |] in
-        let tw = Fp.Vec.of_array ctx [| xs.(2) |] in
+        let tw = Fp.Vec.create ctx 1 in
+        Fp.Vec.set_mont ctx tw 0 xs.(2);
         Fp.Vec.butterfly ctx sc v 0 1 tw 0;
         let sep_ok =
           Fp.equal (Fp.Vec.get v 0) (expect_hi xs.(2) xs.(0) xs.(1))
@@ -117,11 +118,13 @@ let vec_tests =
         in
         (* twiddle slot living inside the data vector itself *)
         let v2 = Fp.Vec.of_array ctx xs in
+        Fp.Vec.set_mont ctx v2 2 xs.(2);
+        let tw_limbs = Fp.Vec.get v2 2 in
         Fp.Vec.butterfly ctx sc v2 0 1 v2 2;
         sep_ok
         && Fp.equal (Fp.Vec.get v2 0) (expect_hi xs.(2) xs.(0) xs.(1))
         && Fp.equal (Fp.Vec.get v2 1) (expect_lo xs.(2) xs.(0) xs.(1))
-        && Fp.equal (Fp.Vec.get v2 2) xs.(2));
+        && Fp.equal (Fp.Vec.get v2 2) tw_limbs);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -300,6 +303,161 @@ let mont_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* One reduction kernel: the packed REDC kernels against boxed Fp      *)
+(* ------------------------------------------------------------------ *)
+
+(* k = 2, 5, 5, 8 and 9 limbs. *)
+let kernel_fields =
+  [
+    ("p61", Fp.create Primes.p61);
+    ("p127", Fp.create Primes.p127);
+    ("p127_ntt", ctx);
+    ("p220", Fp.create (Primes.p220 ()));
+    ("bls12_381_fr", Fp.create Primes.bls12_381_fr);
+  ]
+
+(* The edge operands 0, 1 and p-1, then random residues. *)
+let kernel_operands fctx prg =
+  Array.append [| Fp.zero; Fp.one; Fp.neg fctx Fp.one |] (Array.init 3 (fun _ -> Chacha.Prg.field fctx prg))
+
+let mont_const fctx x =
+  let v = Fp.Vec.create fctx 1 in
+  Fp.Vec.set_mont fctx v 0 x;
+  v
+
+(* [f ()] with the fp.mul and mont.mul it counted. *)
+let op_counts f =
+  let (r, mont), fp = counted "fp.mul" (fun () -> counted "mont.mul" f) in
+  (r, fp, mont)
+
+let vec_eq v (expect : Fp.el array) = Array.for_all2 Fp.equal (Fp.Vec.to_array v) expect
+
+let redc_kernel_law seed =
+  List.for_all
+    (fun (_, fctx) ->
+      let prg = prg_of seed "redc kernels" in
+      let sc = Fp.scratch_for fctx in
+      let ops = kernel_operands fctx prg in
+      let n = Array.length ops in
+      let rev = Array.init n (fun i -> ops.(n - 1 - i)) in
+      let ok, fp, mont =
+        op_counts (fun () ->
+            let ok = ref true in
+            let want b = if not b then ok := false in
+            Array.iter
+              (fun x ->
+                Array.iter
+                  (fun y ->
+                    (* mul under every slot-aliasing pattern *)
+                    List.iter
+                      (fun (d, i, j) ->
+                        let xs = [| x; y; y |] in
+                        let v = Fp.Vec.of_array fctx xs in
+                        Fp.Vec.mul fctx sc v d v i v j;
+                        want (Fp.equal (Fp.Vec.get v d) (Fp.mul fctx xs.(i) xs.(j))))
+                      [ (0, 1, 2); (0, 0, 1); (0, 1, 0); (0, 1, 1); (0, 0, 0) ];
+                    (* butterfly with a Montgomery twiddle *)
+                    Array.iter
+                      (fun w ->
+                        let v = Fp.Vec.of_array fctx [| x; y |] in
+                        Fp.Vec.butterfly fctx sc v 0 1 (mont_const fctx w) 0;
+                        let t = Fp.mul fctx w y in
+                        want (vec_eq v [| Fp.add fctx x t; Fp.sub fctx x t |]))
+                      ops)
+                  ops;
+                (* scale_all and axpy by the constant x *)
+                let v = Fp.Vec.of_array fctx ops in
+                Fp.Vec.scale_all fctx sc v (mont_const fctx x) 0;
+                want (vec_eq v (Array.map (Fp.mul fctx x) ops));
+                let y = Fp.Vec.of_array fctx ops in
+                Fp.Vec.axpy fctx sc y 0 (mont_const fctx x) 0 (Fp.Vec.of_array fctx rev) 0 n;
+                want (vec_eq y (Array.map2 (fun a b -> Fp.add fctx a (Fp.mul fctx x b)) ops rev)))
+              ops;
+            want
+              (Fp.equal (Fp.dot fctx ops rev)
+                 (Fp.Vec.dot fctx sc (Fp.Vec.of_array fctx ops) 0 (Fp.Vec.of_array fctx rev) 0 n));
+            !ok)
+      in
+      (* per x: n*(5 + n) products (aliasing patterns and butterflies),
+         n scaled slots and n axpy terms, each once boxed, once packed *)
+      ok && fp = 2 * n * ((n * (5 + n)) + (2 * n)) && mont = 0)
+    kernel_fields
+
+(* A compressed-row matrix in [Fp.Vec.spmv]'s format, built from
+   Lincomb rows: tag 1 for +1, 2 for -1, else the next coefficient. *)
+let csr_of_rows fctx (rows : Constr.Lincomb.t array) =
+  let idx = ref [] and coefs = ref [] and ptr = Array.make (Array.length rows + 1) 0 in
+  Array.iteri
+    (fun r lc ->
+      Constr.Lincomb.iter
+        (fun v c ->
+          let tag =
+            if Fp.equal c Fp.one then 1
+            else if Fp.equal c (Fp.neg fctx Fp.one) then 2
+            else (coefs := c :: !coefs; 0)
+          in
+          idx := ((v lsl 2) lor tag) :: !idx)
+        lc;
+      ptr.(r + 1) <- List.length !idx)
+    rows;
+  let coefs = Array.of_list (List.rev !coefs) in
+  let coef = Fp.Vec.create fctx (Array.length coefs) in
+  Array.iteri (Fp.Vec.set_mont fctx coef) coefs;
+  (ptr, Array.of_list (List.rev !idx), coef)
+
+(* Rows mixing +-1, constant-term, zero and general coefficients over an
+   assignment holding 0, 1 and p-1. *)
+let spmv_law seed =
+  let open Constr in
+  List.for_all
+    (fun (_, fctx) ->
+      let prg = prg_of seed "spmv" in
+      let ops = kernel_operands fctx prg in
+      let nv = 9 in
+      let w = Array.init (nv + 1) (fun i -> if i = 0 then Fp.one else ops.(i mod Array.length ops)) in
+      let coef () =
+        match Chacha.Prg.int_below prg 4 with
+        | 0 -> Fp.one
+        | 1 -> Fp.neg fctx Fp.one
+        | _ -> ops.(Chacha.Prg.int_below prg (Array.length ops))
+      in
+      let random_row () =
+        let t = ref Lincomb.zero in
+        for _ = 0 to Chacha.Prg.int_below prg 6 do
+          t := Lincomb.add_term fctx !t (Chacha.Prg.int_below prg (nv + 1)) (coef ())
+        done;
+        !t
+      in
+      let rows =
+        Array.append
+          [| Lincomb.zero; Lincomb.of_const (coef ()); Lincomb.of_var 3;
+             Lincomb.neg fctx (Lincomb.of_var 4) |]
+          (Array.init 12 (fun _ -> random_row ()))
+      in
+      let ptr, idx, coef = csr_of_rows fctx rows in
+      let out = Fp.Vec.create fctx (Array.length rows) in
+      let expect, n_boxed = counted "fp.mul" (fun () -> Array.map (fun lc -> Lincomb.eval fctx lc w) rows) in
+      let (), n_packed, mont =
+        op_counts (fun () ->
+            Fp.Vec.spmv fctx (Fp.scratch_for fctx) ~ptr ~idx coef (Fp.Vec.of_array fctx w) out)
+      in
+      vec_eq out expect && n_packed = n_boxed && mont = 0)
+    kernel_fields
+
+let kernel_tests =
+  [
+    qtest "REDC kernels = boxed Fp on 0/1/p-1, k = 2/5/5/8/9, fp.mul kept, mont.mul 0" 8
+      QCheck.small_int redc_kernel_law;
+    qtest "Fp.Vec.spmv = Lincomb.eval: +-1, constant and zero rows, k = 2/5/5/8/9" 40
+      QCheck.small_int spmv_law;
+    Alcotest.test_case "Fp.Vec.spmv rejects columns outside its vector" `Quick (fun () ->
+        let v = Fp.Vec.create ctx 2 in
+        match Fp.Vec.spmv ctx (Fp.scratch_for ctx) ~ptr:[| 0; 1 |] ~idx:[| (2 lsl 2) lor 1 |] v v (Fp.Vec.create ctx 1) with
+        | () -> Alcotest.fail "column 2 of a 2-slot vector accepted"
+        | exception Invalid_argument _ -> ());
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* NTT differentials and parallel-path independence                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -449,6 +607,34 @@ let horner_src =
 
 let horner_inputs = Array.append (Array.init 9 (fun i -> 1000 + (17 * i))) [| 2019 |]
 
+(* Counter fidelity of the packed Hello step, on horner over p127_ntt
+   (16 rows, a 16-slot domain): the sparse row evaluations count what
+   Lincomb.eval counted and REDCs never count as mont.mul, so one
+   prover_h moves fp.mul and ntt.butterfly by the amounts the Barrett
+   kernels and boxed row evaluation counted. *)
+let test_hello_counts () =
+  let compiled = Zlang.Compile.compile ~ctx horner_src in
+  let comp = Apps.Glue.computation_of compiled in
+  let w = comp.Argument.solve (Apps.Glue.field_inputs ctx horner_inputs) in
+  let q = Qapb.of_r1cs ~backend:Qapb.Ntt comp.Argument.r1cs in
+  Qapb.prewarm q;
+  let (((_, fp), bfly), mont) =
+    counted "mont.mul" (fun () ->
+        counted "ntt.butterfly" (fun () -> counted "fp.mul" (fun () -> Qapb.prover_h q w)))
+  in
+  Alcotest.(check int) "fp.mul" 504 fp;
+  Alcotest.(check int) "ntt.butterfly" 336 bfly;
+  Alcotest.(check int) "mont.mul" 0 mont;
+  let packed, n_packed = counted "fp.mul" (fun () -> Qapb.satisfied q w) in
+  let boxed, n_boxed = counted "fp.mul" (fun () -> Constr.R1cs.satisfied ctx comp.Argument.r1cs w) in
+  Alcotest.(check bool) "satisfied" boxed packed;
+  Alcotest.(check int) "satisfied fp.mul" 72 n_boxed;
+  Alcotest.(check int) "satisfied fp.mul, packed" n_boxed n_packed;
+  let w' = Array.copy w in
+  w'.(1) <- Fp.add ctx w'.(1) Fp.one;
+  Alcotest.(check bool) "a corrupted witness, boxed" false (Constr.R1cs.satisfied ctx comp.Argument.r1cs w');
+  Alcotest.(check bool) "a corrupted witness, packed" false (Qapb.satisfied q w')
+
 let transcript_tests =
   List.map
     (fun (label, backend) ->
@@ -466,4 +652,6 @@ let transcript_tests =
             (transcript_digest backend "horner" horner_src horner_inputs)))
     [ ("auto", Qapb.Auto); ("lagrange", Qapb.Lagrange) ]
 
-let suite = nat_tests @ vec_tests @ dot_tests @ mont_tests @ ntt_tests @ e2e_tests @ transcript_tests
+let suite =
+  nat_tests @ vec_tests @ dot_tests @ mont_tests @ kernel_tests @ ntt_tests @ e2e_tests @ transcript_tests
+  @ [ Alcotest.test_case "packed Hello keeps fp.mul and ntt.butterfly, mont.mul 0" `Quick test_hello_counts ]

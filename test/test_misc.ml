@@ -33,6 +33,7 @@ let params : Costmodel.Params.t =
     h = 91e-6;
     f_lazy = 68e-9;
     f = 210e-9;
+    f_packed = 210e-9;
     f_div = 2e-6;
     c = 160e-9;
     field_bits = 128;

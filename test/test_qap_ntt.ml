@@ -33,13 +33,13 @@ let divisibility_holds q (w : Fp.el array) (h : Fp.el array) tau =
   let sys = q.Qap_ntt.sys in
   let z = Array.sub w 1 sys.R1cs.num_z in
   let io = Array.sub w (sys.R1cs.num_z + 1) (R1cs.num_io sys) in
-  let la = Qap_ntt.io_contribution q qq.Qap_ntt.a_tau io in
-  let lb = Qap_ntt.io_contribution q qq.Qap_ntt.b_tau io in
-  let lc = Qap_ntt.io_contribution q qq.Qap_ntt.c_tau io in
-  let az = Fp.add fr (Fp.dot fr (Qap_ntt.z_slice q qq.Qap_ntt.a_tau) z) la in
-  let bz = Fp.add fr (Fp.dot fr (Qap_ntt.z_slice q qq.Qap_ntt.b_tau) z) lb in
-  let cz = Fp.add fr (Fp.dot fr (Qap_ntt.z_slice q qq.Qap_ntt.c_tau) z) lc in
-  let lhs = Fp.mul fr qq.Qap_ntt.d_tau (Fp.dot fr qq.Qap_ntt.qd h) in
+  let la = Qap_ntt.io_contribution q qq.Qap.a_tau io in
+  let lb = Qap_ntt.io_contribution q qq.Qap.b_tau io in
+  let lc = Qap_ntt.io_contribution q qq.Qap.c_tau io in
+  let az = Fp.add fr (Fp.dot fr (Qap_ntt.z_slice q qq.Qap.a_tau) z) la in
+  let bz = Fp.add fr (Fp.dot fr (Qap_ntt.z_slice q qq.Qap.b_tau) z) lb in
+  let cz = Fp.add fr (Fp.dot fr (Qap_ntt.z_slice q qq.Qap.c_tau) z) lc in
+  let lhs = Fp.mul fr qq.Qap.d_tau (Fp.dot fr qq.Qap.qd h) in
   let rhs = Fp.sub fr (Fp.mul fr az bz) cz in
   Fp.equal lhs rhs
 
