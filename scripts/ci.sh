@@ -95,13 +95,16 @@ echo "== cost model gate (bench --check-model) =="
 # The model experiment records predicted vs. measured prover seconds per
 # phase into the summary; --check-model turns a total outside the band
 # into a non-zero exit. Run it once expecting a pass, once with an absurd
-# band expecting the breach to be fatal.
-dune exec bench/main.exe -- model --quick --check-model --json "$tmp/MODEL_run.json" | tee "$tmp/model.out"
+# band expecting the breach to be fatal. Both are gated runs, so each
+# appends a history line: to a scratch file, never the tracked
+# BENCH_history.jsonl.
+dune exec bench/main.exe -- model --quick --check-model --json "$tmp/MODEL_run.json" \
+  --history "$tmp/model_history.jsonl" | tee "$tmp/model.out"
 grep -q "cost model check OK" "$tmp/model.out" || { echo "check-model did not report OK" >&2; exit 1; }
 grep -q '"model"' "$tmp/MODEL_run.json" || { echo "model section missing from summary" >&2; exit 1; }
 grep -q '"delta"' "$tmp/MODEL_run.json" || { echo "model deltas missing from summary" >&2; exit 1; }
 if dune exec bench/main.exe -- model --quick --check-model --model-band 1000:1001 \
-    --json "$tmp/MODEL_fail.json" > "$tmp/model_fail.out" 2>&1; then
+    --json "$tmp/MODEL_fail.json" --history "$tmp/model_history.jsonl" > "$tmp/model_fail.out" 2>&1; then
   echo "check-model did not exit non-zero on tolerance breach" >&2
   exit 1
 fi
