@@ -777,10 +777,11 @@ let run_soundness cfg =
    names (qap_ntt.prover_h vs qap.prover_h — prover_h_forced emits its
    own spans and cannot pollute these), (2) construct_u minor-word
    allocation via the ledger's per-phase GC deltas, (3) verdicts, which
-   must agree exactly, and (4) the packed NTT H against the boxed
-   subproduct-tree reference over the same domain, which must match
-   bit for bit. Correctness disagreement exits 1; the speed and
-   allocation ratios are the "ntt_vs_lagrange" section. *)
+   must agree exactly, and (4) the packed NTT H against the
+   subproduct-tree reference over the same domain (Karatsuba, not an
+   NTT), which must match bit for bit. Correctness disagreement exits
+   1; the speed and allocation ratios are the "ntt_vs_lagrange"
+   section. *)
 let run_ntt_vs_lagrange cfg =
   banner "NTT vs Lagrange: prover_h wall, construct_u allocation, verdict agreement";
   let ctx = ctx_of cfg in
@@ -835,8 +836,8 @@ let run_ntt_vs_lagrange cfg =
           let v_lag, w_lag, m_lag = arm Qapb.Lagrange "qap.prover_h" in
           let verdicts_agree = v_ntt = v_lag in
           let all_accepted = Array.for_all Fun.id v_ntt in
-          (* Differential H: packed fast path vs boxed subproduct-tree
-             reference over the same roots-of-unity domain. *)
+          (* Differential H: NTT fast path vs subproduct-tree reference
+             over the same roots-of-unity domain. *)
           let h_ok =
             let qntt = Qap_ntt.of_r1cs comp.Argsys.Argument.r1cs in
             let w = comp.Argsys.Argument.solve inputs.(0) in
@@ -1664,6 +1665,21 @@ let run_alloc cfg =
         let x = Chacha.Prg.field ctx prg in
         if Fp.is_zero x || Fp.equal x Fp.one then Fp.of_int ctx 2 else x)
   in
+  (* One Karatsuba product of two seeded degree-511 polynomials; the row
+     reports words per counted lazy product (62,208 when both are dense). *)
+  let poly_a, poly_b =
+    let pprg = Chacha.Prg.create ~seed:"alloc bench poly" () in
+    (Polylib.Poly.random ctx pprg 511, Polylib.Poly.random ctx pprg 511)
+  in
+  let poly_products =
+    let was_on = Zobs.enabled () in
+    Zobs.enable ();
+    let c0 = Zobs.Registry.counter_value "fp.mul_lazy" in
+    ignore (Polylib.Poly.mul ctx poly_a poly_b);
+    let n = Zobs.Registry.counter_value "fp.mul_lazy" - c0 in
+    if not was_on then Zobs.disable ();
+    n
+  in
   (* kernel, iterations, elements per iteration, one iteration *)
   let kernels =
     [
@@ -1690,6 +1706,10 @@ let run_alloc cfg =
         (if cfg.quick then 2 else 5),
         Qapb.h_len gq_qap,
         fun () -> ignore (Qapb.prover_h gq_qap pam_w) );
+      ( "poly.mul",
+        (if cfg.quick then 2 else 5),
+        poly_products,
+        fun () -> ignore (Polylib.Poly.mul ctx poly_a poly_b) );
       ( "zwire.decode_el",
         (if cfg.quick then 5 else 20),
         4096,
@@ -1873,10 +1893,13 @@ let section ?(gates = []) name key f = { name; run = (fun cfg -> [ (key, f cfg) 
    converted-out residues (~21,000 words on the boxed REDC), and a
    commitment term only its share of the partition arrays. The NTT
    prover's H costs its packed arenas and the boxed result, a few words
-   per domain slot; boxing the row evaluations again would cost ~80. *)
+   per domain slot; boxing the row evaluations again would cost ~80.
+   Karatsuba runs on packed slices, so a lazy product costs its share of
+   one reduced leaf coefficient and the packed operands (~60 words on the
+   boxed recursion). *)
 let alloc_ceilings =
   [ ("fp.mul", 120.0); ("fp.mul_lazy", 120.0); ("ntt.butterfly", 2.0); ("qap.prover_h", 12.0);
-    ("zwire.decode_el", 1.0); ("commit.prover_answer", 1.0); ("pcp.gen_queries", 4.0);
+    ("poly.mul", 4.0); ("zwire.decode_el", 1.0); ("commit.prover_answer", 1.0); ("pcp.gen_queries", 4.0);
     ("prg.field", 64.0); ("elgamal.encrypt", 2000.0); ("elgamal.hom_dot", 32.0) ]
 
 (* In "all" order, paper figures first (micro leads: later figures reuse

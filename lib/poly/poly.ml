@@ -87,21 +87,88 @@ let mul_schoolbook ctx (a : t) (b : t) : t =
     trim r
   end
 
-let split (a : t) k : t * t =
-  let la = Array.length a in
-  if la <= k then (zero, a) else (trim (Array.sub a k (la - k)), trim (Array.sub a 0 k))
+(* Karatsuba on packed slices. An operand is a slice (arena, offset,
+   length) of an [Fp.Vec] with its length trimmed as the boxed [trim]
+   would, so every split point, threshold test and leaf product is the
+   one the boxed recursion made, and a leaf counts one [fp.mul_lazy] per
+   product whose operands are both nonzero, as [mul_schoolbook] does. *)
 
-let rec mul ctx (a : t) (b : t) : t =
+(* Length of the slice with its trailing zero slots trimmed. *)
+let rec top (v : Fp.Vec.t) o n = if n > 0 && Fp.Vec.is_zero v (o + n - 1) then top v o (n - 1) else n
+
+(* Workspace slots for operands of at most [n] coefficients: a leaf's
+   reversed operand, or a node's two half sums and middle product (4k
+   slots) plus what its children take above them. *)
+let rec workspace n =
+  if n < karatsuba_threshold then n else (4 * ((n + 1) / 2)) + workspace ((n + 1) / 2)
+
+(* Schoolbook leaf: output i is one lazy dot of a against b reversed. *)
+let leaf ctx sc a ao la b bo lb (d : Fp.Vec.t) dof ws wo =
+  for t = 0 to lb - 1 do
+    Fp.Vec.blit b (bo + lb - 1 - t) ws (wo + t) 1
+  done;
+  for i = 0 to la + lb - 2 do
+    let jmin = max 0 (i - lb + 1) and jmax = min (la - 1) i in
+    Fp.Vec.set d (dof + i)
+      (Fp.Vec.dot ctx sc a (ao + jmin) ws (wo + lb - 1 - i + jmin) (jmax - jmin + 1))
+  done;
+  la + lb - 1
+
+(* Slots from [so] get x0 + x1 (x0 at [o0], x1 at [o1] of [x]); returns
+   the trimmed length of the sum. *)
+let sum ctx sc (x : Fp.Vec.t) o0 l0 o1 l1 (s : Fp.Vec.t) so =
+  let m = min l0 l1 in
+  for i = 0 to m - 1 do
+    Fp.Vec.add ctx sc s (so + i) x (o0 + i) x (o1 + i)
+  done;
+  if l0 > m then Fp.Vec.blit x (o0 + m) s (so + m) (l0 - m);
+  if l1 > m then Fp.Vec.blit x (o1 + m) s (so + m) (l1 - m);
+  top s so (max l0 l1)
+
+(* Slots [dof, dof + la + lb - 1) of [d] get a * b; returns that length,
+   or 0, writing nothing, when an operand is empty. The workspace from
+   [wo] up is free. *)
+let rec mul_slices ctx sc a ao la b bo lb (d : Fp.Vec.t) dof (ws : Fp.Vec.t) wo =
+  if la = 0 || lb = 0 then 0
+  else if la < karatsuba_threshold || lb < karatsuba_threshold then leaf ctx sc a ao la b bo lb d dof ws wo
+  else begin
+    let n = la + lb - 1 and k = (max la lb + 1) / 2 in
+    (* x = x1 x^k + x0; x1 is empty when x has at most k coefficients. *)
+    let la1 = max 0 (la - k) and la0 = top a ao (min la k) in
+    let lb1 = max 0 (lb - k) and lb0 = top b bo (min lb k) in
+    let sa = wo and sb = wo + k and z1 = wo + (2 * k) and free = wo + (4 * k) in
+    (* z0 = a0 b0 in [0, 2k), z2 = a1 b1 in [2k, n). *)
+    let l0 = mul_slices ctx sc a ao la0 b bo lb0 d dof ws free in
+    Fp.Vec.clear d (dof + l0) ((2 * k) - l0);
+    let l2 = mul_slices ctx sc a (ao + k) la1 b (bo + k) lb1 d (dof + (2 * k)) ws free in
+    Fp.Vec.clear d (dof + (2 * k) + l2) (n - (2 * k) - l2);
+    (* z1 = (a1 + a0)(b1 + b0) - z2 - z0, at most 2k - 1 slots. *)
+    let lsa = sum ctx sc a ao la0 (ao + k) la1 ws sa in
+    let lsb = sum ctx sc b bo lb0 (bo + k) lb1 ws sb in
+    let ls = mul_slices ctx sc ws sa lsa ws sb lsb ws z1 ws free in
+    Fp.Vec.clear ws (z1 + ls) ((2 * k) - ls);
+    for i = 0 to l0 - 1 do
+      Fp.Vec.sub ctx sc ws (z1 + i) ws (z1 + i) d (dof + i)
+    done;
+    for i = 0 to l2 - 1 do
+      Fp.Vec.sub ctx sc ws (z1 + i) ws (z1 + i) d (dof + (2 * k) + i)
+    done;
+    (* z1 = a1 b0 + a0 b1 has no coefficient at n - k or above. *)
+    for i = 0 to min ((2 * k) - 1) (n - k) - 1 do
+      Fp.Vec.add ctx sc d (dof + k + i) d (dof + k + i) ws (z1 + i)
+    done;
+    n
+  end
+
+let mul ctx (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in
   if la = 0 || lb = 0 then zero
-  else if la < karatsuba_threshold || lb < karatsuba_threshold then mul_schoolbook ctx a b
   else begin
-    let k = (max la lb + 1) / 2 in
-    let a1, a0 = split a k and b1, b0 = split b k in
-    let z2 = mul ctx a1 b1 in
-    let z0 = mul ctx a0 b0 in
-    let z1 = sub ctx (mul ctx (add ctx a1 a0) (add ctx b1 b0)) (add ctx z2 z0) in
-    add ctx (add ctx (shift z2 (2 * k)) (shift z1 k)) z0
+    let va = Fp.Vec.of_array ctx a and vb = Fp.Vec.of_array ctx b in
+    let d = Fp.Vec.create ctx (la + lb - 1) in
+    let ws = Fp.Vec.create ctx (workspace (max la lb)) in
+    ignore (mul_slices ctx (Fp.scratch_for ctx) va 0 la vb 0 lb d 0 ws 0);
+    trim (Fp.Vec.to_array d)
   end
 
 let eval ctx (p : t) x =

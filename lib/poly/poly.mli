@@ -45,7 +45,9 @@ val shift : t -> int -> t
 (** Multiply by [x^k]. *)
 
 val mul : Fp.ctx -> t -> t -> t
-(** Karatsuba above a threshold, schoolbook below. *)
+(** Karatsuba above 32 coefficients, schoolbook below, run on packed
+    {!Fp.Vec} slices with one lazy dot per leaf coefficient; counts one
+    [fp.mul_lazy] per leaf product of two nonzero coefficients. *)
 
 val mul_schoolbook : Fp.ctx -> t -> t -> t
 (** Exposed for cross-checking and the ablation bench. *)

@@ -44,45 +44,17 @@ let eval_all ctx (f : Poly.t) tree =
   Array.of_list (List.rev !out)
 
 (* Lagrange interpolation through the tree:
-   L(x) = sum_i c_i * M(x)/(x - s_i) with c_i = y_i / M'(s_i). *)
-let interpolate ctx tree (values : Fp.el array) =
-  let m = root_poly ctx tree in
-  let m' = Poly.derivative ctx m in
-  let denom = eval_all ctx m' tree in
-  let denom_inv = Fp.batch_inv ctx denom in
-  let n = Array.length values in
-  if Array.length denom <> n then invalid_arg "Subproduct.interpolate: arity mismatch";
-  let cs = Array.init n (fun i -> Fp.mul ctx values.(i) denom_inv.(i)) in
-  let idx = ref 0 in
-  let rec combine tree =
-    match tree with
-    | Leaf _ ->
-      let c = cs.(!idx) in
-      incr idx;
-      Poly.constant c
-    | Node (_, l, r) ->
-      let pl = poly_of ctx l and pr = poly_of ctx r in
-      let cl = combine l in
-      let cr = combine r in
-      Poly.add ctx (Poly.mul ctx cl pr) (Poly.mul ctx cr pl)
-  in
-  combine tree
+   L(x) = sum_i c_i * M(x)/(x - s_i) with c_i = y_i / M'(s_i). The
+   interpolator holds the tree and the weights 1/M'(s_i); the QAP prover
+   interpolates A, B and C over the same sigma_0..sigma_|C|, so it builds
+   one once. *)
+type interpolator = { tree : tree; denom_inv : Fp.el array }
 
-(* Convenience: interpolate the unique polynomial of degree < n through
-   (points_i, values_i). *)
-let interpolate_points ctx points values =
-  interpolate ctx (build ctx points) values
-
-(* Reusable interpolator: the QAP prover interpolates A, B and C over the
-   same sigma_0..sigma_|C|, so the tree and the 1/M'(sigma_i) weights are
-   computed once. *)
-type interpolator = { tree : tree; denom_inv : Fieldlib.Fp.el array }
-
-let prepare ctx points =
-  let tree = build ctx points in
+let interpolator ctx tree =
   let m' = Poly.derivative ctx (root_poly ctx tree) in
-  let denom = eval_all ctx m' tree in
-  { tree; denom_inv = Fp.batch_inv ctx denom }
+  { tree; denom_inv = Fp.batch_inv ctx (eval_all ctx m' tree) }
+
+let prepare ctx points = interpolator ctx (build ctx points)
 
 let interpolate_with ctx ip (values : Fp.el array) =
   let n = Array.length values in
@@ -102,3 +74,9 @@ let interpolate_with ctx ip (values : Fp.el array) =
       Poly.add ctx (Poly.mul ctx cl pr) (Poly.mul ctx cr pl)
   in
   combine ip.tree
+
+let interpolate ctx tree values = interpolate_with ctx (interpolator ctx tree) values
+
+(* Convenience: interpolate the unique polynomial of degree < n through
+   (points_i, values_i). *)
+let interpolate_points ctx points values = interpolate ctx (build ctx points) values

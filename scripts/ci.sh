@@ -128,8 +128,9 @@ grep -q "gated run(s)" "$tmp/trend.out" || { echo "--trend did not print the his
 
 echo "== ntt-vs-lagrange smoke (QAP backend differential) =="
 # Runs a benchmark app end to end under both QAP backends: the verdicts
-# must agree, the packed NTT H must equal the boxed subproduct-tree
-# reference, and the wall/allocation ratios land in the summary. The
+# must agree, the packed NTT H must equal the subproduct-tree reference
+# (packed Karatsuba under the boxed Poly API, an algorithm independent
+# of the NTT), and the wall/allocation ratios land in the summary. The
 # experiment itself exits non-zero on any divergence.
 dune exec bench/main.exe -- ntt-vs-lagrange --quick --json "$tmp/NTT_run.json" | tee "$tmp/ntt.out"
 grep -q "verdicts ok" "$tmp/ntt.out" || { echo "backend verdicts diverged" >&2; exit 1; }
@@ -167,7 +168,8 @@ serve_pid=$!
 addr=""
 for _ in $(seq 1 100); do
   addr="$(sed -n 's/^listening on //p' "$tmp/serve.log")"
-  [ -n "$addr" ] && break
+  maddr="$(sed -n 's/^metrics on //p' "$tmp/serve.log")"
+  [ -n "$addr" ] && [ -n "$maddr" ] && break
   kill -0 "$serve_pid" 2>/dev/null || break
   sleep 0.1
 done
@@ -177,8 +179,7 @@ if [ -z "$addr" ]; then
   kill "$serve_pid" 2>/dev/null || true
   exit 1
 fi
-maddr="$(sed -n 's/^metrics on //p' "$tmp/serve.log")"
-[ -n "$maddr" ] || { echo "prover never reported its metrics address" >&2; cat "$tmp/serve.log" >&2; exit 1; }
+[ -n "$maddr" ] || { echo "prover never reported its metrics address" >&2; cat "$tmp/serve.log" >&2; kill "$serve_pid" 2>/dev/null; exit 1; }
 dune exec bin/zaatar_cli.exe -- stats "$maddr" | tee "$tmp/stats.out"
 grep -q "accepted" "$tmp/stats.out" || { echo "stats scrape missing server counters" >&2; exit 1; }
 dune exec bin/zaatar_cli.exe -- stats "$maddr" --raw | tee "$tmp/stats_raw.out"
@@ -224,7 +225,8 @@ farm_pid=$!
 faddr=""
 for _ in $(seq 1 100); do
   faddr="$(sed -n 's/^listening on //p' "$tmp/farm.log")"
-  [ -n "$faddr" ] && break
+  fmaddr="$(sed -n 's/^metrics on //p' "$tmp/farm.log")"
+  [ -n "$faddr" ] && [ -n "$fmaddr" ] && break
   kill -0 "$farm_pid" 2>/dev/null || break
   sleep 0.1
 done
@@ -234,8 +236,7 @@ if [ -z "$faddr" ]; then
   kill "$farm_pid" 2>/dev/null || true
   exit 1
 fi
-fmaddr="$(sed -n 's/^metrics on //p' "$tmp/farm.log")"
-[ -n "$fmaddr" ] || { echo "farm never reported its metrics address" >&2; cat "$tmp/farm.log" >&2; exit 1; }
+[ -n "$fmaddr" ] || { echo "farm never reported its metrics address" >&2; cat "$tmp/farm.log" >&2; kill "$farm_pid" 2>/dev/null; exit 1; }
 # Readiness: poll /healthz until the event loop reports ok (200), the way
 # an orchestrator's startup probe would, instead of trusting the log line.
 healthz_ok=""

@@ -635,6 +635,39 @@ let test_hello_counts () =
   Alcotest.(check bool) "a corrupted witness, boxed" false (Constr.R1cs.satisfied ctx comp.Argument.r1cs w');
   Alcotest.(check bool) "a corrupted witness, packed" false (Qapb.satisfied q w')
 
+(* The Lagrange prover above the Karatsuba threshold: sq3 and horner
+   interpolate far below 32 coefficients, so they never split. One
+   Qap.prover_h at scale 1 over p127 (lcs |C| = 312, bisection 758, pam
+   927) must keep the H and the fp.mul_lazy count the boxed Karatsuba
+   gave. *)
+let lagrange_h_tests =
+  List.map
+    (fun ((app : Apps.App_def.t), lazy_products, h_digest) ->
+      Alcotest.test_case
+        (Printf.sprintf "Lagrange prover_h on %s: H digest and fp.mul_lazy pinned" app.Apps.App_def.name)
+        `Quick
+        (fun () ->
+          let ctx = Fp.create Primes.p127 in
+          let comp = Apps.Glue.computation_of (Apps.Glue.compile ctx app) in
+          let iprg = Chacha.Prg.create ~seed:("prover_h " ^ app.Apps.App_def.name) () in
+          let w =
+            comp.Argument.solve (Apps.Glue.field_inputs ctx (app.Apps.App_def.gen_inputs iprg))
+          in
+          let q = Qapb.of_r1cs ~backend:Qapb.Lagrange comp.Argument.r1cs in
+          Qapb.prewarm q;
+          let h, n = counted "fp.mul_lazy" (fun () -> Qapb.prover_h q w) in
+          let digest =
+            Digest.to_hex (Digest.string (String.concat "," (Array.to_list (Array.map Fp.to_string h))))
+          in
+          Alcotest.(check string) "H digest" h_digest digest;
+          Alcotest.(check int) "fp.mul_lazy" lazy_products n))
+    Apps.Registry.
+      [
+        (lcs ~scale:1, 345_377, "05646390353135d4568960ca58791294");
+        (bisection ~scale:1, 1_481_217, "5f297031b533bd9127af02527a553c0d");
+        (pam ~scale:1, 1_926_123, "851d9c609aae38a66f29158cae4ff0b2");
+      ]
+
 let transcript_tests =
   List.map
     (fun (label, backend) ->
@@ -654,4 +687,5 @@ let transcript_tests =
 
 let suite =
   nat_tests @ vec_tests @ dot_tests @ mont_tests @ kernel_tests @ ntt_tests @ e2e_tests @ transcript_tests
+  @ lagrange_h_tests
   @ [ Alcotest.test_case "packed Hello keeps fp.mul and ntt.butterfly, mont.mul 0" `Quick test_hello_counts ]

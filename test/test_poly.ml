@@ -19,6 +19,52 @@ let gen_poly ctx =
 
 let arb_poly c = QCheck.make ~print:(fun p -> Format.asprintf "%a" (Poly.pp c) p) (gen_poly c)
 
+(* Operand pairs for the Karatsuba differential: lengths 0-200, biased
+   to straddle the 32-coefficient threshold and its doublings, each
+   operand dense, with a zero low half (its low split half trims to
+   empty), with runs of zeros, with halves that cancel in a1 + a0, or
+   sparse. A short operand against a long one leaves its high split half
+   empty. *)
+type mul_case = { la : int; lb : int; pa : int; pb : int; seed : int }
+
+let gen_mul_case =
+  QCheck.Gen.(
+    let len =
+      frequency [ (4, int_range 0 200); (2, int_range 28 36); (1, int_range 60 68); (1, int_range 124 132) ]
+    in
+    map
+      (fun ((la, lb), (pa, pb), seed) -> { la; lb; pa; pb; seed })
+      (triple (pair len len) (pair (int_range 0 4) (int_range 0 4)) int))
+
+let patterned ctx prg n pattern =
+  let a = Array.init n (fun _ -> Chacha.Prg.field ctx prg) in
+  (match pattern with
+   | 1 -> Array.fill a 0 (n / 2) Fp.zero
+   | 2 ->
+     let zero = ref false in
+     Array.iteri
+       (fun i _ ->
+         if Chacha.Prg.int_below prg 6 = 0 then zero := not !zero;
+         if !zero then a.(i) <- Fp.zero)
+       a
+   | 3 ->
+     for i = 0 to (n / 2) - 1 do
+       a.(n - 1 - i) <- Fp.neg ctx a.((n / 2) - 1 - i)
+     done
+   | 4 -> Array.iteri (fun i _ -> if Chacha.Prg.int_below prg 8 <> 0 then a.(i) <- Fp.zero) a
+   | _ -> ());
+  Poly.of_coeffs a
+
+let arb_mul_case =
+  QCheck.make
+    ~print:(fun c -> Printf.sprintf "lengths %d, %d; patterns %d, %d; seed %d" c.la c.lb c.pa c.pb c.seed)
+    gen_mul_case
+
+let mul_matches_schoolbook ctx c =
+  let prg = Chacha.Prg.create ~seed:(Printf.sprintf "karatsuba %d" c.seed) () in
+  let a = patterned ctx prg c.la c.pa and b = patterned ctx prg c.lb c.pb in
+  Poly.equal (Poly.mul ctx a b) (Poly.mul_schoolbook ctx a b)
+
 let arb_poly_nonzero c =
   QCheck.make
     ~print:(fun p -> Format.asprintf "%a" (Poly.pp c) p)
@@ -34,6 +80,16 @@ let unit_tests =
         let p = prg () in
         let a = Poly.random ctx p 150 and b = Poly.random ctx p 97 in
         Alcotest.check (poly_t ctx) "karatsuba" (Poly.mul_schoolbook ctx a b) (Poly.mul ctx a b));
+    Alcotest.test_case "Poly.mul counts fp.mul_lazy as the boxed Karatsuba did" `Quick (fun () ->
+        (* Dense operands: 3^s leaves of 16 x 16 products, s = log2(n/16). *)
+        List.iter
+          (fun (n, lazy_products) ->
+            let p = Chacha.Prg.create ~seed:(Printf.sprintf "mul counts %d" n) () in
+            let a = Poly.random ctx p (n - 1) and b = Poly.random ctx p (n - 1) in
+            let r, c = Test_hotpath.counted "fp.mul_lazy" (fun () -> Poly.mul ctx a b) in
+            Alcotest.(check int) (Printf.sprintf "degree at %d" n) (2 * (n - 1)) (Poly.degree r);
+            Alcotest.(check int) (Printf.sprintf "fp.mul_lazy at %d" n) lazy_products c)
+          [ (32, 768); (512, 62_208); (1024, 186_624) ]);
     Alcotest.test_case "derivative product rule" `Quick (fun () ->
         let p = prg () in
         let a = Poly.random ctx p 20 and b = Poly.random ctx p 15 in
@@ -135,6 +191,9 @@ let property_tests =
       (fun (a, b) ->
         let q, r = Poly.div_rem_fast ctx a b in
         Poly.degree r < Poly.degree b && Poly.equal a (Poly.add ctx (Poly.mul ctx b q) r));
+    qtest "mul = mul_schoolbook over p61, lengths 0-200" 200 arb_mul_case (mul_matches_schoolbook ctx);
+    qtest "mul = mul_schoolbook over p127, lengths 0-200" 200 arb_mul_case
+      (mul_matches_schoolbook ctx127);
     qtest "degree of product" 100
       (QCheck.pair (arb_poly_nonzero ctx) (arb_poly_nonzero ctx))
       (fun (a, b) -> Poly.degree (Poly.mul ctx a b) = Poly.degree a + Poly.degree b);
