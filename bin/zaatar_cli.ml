@@ -103,7 +103,12 @@ let compile_cmd =
   in
   let run file bits emit =
     let ctx = Fp.create (field_of_bits bits) in
-    let compiled = Zlang.Compile.compile ~ctx (read_file file) in
+    let compiled =
+      try Zlang.Compile.compile ~ctx (read_file file)
+      with Zlang.Ast.Error msg ->
+        Printf.eprintf "compile: %s: %s\n" file msg;
+        exit 1
+    in
     print_stats compiled;
     match emit with
     | None -> ()

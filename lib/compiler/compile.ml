@@ -107,7 +107,13 @@ let merge_envs ~loc b cond base env_t env_e =
       | _ -> Ast.error_at loc "binding %S changed shape across branches" name)
     base
 
-let rec exec_stmt b env (s : Ast.stmt) : binding SMap.t =
+(* The most loop iterations one nest may unroll to: a product of trip
+   counts past this is rejected at the loop that crosses it, before any of
+   it is unrolled. Zlint's ZL004 warns against the same figure. *)
+let unroll_budget = 1_000_000
+
+(* [outer] is the product of the enclosing loops' trip counts. *)
+let rec exec_stmt b outer env (s : Ast.stmt) : binding SMap.t =
   let loc = s.Ast.sloc in
   match s.Ast.s with
   | Ast.Decl (t, name, len, init) ->
@@ -148,31 +154,37 @@ let rec exec_stmt b env (s : Ast.stmt) : binding SMap.t =
     let cv = eval_expr b env cond in
     Builder.require_bool "if condition" cv;
     match Builder.as_const_int b cv with
-    | Some 0 -> exec_block b env else_b
-    | Some _ -> exec_block b env then_b
+    | Some 0 -> exec_block b outer env else_b
+    | Some _ -> exec_block b outer env then_b
     | None ->
-      let env_t = exec_block b env then_b in
-      let env_e = exec_block b env else_b in
+      let env_t = exec_block b outer env then_b in
+      let env_e = exec_block b outer env else_b in
       merge_envs ~loc b cv env env_t env_e)
   | Ast.For (v, lo, hi, body) ->
     let lo = const_int_expr b env lo "loop bound" in
     let hi = const_int_expr b env hi "loop bound" in
     if SMap.mem v env then Ast.error_at loc "loop variable %S shadows an existing binding" v;
+    let width = if hi > lo then hi - lo else 0 in
+    (* By division: outer <= budget, but width may be near max_int (and
+       negative if hi - lo overflowed). *)
+    if width < 0 || (width > 0 && outer > unroll_budget / width) then
+      Ast.error_at loc "loop nest unrolls past the unroll budget of %d iterations" unroll_budget;
     let env = ref env in
-    for i = lo to hi - 1 do
-      let inner = SMap.add v (Scalar (Builder.const b i)) !env in
-      let after = exec_stmts b inner body in
-      (* Drop the loop variable and any body-local declarations. *)
-      env := SMap.filter (fun name _ -> SMap.mem name !env) after
-    done;
+    if width > 0 then
+      for i = lo to hi - 1 do
+        let inner = SMap.add v (Scalar (Builder.const b i)) !env in
+        let after = exec_stmts b (outer * width) inner body in
+        (* Drop the loop variable and any body-local declarations. *)
+        env := SMap.filter (fun name _ -> SMap.mem name !env) after
+      done;
     !env
 
-and exec_stmts b env stmts = List.fold_left (exec_stmt b) env stmts
+and exec_stmts b outer env stmts = List.fold_left (exec_stmt b outer) env stmts
 
 (* Block scoping: declarations inside the block disappear; updates to outer
    bindings persist. *)
-and exec_block b env stmts =
-  let after = exec_stmts b env stmts in
+and exec_block b outer env stmts =
+  let after = exec_stmts b outer env stmts in
   SMap.filter (fun name _ -> SMap.mem name env) after
 
 (* Per-pass output volumes: constraints and variables generated by the
@@ -225,7 +237,7 @@ let compile ~ctx (src : string) : compiled =
         env := SMap.add p.Ast.pname bind !env
       end)
     prog.Ast.params;
-  let env_final = exec_stmts b !env prog.Ast.body in
+  let env_final = exec_stmts b 1 !env prog.Ast.body in
   (* Bind output variables, in declaration order. *)
   let num_outputs = ref 0 in
   List.iter

@@ -25,7 +25,13 @@ type compiled = {
 }
 
 val compile : ctx:Fp.ctx -> string -> compiled
-(** Raises {!Ast.Error} on syntax or semantic errors. *)
+(** Raises {!Ast.Error} on syntax or semantic errors, and on a loop nest
+    whose trip counts multiply past {!unroll_budget} (at the loop that
+    crosses it, before unrolling). *)
+
+val unroll_budget : int
+(** The most iterations one loop nest may unroll to (1,000,000); also the
+    default of Zlint's ZL004 warning. *)
 
 val zaatar_r1cs : compiled -> R1cs.system
 

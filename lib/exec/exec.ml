@@ -27,51 +27,37 @@ let error_to_text ?file e =
        (under-determined for value-level solving; see lint ZR008)"
       prefix (show vars) (show rows)
 
-(* Tonelli–Shanks. The p ≡ 3 (mod 4) moduli take the a^((p+1)/4) shortcut;
-   the general case walks the 2-Sylow subgroup. *)
-let sqrt ctx a =
-  if Fp.is_zero a then Some Fp.zero
+(* The Jacobi symbol (a/p) by the binary algorithm: strip factors of two
+   (each flips the sign when p = 3, 5 mod 8), swap by quadratic reciprocity
+   (a flip when both are 3 mod 4), subtract. No exponentiation; 0 and 1
+   return at once. For the odd prime p this is the Legendre symbol. *)
+let legendre ctx a =
+  if Nat.is_zero a then 0
+  else if Nat.is_one a then 1
   else begin
-    let p = Fp.modulus ctx in
-    let pm1 = Nat.sub p Nat.one in
-    let half = Nat.shift_right pm1 1 in
-    let legendre x = Fp.pow ctx x half in
-    if not (Fp.equal (legendre a) Fp.one) then None
-    else begin
-      let s = ref 0 and q = ref pm1 in
-      while Nat.is_even !q do
-        incr s;
-        q := Nat.shift_right !q 1
-      done;
-      if !s = 1 then Some (Fp.pow ctx a (Nat.shift_right (Nat.add p Nat.one) 2))
-      else begin
-        let z = ref (Fp.of_int ctx 2) in
-        while Fp.equal (legendre !z) Fp.one do
-          z := Fp.add ctx !z Fp.one
-        done;
-        let m = ref !s in
-        let c = ref (Fp.pow ctx !z !q) in
-        let t = ref (Fp.pow ctx a !q) in
-        let r = ref (Fp.pow ctx a (Nat.shift_right (Nat.add !q Nat.one) 1)) in
-        while not (Fp.equal !t Fp.one) do
-          let i = ref 0 and t2 = ref !t in
-          while not (Fp.equal !t2 Fp.one) do
-            t2 := Fp.sqr ctx !t2;
-            incr i
-          done;
-          let b = ref !c in
-          for _ = 1 to !m - !i - 1 do
-            b := Fp.sqr ctx !b
-          done;
-          m := !i;
-          c := Fp.sqr ctx !b;
-          t := Fp.mul ctx !t !c;
-          r := Fp.mul ctx !r !b
-        done;
-        Some !r
-      end
-    end
+    let mod8 x = Nat.limb x 0 land 7 in
+    (* n odd; the answer is t * (a/n). *)
+    let rec go a n t =
+      if Nat.is_zero a then if Nat.is_one n then t else 0
+      else if Nat.is_even a then
+        go (Nat.shift_right a 1) n (match mod8 n with 3 | 5 -> -t | _ -> t)
+      else if Nat.compare a n < 0 then
+        go (Nat.sub n a) a (if mod8 a land 3 = 3 && mod8 n land 3 = 3 then -t else t)
+      else go (Nat.sub a n) n t
+    in
+    go a (Fp.modulus ctx) 1
   end
+
+(* How many distinct base variables a substituted side still mentions. *)
+type support = Empty | One of int | Many
+
+exception Bilinear
+
+let join s t =
+  match (s, t) with
+  | Empty, x | x, Empty -> x
+  | One u, One v when u = v -> s
+  | _ -> Many
 
 let outputs (sys : R1cs.system) ~num_inputs w =
   let nz = sys.R1cs.num_z in
@@ -95,18 +81,6 @@ let solve ?(check = true) (sys : R1cs.system) ~inputs =
       value.(nz + 1 + i) <- x;
       known.(nz + 1 + i) <- true)
     inputs;
-  (* Power-of-two recognition for the bit rule, keyed on the canonical
-     string form (Fp.el is an opaque natural). Powers can wrap back onto
-     earlier ones — 2^127 = 1 mod the Mersenne prime — so the smallest
-     exponent must win: decomposition gadgets only ever use small ones. *)
-  let pow2 = Hashtbl.create 256 in
-  let x = ref Fp.one in
-  for e = 0 to Fp.bits ctx do
-    let key = Fp.to_string !x in
-    if not (Hashtbl.mem pow2 key) then Hashtbl.add pow2 key e;
-    x := Fp.add ctx !x !x
-  done;
-  let exponent_of c = Hashtbl.find_opt pow2 (Fp.to_string c) in
   let in_queue = Array.make nc false in
   let rowq = Queue.create () in
   let enqueue j =
@@ -131,44 +105,57 @@ let solve ?(check = true) (sys : R1cs.system) ~inputs =
       List.iter enqueue st.Propagate.var_rows.(v);
       List.iter
         (fun m -> List.iter enqueue st.Propagate.var_rows.(m))
-        (Hashtbl.find_all st.Propagate.monomial_users v)
+        st.Propagate.monomial_users.(v)
     end
   in
   let constrs = sys.R1cs.constraints in
+  (* Sums and products that skip the arithmetic when an operand is 0 or 1:
+     the values are the same, most terms here are coefficient-one and many
+     values are bits. *)
+  let add a b = if Fp.is_zero a then b else if Fp.is_zero b then a else Fp.add ctx a b in
+  let mul c x =
+    if Nat.is_one c then x
+    else if Nat.is_one x then c
+    else if Fp.is_zero c || Fp.is_zero x then Fp.zero
+    else Fp.mul ctx c x
+  in
   (* Partial evaluation of one linear combination: the known sum plus the
      still-unknown terms in ascending variable order. *)
   let part lc =
-    List.fold_left
-      (fun (ksum, unk) (v, c) ->
-        if known.(v) then (Fp.add ctx ksum (Fp.mul ctx c value.(v)), unk)
-        else (ksum, (v, c) :: unk))
-      (Fp.zero, []) (Lincomb.terms lc)
-    |> fun (ksum, unk) -> (ksum, List.rev unk)
+    let ksum = ref Fp.zero and unk = ref [] in
+    Lincomb.iter
+      (fun v c -> if known.(v) then ksum := add !ksum (mul c value.(v)) else unk := (v, c) :: !unk)
+      lc;
+    (!ksum, List.rev !unk)
   in
   let unsat row detail = raise (Fail (Unsat { row; detail })) in
   (* The bit-decomposition rule: all unknowns boolean with distinct
      power-of-two effective coefficients against a fully-known non-zero B;
      they are then the bits of the known residue. *)
   let try_bits j ka ua kb kc uc =
-    let merge tbl sign (v, c) =
-      let prev = try Hashtbl.find tbl v with Not_found -> Fp.zero in
-      Hashtbl.replace tbl v (Fp.add ctx prev (sign c))
+    (* Effective coefficients kb*a_v - c_v, merged over the two ascending
+       unknown lists. *)
+    let rec eff ua uc =
+      match (ua, uc) with
+      | [], l -> List.map (fun (v, c) -> (v, Fp.neg ctx c)) l
+      | l, [] -> List.map (fun (v, c) -> (v, mul kb c)) l
+      | (v, c) :: ua', (u, d) :: uc' ->
+        if v = u then (v, Fp.sub ctx (mul kb c) d) :: eff ua' uc'
+        else if v < u then (v, mul kb c) :: eff ua' uc
+        else (u, Fp.neg ctx d) :: eff ua uc'
     in
-    let eff = Hashtbl.create 16 in
-    List.iter (merge eff (fun c -> Fp.mul ctx kb c)) ua;
-    List.iter (merge eff (fun c -> Fp.neg ctx c)) uc;
-    let us = Hashtbl.fold (fun v _ acc -> v :: acc) eff [] |> List.sort compare in
-    if us = [] || not (List.for_all (fun v -> bl.(v)) us) then false
+    let eff = eff ua uc in
+    if eff = [] || not (List.for_all (fun (v, _) -> bl.(v)) eff) then false
     else begin
       let exps sign =
         let rec go acc = function
           | [] -> Some (List.rev acc)
-          | v :: rest -> (
-            match exponent_of (sign (Hashtbl.find eff v)) with
+          | (v, c) :: rest -> (
+            match Propagate.pow2_exponent ctx (sign c) with
             | Some e -> go ((v, e) :: acc) rest
             | None -> None)
         in
-        go [] us
+        go [] eff
       in
       let signed =
         match exps (fun c -> c) with
@@ -206,90 +193,86 @@ let solve ?(check = true) (sys : R1cs.system) ~inputs =
      solve the residual if its degree allows a unique root. Unsound on a
      definition row (m = z_i z_j collapses to 0 = 0), so those are
      excluded. *)
-  let try_univariate j (k : R1cs.constr) _unknowns =
-    if st.Propagate.is_def_row.(j) then ()
-    else begin
-      (* (const, deg-1 coeffs by base, deg-2 coeffs by base) — or None when
-         a bilinear term over two distinct unknown bases survives. *)
-      let side_poly lc =
-        let cst = ref Fp.zero in
-        let d1 = Hashtbl.create 8 and d2 = Hashtbl.create 4 in
-        let bump tbl v c =
-          let prev = try Hashtbl.find tbl v with Not_found -> Fp.zero in
-          Hashtbl.replace tbl v (Fp.add ctx prev c)
-        in
-        let bilinear = ref false in
-        List.iter
-          (fun (u, c) ->
-            if known.(u) then cst := Fp.add ctx !cst (Fp.mul ctx c value.(u))
-            else
-              match Hashtbl.find_opt st.Propagate.monomial_of u with
-              | None -> bump d1 u c
-              | Some (i, j') ->
-                if known.(i) && known.(j') then
-                  cst := Fp.add ctx !cst (Fp.mul ctx c (Fp.mul ctx value.(i) value.(j')))
-                else if known.(i) then bump d1 j' (Fp.mul ctx c value.(i))
-                else if known.(j') then bump d1 i (Fp.mul ctx c value.(j'))
-                else if i = j' then bump d2 i c
-                else bilinear := true)
-          (Lincomb.terms lc);
-        if !bilinear then None
-        else begin
-          let support tbl acc =
-            Hashtbl.fold (fun v c acc -> if Fp.is_zero c then acc else v :: acc) tbl acc
-          in
-          Some (!cst, d1, d2, List.sort_uniq compare (support d1 (support d2 [])))
-        end
+  let try_univariate j (k : R1cs.constr) =
+    if not st.Propagate.is_def_row.(j) then begin
+      (* Coefficients by base variable, as a short association list. *)
+      let rec bump v c = function
+        | [] -> [ (v, c) ]
+        | (u, d) :: rest when u = v -> (u, add d c) :: rest
+        | x :: rest -> x :: bump v c rest
       in
-      match (side_poly k.R1cs.a, side_poly k.R1cs.b, side_poly k.R1cs.c) with
-      | Some (ca, d1a, d2a, sa), Some (cb, d1b, d2b, sb), Some (cc, d1c, d2c, sc) -> (
+      (* (const, deg-1 coeffs, deg-2 coeffs, support); a surviving bilinear
+         term over two distinct unknown bases raises [Bilinear]. *)
+      let side_poly lc =
+        let cst = ref Fp.zero and d1 = ref [] and d2 = ref [] in
+        Lincomb.iter
+          (fun u c ->
+            if known.(u) then cst := add !cst (mul c value.(u))
+            else
+              match st.Propagate.monomial_of.(u) with
+              | None -> d1 := bump u c !d1
+              | Some (i, j') ->
+                if known.(i) && known.(j') then cst := add !cst (mul c (mul value.(i) value.(j')))
+                else if known.(i) then d1 := bump j' (mul c value.(i)) !d1
+                else if known.(j') then d1 := bump i (mul c value.(j')) !d1
+                else if i = j' then d2 := bump i c !d2
+                else raise_notrace Bilinear)
+          lc;
+        let support acc (v, c) = if Fp.is_zero c then acc else join acc (One v) in
+        (!cst, !d1, !d2, List.fold_left support (List.fold_left support Empty !d1) !d2)
+      in
+      match
+        let a = side_poly k.R1cs.a in
+        let b = side_poly k.R1cs.b in
+        (a, b, side_poly k.R1cs.c)
+      with
+      | exception Bilinear -> ()
+      | (ca, d1a, d2a, sa), (cb, d1b, d2b, sb), (cc, d1c, d2c, sc) -> (
         (* A side that substitutes to identically zero annihilates the
            product, so the other factor's unknowns cannot influence the
            row. *)
-        let zero_side c s = Fp.is_zero c && s = [] in
-        let prod_support =
-          if zero_side ca sa || zero_side cb sb then [] else sa @ sb
-        in
-        match List.sort_uniq compare (prod_support @ sc) with
-        | [] | [ _ ] as s -> (
-        let v = match s with [ v ] -> v | _ -> -1 in
-        let poly3 (cst, d1, d2) =
-          let get tbl = try Hashtbl.find tbl v with Not_found -> Fp.zero in
-          [| cst; get d1; get d2 |]
-        in
-        let a = poly3 (ca, d1a, d2a)
-        and b = poly3 (cb, d1b, d2b)
-        and c = poly3 (cc, d1c, d2c) in
-        let r = Array.make 5 Fp.zero in
-        for i = 0 to 2 do
-          for j' = 0 to 2 do
-            r.(i + j') <- Fp.add ctx r.(i + j') (Fp.mul ctx a.(i) b.(j'))
-          done
-        done;
-        for i = 0 to 2 do
-          r.(i) <- Fp.sub ctx r.(i) c.(i)
-        done;
-        let deg = ref (-1) in
-        Array.iteri (fun i x -> if not (Fp.is_zero x) then deg := i) r;
-        match !deg with
-        | -1 -> ()
-        | 0 -> unsat j "residual is a non-zero constant"
-        | 1 -> pin ~row:j v (Fp.neg ctx (Fp.div ctx r.(0) r.(1)))
-        | 2 -> (
-          let disc =
-            Fp.sub ctx (Fp.sqr ctx r.(1)) (Fp.mul ctx (Fp.of_int ctx 4) (Fp.mul ctx r.(2) r.(0)))
+        let zero_side c s = Fp.is_zero c && s = Empty in
+        let prod_support = if zero_side ca sa || zero_side cb sb then Empty else join sa sb in
+        match join prod_support sc with
+        | Many -> ()
+        | (Empty | One _) as s -> (
+          let v = match s with One v -> v | _ -> -1 in
+          let poly3 (cst, d1, d2) =
+            let get l = Option.value (List.assoc_opt v l) ~default:Fp.zero in
+            [| cst; get d1; get d2 |]
           in
-          match sqrt ctx disc with
-          | None -> unsat j "quadratic residual has no root in the field"
-          | Some s when Fp.is_zero s ->
-            pin ~row:j v (Fp.neg ctx (Fp.div ctx r.(1) (Fp.add ctx r.(2) r.(2))))
-          | Some _ ->
-            (* Two distinct roots: refusing to guess is what keeps solved
-               witnesses canonical. Zlint's ZR008 is the static warning. *)
-            ambiguous.(j) <- true)
-        | _ -> ambiguous.(j) <- true)
-        | _ -> ())
-      | _ -> ()
+          let a = poly3 (ca, d1a, d2a)
+          and b = poly3 (cb, d1b, d2b)
+          and c = poly3 (cc, d1c, d2c) in
+          let r = Array.make 5 Fp.zero in
+          for i = 0 to 2 do
+            for j' = 0 to 2 do
+              r.(i + j') <- add r.(i + j') (mul a.(i) b.(j'))
+            done
+          done;
+          for i = 0 to 2 do
+            r.(i) <- Fp.sub ctx r.(i) c.(i)
+          done;
+          let deg = ref (-1) in
+          Array.iteri (fun i x -> if not (Fp.is_zero x) then deg := i) r;
+          match !deg with
+          | -1 -> ()
+          | 0 -> unsat j "residual is a non-zero constant"
+          | 1 -> pin ~row:j v (Fp.neg ctx (Fp.div ctx r.(0) r.(1)))
+          | 2 -> (
+            (* The root count is all the rule needs: the discriminant's
+               quadratic character decides it without a square root. *)
+            let disc =
+              Fp.sub ctx (Fp.sqr ctx r.(1)) (Fp.mul ctx (Fp.of_int ctx 4) (Fp.mul ctx r.(2) r.(0)))
+            in
+            match legendre ctx disc with
+            | 0 -> pin ~row:j v (Fp.neg ctx (Fp.div ctx r.(1) (Fp.add ctx r.(2) r.(2))))
+            | 1 ->
+              (* Two distinct roots: refusing to guess is what keeps solved
+                 witnesses canonical. Zlint's ZR008 is the static warning. *)
+              ambiguous.(j) <- true
+            | _ -> unsat j "quadratic residual has no root in the field")
+          | _ -> ambiguous.(j) <- true))
     end
   in
   let process j =
@@ -310,24 +293,19 @@ let solve ?(check = true) (sys : R1cs.system) ~inputs =
       match uc with
       | [] -> if not (Fp.is_zero kc) then unsat j "known-zero A side against a non-zero C"
       | [ (v, c) ] -> pin ~row:j v (Fp.neg ctx (Fp.div ctx kc c))
-      | _ -> if not (try_bits j ka ua Fp.zero kc uc) then try_univariate j k (List.map fst uc))
+      | _ -> if not (try_bits j ka ua Fp.zero kc uc) then try_univariate j k)
     | _, [], _ when Fp.is_zero kb -> (
       match uc with
       | [] -> if not (Fp.is_zero kc) then unsat j "known-zero B side against a non-zero C"
       | [ (v, c) ] -> pin ~row:j v (Fp.neg ctx (Fp.div ctx kc c))
-      | _ ->
-        let unknowns = List.sort_uniq compare (List.map fst ua @ List.map fst uc) in
-        try_univariate j k unknowns)
+      | _ -> try_univariate j k)
     | [], [ (v, c) ], [] when not (Fp.is_zero ka) ->
       pin ~row:j v (Fp.div ctx (Fp.sub ctx (Fp.div ctx kc ka) kb) c)
     | [ (v, c) ], [], [] when not (Fp.is_zero kb) ->
       pin ~row:j v (Fp.div ctx (Fp.sub ctx (Fp.div ctx kc kb) ka) c)
     | _ ->
-      let unknowns =
-        List.sort_uniq compare (List.map fst ua @ List.map fst ub @ List.map fst uc)
-      in
       let bits_done = ub = [] && (not (Fp.is_zero kb)) && try_bits j ka ua kb kc uc in
-      if not bits_done then try_univariate j k unknowns
+      if not bits_done then try_univariate j k
   in
   match
     for j = 0 to nc - 1 do

@@ -17,12 +17,14 @@
     - eager monomials: a product variable with both base values in hand is
       pinned through its definition row;
     - univariate collapse: unknowns that expand onto one base variable
-      yield a polynomial; degree 1 pins, degree 2 pins when the
-      discriminant's square root ({!sqrt}, Tonelli–Shanks) is unique, and
-      a two-root row is left ambiguous rather than guessed;
+      yield a polynomial; degree 1 pins; degree 2 is decided by the
+      discriminant's quadratic character ({!legendre}, no square root is
+      taken): a zero discriminant pins the double root, a non-residue is
+      [Unsat], and a two-root row is left ambiguous rather than guessed;
     - bit decomposition: unknowns that are all boolean with distinct
-      power-of-two coefficients against a known non-zero B side are the
-      bits of the known residue.
+      power-of-two coefficients (read by {!Zlint.Propagate.pow2_exponent},
+      shared with the static analysis) against a known non-zero B side are
+      the bits of the known residue.
 
     Variables still free at fixpoint default to zero — matching the
     compiler's witness convention (W_inv_or_zero assigns 0 when the
@@ -64,7 +66,9 @@ val outputs : R1cs.system -> num_inputs:int -> Fp.el array -> Fp.el array
 (** The IO slots after the first [num_inputs] — the output block of a
     solved assignment, under the repo's inputs-then-outputs convention. *)
 
-val sqrt : Fp.ctx -> Fp.el -> Fp.el option
-(** A square root in F_p by Tonelli–Shanks ([None] for non-residues);
-    exposed for the univariate rule and its tests. The modulus must be an
-    odd prime. *)
+val legendre : Fp.ctx -> Fp.el -> int
+(** The Legendre symbol (a/p): [1] for a non-zero square, [-1] for a
+    non-residue, [0] for zero. Computed as a Jacobi symbol by the binary
+    algorithm (halvings, quadratic reciprocity and subtraction on naturals,
+    no exponentiation); 0 and 1 return at once. The modulus must be an odd
+    prime. *)

@@ -39,13 +39,11 @@ type io = { num_inputs : int; num_outputs : int }
 
 let product_shape = Propagate.product_shape
 
+(* Rows compare by their term lists (elements are canonical naturals), with
+   A and B in a fixed order so that A*B = C and B*A = C collide. *)
 let row_key (k : R1cs.constr) =
-  let s lc =
-    String.concat ","
-      (List.map (fun (v, c) -> Printf.sprintf "%d:%s" v (Fp.to_string c)) (Lincomb.terms lc))
-  in
-  let a = s k.R1cs.a and b = s k.R1cs.b in
-  Printf.sprintf "%s|%s|%s" (min a b) (max a b) (s k.R1cs.c)
+  let a = Lincomb.terms k.R1cs.a and b = Lincomb.terms k.R1cs.b in
+  if compare a b <= 0 then (a, b, Lincomb.terms k.R1cs.c) else (b, a, Lincomb.terms k.R1cs.c)
 
 let analyze ?io ?transform (sys : R1cs.system) : Diagnostic.t list =
   let ctx = sys.R1cs.field in

@@ -24,7 +24,7 @@ module SSet = Set.Make (String)
 
 type cfg = { unroll_budget : int }
 
-let default_cfg = { unroll_budget = 1_000_000 }
+let default_cfg = { unroll_budget = Zlang.Compile.unroll_budget }
 
 type vkind = Kvar | Kinput | Koutput | Kloop
 
@@ -89,15 +89,19 @@ let rec const_eval env (e : expr) : int option =
 
 (* Weight of a statement list under full unrolling: statements count 1
    each, loops multiply by their (worst-case) constant trip count. [cenv]
-   maps loop variables to the largest value they take. *)
+   maps loop variables to the largest value they take. Weights saturate
+   at max_int, so a 2^62-wide nest still reads as past any budget. *)
+let ( +| ) a b = if a > max_int - b then max_int else a + b
+let ( *| ) a b = if a <> 0 && b > max_int / a then max_int else a * b
+
 let rec unroll_weight st cenv stmts =
   List.fold_left
     (fun acc s ->
       acc
-      +
+      +|
       match s.s with
       | Decl _ | Assign _ -> 1
-      | If (_, tb, eb) -> 1 + unroll_weight st cenv tb + unroll_weight st cenv eb
+      | If (_, tb, eb) -> 1 +| unroll_weight st cenv tb +| unroll_weight st cenv eb
       | For (v, lo, hi, body) ->
         let iters =
           match (const_eval cenv lo, const_eval cenv hi) with
@@ -109,7 +113,7 @@ let rec unroll_weight st cenv stmts =
           | Some h -> SMap.add v (h - 1) cenv
           | None -> cenv
         in
-        let w = iters * (1 + unroll_weight st cenv' body) in
+        let w = iters *| (1 +| unroll_weight st cenv' body) in
         if w > st.cfg.unroll_budget && not st.budget_reported then begin
           st.budget_reported <- true;
           report st ~code:"ZL004" ~severity:Diagnostic.Warn ~loc:s.sloc

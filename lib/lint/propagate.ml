@@ -12,8 +12,8 @@ type structure = {
   occ : int array;
   row_vars : int list array;
   var_rows : int list array;
-  monomial_of : (int, int * int) Hashtbl.t;
-  monomial_users : (int, int) Hashtbl.t;
+  monomial_of : (int * int) option array;
+  monomial_users : int list array;
   is_def_row : bool array;
 }
 
@@ -46,17 +46,17 @@ let build (sys : R1cs.system) : structure =
     sys;
   (* The monomial map: the *first* definition row of each product variable
      wins (duplicates are ZR005's business, not ours). *)
-  let monomial_of : (int, int * int) Hashtbl.t = Hashtbl.create 64 in
-  let monomial_users : (int, int) Hashtbl.t = Hashtbl.create 64 in
+  let monomial_of = Array.make (n + 1) None in
+  let monomial_users = Array.make (n + 1) [] in
   let is_def_row = Array.make nc false in
   R1cs.iteri
     (fun row k ->
       match product_shape k with
       | Some ((i, j), m) ->
-        if not (Hashtbl.mem monomial_of m) then begin
-          Hashtbl.add monomial_of m (i, j);
-          Hashtbl.add monomial_users i m;
-          if j <> i then Hashtbl.add monomial_users j m;
+        if monomial_of.(m) = None then begin
+          monomial_of.(m) <- Some (i, j);
+          monomial_users.(i) <- m :: monomial_users.(i);
+          if j <> i then monomial_users.(j) <- m :: monomial_users.(j);
           is_def_row.(row) <- true
         end
       | None -> ())
@@ -106,7 +106,7 @@ let determined st ~seeds =
     st.row_vars;
   (* Expand an undetermined row variable to its undetermined base vars. *)
   let expand v =
-    match Hashtbl.find_opt st.monomial_of v with
+    match st.monomial_of.(v) with
     | Some (i, j) ->
       let base = if determined.(i) then [] else [ i ] in
       if determined.(j) || j = i then base else j :: base
@@ -145,10 +145,10 @@ let determined st ~seeds =
     List.iter
       (fun m ->
         if not determined.(m) then
-          match Hashtbl.find_opt st.monomial_of m with
+          match st.monomial_of.(m) with
           | Some (i, j) -> if determined.(i) && determined.(j) then settle m else touch_rows m
           | None -> ())
-      (Hashtbl.find_all st.monomial_users v)
+      st.monomial_users.(v)
   done;
   determined
 
@@ -195,7 +195,7 @@ let booleans (sys : R1cs.system) st =
         (* Transform shape: a row over {v, m} with m defined elsewhere as
            v * v. Substituting m = v^2 is justified by that other row. *)
         let try_pair v m =
-          match Hashtbl.find_opt st.monomial_of m with
+          match st.monomial_of.(m) with
           | Some (i, i') when i = v && i' = v ->
             if boolean_shape ctx (residual_poly ctx k ~v ~m) then bl.(v) <- true
           | _ -> ()
@@ -205,6 +205,17 @@ let booleans (sys : R1cs.system) st =
       | _ -> ())
     sys;
   bl
+
+(* With b = bits p, every 2^e for e < b is already reduced (p > 2^(b-1)),
+   so a canonical c is one of them iff it has a single set bit. Only 2^b
+   wraps, to 2^b - p; when that collides with a smaller power (2^127 = 1
+   modulo the Mersenne prime) the smaller exponent is the one returned. *)
+let pow2_exponent ctx c =
+  let nb = Nat.num_bits c in
+  if nb > 0 && Nat.equal c (Nat.shift_left Nat.one (nb - 1)) then Some (nb - 1)
+  else
+    let b = Fp.bits ctx in
+    if Nat.equal (Nat.add c (Fp.modulus ctx)) (Nat.shift_left Nat.one b) then Some b else None
 
 let statically_solvable (sys : R1cs.system) st ~seeds =
   let ctx = sys.R1cs.field in
@@ -219,15 +230,6 @@ let statically_solvable (sys : R1cs.system) st ~seeds =
     end
   in
   Array.iter settle seeds;
-  (* Power-of-two recognition keyed on the canonical string form: Fp.el is
-     an opaque natural, not a hashable scalar. *)
-  let pow2 = Hashtbl.create 256 in
-  let x = ref Fp.one in
-  for e = 0 to Fp.bits ctx do
-    Hashtbl.replace pow2 (Fp.to_string !x) e;
-    x := Fp.add ctx !x !x
-  done;
-  let exponent_of c = Hashtbl.find_opt pow2 (Fp.to_string c) in
   let constrs = sys.R1cs.constraints in
   let examine j =
     let k = constrs.(j) in
@@ -253,7 +255,7 @@ let statically_solvable (sys : R1cs.system) st ~seeds =
         else
           (* base variables (with degrees) each unknown expands to *)
           let deg_of u =
-            match Hashtbl.find_opt st.monomial_of u with
+            match st.monomial_of.(u) with
             | Some (i, i') -> (
               match List.filter (fun b -> not det.(b)) (if i = i' then [ i ] else [ i; i' ]) with
               | [] -> Some (None, 0)
@@ -306,7 +308,7 @@ let statically_solvable (sys : R1cs.system) st ~seeds =
             let rec go acc = function
               | [] -> Some (List.rev acc)
               | v :: rest -> (
-                match exponent_of (sign (eff v)) with
+                match pow2_exponent ctx (sign (eff v)) with
                 | Some e -> go (e :: acc) rest
                 | None -> None)
             in
@@ -329,6 +331,6 @@ let statically_solvable (sys : R1cs.system) st ~seeds =
     List.iter examine st.var_rows.(v);
     List.iter
       (fun m -> if not det.(m) then List.iter examine st.var_rows.(m))
-      (Hashtbl.find_all st.monomial_users v)
+      st.monomial_users.(v)
   done;
   det

@@ -16,6 +16,7 @@
     Variable indexing follows the repo convention: index 0 is the constant
     one, witness variables are [1..nz], IO variables [nz+1..nvars]. *)
 
+open Fieldlib
 open Constr
 
 type structure = {
@@ -25,10 +26,10 @@ type structure = {
   occ : int array;  (** occurrence count per variable, index [0..nvars] *)
   row_vars : int list array;  (** per-row distinct variables (>= 1), ascending *)
   var_rows : int list array;  (** rows mentioning each variable, descending *)
-  monomial_of : (int, int * int) Hashtbl.t;
+  monomial_of : (int * int) option array;
       (** product variable m -> (i, j), from its first definition row *)
-  monomial_users : (int, int) Hashtbl.t;
-      (** base variable -> product variables built on it (find_all) *)
+  monomial_users : int list array;
+      (** base variable -> product variables built on it, latest first *)
   is_def_row : bool array;  (** rows that define a product variable *)
 }
 
@@ -57,6 +58,12 @@ val booleans : R1cs.system -> structure -> bool array
     [c * (v^2 - v)] — either directly ([v * v = v], raw Ginger shape) or
     through the transform's factored pair (linear row over [{v, m}] with
     [m] the product variable of [v * v]). *)
+
+val pow2_exponent : Fp.ctx -> Fp.el -> int option
+(** [pow2_exponent ctx c] is the smallest [e] in [[0, bits p]] with
+    [2^e = c] in F_p, or [None]. The bit-decomposition rule of both
+    {!statically_solvable} and the Zexec solver reads coefficients through
+    this one helper. *)
 
 val statically_solvable : R1cs.system -> structure -> seeds:int array -> bool array
 (** Static under-approximation of the witness solver: a variable is marked

@@ -52,6 +52,17 @@ for f in test/lint_fixtures/*; do
   esac
 done
 
+echo "== unroll budget (loop-bomb fixture) =="
+# A 10^8-iteration loop must fail to compile at once with an error naming
+# the unroll budget: exit 124 from timeout means the compiler hung, and
+# success means the budget is gone.
+bomb=test/lint_fixtures/zl000_unroll_bomb.zl
+rc=0; out="$(timeout 5 ./_build/default/bin/zaatar_cli.exe compile "$bomb" 2>&1)" || rc=$?
+[ "$rc" -ne 124 ] || { echo "compiling $bomb hung past 5 s" >&2; exit 1; }
+[ "$rc" -ne 0 ] || { echo "compiling $bomb succeeded; the unroll budget is gone" >&2; exit 1; }
+echo "$out" | grep -q "unroll budget" \
+  || { echo "compile of $bomb failed without naming the unroll budget: $out" >&2; exit 1; }
+
 echo "== exec smoke (interpreter vs compiled witnesses) =="
 # The witness-solving interpreter must re-derive the compiled prover's
 # witness bit-for-bit on every benchmark app from the inputs alone, and

@@ -348,3 +348,31 @@ let parser_fuzz_tests =
   ]
 
 let suite = suite @ parser_fuzz_tests
+
+(* The unroll budget: a loop nest whose trip counts multiply past
+   Compile.unroll_budget fails at the loop that crosses it, before any
+   unrolling, so even a 10^8-iteration loop errors at once. *)
+let unroll_budget_tests =
+  [
+    Alcotest.test_case "loop bomb fixture errors in under 1 s" `Quick (fun () ->
+        let ic = open_in_bin "lint_fixtures/zl000_unroll_bomb.zl" in
+        let src = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let t0 = Unix.gettimeofday () in
+        (match Compile.compile ~ctx src with
+        | exception Ast.Error m ->
+          Alcotest.(check bool) ("names the budget: " ^ m) true (contains m "unroll budget of 1000000")
+        | _ -> Alcotest.fail "expected an unroll-budget error");
+        let dt = Unix.gettimeofday () -. t0 in
+        Alcotest.(check bool) (Printf.sprintf "errored in %.3f s" dt) true (dt < 1.0));
+    error_case "nested loops past the budget fail at the inner loop"
+      "computation e(output int32 y) {\n  for i in 0..1001 {\n    for j in 0..1000 { y = y + 1; }\n  }\n}"
+      "line 3, col 5: loop nest unrolls past the unroll budget";
+    error_case "a 2^62-wide loop does not overflow the check"
+      "computation e(output int32 y) { for i in 0..4611686018427387903 { y = y + 1; } }" "unroll budget";
+    error_case "a near-max_int trip count under a wide loop"
+      "computation e(output int32 y) { for i in 0..3 { for j in 0..2305843009213693952 { y = y + 1; } } }"
+      "unroll budget";
+  ]
+
+let suite = suite @ unroll_budget_tests

@@ -34,6 +34,12 @@ let test_zl_fixtures () =
   check_fires "zl003_shadow.zl" "ZL003" (lint "zl003_shadow.zl");
   check_fires "zl004_unroll.zl" "ZL004"
     (lint ~cfg:{ Zlint.Frontend.unroll_budget = 1000 } "zl004_unroll.zl");
+  check_fires "zl000_unroll_bomb.zl" "ZL004" (lint "zl000_unroll_bomb.zl");
+  (* A 2^62-wide loop saturates the weight instead of wrapping negative. *)
+  check_fires "2^62-wide loop" "ZL004"
+    (Zlint.Frontend.check_source
+       "computation e(input int8 x, output int32 y) { var int32 a = x; for i in \
+        0..4611686018427387903 { a = a + 1; } y = a; }");
   check_fires "zl005_constcond.zl" "ZL005" (lint "zl005_constcond.zl");
   check_fires "zl006_undef.zl" "ZL006" (lint "zl006_undef.zl")
 
@@ -200,6 +206,42 @@ let test_exit_codes () =
   Alcotest.(check int) "warnings only -> 0" 0 (Zlint.exit_code [ clean; warn ]);
   Alcotest.(check int) "any error -> 2" 2 (Zlint.exit_code [ clean; warn; err ])
 
+(* ---- the shared power-of-two helper ---- *)
+
+(* Oracle: the doubling table 1, 2, 4, ... 2^bits mod p, where the first
+   (smallest) exponent of a value wins. *)
+let test_pow2_exponent () =
+  List.iter
+    (fun (name, prime) ->
+      let ctx = Fp.create prime in
+      let table = Hashtbl.create 256 in
+      let x = ref Fp.one in
+      for e = 0 to Fp.bits ctx do
+        if not (Hashtbl.mem table !x) then Hashtbl.add table !x e;
+        x := Fp.add ctx !x !x
+      done;
+      let expect c = Hashtbl.find_opt table c in
+      let check what c =
+        Alcotest.(check (option int)) (name ^ ": " ^ what) (expect c) (Zlint.Propagate.pow2_exponent ctx c)
+      in
+      let x = ref Fp.one in
+      for e = 0 to Fp.bits ctx do
+        check (Printf.sprintf "2^%d" e) !x;
+        x := Fp.add ctx !x !x
+      done;
+      let prg = Chacha.Prg.create ~seed:("pow2 " ^ name) () in
+      for i = 1 to 200 do
+        let c = Chacha.Prg.field ctx prg in
+        check (Printf.sprintf "random element %d" i) c;
+        Alcotest.(check bool) (name ^ ": random elements are not powers") true (expect c = None)
+      done;
+      List.iter (fun n -> check (Printf.sprintf "%d" n) (Fp.of_int ctx n)) [ 0; 3; 5; 6; 7; -1; -2 ])
+    [ ("p61", Primes.p61); ("p127", Primes.p127); ("p127_ntt", Primes.p127_ntt); ("bls12_381_fr", Primes.bls12_381_fr) ];
+  (* The Mersenne wrap: 2^127 = 1, and the smallest exponent wins. *)
+  let ctx = Fp.create Primes.p127 in
+  Alcotest.(check bool) "2^127 = 1 mod p127" true (Fp.equal (Fp.pow_int ctx (Fp.of_int ctx 2) 127) Fp.one);
+  Alcotest.(check (option int)) "p127: 1 maps to 0" (Some 0) (Zlint.Propagate.pow2_exponent ctx Fp.one)
+
 let suite =
   [
     Alcotest.test_case "ZL fixtures fire their codes" `Quick test_zl_fixtures;
@@ -213,4 +255,5 @@ let suite =
     Alcotest.test_case "JSON report stability" `Quick test_json_stability;
     Alcotest.test_case "per-code truncation" `Quick test_truncation;
     Alcotest.test_case "exit-code contract" `Quick test_exit_codes;
+    Alcotest.test_case "pow2_exponent matches the doubling table" `Quick test_pow2_exponent;
   ]
