@@ -1894,12 +1894,13 @@ let section ?(gates = []) name key f = { name; run = (fun cfg -> [ (key, f cfg) 
    commitment term only its share of the partition arrays. The NTT
    prover's H costs its packed arenas and the boxed result, a few words
    per domain slot; boxing the row evaluations again would cost ~80.
-   Karatsuba runs on packed slices, so a lazy product costs its share of
-   one reduced leaf coefficient and the packed operands (~60 words on the
-   boxed recursion). *)
+   Karatsuba runs on packed slices and its leaves reduce straight into
+   their slots, so a lazy product costs only its share of the packed
+   operands and the boxed result (~60 words on the boxed recursion, 0.8
+   with a boxed residue per leaf coefficient). *)
 let alloc_ceilings =
   [ ("fp.mul", 120.0); ("fp.mul_lazy", 120.0); ("ntt.butterfly", 2.0); ("qap.prover_h", 12.0);
-    ("poly.mul", 4.0); ("zwire.decode_el", 1.0); ("commit.prover_answer", 1.0); ("pcp.gen_queries", 4.0);
+    ("poly.mul", 1.0); ("zwire.decode_el", 1.0); ("commit.prover_answer", 1.0); ("pcp.gen_queries", 4.0);
     ("prg.field", 64.0); ("elgamal.encrypt", 2000.0); ("elgamal.hom_dot", 32.0) ]
 
 (* In "all" order, paper figures first (micro leads: later figures reuse

@@ -234,8 +234,8 @@ let pp fmt x = Format.pp_print_string fmt (to_string x)
 
 (* Per-context scratch arena for the packed kernels: the modulus and the
    lazy dot's Barrett constant as limb slices, the dot's int columns, the
-   REDC accumulator, and one temporary area. Layout of [tmp] (k = limbs
-   of p):
+   convolution's 26-bit operand copies and columns, the REDC accumulator,
+   and one temporary area. Layout of [tmp] (k = limbs of p):
      [0, 4k+6)        the dot's wide Barrett reduction (q2, r2, r)
      [4k+6, 6k+7)     the dot's normalised column sum
      [6k+7, 7k+7)     slot t: a kernel's REDC product, the swap temporary
@@ -247,6 +247,13 @@ type scratch = {
   p_l : Limb.a; (* k+1 limbs, p zero-padded *)
   mu_wide : Limb.a; (* k+2 limbs: floor(B^(2k+1) / p) *)
   cols : int array; (* 2k columns of the split lazy dot *)
+  w26 : int; (* 26-bit limbs per element in the convolution: 5 up to 130 bits *)
+  p26 : int array; (* p in w26 limbs of 26 bits *)
+  pinv26 : int; (* -p^-1 mod 2^26 *)
+  r2_26 : int array; (* R^2 mod p in w26 limbs, for the convolution's R = 2^(26 (w26+1)) *)
+  mutable l26 : int array; (* the convolution's operands, w26 limbs a slot, grown on demand *)
+  mutable n26 : int array; (* significant limbs of each operand slot *)
+  cols26 : int array; (* product columns, then the REDC's limbs *)
   tmp : Limb.a; (* 7k+7 limbs *)
   ms : Montgomery.scratch;
 }
@@ -263,19 +270,40 @@ external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 let lget (b : Limb.a) i = Int64.to_int (get64u b (i lsl 3))
 let lset (b : Limb.a) i v = set64u b (i lsl 3) (Int64.of_int v)
 
+(* 26-bit limbs per element in [Vec.convolve]: the unrolled 5-limb body
+   serves every field of at most 130 bits, wider ones the column loop. *)
+let limbs26 ctx = max 5 ((ctx.p_bits + 25) / 26)
+
+let mask26 = (1 lsl 26) - 1
+
 let scratch_create ctx =
-  let k = ctx.k in
+  let k = ctx.k and w26 = limbs26 ctx in
   let limbs n w =
     let l = Limb.create w in
     Limb.of_nat n l 0 w;
     l
   in
+  let nat26 n = Array.init w26 (fun i -> Nat.limb (Nat.shift_right n (26 * i)) 0 land mask26) in
+  let p26 = nat26 ctx.p in
+  (* p^-1 mod 2^26 by Hensel lifting, as in [Montgomery.create]. *)
+  let inv = ref 1 in
+  for _ = 1 to 5 do
+    inv := !inv * (2 - (p26.(0) * !inv)) land mask26
+  done;
+  let _, r2 = Nat.divmod (Nat.shift_left Nat.one (2 * 26 * (w26 + 1))) ctx.p in
   let mu_wide, _ = Nat.divmod (Nat.shift_left Nat.one (31 * ((2 * k) + 1))) ctx.p in
   {
     sk = k;
     p_l = limbs ctx.p (k + 1);
     mu_wide = limbs mu_wide (k + 2);
     cols = Array.make (2 * k) 0;
+    w26;
+    p26;
+    pinv26 = (1 lsl 26) - !inv;
+    r2_26 = nat26 r2;
+    l26 = [||];
+    n26 = [||];
+    cols26 = Array.make ((2 * w26) + 2) 0;
     tmp = Limb.create ((7 * k) + 7);
     ms = Montgomery.scratch_for ctx.mont;
   }
@@ -349,6 +377,207 @@ let add_slice sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
 let sub_slice sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
   if add_signed sc.sk dst dso a ao b bo (-1) = -1 then
     ignore (add_signed sc.sk dst dso dst dso sc.p_l 0 1)
+
+(* The convolution's operand copy: slots [vi, vi+n) of a k-limb arena,
+   re-limbed from 31 to 26 bits into [sc.l26] from slot [si] on (w26
+   limbs a slot), with each slot's significant limb count in [sc.n26].
+   Returns how many of the slots are nonzero. *)
+let relimb sc (v : Limb.a) vi n si =
+  let k = sc.sk and w = sc.w26 and l = sc.l26 and ln = sc.n26 in
+  let nz = ref 0 in
+  for s = 0 to n - 1 do
+    let so = (vi + s) * k and o = (si + s) * w in
+    let acc = ref 0 and bits = ref 0 and src = ref 0 and top = ref 0 in
+    for u = 0 to w - 1 do
+      if !bits < 26 && !src < k then begin
+        acc := !acc lor (lget v (so + !src) lsl !bits);
+        bits := !bits + 31;
+        incr src
+      end;
+      let x = !acc land mask26 in
+      Array.unsafe_set l (o + u) x;
+      if x <> 0 then top := u + 1;
+      acc := !acc lsr 26;
+      bits := !bits - 26
+    done;
+    Array.unsafe_set ln (si + s) !top;
+    if !top > 0 then incr nz
+  done;
+  !nz
+
+(* Montgomery reduction in 26-bit digits, with R = 2^(26 (w+1)) > 2^10 p
+   for w = w26. The first [ncols] entries of [sc.cols26] are columns of
+   X = sum cols.(c) 2^(26c), each below 2^62, with X < p R. One carry
+   pass makes them 2w+2 limbs; step i adds the multiple m p 2^(26i) that
+   clears limb i, carrying out of limb i only (the rest of m p adds into
+   limbs that stay below 2^56); a last carry pass leaves X R^-1 mod p,
+   plus p or not, in limbs [w+1, 2w+2), and one subtraction makes it
+   canonical. *)
+let redc26 sc ncols =
+  let cols = sc.cols26 and p = sc.p26 and w = sc.w26 in
+  let top = (2 * w) + 2 in
+  let carry = ref 0 in
+  for c = 0 to top - 1 do
+    let s = (if c < ncols then Array.unsafe_get cols c else 0) + !carry in
+    Array.unsafe_set cols c (s land mask26);
+    carry := s lsr 26
+  done;
+  let carry = ref 0 and p0 = Array.unsafe_get p 0 in
+  for i = 0 to w do
+    let s = Array.unsafe_get cols i + !carry in
+    let m = (s land mask26) * sc.pinv26 land mask26 in
+    carry := (s + (m * p0)) lsr 26;
+    for j = 1 to w - 1 do
+      Array.unsafe_set cols (i + j) (Array.unsafe_get cols (i + j) + (m * Array.unsafe_get p j))
+    done
+  done;
+  for c = w + 1 to top - 1 do
+    let s = Array.unsafe_get cols c + !carry in
+    Array.unsafe_set cols c (s land mask26);
+    carry := s lsr 26
+  done;
+  (* Below 2p: compare with p from the top limb down, subtract it once. *)
+  let r = w + 1 in
+  let j = ref (w - 1) in
+  while !j > 0 && Array.unsafe_get cols (r + !j) = Array.unsafe_get p !j do
+    decr j
+  done;
+  if Array.unsafe_get cols (top - 1) > 0 || Array.unsafe_get cols (r + !j) >= Array.unsafe_get p !j then begin
+    let borrow = ref 0 in
+    for j = 0 to w - 1 do
+      let s = Array.unsafe_get cols (r + j) - Array.unsafe_get p j - !borrow in
+      Array.unsafe_set cols (r + j) (s land mask26);
+      borrow := s lsr 62
+    done;
+    Array.unsafe_set cols (top - 1) 0
+  end
+
+(* [redc26] at w = 5, unrolled over the nine columns of a product of
+   five-limb operands: the same carry pass, six steps and subtraction on
+   locals, with p's limbs above its top one zero (p61). *)
+let redc5 sc c0 c1 c2 c3 c4 c5 c6 c7 c8 =
+  let p = sc.p26 and pinv = sc.pinv26 and cols = sc.cols26 in
+  let p0 = Array.unsafe_get p 0 and p1 = Array.unsafe_get p 1 and p2 = Array.unsafe_get p 2 in
+  let p3 = Array.unsafe_get p 3 and p4 = Array.unsafe_get p 4 in
+  let t0 = c0 land mask26 in
+  let s = c1 + (c0 lsr 26) in
+  let t1 = s land mask26 in
+  let s = c2 + (s lsr 26) in
+  let t2 = s land mask26 in
+  let s = c3 + (s lsr 26) in
+  let t3 = s land mask26 in
+  let s = c4 + (s lsr 26) in
+  let t4 = s land mask26 in
+  let s = c5 + (s lsr 26) in
+  let t5 = s land mask26 in
+  let s = c6 + (s lsr 26) in
+  let t6 = s land mask26 in
+  let s = c7 + (s lsr 26) in
+  let t7 = s land mask26 in
+  let s = c8 + (s lsr 26) in
+  let t8 = s land mask26 in
+  let s = s lsr 26 in
+  let t9 = s land mask26 and t10 = s lsr 26 in
+  (* Step i clears limb i: m = t_i (-p^-1) mod 2^26, t += m p 2^(26i). *)
+  let m = t0 * pinv land mask26 in
+  let cy = (t0 + (m * p0)) lsr 26 in
+  let t1 = t1 + (m * p1) and t2 = t2 + (m * p2) and t3 = t3 + (m * p3) and t4 = t4 + (m * p4) in
+  let s = t1 + cy in
+  let m = (s land mask26) * pinv land mask26 in
+  let cy = (s + (m * p0)) lsr 26 in
+  let t2 = t2 + (m * p1) and t3 = t3 + (m * p2) and t4 = t4 + (m * p3) and t5 = t5 + (m * p4) in
+  let s = t2 + cy in
+  let m = (s land mask26) * pinv land mask26 in
+  let cy = (s + (m * p0)) lsr 26 in
+  let t3 = t3 + (m * p1) and t4 = t4 + (m * p2) and t5 = t5 + (m * p3) and t6 = t6 + (m * p4) in
+  let s = t3 + cy in
+  let m = (s land mask26) * pinv land mask26 in
+  let cy = (s + (m * p0)) lsr 26 in
+  let t4 = t4 + (m * p1) and t5 = t5 + (m * p2) and t6 = t6 + (m * p3) and t7 = t7 + (m * p4) in
+  let s = t4 + cy in
+  let m = (s land mask26) * pinv land mask26 in
+  let cy = (s + (m * p0)) lsr 26 in
+  let t5 = t5 + (m * p1) and t6 = t6 + (m * p2) and t7 = t7 + (m * p3) and t8 = t8 + (m * p4) in
+  let s = t5 + cy in
+  let m = (s land mask26) * pinv land mask26 in
+  let cy = (s + (m * p0)) lsr 26 in
+  let t6 = t6 + (m * p1) and t7 = t7 + (m * p2) and t8 = t8 + (m * p3) and t9 = t9 + (m * p4) in
+  let s = t6 + cy in
+  let r0 = s land mask26 in
+  let s = t7 + (s lsr 26) in
+  let r1 = s land mask26 in
+  let s = t8 + (s lsr 26) in
+  let r2 = s land mask26 in
+  let s = t9 + (s lsr 26) in
+  let r3 = s land mask26 in
+  let s = t10 + (s lsr 26) in
+  let r4 = s land mask26 and r5 = s lsr 26 in
+  if
+    r5 > 0
+    || r4 > p4
+    || r4 = p4 && (r3 > p3 || r3 = p3 && (r2 > p2 || r2 = p2 && (r1 > p1 || r1 = p1 && r0 >= p0)))
+  then begin
+    let s = r0 - p0 in
+    Array.unsafe_set cols 6 (s land mask26);
+    let s = r1 - p1 + (s asr 26) in
+    Array.unsafe_set cols 7 (s land mask26);
+    let s = r2 - p2 + (s asr 26) in
+    Array.unsafe_set cols 8 (s land mask26);
+    let s = r3 - p3 + (s asr 26) in
+    Array.unsafe_set cols 9 (s land mask26);
+    Array.unsafe_set cols 10 ((r4 - p4 + (s asr 26)) land mask26)
+  end
+  else begin
+    Array.unsafe_set cols 6 r0;
+    Array.unsafe_set cols 7 r1;
+    Array.unsafe_set cols 8 r2;
+    Array.unsafe_set cols 9 r3;
+    Array.unsafe_set cols 10 r4
+  end
+
+(* The residue a REDC left in limbs [w+1, 2w+1) of [sc.cols26], written
+   into [dst] at [dso] as k limbs of 31 bits. *)
+let store31 sc (dst : Limb.a) dso =
+  let cols = sc.cols26 and w = sc.w26 in
+  let acc = ref 0 and bits = ref 0 and c = ref (w + 1) in
+  for o = dso to dso + sc.sk - 1 do
+    while !bits < 31 && !c <= 2 * w do
+      acc := !acc lor (Array.unsafe_get cols !c lsl !bits);
+      bits := !bits + 26;
+      incr c
+    done;
+    lset dst o (!acc land limb_mask);
+    acc := !acc lsr 31;
+    bits := !bits - 31
+  done
+
+(* Slot [s] of [sc.l26] times R mod p, in place: its product with R^2
+   mod p, then one REDC. Zero stays zero. *)
+let to_mont26 sc s =
+  let w = sc.w26 and l = sc.l26 and r2 = sc.r2_26 and cols = sc.cols26 in
+  let x = s * w and n = Array.unsafe_get sc.n26 s in
+  if n > 0 then begin
+    let ncols = (2 * w) - 1 in
+    Array.fill cols 0 ncols 0;
+    for u = 0 to n - 1 do
+      let au = Array.unsafe_get l (x + u) in
+      for v = 0 to w - 1 do
+        Array.unsafe_set cols (u + v) (Array.unsafe_get cols (u + v) + (au * Array.unsafe_get r2 v))
+      done
+    done;
+    if w = 5 then
+      redc5 sc (Array.unsafe_get cols 0) (Array.unsafe_get cols 1) (Array.unsafe_get cols 2)
+        (Array.unsafe_get cols 3) (Array.unsafe_get cols 4) (Array.unsafe_get cols 5)
+        (Array.unsafe_get cols 6) (Array.unsafe_get cols 7) (Array.unsafe_get cols 8)
+    else redc26 sc ncols;
+    let top = ref 0 in
+    for u = 0 to w - 1 do
+      let y = Array.unsafe_get cols (w + 1 + u) in
+      Array.unsafe_set l (x + u) y;
+      if y <> 0 then top := u + 1
+    done;
+    Array.unsafe_set sc.n26 s !top
+  end
 
 (* Slot t of [tmp]: where a kernel parks its REDC product. *)
 let off_t sc = (6 * sc.sk) + 7
@@ -546,6 +775,94 @@ module Vec = struct
     Limb.set t (xo + (2 * k)) !carry;
     barrett_wide sc t ro t xo;
     Limb.to_nat t ro k
+
+  (* A column takes at most w26 limb products below 2^52 from each of
+     min(la, lb) coefficient pairs, and the carry it receives is below
+     2^36, so min(la, lb) * w26 < 2^10 keeps every column below 2^62. *)
+  let convolve_bound (ctx : ctx) = 1023 / limbs26 ctx
+
+  (* The 5 x 5 body: output i's nine columns stay in locals while it
+     scans its coefficient pairs (j, i - j), a's at slot j and b's at slot
+     la + i - j of [l26]. *)
+  let convolve5 sc la lb (d : Limb.a) di =
+    let l = sc.l26 and k = sc.sk in
+    for i = 0 to la + lb - 2 do
+      let c0 = ref 0 and c1 = ref 0 and c2 = ref 0 and c3 = ref 0 and c4 = ref 0 in
+      let c5 = ref 0 and c6 = ref 0 and c7 = ref 0 and c8 = ref 0 in
+      for j = max 0 (i - lb + 1) to min (la - 1) i do
+        let x = 5 * j and y = 5 * (la + i - j) in
+        let a0 = Array.unsafe_get l x and a1 = Array.unsafe_get l (x + 1) in
+        let a2 = Array.unsafe_get l (x + 2) and a3 = Array.unsafe_get l (x + 3) in
+        let a4 = Array.unsafe_get l (x + 4) in
+        let b0 = Array.unsafe_get l y and b1 = Array.unsafe_get l (y + 1) in
+        let b2 = Array.unsafe_get l (y + 2) and b3 = Array.unsafe_get l (y + 3) in
+        let b4 = Array.unsafe_get l (y + 4) in
+        c0 := !c0 + (a0 * b0);
+        c1 := !c1 + (a0 * b1) + (a1 * b0);
+        c2 := !c2 + (a0 * b2) + (a1 * b1) + (a2 * b0);
+        c3 := !c3 + (a0 * b3) + (a1 * b2) + (a2 * b1) + (a3 * b0);
+        c4 := !c4 + (a0 * b4) + (a1 * b3) + (a2 * b2) + (a3 * b1) + (a4 * b0);
+        c5 := !c5 + (a1 * b4) + (a2 * b3) + (a3 * b2) + (a4 * b1);
+        c6 := !c6 + (a2 * b4) + (a3 * b3) + (a4 * b2);
+        c7 := !c7 + (a3 * b4) + (a4 * b3);
+        c8 := !c8 + (a4 * b4)
+      done;
+      redc5 sc !c0 !c1 !c2 !c3 !c4 !c5 !c6 !c7 !c8;
+      store31 sc d ((di + i) * k)
+    done
+
+  (* Any width: the same scan with the columns in [cols26], skipping each
+     slot's zero top limbs. *)
+  let convolve_cols sc la lb (d : Limb.a) di =
+    let l = sc.l26 and ln = sc.n26 and cols = sc.cols26 and w = sc.w26 and k = sc.sk in
+    let ncols = (2 * w) - 1 in
+    for i = 0 to la + lb - 2 do
+      Array.fill cols 0 ncols 0;
+      for j = max 0 (i - lb + 1) to min (la - 1) i do
+        let x = w * j and y = w * (la + i - j) in
+        let ny = Array.unsafe_get ln (la + i - j) in
+        for u = 0 to Array.unsafe_get ln j - 1 do
+          let au = Array.unsafe_get l (x + u) in
+          for v = 0 to ny - 1 do
+            Array.unsafe_set cols (u + v) (Array.unsafe_get cols (u + v) + (au * Array.unsafe_get l (y + v)))
+          done
+        done
+      done;
+      redc26 sc ncols;
+      store31 sc d ((di + i) * k)
+    done
+
+  (* Product-scanning schoolbook: both operands are re-limbed to 26 bits
+     once, so a limb product is below 2^52 and each column takes a whole
+     output's products with no split and no carry; each output is reduced
+     once, into its slot. A pair with a zero coefficient adds nothing,
+     and the count is of the pairs with both nonzero, as [Fp.dot]'s. *)
+  let convolve ctx sc (a : t) ai la (b : t) bi lb (d : t) di =
+    if la > 0 && lb > 0 then begin
+      if min la lb > convolve_bound ctx then
+        invalid_arg
+          (Printf.sprintf "Fp.Vec.convolve: %d x %d exceeds the column-overflow bound %d" la lb
+             (convolve_bound ctx));
+      check "convolve" a ai la;
+      check "convolve" b bi lb;
+      check "convolve" d di (la + lb - 1);
+      let w = sc.w26 in
+      if Array.length sc.n26 < la + lb then begin
+        let n = max (la + lb) (2 * Array.length sc.n26) in
+        sc.l26 <- Array.make (n * w) 0;
+        sc.n26 <- Array.make n 0
+      end;
+      let nza = relimb sc a.buf ai la 0 in
+      let nzb = relimb sc b.buf bi lb la in
+      Zobs.Counter.add ctx.cnt_mul_lazy (nza * nzb);
+      (* Each output's REDC divides by R, so the shorter operand carries
+         the factor R: min(la, lb) products instead of one per output. *)
+      let s0 = if la <= lb then 0 else la in
+      for s = s0 to s0 + min la lb - 1 do
+        to_mont26 sc s
+      done;
+      if w = 5 then convolve5 sc la lb d.buf di else convolve_cols sc la lb d.buf di
+    end
 
   (* Fused CT butterfly, tw in Montgomery form: t = data[j] * tw[ti] by
      one REDC; data[j] <- data[i] - t; data[i] <- data[i] + t. One counted

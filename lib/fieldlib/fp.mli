@@ -104,10 +104,12 @@ val pp : Format.formatter -> el -> unit
     canonical residues; every product is the group's fused CIOS REDC
     ({!Montgomery.redc_into}); only precomputed constants are kept in
     Montgomery form ({!Vec.set_mont}). A {!scratch} holds the modulus,
-    the lazy dot's Barrett constant, the REDC accumulator and one product
-    slot; every packed operation threads one through explicitly. Ownership discipline: a scratch belongs to exactly
-    one domain — obtain it via {!scratch_for} (domain-local, cached per
-    context), never share one across [Dompool] workers. See DESIGN.md §13. *)
+    the lazy dot's Barrett constant, the REDC accumulator, one product
+    slot and {!Vec.convolve}'s 26-bit operand copies; every packed
+    operation threads one through explicitly. Ownership discipline: a
+    scratch belongs to exactly one domain — obtain it via {!scratch_for}
+    (domain-local, cached per context), never share one across [Dompool]
+    workers. See DESIGN.md §13. *)
 
 type scratch
 
@@ -193,6 +195,23 @@ module Vec : sig
       counting the same [fp.mul_lazy] (terms with both operands nonzero);
       allocates only its result. Raises [Invalid_argument] beyond
       {!dot_bound} or outside either vector. *)
+
+  val convolve_bound : ctx -> int
+  (** The most coefficients the shorter operand of {!convolve} may have:
+      [1023 / w] for [w] 26-bit limbs per element (5 up to 130 bits, so
+      204 for p61, p127 and p127_ntt; 102 for a 255-bit field). Up to it,
+      [min la lb * w * 2^52 < 2^62] and no column can overflow. *)
+
+  val convolve : ctx -> scratch -> t -> int -> int -> t -> int -> int -> t -> int -> unit
+  (** [convolve ctx sc a ai la b bi lb d di]: slots [[di, di+la+lb-1)] of
+      [d] get the coefficients of [(sum a.(ai+j) x^j) * (sum b.(bi+t) x^t)];
+      nothing when [la] or [lb] is 0. Both operands are copied first as
+      26-bit limbs into the scratch, so [d] may overlap them. Each output
+      is one product-scanned column sum, reduced once into its slot.
+      Counts one [fp.mul_lazy] per coefficient pair with both operands
+      nonzero, as {!Fp.dot} does; allocates nothing once the scratch has
+      grown to the operands. Raises [Invalid_argument] above
+      {!convolve_bound} or outside a vector. *)
 
   val butterfly : ctx -> scratch -> t -> int -> int -> t -> int -> unit
   (** [butterfly ctx sc data i j tw ti]: the fused Cooley-Tukey step

@@ -90,29 +90,22 @@ let mul_schoolbook ctx (a : t) (b : t) : t =
 (* Karatsuba on packed slices. An operand is a slice (arena, offset,
    length) of an [Fp.Vec] with its length trimmed as the boxed [trim]
    would, so every split point, threshold test and leaf product is the
-   one the boxed recursion made, and a leaf counts one [fp.mul_lazy] per
-   product whose operands are both nonzero, as [mul_schoolbook] does. *)
+   one the boxed recursion made. A leaf is one [Fp.Vec.convolve], which
+   counts one [fp.mul_lazy] per product whose operands are both nonzero,
+   as [mul_schoolbook] does. *)
 
 (* Length of the slice with its trailing zero slots trimmed. *)
 let rec top (v : Fp.Vec.t) o n = if n > 0 && Fp.Vec.is_zero v (o + n - 1) then top v o (n - 1) else n
 
-(* Workspace slots for operands of at most [n] coefficients: a leaf's
-   reversed operand, or a node's two half sums and middle product (4k
-   slots) plus what its children take above them. *)
-let rec workspace n =
-  if n < karatsuba_threshold then n else (4 * ((n + 1) / 2)) + workspace ((n + 1) / 2)
-
-(* Schoolbook leaf: output i is one lazy dot of a against b reversed. *)
-let leaf ctx sc a ao la b bo lb (d : Fp.Vec.t) dof ws wo =
-  for t = 0 to lb - 1 do
-    Fp.Vec.blit b (bo + lb - 1 - t) ws (wo + t) 1
-  done;
-  for i = 0 to la + lb - 2 do
-    let jmin = max 0 (i - lb + 1) and jmax = min (la - 1) i in
-    Fp.Vec.set d (dof + i)
-      (Fp.Vec.dot ctx sc a (ao + jmin) ws (wo + lb - 1 - i + jmin) (jmax - jmin + 1))
-  done;
-  la + lb - 1
+(* Workspace slots for a product of [la] by [lb] coefficients: a node's
+   two half sums and middle product (4k slots) plus what its children,
+   whose operands have at most k coefficients, take above them. A leaf
+   takes none. *)
+let rec workspace la lb =
+  if la < karatsuba_threshold || lb < karatsuba_threshold then 0
+  else
+    let k = (max la lb + 1) / 2 in
+    (4 * k) + workspace k k
 
 (* Slots from [so] get x0 + x1 (x0 at [o0], x1 at [o1] of [x]); returns
    the trimmed length of the sum. *)
@@ -130,7 +123,10 @@ let sum ctx sc (x : Fp.Vec.t) o0 l0 o1 l1 (s : Fp.Vec.t) so =
    [wo] up is free. *)
 let rec mul_slices ctx sc a ao la b bo lb (d : Fp.Vec.t) dof (ws : Fp.Vec.t) wo =
   if la = 0 || lb = 0 then 0
-  else if la < karatsuba_threshold || lb < karatsuba_threshold then leaf ctx sc a ao la b bo lb d dof ws wo
+  else if la < karatsuba_threshold || lb < karatsuba_threshold then begin
+    Fp.Vec.convolve ctx sc a ao la b bo lb d dof;
+    la + lb - 1
+  end
   else begin
     let n = la + lb - 1 and k = (max la lb + 1) / 2 in
     (* x = x1 x^k + x0; x1 is empty when x has at most k coefficients. *)
@@ -166,7 +162,7 @@ let mul ctx (a : t) (b : t) : t =
   else begin
     let va = Fp.Vec.of_array ctx a and vb = Fp.Vec.of_array ctx b in
     let d = Fp.Vec.create ctx (la + lb - 1) in
-    let ws = Fp.Vec.create ctx (workspace (max la lb)) in
+    let ws = Fp.Vec.create ctx (workspace la lb) in
     ignore (mul_slices ctx (Fp.scratch_for ctx) va 0 la vb 0 lb d 0 ws 0);
     trim (Fp.Vec.to_array d)
   end

@@ -46,8 +46,9 @@ val shift : t -> int -> t
 
 val mul : Fp.ctx -> t -> t -> t
 (** Karatsuba above 32 coefficients, schoolbook below, run on packed
-    {!Fp.Vec} slices with one lazy dot per leaf coefficient; counts one
-    [fp.mul_lazy] per leaf product of two nonzero coefficients. *)
+    {!Fp.Vec} slices; a leaf is one {!Fp.Vec.convolve}, which reduces
+    each output coefficient once. Counts one [fp.mul_lazy] per leaf
+    product of two nonzero coefficients. *)
 
 val mul_schoolbook : Fp.ctx -> t -> t -> t
 (** Exposed for cross-checking and the ablation bench. *)

@@ -321,4 +321,46 @@ wait "$farm_pid" 2>/dev/null || farm_rc=$?
 # 143 = SIGTERM: the farm runs until told to stop.
 [ "$farm_rc" -eq 143 ] || [ "$farm_rc" -eq 0 ] || { echo "farm exited $farm_rc on shutdown" >&2; cat "$tmp/farm.log" >&2; exit 1; }
 
+echo "== farm smoke on two domains (Lagrange prover) =="
+# The same payroll farm over the default Mersenne field, where the prover
+# takes the Lagrange QAP, with --domains 2: same-digest Hellos that arrive
+# together are proved in one Dompool map, so the Karatsuba leaves run on
+# two domains at once, each on its own scratch. Four concurrent clients
+# must all verify.
+: > "$tmp/farm2.log"
+"$zcli" serve examples/payroll.zl --listen 127.0.0.1:0 --domains 2 > "$tmp/farm2.log" 2>&1 &
+farm2_pid=$!
+f2addr=""
+for _ in $(seq 1 100); do
+  f2addr="$(sed -n 's/^listening on //p' "$tmp/farm2.log")"
+  [ -n "$f2addr" ] && break
+  kill -0 "$farm2_pid" 2>/dev/null || break
+  sleep 0.1
+done
+[ -n "$f2addr" ] || { echo "two-domain farm never reported its address:" >&2; cat "$tmp/farm2.log" >&2; kill "$farm2_pid" 2>/dev/null || true; exit 1; }
+client_pids=""
+for i in $(seq 1 4); do
+  "$zcli" run examples/payroll.zl -i 38,45,40,52,31 --connect "$f2addr" \
+    > "$tmp/farm2_client_$i.out" 2>&1 &
+  client_pids="$client_pids $!"
+done
+client_rc=0
+for pid in $client_pids; do
+  wait "$pid" || client_rc=$?
+done
+for i in $(seq 1 4); do
+  grep -q "verified" "$tmp/farm2_client_$i.out" || {
+    echo "two-domain farm client $i did not verify:" >&2
+    cat "$tmp/farm2_client_$i.out" >&2
+    echo "server log:" >&2; cat "$tmp/farm2.log" >&2
+    kill "$farm2_pid" 2>/dev/null || true
+    exit 1
+  }
+done
+[ "$client_rc" -eq 0 ] || { echo "a two-domain farm client exited non-zero" >&2; kill "$farm2_pid" 2>/dev/null || true; exit 1; }
+kill "$farm2_pid"
+farm2_rc=0
+wait "$farm2_pid" 2>/dev/null || farm2_rc=$?
+[ "$farm2_rc" -eq 143 ] || [ "$farm2_rc" -eq 0 ] || { echo "two-domain farm exited $farm2_rc on shutdown" >&2; cat "$tmp/farm2.log" >&2; exit 1; }
+
 echo "== ci OK =="

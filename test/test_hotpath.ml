@@ -668,6 +668,30 @@ let lagrange_h_tests =
         (pam ~scale:1, 1_926_123, "851d9c609aae38a66f29158cae4ff0b2");
       ]
 
+(* The Lagrange leaves re-limb their operands into the calling domain's
+   scratch, so four lcs witnesses proved on 1, 2 and 4 domains must give
+   the serial H. *)
+let lagrange_domain_test =
+  Alcotest.test_case "Lagrange prover_h is domain-count independent (DLS scratch isolation)" `Quick
+    (fun () ->
+      let ctx = Fp.create Primes.p127 in
+      let app = Apps.Registry.lcs ~scale:1 in
+      let comp = Apps.Glue.computation_of (Apps.Glue.compile ctx app) in
+      let witnesses =
+        Array.init 4 (fun i ->
+            let iprg = Chacha.Prg.create ~seed:(Printf.sprintf "lagrange domains %d" i) () in
+            comp.Argument.solve (Apps.Glue.field_inputs ctx (app.Apps.App_def.gen_inputs iprg)))
+      in
+      let q = Qapb.of_r1cs ~backend:Qapb.Lagrange comp.Argument.r1cs in
+      Qapb.prewarm q;
+      let serial = Array.map (Qapb.prover_h q) witnesses in
+      Alcotest.(check bool) "the witnesses give different H" false (h_equal serial.(0) serial.(1));
+      List.iter
+        (fun domains ->
+          let par = Dompool.Pool.map ~domains (Qapb.prover_h q) witnesses in
+          Alcotest.(check bool) (Printf.sprintf "H on %d domains" domains) true (Array.for_all2 h_equal serial par))
+        [ 1; 2; 4 ])
+
 let transcript_tests =
   List.map
     (fun (label, backend) ->
@@ -687,5 +711,5 @@ let transcript_tests =
 
 let suite =
   nat_tests @ vec_tests @ dot_tests @ mont_tests @ kernel_tests @ ntt_tests @ e2e_tests @ transcript_tests
-  @ lagrange_h_tests
+  @ lagrange_h_tests @ [ lagrange_domain_test ]
   @ [ Alcotest.test_case "packed Hello keeps fp.mul and ntt.butterfly, mont.mul 0" `Quick test_hello_counts ]

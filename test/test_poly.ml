@@ -65,6 +65,90 @@ let mul_matches_schoolbook ctx c =
   let a = patterned ctx prg c.la c.pa and b = patterned ctx prg c.lb c.pb in
   Poly.equal (Poly.mul ctx a b) (Poly.mul_schoolbook ctx a b)
 
+(* The leaf kernel at every width: p61, p127 and p127_ntt take its
+   unrolled five-limb body, bls12_381_fr its column loop. *)
+let leaf_fields =
+  [
+    ("p61", ctx); ("p127", ctx127); ("p127_ntt", Fp.create Primes.p127_ntt);
+    ("bls12_381_fr", Fp.create Primes.bls12_381_fr);
+  ]
+
+(* Every coefficient p - 1 (the largest columns the kernel can see), or a
+   mix of zeros, ones, values of one 26-bit or one 31-bit limb and full
+   residues (zero and trimmed limbs). *)
+let edge_coeffs fctx prg ~maxed n =
+  Array.init n (fun _ ->
+      if maxed then Fp.neg fctx Fp.one
+      else
+        match Chacha.Prg.int_below prg 5 with
+        | 0 -> Fp.zero
+        | 1 -> Fp.one
+        | 2 -> Fp.of_int fctx (Chacha.Prg.int_below prg (1 lsl 26))
+        | 3 -> Fp.of_int fctx (Chacha.Prg.int_below prg (1 lsl 31))
+        | _ -> Chacha.Prg.field fctx prg)
+
+let leaf_edge_tests =
+  List.map
+    (fun (label, fctx) ->
+      Alcotest.test_case
+        (Printf.sprintf "mul = mul_schoolbook with equal fp.mul_lazy on edge leaves over %s" label)
+        `Quick
+        (fun () ->
+          let prg = Chacha.Prg.create ~seed:("leaf edges " ^ label) () in
+          List.iter
+            (fun (la, lb, maxed) ->
+              let a = Poly.of_coeffs (edge_coeffs fctx prg ~maxed la) in
+              let b = Poly.of_coeffs (edge_coeffs fctx prg ~maxed lb) in
+              let r, n = Test_hotpath.counted "fp.mul_lazy" (fun () -> Poly.mul fctx a b) in
+              let r', n' = Test_hotpath.counted "fp.mul_lazy" (fun () -> Poly.mul_schoolbook fctx a b) in
+              let case = Printf.sprintf "%d x %d%s" la lb (if maxed then ", p - 1" else "") in
+              Alcotest.check (poly_t fctx) case r' r;
+              (* A leaf makes schoolbook's products; Karatsuba makes fewer. *)
+              if min la lb < 32 then Alcotest.(check int) (case ^ ": fp.mul_lazy") n' n)
+            [
+              (31, 31, true); (31, 700, true); (700, 31, true); (1, 1, true); (31, 31, false);
+              (1, 40, false); (31, 700, false); (64, 64, false); (100, 37, false);
+            ];
+          (* (x - 1)(1 + x + ... + x^(n-1)) = x^n - 1: each middle output's
+             column sum is p itself, so its REDC lands exactly on p and
+             takes the final subtraction. *)
+          List.iter
+            (fun n ->
+              let x_minus_1 = Poly.x_minus fctx Fp.one and ones = Poly.of_coeffs (Array.make n Fp.one) in
+              Alcotest.check (poly_t fctx)
+                (Printf.sprintf "x^%d - 1" n)
+                (Poly.sub fctx (Poly.monomial Fp.one n) Poly.one)
+                (Poly.mul fctx x_minus_1 ones))
+            [ 31; 700 ]))
+    leaf_fields
+
+(* The kernel alone at its column bound: min(la, lb) * w26 < 2^10, with
+   w26 = 5 up to 130 bits and 10 at 255, on p - 1 operands; one slot more
+   raises. *)
+let convolve_bound_tests =
+  List.map
+    (fun (label, fctx) ->
+      Alcotest.test_case (Printf.sprintf "Fp.Vec.convolve at its column bound over %s" label) `Quick
+        (fun () ->
+          let bound = Fp.Vec.convolve_bound fctx in
+          Alcotest.(check int) "bound" (if Fp.bits fctx <= 130 then 204 else 102) bound;
+          let pm1 n = Array.make n (Fp.neg fctx Fp.one) in
+          let a = pm1 bound and b = pm1 (bound + 3) in
+          let sc = Fp.scratch_for fctx in
+          let d = Fp.Vec.create fctx ((2 * bound) + 2) in
+          Fp.Vec.convolve fctx sc (Fp.Vec.of_array fctx a) 0 bound (Fp.Vec.of_array fctx b) 0 (bound + 3) d 0;
+          Alcotest.check (poly_t fctx) "p - 1 at the bound"
+            (Poly.mul_schoolbook fctx (Poly.of_coeffs a) (Poly.of_coeffs b))
+            (Poly.of_coeffs (Fp.Vec.to_array d));
+          let v = Fp.Vec.of_array fctx (pm1 (bound + 1)) in
+          Alcotest.(check bool) "past the bound" true
+            (try
+               Fp.Vec.convolve fctx sc v 0 (bound + 1) v 0 (bound + 1)
+                 (Fp.Vec.create fctx ((2 * bound) + 1)) 0;
+               false
+             with Invalid_argument _ -> true)))
+    leaf_fields
+
 let arb_poly_nonzero c =
   QCheck.make
     ~print:(fun p -> Format.asprintf "%a" (Poly.pp c) p)
@@ -199,4 +283,4 @@ let property_tests =
       (fun (a, b) -> Poly.degree (Poly.mul ctx a b) = Poly.degree a + Poly.degree b);
   ]
 
-let suite = unit_tests @ property_tests
+let suite = unit_tests @ leaf_edge_tests @ convolve_bound_tests @ property_tests
