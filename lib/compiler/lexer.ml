@@ -77,7 +77,10 @@ let next lx : token * Ast.pos =
       while (match peek_char lx with Some c -> is_digit c | None -> false) do
         advance lx
       done;
-      INT (int_of_string (String.sub lx.src start (lx.pos - start)))
+      let s = String.sub lx.src start (lx.pos - start) in
+      (match int_of_string_opt s with
+      | Some n -> INT n
+      | None -> Ast.error_at start_pos "integer literal %s is out of range (at most %d)" s max_int)
     | Some c ->
       let two =
         if lx.pos + 1 < String.length lx.src then Some (String.sub lx.src lx.pos 2) else None

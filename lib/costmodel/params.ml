@@ -7,9 +7,9 @@
      d      decrypt (to the group encoding)
      h      ciphertext add plus multiply (one homomorphic accumulate step)
      f_lazy field multiplication without the final reduction
-     f      field multiplication
+     f      field multiplication (boxed: two REDCs unless already below p)
      f_packed  one packed NTT butterfly (DESIGN.md §13): the NTT prover's
-            multiplication, a REDC rather than a boxed Barrett product
+            multiplication, one REDC on limb slices and no allocation
      f_div  field division (inverse + multiply)
      c      pseudorandomly generate a field element (ChaCha + rejection)
 

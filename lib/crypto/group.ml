@@ -38,10 +38,6 @@ let pow t (base : element) (e : Nat.t) =
   Zobs.Counter.incr c_pow;
   Montgomery.pow t.mont base e
 
-let pow_barrett t (base : element) (e : Nat.t) =
-  Zobs.Counter.incr c_pow;
-  Fp.pow t.modp base e
-
 let mul t a b = Fp.mul t.modp a b
 let inv t a = Fp.inv t.modp a
 let equal = Fp.equal

@@ -35,10 +35,6 @@ type element = Fp.el
 val pow : t -> element -> Nat.t -> element
 (** Generic windowed Montgomery ladder. *)
 
-val pow_barrett : t -> element -> Nat.t -> element
-(** The Barrett ladder ([Fp.pow] over [modp]): ablation baseline and the
-    kernel tests' independent oracle. *)
-
 val mul : t -> element -> element -> element
 val inv : t -> element -> element
 val equal : element -> element -> bool

@@ -9,14 +9,13 @@ type tag = Field | Group
 type ctx = {
   p : Nat.t;
   k : int; (* limbs of p *)
-  mu : Nat.t; (* floor(B^2k / p) for Barrett reduction *)
   p_bits : int;
   p_minus_2 : Nat.t;
   sample_bytes : int;
   sample_mask : int; (* mask for the top sampled byte *)
-  dot_window : int; (* lazy products that can be accumulated before reduction *)
+  dot_bound : int; (* most terms [Vec.dot] accepts *)
   p_limbs : Limb.a; (* p as k packed limbs: the range check of packed reads and samples *)
-  mont : Montgomery.ctx; (* the packed kernels' REDC; a group over p shares it *)
+  mont : Montgomery.ctx; (* every product's REDC; a group over p shares it *)
   cnt_mul : Zobs.Counter.t;
   cnt_mul_lazy : Zobs.Counter.t;
   cnt_inv : Zobs.Counter.t;
@@ -33,16 +32,22 @@ let c_mul_g = Zobs.Counter.make "fp.mul.group"
 let c_mul_lazy_g = Zobs.Counter.make "fp.mul_lazy.group"
 let c_inv_g = Zobs.Counter.make "fp.inv.group"
 
+(* 26-bit limbs per element in [Vec.convolve] and [Vec.dot]'s finish: the
+   unrolled 5-limb body serves every field of at most 130 bits, wider ones
+   the column loop. *)
+let limbs26 p_bits = max 5 ((p_bits + 25) / 26)
+
 let create ?(tag = Field) p =
   if Nat.compare p (Nat.of_int 3) < 0 then invalid_arg "Fp.create: modulus too small";
   if Nat.is_even p then invalid_arg "Fp.create: modulus must be odd";
   let k = Nat.num_limbs p in
-  let b2k = Nat.shift_left Nat.one (31 * 2 * k) in
-  let mu, _ = Nat.divmod b2k p in
   let p_bits = Nat.num_bits p in
-  let psq = Nat.sqr p in
-  let window, _ = Nat.divmod b2k psq in
-  let dot_window = match Nat.to_int_opt window with Some w -> max 1 (min (w - 1) 1024) | None -> 1024 in
+  (* [Vec.dot]'s columns overflow past max_int / (k 2^32) terms: a term
+     adds at most 2k half-products below 2^31 to one, and the carries one
+     more such share. Its REDC needs the sum below p R, R = 2^(26 (w+1)),
+     so len p < R: len <= floor(R / p), as p is odd. *)
+  let r_over_p, _ = Nat.divmod (Nat.shift_left Nat.one (26 * (limbs26 p_bits + 1))) p in
+  let dot_bound = min (max_int / (k lsl 32)) (Option.value (Nat.to_int_opt r_over_p) ~default:max_int) in
   let cnt_mul, cnt_mul_lazy, cnt_inv =
     match tag with Field -> (c_mul, c_mul_lazy, c_inv) | Group -> (c_mul_g, c_mul_lazy_g, c_inv_g)
   in
@@ -51,12 +56,11 @@ let create ?(tag = Field) p =
   {
     p;
     k;
-    mu;
     p_bits;
     p_minus_2 = Nat.sub p Nat.two;
     sample_bytes = (p_bits + 7) / 8;
     sample_mask = (1 lsl (((p_bits - 1) mod 8) + 1)) - 1;
-    dot_window;
+    dot_bound;
     p_limbs;
     mont = Montgomery.create p;
     cnt_mul;
@@ -75,36 +79,71 @@ let is_zero = Nat.is_zero
 let to_nat (x : el) : Nat.t = x
 let to_int_opt = Nat.to_int_opt
 
-(* Barrett reduction of x < B^2k into [0, p). *)
-let reduce ctx x =
-  if Nat.compare x ctx.p < 0 then x
-  else begin
-    let q1 = Nat.shift_right_limbs x (ctx.k - 1) in
-    let q2 = Nat.mul q1 ctx.mu in
-    let q3 = Nat.shift_right_limbs q2 (ctx.k + 1) in
-    let r1 = Nat.truncate_limbs x (ctx.k + 1) in
-    let r2 = Nat.truncate_limbs (Nat.mul q3 ctx.p) (ctx.k + 1) in
-    let r =
-      if Nat.compare r1 r2 >= 0 then Nat.sub r1 r2
-      else Nat.sub (Nat.add r1 (Nat.shift_left Nat.one (31 * (ctx.k + 1)))) r2
-    in
-    let r = ref r in
-    while Nat.compare !r ctx.p >= 0 do
-      r := Nat.sub !r ctx.p
-    done;
-    !r
-  end
+(* ------------------------------------------------------------------ *)
+(* Scratch arenas                                                       *)
+(* ------------------------------------------------------------------ *)
 
-let of_nat ctx n =
-  if Nat.num_limbs n <= 2 * ctx.k then reduce ctx n
-  else snd (Nat.divmod n ctx.p)
+(* Per-context working memory of the products. [tmp] holds two k-limb
+   slots: a boxed product's operands (slot 0 also its result), or slot t
+   at 0, a kernel's REDC product, the swap temporary and the dot's
+   result. A scratch is owned by exactly one domain (see [scratch_for]);
+   nothing here is safe to share across domains. *)
+type scratch = {
+  sk : int; (* limbs of p *)
+  p_l : Limb.a; (* p, k limbs *)
+  cols : int array; (* 2k columns of the split lazy dot *)
+  w26 : int; (* 26-bit limbs per element: [limbs26] *)
+  p26 : int array; (* p in w26 limbs of 26 bits *)
+  pinv26 : int; (* -p^-1 mod 2^26 *)
+  r2_26 : int array; (* R^2 mod p in w26 limbs, for R = 2^(26 (w26+1)) *)
+  mutable l26 : int array; (* the convolution's operands, w26 limbs a slot, grown on demand *)
+  mutable n26 : int array; (* significant limbs of each operand slot *)
+  cols26 : int array; (* product columns, then the REDC's limbs *)
+  tmp : Limb.a; (* 2k limbs *)
+  unredc26 : Limb.a; (* R R' mod p in k limbs, R' = 2^(31k): x R^-1 -> x by one CIOS REDC *)
+  ms : Montgomery.scratch;
+}
 
-let of_int ctx n =
-  if n >= 0 then of_nat ctx (Nat.of_int n)
-  else begin
-    let m = of_nat ctx (Nat.of_int (-n)) in
-    if Nat.is_zero m then Nat.zero else Nat.sub ctx.p m
-  end
+let limb_mask = (1 lsl 31) - 1
+let mask26 = (1 lsl 26) - 1
+
+let scratch_create ctx =
+  let k = ctx.k and w26 = limbs26 ctx.p_bits in
+  let nat26 n = Array.init w26 (fun i -> Nat.limb (Nat.shift_right n (26 * i)) 0 land mask26) in
+  let p26 = nat26 ctx.p in
+  (* p^-1 mod 2^26 by Hensel lifting, as in [Montgomery.create]. *)
+  let inv = ref 1 in
+  for _ = 1 to 5 do
+    inv := !inv * (2 - (p26.(0) * !inv)) land mask26
+  done;
+  let _, r2 = Nat.divmod (Nat.shift_left Nat.one (2 * 26 * (w26 + 1))) ctx.p in
+  let unredc26 = Limb.create k in
+  Limb.of_nat (snd (Nat.divmod (Nat.shift_left Nat.one ((26 * (w26 + 1)) + (31 * k))) ctx.p)) unredc26 0 k;
+  {
+    sk = k;
+    p_l = ctx.p_limbs;
+    cols = Array.make (2 * k) 0;
+    w26;
+    p26;
+    pinv26 = (1 lsl 26) - !inv;
+    r2_26 = nat26 r2;
+    l26 = [||];
+    n26 = [||];
+    cols26 = Array.make ((2 * w26) + 2) 0;
+    tmp = Limb.create (2 * k);
+    unredc26;
+    ms = Montgomery.scratch_for ctx.mont;
+  }
+
+(* One scratch per (domain, context); the lookup allocates nothing, so
+   every boxed product may use it. *)
+let scratch_for = Montgomery.domain_cache 16 scratch_create
+
+(* ------------------------------------------------------------------ *)
+(* Boxed elements                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let of_nat ctx n = if Nat.compare n ctx.p < 0 then n else snd (Nat.divmod n ctx.p)
 
 let to_signed_int ctx x =
   let half = Nat.shift_right ctx.p 1 in
@@ -120,13 +159,36 @@ let add ctx a b =
 
 let sub ctx a b = if Nat.compare a b >= 0 then Nat.sub a b else Nat.sub (Nat.add a ctx.p) b
 let neg ctx a = if Nat.is_zero a then Nat.zero else Nat.sub ctx.p a
+
+(* -min_int is min_int: its magnitude is 2^62. *)
+let of_int ctx n =
+  if n >= 0 then of_nat ctx (Nat.of_int n)
+  else if n = min_int then neg ctx (of_nat ctx (Nat.shift_left Nat.one 62))
+  else neg ctx (of_nat ctx (Nat.of_int (-n)))
+
+(* The two REDCs of [Vec.mul] on operands copied into [tmp]: a*b*R^-1
+   stays below R for any k-limb operands, and times R^2 (below p) it is
+   canonical. *)
+let redc_mul ctx a b =
+  let sc = scratch_for ctx and k = ctx.k in
+  let t = sc.tmp in
+  Limb.of_nat a t 0 k;
+  Limb.of_nat b t k k;
+  Montgomery.redc_into ctx.mont sc.ms t 0 t 0 t k;
+  Montgomery.to_mont_slice ctx.mont sc.ms t 0 t 0;
+  Limb.to_nat t 0 k
+
+(* A product below p needs no reduction, and one of at most k limbs is
+   cheap to try: the compiler and Zexec multiply mostly zeros, small
+   constants and powers of two. *)
 let mul ctx a b =
   Zobs.Counter.incr ctx.cnt_mul;
-  reduce ctx (Nat.mul a b)
+  if Nat.num_limbs a + Nat.num_limbs b > ctx.k then redc_mul ctx a b
+  else
+    let x = Nat.mul a b in
+    if Nat.compare x ctx.p < 0 then x else redc_mul ctx a b
 
-let sqr ctx a =
-  Zobs.Counter.incr ctx.cnt_mul;
-  reduce ctx (Nat.sqr a)
+let sqr ctx a = mul ctx a a
 
 let mul_lazy ctx a b =
   Zobs.Counter.incr ctx.cnt_mul_lazy;
@@ -164,8 +226,8 @@ let inv ctx a =
     if Nat.is_zero r1 then begin
       if not (Nat.is_one r0) then raise Division_by_zero;
       let s, m = t0 in
-      let m = if Nat.compare m ctx.p >= 0 then snd (Nat.divmod m ctx.p) else m in
-      if s && not (Nat.is_zero m) then Nat.sub ctx.p m else m
+      let m = of_nat ctx m in
+      if s then neg ctx m else m
     end else begin
       let q, r2 = Nat.divmod r0 r1 in
       let s1, m1 = t1 in
@@ -197,25 +259,20 @@ let batch_inv ctx xs =
     out
   end
 
+(* The exact sum of the products, reduced once. *)
 let dot ctx a b =
   let n = Array.length a in
   if Array.length b <> n then invalid_arg "Fp.dot: length mismatch";
   let acc = ref Nat.zero in
-  let pending = ref 0 in
   let nmul = ref 0 in
   for i = 0 to n - 1 do
     if not (Nat.is_zero a.(i) || Nat.is_zero b.(i)) then begin
-      if !pending >= ctx.dot_window then begin
-        acc := reduce ctx !acc;
-        pending := 0
-      end;
       acc := Nat.add !acc (Nat.mul a.(i) b.(i));
-      incr pending;
       incr nmul
     end
   done;
   Zobs.Counter.add ctx.cnt_mul_lazy !nmul;
-  reduce ctx !acc
+  of_nat ctx !acc
 
 let rec sample ctx random_bytes =
   let n = ctx.sample_bytes in
@@ -229,36 +286,8 @@ let to_string = Nat.to_decimal
 let pp fmt x = Format.pp_print_string fmt (to_string x)
 
 (* ------------------------------------------------------------------ *)
-(* Packed elements: scratch arenas and element vectors                  *)
+(* Packed elements: limb kernels and element vectors                    *)
 (* ------------------------------------------------------------------ *)
-
-(* Per-context scratch arena for the packed kernels: the modulus and the
-   lazy dot's Barrett constant as limb slices, the dot's int columns, the
-   convolution's 26-bit operand copies and columns, the REDC accumulator,
-   and one temporary area. Layout of [tmp] (k = limbs of p):
-     [0, 4k+6)        the dot's wide Barrett reduction (q2, r2, r)
-     [4k+6, 6k+7)     the dot's normalised column sum
-     [6k+7, 7k+7)     slot t: a kernel's REDC product, the swap temporary
-                      and the dot's result
-   A scratch is owned by exactly one domain (see [scratch_for]); nothing
-   here is safe to share across domains. *)
-type scratch = {
-  sk : int; (* limbs of p *)
-  p_l : Limb.a; (* k+1 limbs, p zero-padded *)
-  mu_wide : Limb.a; (* k+2 limbs: floor(B^(2k+1) / p) *)
-  cols : int array; (* 2k columns of the split lazy dot *)
-  w26 : int; (* 26-bit limbs per element in the convolution: 5 up to 130 bits *)
-  p26 : int array; (* p in w26 limbs of 26 bits *)
-  pinv26 : int; (* -p^-1 mod 2^26 *)
-  r2_26 : int array; (* R^2 mod p in w26 limbs, for the convolution's R = 2^(26 (w26+1)) *)
-  mutable l26 : int array; (* the convolution's operands, w26 limbs a slot, grown on demand *)
-  mutable n26 : int array; (* significant limbs of each operand slot *)
-  cols26 : int array; (* product columns, then the REDC's limbs *)
-  tmp : Limb.a; (* 7k+7 limbs *)
-  ms : Montgomery.scratch;
-}
-
-let limb_mask = (1 lsl 31) - 1
 
 (* [Limb.get]/[Limb.set] again, for the per-limb loops below (modular
    add/sub, the dot, the codec's range check): modules are compiled
@@ -269,87 +298,6 @@ external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let lget (b : Limb.a) i = Int64.to_int (get64u b (i lsl 3))
 let lset (b : Limb.a) i v = set64u b (i lsl 3) (Int64.of_int v)
-
-(* 26-bit limbs per element in [Vec.convolve]: the unrolled 5-limb body
-   serves every field of at most 130 bits, wider ones the column loop. *)
-let limbs26 ctx = max 5 ((ctx.p_bits + 25) / 26)
-
-let mask26 = (1 lsl 26) - 1
-
-let scratch_create ctx =
-  let k = ctx.k and w26 = limbs26 ctx in
-  let limbs n w =
-    let l = Limb.create w in
-    Limb.of_nat n l 0 w;
-    l
-  in
-  let nat26 n = Array.init w26 (fun i -> Nat.limb (Nat.shift_right n (26 * i)) 0 land mask26) in
-  let p26 = nat26 ctx.p in
-  (* p^-1 mod 2^26 by Hensel lifting, as in [Montgomery.create]. *)
-  let inv = ref 1 in
-  for _ = 1 to 5 do
-    inv := !inv * (2 - (p26.(0) * !inv)) land mask26
-  done;
-  let _, r2 = Nat.divmod (Nat.shift_left Nat.one (2 * 26 * (w26 + 1))) ctx.p in
-  let mu_wide, _ = Nat.divmod (Nat.shift_left Nat.one (31 * ((2 * k) + 1))) ctx.p in
-  {
-    sk = k;
-    p_l = limbs ctx.p (k + 1);
-    mu_wide = limbs mu_wide (k + 2);
-    cols = Array.make (2 * k) 0;
-    w26;
-    p26;
-    pinv26 = (1 lsl 26) - !inv;
-    r2_26 = nat26 r2;
-    l26 = [||];
-    n26 = [||];
-    cols26 = Array.make ((2 * w26) + 2) 0;
-    tmp = Limb.create ((7 * k) + 7);
-    ms = Montgomery.scratch_for ctx.mont;
-  }
-
-(* One scratch per (domain, context): domain-local storage keyed by context
-   physical identity, so arena-backed code is safe under Dompool without
-   any locking and timing is independent of the domain count. The lookup
-   allocates nothing, so per-query callers may use it freely. *)
-let scratch_dls : (ctx * scratch) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let rec find_scratch ctx = function
-  | [] -> raise Not_found
-  | (c, sc) :: rest -> if c == ctx then sc else find_scratch ctx rest
-
-let scratch_for ctx =
-  let cache = Domain.DLS.get scratch_dls in
-  match find_scratch ctx !cache with
-  | sc -> sc
-  | exception Not_found ->
-    let sc = scratch_create ctx in
-    cache := (ctx, sc) :: !cache;
-    sc
-
-(* The lazy dot's one reduction: Barrett (HAC 14.42) generalised to a sum
-   x < B^(2k+1). With mu = floor(B^(2k+1) / p) on k+2 limbs, q3 =
-   floor(floor(x / B^(k-1)) * mu / B^(k+2)) is within 2 of x div p, so r =
-   x - q3*p < 3p is formed mod B^(k+1) and corrected by at most two
-   subtractions. [x] lives in [sc.tmp] at 4k+6; nothing below is read from
-   it. *)
-let barrett_wide sc (dst : Limb.a) dso (x : Limb.a) xo =
-  let k = sc.sk in
-  let t = sc.tmp in
-  let w = k + 2 in
-  let off_r2 = 2 * w in
-  let off_r = off_r2 + k + 1 in
-  (* q1 = x >> (k-1) limbs (w limbs); q2 = q1 * mu at t[0]. *)
-  Limb.mul t 0 x (xo + k - 1) w sc.mu_wide 0 w;
-  (* q3 = q2 >> w limbs; r2 = q3 * p mod B^(k+1). *)
-  Limb.mul_low t off_r2 t w w sc.p_l 0 (k + 1) (k + 1);
-  (* r = (x mod B^(k+1)) - r2 mod B^(k+1); the true value is >= 0. *)
-  ignore (Limb.sub t off_r x xo t off_r2 (k + 1));
-  while Limb.cmp t off_r sc.p_l 0 (k + 1) >= 0 do
-    ignore (Limb.sub t off_r t off_r sc.p_l 0 (k + 1))
-  done;
-  Limb.blit t off_r dst dso k
 
 (* dst <- a + sign * b over k limbs (sign = 1 or -1); returns the carry
    (1) or borrow (-1) out, else 0. Index-synchronous, so [dst] may alias
@@ -580,7 +528,7 @@ let to_mont26 sc s =
   end
 
 (* Slot t of [tmp]: where a kernel parks its REDC product. *)
-let off_t sc = (6 * sc.sk) + 7
+let slot_t = 0
 
 (* Vectors of packed canonical residues: slot [i] of a vector over a k-limb
    modulus occupies limbs [i*k, (i+1)*k). *)
@@ -641,7 +589,7 @@ module Vec = struct
     read_bytes_n ctx v i 1 b 0 n = 1
 
   let swap sc (v : t) i j =
-    let k = v.k and o = off_t sc in
+    let k = v.k and o = slot_t in
     Limb.blit v.buf (i * k) sc.tmp o k;
     Limb.blit v.buf (j * k) v.buf (i * k) k;
     Limb.blit sc.tmp o v.buf (j * k) k
@@ -680,7 +628,7 @@ module Vec = struct
     check "axpy" y yi len;
     check "axpy" c ci 1;
     check "axpy" x xi len;
-    let k = sc.sk and o = off_t sc in
+    let k = sc.sk and o = slot_t in
     Zobs.Counter.add ctx.cnt_mul len;
     for j = 0 to len - 1 do
       Montgomery.redc_into ctx.mont sc.ms sc.tmp o c.buf (ci * k) x.buf ((xi + j) * k);
@@ -696,7 +644,7 @@ module Vec = struct
     check "spmv" dst 0 rows;
     if ptr.(0) <> 0 || ptr.(rows) > Array.length idx then
       invalid_arg "Fp.Vec.spmv: row pointers outside the term array";
-    let k = sc.sk and o = off_t sc and d = dst.buf in
+    let k = sc.sk and o = slot_t and d = dst.buf in
     let ci = ref 0 in
     for r = 0 to rows - 1 do
       let ro = r * k in
@@ -717,17 +665,15 @@ module Vec = struct
     done;
     Zobs.Counter.add ctx.cnt_mul ptr.(rows)
 
-  (* Each column takes at most 2k half-products below 2^31 per term, and
-     the carries the normalisation adds stay below one more such share, so
-     [dot_bound] terms can never overflow an OCaml int. *)
-  let dot_bound (ctx : ctx) = max_int / (ctx.k lsl 32)
+  let dot_bound (ctx : ctx) = ctx.dot_bound
 
   (* Split-column lazy dot: every 62-bit limb product x*y adds its low and
      high 31-bit halves to plain int columns j+l and j+l+1, so the loop
      neither carries nor reduces nor allocates. One carry pass turns the
-     2k columns into 2k+1 limbs (the sum is below len * p^2 < B^(2k+1)),
-     and one wide Barrett reduction finishes. Terms with a zero operand
-     are skipped and not counted, as in the boxed [dot]. *)
+     2k columns into 26-bit digits, and two REDCs finish: [redc26] takes
+     the sum S to S R^-1 (R = 2^(26 (w+1))), and the CIOS REDC of [mul]
+     against R R' mod p (R' = 2^(31k)) takes that to S. Terms with a zero
+     operand are skipped and not counted, as in the boxed [dot]. *)
   let dot ctx sc (a : t) ai (b : t) bi len =
     if len > dot_bound ctx then
       invalid_arg
@@ -765,21 +711,32 @@ module Vec = struct
       end
     done;
     Zobs.Counter.add ctx.cnt_mul_lazy !terms;
-    let t = sc.tmp and xo = (4 * k) + 6 and ro = off_t sc in
-    let carry = ref 0 in
-    for c = 0 to (2 * k) - 1 do
-      let s = Array.unsafe_get cols c + !carry in
-      Limb.set t (xo + c) (s land limb_mask);
-      carry := s lsr 31
+    (* One carry pass makes the columns 31-bit limbs, streamed out as
+       26-bit digits; the sum is below len p^2 < p R < 2^(26 (2w+1)), so
+       the digits past [cols26] are zero. *)
+    let c26 = sc.cols26 and top = (2 * sc.w26) + 2 in
+    let carry = ref 0 and acc = ref 0 and bits = ref 0 and d = ref 0 in
+    for c = 0 to 2 * k do
+      let s = (if c < 2 * k then Array.unsafe_get cols c else 0) + !carry in
+      carry := s lsr 31;
+      acc := !acc lor ((s land limb_mask) lsl !bits);
+      bits := !bits + 31;
+      while !bits >= 26 || (c = 2 * k && !bits > 0) do
+        if !d < top then Array.unsafe_set c26 !d (!acc land mask26);
+        incr d;
+        acc := !acc lsr 26;
+        bits := !bits - 26
+      done
     done;
-    Limb.set t (xo + (2 * k)) !carry;
-    barrett_wide sc t ro t xo;
-    Limb.to_nat t ro k
+    redc26 sc (min !d top);
+    store31 sc sc.tmp slot_t;
+    Montgomery.redc_into ctx.mont sc.ms sc.tmp slot_t sc.tmp slot_t sc.unredc26 0;
+    Limb.to_nat sc.tmp slot_t k
 
   (* A column takes at most w26 limb products below 2^52 from each of
      min(la, lb) coefficient pairs, and the carry it receives is below
      2^36, so min(la, lb) * w26 < 2^10 keeps every column below 2^62. *)
-  let convolve_bound (ctx : ctx) = 1023 / limbs26 ctx
+  let convolve_bound (ctx : ctx) = 1023 / limbs26 ctx.p_bits
 
   (* The 5 x 5 body: output i's nine columns stay in locals while it
      scans its coefficient pairs (j, i - j), a's at slot j and b's at slot
@@ -869,7 +826,7 @@ module Vec = struct
      field mul, zero allocations. *)
   let butterfly ctx sc (data : t) i j (tw : t) ti =
     Zobs.Counter.incr ctx.cnt_mul;
-    let k = sc.sk and o = off_t sc and d = data.buf in
+    let k = sc.sk and o = slot_t and d = data.buf in
     Montgomery.redc_into ctx.mont sc.ms sc.tmp o d (j * k) tw.buf (ti * k);
     sub_slice sc d (j * k) d (i * k) sc.tmp o;
     add_slice sc d (i * k) d (i * k) sc.tmp o

@@ -2,9 +2,11 @@
 
     The PCP protocols, the QAP construction and the commitment all work over
     a large prime field (§5.1 of the paper uses 128-bit and 220-bit prime
-    moduli). A [ctx] carries the modulus, the Barrett constant of the boxed
-    API and the {!Montgomery} context of the packed kernels; elements are
-    canonical naturals in [0, p). *)
+    moduli). A [ctx] carries the modulus and the {!Montgomery} context
+    that reduces every product, boxed or packed; elements are canonical
+    naturals in [0, p). Montgomery REDC is the one reduction algorithm:
+    naturals that are not products ({!of_nat}, the exact sum of {!dot})
+    are reduced by one {!Nat.divmod}. *)
 
 type ctx
 
@@ -39,10 +41,12 @@ val zero : el
 val one : el
 
 val of_nat : ctx -> Nat.t -> el
-(** Reduce an arbitrary natural modulo p. *)
+(** Reduce an arbitrary natural modulo p (one {!Nat.divmod} unless it is
+    already below p). *)
 
 val of_int : ctx -> int -> el
-(** Accepts negative integers (mapped to [p - |n| mod p]). *)
+(** Accepts negative integers, [min_int] included (mapped to
+    [p - |n| mod p]). *)
 
 val to_nat : el -> Nat.t
 val to_int_opt : el -> int option
@@ -58,13 +62,16 @@ val add : ctx -> el -> el -> el
 val sub : ctx -> el -> el -> el
 val neg : ctx -> el -> el
 val mul : ctx -> el -> el -> el
+(** The two REDCs of {!Vec.mul} ([abR^-1], then times [R^2]) on the
+    operands copied into the calling domain's {!scratch}, unless the
+    product of operands with at most k limbs between them is below p:
+    one counted [fp.mul], no [mont.mul], and only the result allocated. *)
+
 val sqr : ctx -> el -> el
+
 val mul_lazy : ctx -> el -> el -> Nat.t
 (** Product without the final reduction; the paper's [f_lazy]
-    microbenchmark. Combine with {!reduce}. *)
-
-val reduce : ctx -> Nat.t -> el
-(** Barrett-reduce a value < p^2 (more generally < 2^(62k) for a k-limb p). *)
+    microbenchmark. Sum such products and reduce once with {!of_nat}. *)
 
 val inv : ctx -> el -> el
 (** Modular inverse by the extended Euclidean algorithm. Raises
@@ -83,8 +90,8 @@ val pow : ctx -> el -> Nat.t -> el
 val pow_int : ctx -> el -> int -> el
 
 val dot : ctx -> el array -> el array -> el
-(** Boxed inner product with lazy reduction: one reduction per partial-sum
-    overflow window rather than per term; counts one [fp.mul_lazy] per
+(** Boxed inner product with lazy reduction: the exact sum of the
+    products, reduced once by {!of_nat}; counts one [fp.mul_lazy] per
     term whose operands are both nonzero. The reference for the packed
     {!Vec.dot}, which answers the prover's queries; boxed callers are the
     verifier's <alpha, a> over the group order and the QAP checks. *)
@@ -104,10 +111,11 @@ val pp : Format.formatter -> el -> unit
     canonical residues; every product is the group's fused CIOS REDC
     ({!Montgomery.redc_into}); only precomputed constants are kept in
     Montgomery form ({!Vec.set_mont}). A {!scratch} holds the modulus,
-    the lazy dot's Barrett constant, the REDC accumulator, one product
-    slot and {!Vec.convolve}'s 26-bit operand copies; every packed
-    operation threads one through explicitly. Ownership discipline: a
-    scratch belongs to exactly one domain — obtain it via {!scratch_for}
+    the REDC accumulator, two product slots and the 26-bit operand
+    copies, columns and constants of {!Vec.convolve} and {!Vec.dot}'s
+    finish; every packed operation threads one through explicitly, and
+    the boxed {!mul} looks one up. Ownership discipline: a scratch
+    belongs to exactly one domain — obtain it via {!scratch_for}
     (domain-local, cached per context), never share one across [Dompool]
     workers. See DESIGN.md §13. *)
 
@@ -115,7 +123,9 @@ type scratch
 
 val scratch_for : ctx -> scratch
 (** The calling domain's cached arena for this context (created on first
-    use; keyed by context physical identity). *)
+    use; keyed by context physical identity). The lookup allocates
+    nothing; a domain keeps the arenas of the 16 contexts it created
+    last. *)
 
 module Vec : sig
   (** A packed vector of canonical residues: slot [i] occupies limbs
@@ -183,15 +193,17 @@ module Vec : sig
 
   val dot_bound : ctx -> int
   (** The most terms {!dot} accepts: [max_int / (k * 2^32)] for a k-limb
-      modulus (2^29 at k = 2, 2^27 at k = 8). Each term adds at most 2k
-      half-products below 2^31 to a column, so no column can overflow an
-      OCaml int below this length. *)
+      modulus, so no column overflows an OCaml int (2^29 at k = 2, 2^27
+      at k = 8), and at most [R / p] for the finish's [R = 2^(26 (w+1))],
+      so [len * p < R] keeps the sum below [p * R] (2^26 at 130 bits). *)
 
   val dot : ctx -> scratch -> t -> int -> t -> int -> int -> el
   (** [dot ctx sc a ai b bi len] = sum of [a.(ai+j) * b.(bi+j)], the
       split-column lazy dot: each 62-bit limb product is split into 31-bit
-      halves summed in plain int columns, then one normalisation and one
-      wide Barrett reduction per call. Equal to {!Fp.dot} on the same values,
+      halves summed in plain int columns, then one normalisation into
+      26-bit digits and two REDCs per call: {!convolve}'s takes the sum S
+      to [S * R^-1], and {!mul}'s CIOS, against [R * 2^(31k) mod p], back
+      to S. Equal to {!Fp.dot} on the same values,
       counting the same [fp.mul_lazy] (terms with both operands nonzero);
       allocates only its result. Raises [Invalid_argument] beyond
       {!dot_bound} or outside either vector. *)

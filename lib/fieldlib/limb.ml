@@ -2,22 +2,21 @@
 
    A [Limb.a] is one flat [bytes] buffer of base-2^31 limbs, one native
    int64 word each, holding many fixed-width numbers side by side (NTT
-   vectors, Pippenger buckets, query matrices, Barrett/REDC scratch). The
+   vectors, Pippenger buckets, query matrices, REDC scratch). The
    GC sees a single opaque block instead of one boxed [int array] per
    element: it never scans it, and a large one is paced like any other
    major-heap allocation. (Not a Bigarray: its off-heap data is charged
    against custom_major_ratio, so every 2 MB query arena would request
    most of a major cycle.) All kernels are offset/width-addressed so callers
-   can slice without allocating views; the same carry discipline as [Nat]
-   applies (limb * limb + limb + limb fits 62 bits). Modules are compiled
+   can slice without allocating views; the arithmetic on them lives in
+   [Montgomery] and [Fp], under the same carry discipline as [Nat] (limb *
+   limb + limb + limb fits 62 bits). Modules are compiled
    separately, so inner loops elsewhere that read limbs one at a time
    declare these two accessors again locally (Fp, Montgomery). *)
 
 type a = bytes
 
 let base_bits = 31
-let base = 1 lsl base_bits
-let mask = base - 1
 
 external get64u : bytes -> int -> int64 = "%caml_bytes_get64u"
 external set64u : bytes -> int -> int64 -> unit = "%caml_bytes_set64u"
@@ -27,12 +26,10 @@ let length (b : a) = Bytes.length b lsr 3
 let get (b : a) i = Int64.to_int (get64u b (i lsl 3))
 let set (b : a) i v = set64u b (i lsl 3) (Int64.of_int v)
 
-let fill (b : a) off w v =
+let clear b off w =
   for i = off to off + w - 1 do
-    set b i v
+    set b i 0
   done
-
-let clear b off w = fill b off w 0
 
 let blit (src : a) so (dst : a) dso w = Bytes.blit src (so lsl 3) dst (dso lsl 3) (w lsl 3)
 
@@ -55,70 +52,6 @@ let is_zero_slice (x : a) xo w =
     incr i
   done;
   !z
-
-(* dst <- x - y mod 2^(31w); returns the borrow out. Index-synchronous,
-   so [dst] may alias either input. *)
-let sub (dst : a) dso (x : a) xo (y : a) yo w =
-  let borrow = ref 0 in
-  for i = 0 to w - 1 do
-    let s = get x (xo + i) - get y (yo + i) - !borrow in
-    if s < 0 then begin
-      set dst (dso + i) (s + base);
-      borrow := 1
-    end else begin
-      set dst (dso + i) s;
-      borrow := 0
-    end
-  done;
-  !borrow
-
-(* Full schoolbook product: dst[0..wa+wb-1] <- x * y. The destination slice
-   must not overlap either input slice. *)
-let mul (dst : a) dso (x : a) xo wa (y : a) yo wb =
-  clear dst dso (wa + wb);
-  for i = 0 to wa - 1 do
-    let xi = get x (xo + i) in
-    if xi <> 0 then begin
-      let carry = ref 0 in
-      for j = 0 to wb - 1 do
-        let p = get dst (dso + i + j) + (xi * get y (yo + j)) + !carry in
-        set dst (dso + i + j) (p land mask);
-        carry := p lsr base_bits
-      done;
-      let k = ref (dso + i + wb) in
-      while !carry <> 0 do
-        let s = get dst !k + !carry in
-        set dst !k (s land mask);
-        carry := s lsr base_bits;
-        incr k
-      done
-    end
-  done
-
-(* Low limbs only: dst[0..wout-1] <- (x * y) mod 2^(31*wout). Same overlap
-   rule as [mul]. *)
-let mul_low (dst : a) dso (x : a) xo wa (y : a) yo wb wout =
-  clear dst dso wout;
-  let wa = min wa wout in
-  for i = 0 to wa - 1 do
-    let xi = get x (xo + i) in
-    if xi <> 0 then begin
-      let jmax = min (wb - 1) (wout - 1 - i) in
-      let carry = ref 0 in
-      for j = 0 to jmax do
-        let p = get dst (dso + i + j) + (xi * get y (yo + j)) + !carry in
-        set dst (dso + i + j) (p land mask);
-        carry := p lsr base_bits
-      done;
-      let k = ref (i + jmax + 1) in
-      while !carry <> 0 && !k < wout do
-        let s = get dst (dso + !k) + !carry in
-        set dst (dso + !k) (s land mask);
-        carry := s lsr base_bits;
-        incr k
-      done
-    end
-  done
 
 (* Byte codec: little-endian bytes <-> one [w]-limb slot. One loop
    serves both directions: it pulls source digits into a bit accumulator

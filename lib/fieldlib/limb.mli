@@ -25,20 +25,6 @@ val cmp : a -> int -> a -> int -> int -> int
 
 val is_zero_slice : a -> int -> int -> bool
 
-val sub : a -> int -> a -> int -> a -> int -> int -> int
-(** [sub dst dso x xo y yo w] sets [dst <- x - y mod 2^(31w)] and returns
-    the borrow out. [dst] may alias either input slice. *)
-
-val mul : a -> int -> a -> int -> int -> a -> int -> int -> unit
-(** [mul dst dso x xo wa y yo wb]: full schoolbook product into
-    [dst.(dso .. dso+wa+wb-1)]. The destination slice must not overlap
-    either input slice. *)
-
-val mul_low : a -> int -> a -> int -> int -> a -> int -> int -> int -> unit
-(** [mul_low dst dso x xo wa y yo wb wout]: only the low [wout] limbs of
-    the product (the [mod B^k] steps of Barrett and REDC). Same overlap
-    rule as {!mul}. *)
-
 val load_bytes : bytes -> int -> int -> a -> int -> int -> bool
 (** [load_bytes b bo nb dst lo w] reads the [nb]-byte little-endian
     natural at [b.[bo]] into the [w]-limb slot at [dst.(lo)]. Returns

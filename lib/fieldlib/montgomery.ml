@@ -1,5 +1,6 @@
 (* Montgomery arithmetic on packed limb slices: the one multiplication
-   engine under every group exponentiation (DESIGN.md §8). Residues enter
+   engine under every group exponentiation (DESIGN.md §8) and, through
+   [redc_into], every [Fp] product. Residues enter
    Montgomery form (xR mod p, R = 2^(31k)) on the way into a kernel and
    leave it on the way out; in between they live in [Limb.a] slices and
    every product is one fused CIOS pass. *)
@@ -49,18 +50,27 @@ let create p =
    temporary (b^2 or b1*b2), 4..19 for the sliding window's odd powers. *)
 type scratch = { t : int array; r : Limb.a }
 
-let scratch_dls : (ctx * scratch) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* Per-domain scratch, keyed by context physical identity: no locking
+   under Dompool, and timing independent of the domain count. [find] and
+   the returned function are built once, so a lookup allocates nothing.
+   Bounded to the [n] contexts created last: served sessions build fresh
+   group contexts (Group.of_params). *)
+let domain_cache n create =
+  let key = Domain.DLS.new_key (fun () -> ref []) in
+  let rec find ctx = function
+    | [] -> raise Not_found
+    | (c, sc) :: rest -> if c == ctx then sc else find ctx rest
+  in
+  fun ctx ->
+    let cache = Domain.DLS.get key in
+    match find ctx !cache with
+    | sc -> sc
+    | exception Not_found ->
+      let sc = create ctx in
+      cache := (ctx, sc) :: List.filteri (fun i _ -> i < n - 1) !cache;
+      sc
 
-let scratch_for ctx =
-  let cache = Domain.DLS.get scratch_dls in
-  match List.find_opt (fun (c, _) -> c == ctx) !cache with
-  | Some (_, sc) -> sc
-  | None ->
-    let sc = { t = Array.make (ctx.k + 1) 0; r = Limb.create (20 * ctx.k) } in
-    (* Bounded: served sessions rebuild their group (Group.of_params). *)
-    cache := (ctx, sc) :: List.filteri (fun i _ -> i < 7) !cache;
-    sc
+let scratch_for = domain_cache 8 (fun ctx -> { t = Array.make (ctx.k + 1) 0; r = Limb.create (20 * ctx.k) })
 
 (* dst <- a * b * R^{-1} mod p by CIOS: for each limb a_i, add a_i * b and
    the multiple m * p that clears the low limb, then shift down one limb —

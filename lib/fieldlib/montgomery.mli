@@ -1,6 +1,7 @@
 (** Montgomery-form modular arithmetic on packed limb slices: the one
     multiplication engine under every group exponentiation in the
-    commitment's ElGamal (§5.1's e/d/h costs; DESIGN.md §8).
+    commitment's ElGamal (§5.1's e/d/h costs; DESIGN.md §8) and, through
+    {!redc_into}, under every {!Fp} product, boxed or packed.
 
     Every product is one fused CIOS REDC ({!mul_into}) over {!Limb.a}
     slices. The kernels take and return plain residues (naturals below
@@ -24,6 +25,12 @@ val create : t -> ctx
 type scratch
 
 val scratch_for : ctx -> scratch
+(** A {!domain_cache} of the 8 contexts created last. *)
+
+val domain_cache : int -> ('c -> 's) -> 'c -> 's
+(** [domain_cache n create]: a lookup of the calling domain's value for a
+    key (by physical identity), made by [create] on first use and kept
+    for the [n] keys created last. A lookup allocates nothing. *)
 
 val mul_into : ctx -> scratch -> Limb.a -> int -> Limb.a -> int -> Limb.a -> int -> unit
 (** [mul_into ctx sc dst dso a ao b bo]: the k-limb slice of [dst] at

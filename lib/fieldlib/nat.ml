@@ -116,8 +116,6 @@ let sub a b =
   if !borrow <> 0 then invalid_arg "Nat.sub: negative result";
   norm r
 
-let sub_int a n = sub a (of_int n)
-
 let mul_int a m =
   if m < 0 || m >= base then invalid_arg "Nat.mul_int: multiplier out of range";
   if m = 0 || is_zero a then zero
@@ -230,14 +228,6 @@ let shift_right a n =
       norm r
     end
   end
-
-let shift_right_limbs a k =
-  let la = Array.length a in
-  if k >= la then zero else norm (Array.sub a k (la - k))
-
-let truncate_limbs a k =
-  let la = Array.length a in
-  if la <= k then a else norm (Array.sub a 0 k)
 
 let divmod_int a d =
   if d <= 0 || d >= base then invalid_arg "Nat.divmod_int: divisor out of range";
@@ -453,76 +443,11 @@ let to_bytes_sub a buf off len =
     acc_bits := !acc_bits - 8
   done
 
-(* ---- Fixed-width in-place kernels -------------------------------------
-   These operate on plain [int array] limb buffers of a caller-chosen fixed
-   width (non-canonical: high zero limbs are fine). They are the scalar
-   mirror of the packed [Limb] kernels and exist so hot loops can reuse
-   buffers instead of allocating one array per intermediate. *)
-
-let to_limbs ~width (a : t) : int array =
-  let la = Array.length a in
-  if la > width then invalid_arg "Nat.to_limbs: width too small";
-  let r = Array.make width 0 in
-  Array.blit a 0 r 0 la;
-  r
+(* Limb-buffer boundary: plain [int array]s, non-canonical (high zero
+   limbs are fine). *)
 
 let of_limbs (l : int array) : t = norm (Array.copy l)
 let of_limbs_owned (l : int array) : t = norm l
 let limb (a : t) i = if i < Array.length a then Array.unsafe_get a i else 0
-
-let add_into ~width (dst : int array) (a : int array) (b : int array) : int =
-  let carry = ref 0 in
-  for i = 0 to width - 1 do
-    let s = a.(i) + b.(i) + !carry in
-    dst.(i) <- s land mask;
-    carry := s lsr base_bits
-  done;
-  !carry
-
-let sub_into ~width (dst : int array) (a : int array) (b : int array) : int =
-  let borrow = ref 0 in
-  for i = 0 to width - 1 do
-    let s = a.(i) - b.(i) - !borrow in
-    if s < 0 then begin
-      dst.(i) <- s + base;
-      borrow := 1
-    end else begin
-      dst.(i) <- s;
-      borrow := 0
-    end
-  done;
-  !borrow
-
-(* Schoolbook product of [wa]-limb [a] and [wb]-limb [b] into
-   [dst.(0 .. wa+wb-1)]. [dst] must not alias [a] or [b]. *)
-let mul_limbs ~wa ~wb (dst : int array) (a : int array) (b : int array) : unit =
-  Array.fill dst 0 (wa + wb) 0;
-  for i = 0 to wa - 1 do
-    let ai = a.(i) in
-    if ai <> 0 then begin
-      let carry = ref 0 in
-      for j = 0 to wb - 1 do
-        let p = dst.(i + j) + (ai * b.(j)) + !carry in
-        dst.(i + j) <- p land mask;
-        carry := p lsr base_bits
-      done;
-      let k = ref (i + wb) in
-      while !carry <> 0 do
-        let s = dst.(!k) + !carry in
-        dst.(!k) <- s land mask;
-        carry := s lsr base_bits;
-        incr k
-      done
-    end
-  done
-
-let mul_into ~width ~scratch (dst : int array) (a : int array) (b : int array)
-    : unit =
-  if Array.length scratch < 2 * width then
-    invalid_arg "Nat.mul_into: scratch shorter than 2*width";
-  (* Compute into scratch so [dst] may alias [a] or [b]; [scratch] itself
-     must not alias the inputs (it may alias or even be [dst]). *)
-  mul_limbs ~wa:width ~wb:width scratch a b;
-  if not (scratch == dst) then Array.blit scratch 0 dst 0 (2 * width)
 
 let pp fmt a = Format.pp_print_string fmt (to_decimal a)

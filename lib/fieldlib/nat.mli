@@ -40,8 +40,6 @@ val add_int : t -> int -> t
 val sub : t -> t -> t
 (** [sub a b] requires [a >= b]; raises [Invalid_argument] otherwise. *)
 
-val sub_int : t -> int -> t
-
 val mul : t -> t -> t
 (** Schoolbook below [karatsuba_threshold] limbs, Karatsuba above. *)
 
@@ -62,14 +60,6 @@ val divmod_int : t -> int -> t * int
 
 val pow_int : t -> int -> t
 (** [pow_int b e] for small exponents; no modular reduction. *)
-
-(* Limb-level helpers used by Barrett reduction. *)
-
-val shift_right_limbs : t -> int -> t
-(** Drop the [k] low limbs (divide by [2^(31k)]). *)
-
-val truncate_limbs : t -> int -> t
-(** Keep only the [k] low limbs (reduce modulo [2^(31k)]). *)
 
 val of_hex : string -> t
 val to_hex : t -> string
@@ -97,15 +87,8 @@ val set_karatsuba_threshold : int -> unit
 
 val get_karatsuba_threshold : unit -> int
 
-(** {2 Fixed-width in-place kernels}
-
-    Scalar mirror of the packed {!Limb} kernels: plain [int array] limb
-    buffers of caller-chosen width, little-endian, non-canonical (high zero
-    limbs allowed). None of these allocate. *)
-
-val to_limbs : width:int -> t -> int array
-(** Padded little-endian copy; raises [Invalid_argument] if [t] needs more
-    than [width] limbs. *)
+(** {2 Limb buffers}: plain little-endian [int array]s, high zero limbs
+    allowed. *)
 
 val of_limbs : int array -> t
 (** Canonicalizing copy of a limb buffer. *)
@@ -118,18 +101,3 @@ val of_limbs_owned : int array -> t
 val limb : t -> int -> int
 (** [limb n i]: the [i]-th base-2^31 limb of [n] ([i >= 0]), zero above
     the top. Allocation-free. *)
-
-val add_into : width:int -> int array -> int array -> int array -> int
-(** [add_into ~width dst a b] sets [dst.(0..width-1) <- a + b] and returns
-    the carry out (0 or 1). [dst] may alias [a] and/or [b]. *)
-
-val sub_into : width:int -> int array -> int array -> int array -> int
-(** [sub_into ~width dst a b] sets [dst.(0..width-1) <- a - b mod 2^(31w)]
-    and returns the borrow out (0 or 1). Aliasing allowed as for
-    {!add_into}. *)
-
-val mul_into : width:int -> scratch:int array -> int array -> int array -> int array -> unit
-(** [mul_into ~width ~scratch dst a b] sets [dst.(0..2*width-1)] to the full
-    product of the [width]-limb inputs. [scratch] needs at least [2*width]
-    limbs and must not alias [a] or [b]; [dst] may alias anything (including
-    [scratch] itself). *)

@@ -70,19 +70,11 @@ let mul_schoolbook ctx (a : t) (b : t) : t =
     let r = Array.make (la + lb - 1) Fp.zero in
     for i = 0 to la + lb - 2 do
       let acc = ref Nat.zero in
-      let jmin = max 0 (i - lb + 1) and jmax = min (la - 1) i in
-      let pending = ref 0 in
-      for j = jmin to jmax do
-        if not (Fp.is_zero a.(j) || Fp.is_zero b.(i - j)) then begin
-          if !pending >= 512 then begin
-            acc := Fp.reduce ctx !acc;
-            pending := 0
-          end;
-          acc := Nat.add !acc (Fp.mul_lazy ctx a.(j) b.(i - j));
-          incr pending
-        end
+      for j = max 0 (i - lb + 1) to min (la - 1) i do
+        if not (Fp.is_zero a.(j) || Fp.is_zero b.(i - j)) then
+          acc := Nat.add !acc (Fp.mul_lazy ctx a.(j) b.(i - j))
       done;
-      r.(i) <- Fp.reduce ctx !acc
+      r.(i) <- Fp.of_nat ctx !acc
     done;
     trim r
   end

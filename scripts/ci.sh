@@ -52,7 +52,7 @@ for f in test/lint_fixtures/*; do
   esac
 done
 
-echo "== unroll budget (loop-bomb fixture) =="
+echo "== unroll budget and literal range (compile-error fixtures) =="
 # A 10^8-iteration loop must fail to compile at once with an error naming
 # the unroll budget: exit 124 from timeout means the compiler hung, and
 # success means the budget is gone.
@@ -62,6 +62,13 @@ rc=0; out="$(timeout 5 ./_build/default/bin/zaatar_cli.exe compile "$bomb" 2>&1)
 [ "$rc" -ne 0 ] || { echo "compiling $bomb succeeded; the unroll budget is gone" >&2; exit 1; }
 echo "$out" | grep -q "unroll budget" \
   || { echo "compile of $bomb failed without naming the unroll budget: $out" >&2; exit 1; }
+# An integer literal past max_int is a classified compile error (exit 1,
+# a "compile:" message), not an uncaught exception (exit 125).
+lit=test/lint_fixtures/zl000_int_literal.zl
+rc=0; out="$(timeout 5 ./_build/default/bin/zaatar_cli.exe compile "$lit" 2>&1)" || rc=$?
+[ "$rc" -eq 1 ] || { echo "compiling $lit exited $rc (want 1): $out" >&2; exit 1; }
+echo "$out" | grep -q "^compile:" \
+  || { echo "compile of $lit failed without a compile: message: $out" >&2; exit 1; }
 
 echo "== exec smoke (interpreter vs compiled witnesses) =="
 # The witness-solving interpreter must re-derive the compiled prover's

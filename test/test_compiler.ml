@@ -127,6 +127,8 @@ let error_case name src msg_fragment =
 let error_tests =
   [
     error_case "undefined variable" "computation e(output int32 y) { y = q; }" "undefined";
+    error_case "an integer literal past max_int" "computation e(output int32 y) { y = 4611686018427387904; }"
+      "line 1, col 37: integer literal 4611686018427387904 is out of range";
     error_case "non-constant loop bound"
       "computation e(input int32 n, output int32 y) { for i in 0..n { y = y + 1; } }"
       "constant";
@@ -316,6 +318,7 @@ let parser_fuzz_tests =
             "computation f(input int32 x, output int32 y) { if x > 1 { y = 1; } }";
             "computation f(input int32 x, output int32 y) { var bool2 t; y = 0; }";
             "computation f(input int32 x, output int32 y) /* unterminated";
+            "computation f(input int32 x, output int32 y) { y = x + 99999999999999999999; }";
           ]
         in
         List.iter

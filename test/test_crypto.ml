@@ -113,11 +113,11 @@ let of_params_tests =
   [
     Alcotest.test_case "of_params refuses g outside the order-q subgroup" `Quick (fun () ->
         let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
-        (* The smallest h with h^q <> 1 (Barrett oracle), so g = h lies in
-           range, is not 1, and fails only the subgroup check. *)
+        (* The smallest h with h^q <> 1 (a REDC-free Nat oracle), so g = h
+           lies in range, is not 1, and fails only the subgroup check. *)
         let rec outside h =
           let x = Nat.of_int h in
-          if Group.equal (Group.pow_barrett grp x grp.q) Group.one then outside (h + 1) else x
+          if Group.equal (Test_fp.powmod grp.p x grp.q) Group.one then outside (h + 1) else x
         in
         let h = outside 2 in
         Alcotest.(check bool) "h outside" true (raises (fun () -> of_params ~p:grp.p ~q:grp.q ~g:h));

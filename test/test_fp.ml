@@ -20,6 +20,28 @@ let arb_nonzero ctx =
 
 let qtest name count arb law = QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name arb law)
 
+(* REDC-free references: boxed [Fp.mul] runs on the same Montgomery REDC
+   as the packed kernels, so the tests of either check against schoolbook
+   [Nat.mul] and Knuth [Nat.divmod] only, and a REDC bug cannot hide on
+   both sides. *)
+let mulmod p x y = snd (Nat.divmod (Nat.mul x y) p)
+
+let powmod p b e =
+  let acc = ref (snd (Nat.divmod Nat.one p)) in
+  for i = Nat.num_bits e - 1 downto 0 do
+    acc := mulmod p !acc !acc;
+    if Nat.testbit e i then acc := mulmod p !acc b
+  done;
+  !acc
+
+(* Counter deltas need Zobs on; the kernels count through it. *)
+let counted name f =
+  Zobs.enable ();
+  Fun.protect ~finally:Zobs.disable (fun () ->
+      let c0 = Zobs.Registry.counter_value name in
+      let r = f () in
+      (r, Zobs.Registry.counter_value name - c0))
+
 let field_laws name ctx =
   [
     qtest (name ^ ": add assoc") 200
@@ -51,6 +73,13 @@ let unit_tests =
     Alcotest.test_case "of_int negative" `Quick (fun () ->
         let m1 = Fp.of_int ctx61 (-1) in
         Alcotest.check (el ctx61) "p-1" (Fp.sub ctx61 Fp.zero Fp.one) m1);
+    Alcotest.test_case "of_int min_int = -(2^62)" `Quick (fun () ->
+        List.iter
+          (fun ctx ->
+            Alcotest.check (el ctx) "min_int"
+              (Fp.neg ctx (Fp.of_nat ctx (Nat.shift_left Nat.one 62)))
+              (Fp.of_int ctx min_int))
+          [ ctx61; ctx127 ]);
     Alcotest.test_case "to_signed_int" `Quick (fun () ->
         Alcotest.(check (option int)) "neg" (Some (-42)) (Fp.to_signed_int ctx61 (Fp.of_int ctx61 (-42)));
         Alcotest.(check (option int)) "pos" (Some 42) (Fp.to_signed_int ctx61 (Fp.of_int ctx61 42)));
@@ -144,22 +173,22 @@ let mont_tests =
           load 0 x;
           Alcotest.(check bool) "rt" true (Nat.equal (read 0) (Fp.to_nat x))
         done);
-    Alcotest.test_case "montgomery mul matches Fp" `Quick (fun () ->
+    Alcotest.test_case "montgomery mul matches the Nat reference" `Quick (fun () ->
         let src = byte_src "mont mul" in
         for _ = 1 to 50 do
           let a = sample src and b = sample src in
           load 0 a;
           load 1 b;
           Montgomery.mul_into mctx sc buf (2 * k) buf 0 buf k;
-          Alcotest.(check bool) "mul" true (Nat.equal (read 2) (Fp.to_nat (Fp.mul ctx127 a b)))
+          Alcotest.(check bool) "mul" true (Nat.equal (read 2) (mulmod Primes.p127 a b))
         done);
-    Alcotest.test_case "montgomery pow matches Fp.pow" `Quick (fun () ->
+    Alcotest.test_case "montgomery pow matches the Nat reference" `Quick (fun () ->
         let src = byte_src "mont pow" in
         for _ = 1 to 10 do
           let b = sample src in
           let e = Fp.to_nat (sample src) in
           let got = Montgomery.pow mctx (Fp.to_nat b) e in
-          Alcotest.(check bool) "pow" true (Nat.equal got (Fp.to_nat (Fp.pow ctx127 b e)))
+          Alcotest.(check bool) "pow" true (Nat.equal got (powmod Primes.p127 b e))
         done);
     Alcotest.test_case "montgomery one/zero" `Quick (fun () ->
         Montgomery.one_into mctx buf 0;
@@ -171,4 +200,84 @@ let mont_tests =
           (try ignore (Montgomery.create (Nat.of_int 8)); false with Invalid_argument _ -> true));
   ]
 
-let suite = suite @ mont_tests
+(* --- One reduction algorithm: boxed products and the dot's finish on REDC --- *)
+
+(* The moduli the boxed REDC product is checked over: k = 2, 5, 5, 8 and
+   9 limbs, and a 256-bit group modulus (its context counts
+   fp.mul.group). *)
+let redc_fields =
+  lazy
+    (let grp = Zcrypto.Group.cached ~field_order:Primes.p127 ~p_bits:256 () in
+     [
+       ("p61", Fp.create Primes.p61, "fp.mul");
+       ("p127", ctx127, "fp.mul");
+       ("p127_ntt", Fp.create Primes.p127_ntt, "fp.mul");
+       ("p220", Fp.create (Primes.p220 ()), "fp.mul");
+       ("bls12_381_fr", Fp.create Primes.bls12_381_fr, "fp.mul");
+       ("group p256", grp.Zcrypto.Group.modp, "fp.mul.group");
+     ])
+
+(* Boxed mul and sqr on 0, 1, p-1 and two seeded residues, every pair:
+   equal to the reference, one [fp.mul] (or [fp.mul.group]) per call and
+   no [mont.mul]. *)
+let boxed_redc_law seed =
+  List.for_all
+    (fun (_, ctx, counter) ->
+      let p = Fp.modulus ctx in
+      let prg = Chacha.Prg.create ~seed:(Printf.sprintf "boxed redc %d" seed) () in
+      let ops = [ Fp.zero; Fp.one; Fp.neg ctx Fp.one; Chacha.Prg.field ctx prg; Chacha.Prg.field ctx prg ] in
+      let (ok, mont), fp =
+        counted counter (fun () ->
+            counted "mont.mul" (fun () ->
+                List.for_all
+                  (fun x ->
+                    Fp.equal (Fp.sqr ctx x) (mulmod p x x)
+                    && List.for_all (fun y -> Fp.equal (Fp.mul ctx x y) (mulmod p x y)) ops)
+                  ops))
+      in
+      let n = List.length ops in
+      ok && fp = n * (n + 1) && mont = 0)
+    (Lazy.force redc_fields)
+
+(* Every named modulus, and the odd moduli of exactly 130 and 156 bits at
+   either end of their range: 2^130 - 1 and 2^156 - 1 leave R / p = 2^26
+   for the finish's R = 2^(26 (w+1)), below the column-overflow bound. *)
+let dot_moduli () =
+  let pow2 n = Nat.shift_left Nat.one n in
+  [
+    ("p61", Primes.p61); ("p89", Primes.p89); ("p127", Primes.p127); ("p128", Primes.p128 ());
+    ("p192", Primes.p192 ()); ("p220", Primes.p220 ()); ("bls12_381_fr", Primes.bls12_381_fr);
+    ("p127_ntt", Primes.p127_ntt); ("2^129+1", Nat.add_int (pow2 129) 1);
+    ("2^130-1", Nat.sub (pow2 130) Nat.one); ("2^155+1", Nat.add_int (pow2 155) 1);
+    ("2^156-1", Nat.sub (pow2 156) Nat.one);
+  ]
+
+let redc_tests =
+  [
+    qtest "boxed Fp.mul/sqr = Nat reference on 0/1/p-1, k = 2/5/5/8/9 and a group, one fp.mul, mont.mul 0"
+      6 QCheck.small_int boxed_redc_law;
+    Alcotest.test_case "Vec.dot_bound * (p-1)^2 < p * R: the finish's REDC input" `Quick (fun () ->
+        List.iter
+          (fun (label, p) ->
+            let ctx = Fp.create p in
+            let w = max 5 ((Nat.num_bits p + 25) / 26) in
+            let r = Nat.shift_left Nat.one (26 * (w + 1)) in
+            let bound = Fp.Vec.dot_bound ctx in
+            let pm1 = Nat.sub p Nat.one in
+            Alcotest.(check bool) (label ^ ": bound * (p-1)^2 < p R") true
+              (Nat.compare (Nat.mul (Nat.of_int bound) (Nat.sqr pm1)) (Nat.mul p r) < 0);
+            Alcotest.(check bool) (label ^ ": below the column bound") true
+              (bound <= max_int / (Nat.num_limbs p lsl 32)))
+          (dot_moduli ()));
+    Alcotest.test_case "Vec.dot of 4097 terms of p-1 = the Nat reference" `Quick (fun () ->
+        List.iter
+          (fun (label, p) ->
+            let ctx = Fp.create p in
+            let pm1 = Nat.sub p Nat.one and n = 4097 in
+            let v = Fp.Vec.of_array ctx (Array.make n pm1) in
+            let expect = snd (Nat.divmod (Nat.mul (Nat.of_int n) (Nat.sqr pm1)) p) in
+            Alcotest.check (el ctx) label expect (Fp.Vec.dot ctx (Fp.scratch_for ctx) v 0 v 0 n))
+          (dot_moduli ()));
+  ]
+
+let suite = suite @ mont_tests @ redc_tests

@@ -12,64 +12,9 @@ let qtest name count arb law = QCheck_alcotest.to_alcotest (QCheck.Test.make ~co
 
 let prg_of seed tag = Chacha.Prg.create ~seed:(Printf.sprintf "hotpath %s %d" tag seed) ()
 
-(* ------------------------------------------------------------------ *)
-(* Nat scalar kernels                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let width = 5 (* limbs of a 127-bit element *)
-
-let random_limbs prg w = Array.init w (fun _ -> Chacha.Prg.int_below prg (1 lsl 31))
-
-(* Run [op dst a b] under every aliasing pattern and demand the same
-   limbs and the same returned carry/borrow as the fresh-destination
-   call. *)
-let aliasing_law op seed tag =
-  let prg = prg_of seed tag in
-  let a = random_limbs prg width and b = random_limbs prg width in
-  let fresh = Array.make width 0 in
-  let flag = op fresh a b in
-  let check dst a' b' =
-    let f = op dst a' b' in
-    f = flag && Array.sub dst 0 width = fresh
-  in
-  (let a' = Array.copy a in check a' a' b)
-  && (let b' = Array.copy b in check b' a b')
-  && (* dst == a == b: op must behave as x op x *)
-  let twice = Array.make width 0 in
-  let tf = op twice a a in
-  let s = Array.copy a in
-  let sf = op s s s in
-  sf = tf && Array.sub s 0 width = twice
-
-let nat_tests =
-  [
-    qtest "Nat.add_into: aliasing dst==a, dst==b, dst==a==b" 200 QCheck.small_int (fun seed ->
-        aliasing_law (Nat.add_into ~width) seed "add");
-    qtest "Nat.sub_into: aliasing dst==a, dst==b, dst==a==b" 200 QCheck.small_int (fun seed ->
-        aliasing_law (Nat.sub_into ~width) seed "sub");
-    qtest "Nat.add_into/sub_into agree with Nat.add/Nat.sub" 200 QCheck.small_int (fun seed ->
-        let prg = prg_of seed "addsub-ref" in
-        let a = random_limbs prg width and b = random_limbs prg width in
-        let dst = Array.make width 0 in
-        let c = Nat.add_into ~width dst a b in
-        let sum = Nat.add (Nat.of_limbs a) (Nat.of_limbs b) in
-        let expect = Nat.to_limbs ~width:(width + 1) sum in
-        Array.sub expect 0 width = dst && expect.(width) = c);
-    qtest "Nat.mul_into matches Nat.mul, even with dst==scratch and dirty scratch" 200
-      QCheck.small_int (fun seed ->
-        let prg = prg_of seed "mul" in
-        let a = random_limbs prg width and b = random_limbs prg width in
-        let expect = Nat.to_limbs ~width:(2 * width) (Nat.mul (Nat.of_limbs a) (Nat.of_limbs b)) in
-        (* garbage-filled scratch must not leak into the product *)
-        let scratch = Array.init (2 * width) (fun _ -> Chacha.Prg.int_below prg (1 lsl 31)) in
-        let dst = Array.init (2 * width) (fun _ -> Chacha.Prg.int_below prg (1 lsl 31)) in
-        Nat.mul_into ~width ~scratch dst a b;
-        let separate_ok = dst = expect in
-        (* dst aliasing the scratch buffer itself is documented as legal *)
-        let scratch2 = Array.init (2 * width) (fun _ -> Chacha.Prg.int_below prg (1 lsl 31)) in
-        Nat.mul_into ~width ~scratch:scratch2 scratch2 a b;
-        separate_ok && scratch2 = expect);
-  ]
+(* Boxed [Fp.mul] runs on the REDC under test; products are checked
+   against [Nat.mul] and [Nat.divmod] instead. *)
+let mulmod fctx = Test_fp.mulmod (Fp.modulus fctx)
 
 (* ------------------------------------------------------------------ *)
 (* Fp.Vec packed kernels                                               *)
@@ -79,17 +24,17 @@ let random_el prg = Chacha.Prg.field ctx prg
 
 let vec_tests =
   [
-    qtest "Fp.Vec.mul/add/sub: every slot-aliasing pattern matches boxed Fp" 150 QCheck.small_int
+    qtest "Fp.Vec.mul/add/sub: every slot-aliasing pattern matches the Nat reference" 150 QCheck.small_int
       (fun seed ->
         let prg = prg_of seed "vec" in
         let sc = Fp.scratch_for ctx in
         let xs = Array.init 3 (fun _ -> random_el prg) in
-        let boxed = [| Fp.mul ctx; Fp.add ctx; Fp.sub ctx |] in
+        let refs = [| mulmod ctx; Fp.add ctx; Fp.sub ctx |] in
         let packed = [| Fp.Vec.mul ctx sc; Fp.Vec.add ctx sc; Fp.Vec.sub ctx sc |] in
         let ok = ref true in
         Array.iteri
           (fun opi op ->
-            let reference = boxed.(opi) in
+            let reference = refs.(opi) in
             (* (dst, src1, src2) slot triples covering disjoint, dst==src1,
                dst==src2, src1==src2 and all-equal *)
             List.iter
@@ -100,13 +45,13 @@ let vec_tests =
               [ (0, 1, 2); (0, 0, 1); (0, 1, 0); (0, 1, 1); (0, 0, 0) ])
           packed;
         !ok);
-    qtest "Fp.Vec.butterfly matches boxed butterfly, twiddle aliasing included" 150
+    qtest "Fp.Vec.butterfly matches the Nat reference, twiddle aliasing included" 150
       QCheck.small_int (fun seed ->
         let prg = prg_of seed "bfly" in
         let sc = Fp.scratch_for ctx in
         let xs = Array.init 3 (fun _ -> random_el prg) in
-        let expect_hi w x y = Fp.add ctx x (Fp.mul ctx w y) in
-        let expect_lo w x y = Fp.sub ctx x (Fp.mul ctx w y) in
+        let expect_hi w x y = Fp.add ctx x (mulmod ctx w y) in
+        let expect_lo w x y = Fp.sub ctx x (mulmod ctx w y) in
         (* twiddle in a separate vector, in Montgomery form *)
         let v = Fp.Vec.of_array ctx [| xs.(0); xs.(1) |] in
         let tw = Fp.Vec.create ctx 1 in
@@ -225,22 +170,19 @@ let dot_tests =
           counted "fp.mul" (fun () ->
               Commitment.Commit.decommit_challenge ctx vs (prg_of 3 "alpha") (Fp.Rows.of_arrays ctx ~width q))
         in
-        let boxed, n_boxed =
-          counted "fp.mul" (fun () ->
-              let prg = prg_of 3 "alpha" in
-              let alpha = Array.init rows (fun _ -> Chacha.Prg.field ctx prg) in
-              let t = Array.copy vs.Commitment.Commit.r in
-              Array.iteri
-                (fun i qi -> Array.iteri (fun j x -> t.(j) <- Fp.add ctx t.(j) (Fp.mul ctx alpha.(i) x)) qi)
-                q;
-              (alpha, t))
+        let alpha, t =
+          let prg = prg_of 3 "alpha" in
+          let alpha = Array.init rows (fun _ -> Chacha.Prg.field ctx prg) in
+          let t = Array.copy vs.Commitment.Commit.r in
+          Array.iteri
+            (fun i qi -> Array.iteri (fun j x -> t.(j) <- Fp.add ctx t.(j) (mulmod ctx alpha.(i) x)) qi)
+            q;
+          (alpha, t)
         in
-        let alpha, t = boxed in
         Alcotest.(check (array string)) "alpha" (Array.map Fp.to_string alpha)
           (Array.map Fp.to_string ch.Commitment.Commit.alpha);
         Alcotest.(check (array string)) "t" (Array.map Fp.to_string t)
           (Array.map Fp.to_string (Fp.Vec.to_array ch.Commitment.Commit.t));
-        Alcotest.(check int) "fp.mul delta" n_boxed n_packed;
         Alcotest.(check int) "one mul per query term" (rows * width) n_packed);
   ]
 
@@ -303,7 +245,7 @@ let mont_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* One reduction kernel: the packed REDC kernels against boxed Fp      *)
+(* One reduction kernel: the packed REDC kernels against Nat           *)
 (* ------------------------------------------------------------------ *)
 
 (* k = 2, 5, 5, 8 and 9 limbs. *)
@@ -354,24 +296,24 @@ let redc_kernel_law seed =
                         let xs = [| x; y; y |] in
                         let v = Fp.Vec.of_array fctx xs in
                         Fp.Vec.mul fctx sc v d v i v j;
-                        want (Fp.equal (Fp.Vec.get v d) (Fp.mul fctx xs.(i) xs.(j))))
+                        want (Fp.equal (Fp.Vec.get v d) (mulmod fctx xs.(i) xs.(j))))
                       [ (0, 1, 2); (0, 0, 1); (0, 1, 0); (0, 1, 1); (0, 0, 0) ];
                     (* butterfly with a Montgomery twiddle *)
                     Array.iter
                       (fun w ->
                         let v = Fp.Vec.of_array fctx [| x; y |] in
                         Fp.Vec.butterfly fctx sc v 0 1 (mont_const fctx w) 0;
-                        let t = Fp.mul fctx w y in
+                        let t = mulmod fctx w y in
                         want (vec_eq v [| Fp.add fctx x t; Fp.sub fctx x t |]))
                       ops)
                   ops;
                 (* scale_all and axpy by the constant x *)
                 let v = Fp.Vec.of_array fctx ops in
                 Fp.Vec.scale_all fctx sc v (mont_const fctx x) 0;
-                want (vec_eq v (Array.map (Fp.mul fctx x) ops));
+                want (vec_eq v (Array.map (mulmod fctx x) ops));
                 let y = Fp.Vec.of_array fctx ops in
                 Fp.Vec.axpy fctx sc y 0 (mont_const fctx x) 0 (Fp.Vec.of_array fctx rev) 0 n;
-                want (vec_eq y (Array.map2 (fun a b -> Fp.add fctx a (Fp.mul fctx x b)) ops rev)))
+                want (vec_eq y (Array.map2 (fun a b -> Fp.add fctx a (mulmod fctx x b)) ops rev)))
               ops;
             want
               (Fp.equal (Fp.dot fctx ops rev)
@@ -379,8 +321,8 @@ let redc_kernel_law seed =
             !ok)
       in
       (* per x: n*(5 + n) products (aliasing patterns and butterflies),
-         n scaled slots and n axpy terms, each once boxed, once packed *)
-      ok && fp = 2 * n * ((n * (5 + n)) + (2 * n)) && mont = 0)
+         n scaled slots and n axpy terms, each counted once *)
+      ok && fp = n * ((n * (5 + n)) + (2 * n)) && mont = 0)
     kernel_fields
 
 (* A compressed-row matrix in [Fp.Vec.spmv]'s format, built from
@@ -436,7 +378,15 @@ let spmv_law seed =
       in
       let ptr, idx, coef = csr_of_rows fctx rows in
       let out = Fp.Vec.create fctx (Array.length rows) in
-      let expect, n_boxed = counted "fp.mul" (fun () -> Array.map (fun lc -> Lincomb.eval fctx lc w) rows) in
+      let _, n_boxed = counted "fp.mul" (fun () -> Array.map (fun lc -> Lincomb.eval fctx lc w) rows) in
+      let expect =
+        Array.map
+          (fun lc ->
+            let s = ref Nat.zero in
+            Lincomb.iter (fun v c -> s := Nat.add !s (Nat.mul c w.(v))) lc;
+            Fp.of_nat fctx !s)
+          rows
+      in
       let (), n_packed, mont =
         op_counts (fun () ->
             Fp.Vec.spmv fctx (Fp.scratch_for fctx) ~ptr ~idx coef (Fp.Vec.of_array fctx w) out)
@@ -446,7 +396,7 @@ let spmv_law seed =
 
 let kernel_tests =
   [
-    qtest "REDC kernels = boxed Fp on 0/1/p-1, k = 2/5/5/8/9, fp.mul kept, mont.mul 0" 8
+    qtest "REDC kernels = Nat reference on 0/1/p-1, k = 2/5/5/8/9, fp.mul kept, mont.mul 0" 8
       QCheck.small_int redc_kernel_law;
     qtest "Fp.Vec.spmv = Lincomb.eval: +-1, constant and zero rows, k = 2/5/5/8/9" 40
       QCheck.small_int spmv_law;
@@ -610,8 +560,8 @@ let horner_inputs = Array.append (Array.init 9 (fun i -> 1000 + (17 * i))) [| 20
 (* Counter fidelity of the packed Hello step, on horner over p127_ntt
    (16 rows, a 16-slot domain): the sparse row evaluations count what
    Lincomb.eval counted and REDCs never count as mont.mul, so one
-   prover_h moves fp.mul and ntt.butterfly by the amounts the Barrett
-   kernels and boxed row evaluation counted. *)
+   prover_h moves fp.mul and ntt.butterfly by the amounts the boxed
+   kernels and row evaluation counted before the packed ones. *)
 let test_hello_counts () =
   let compiled = Zlang.Compile.compile ~ctx horner_src in
   let comp = Apps.Glue.computation_of compiled in
@@ -710,6 +660,6 @@ let transcript_tests =
     [ ("auto", Qapb.Auto); ("lagrange", Qapb.Lagrange) ]
 
 let suite =
-  nat_tests @ vec_tests @ dot_tests @ mont_tests @ kernel_tests @ ntt_tests @ e2e_tests @ transcript_tests
+  vec_tests @ dot_tests @ mont_tests @ kernel_tests @ ntt_tests @ e2e_tests @ transcript_tests
   @ lagrange_h_tests @ [ lagrange_domain_test ]
   @ [ Alcotest.test_case "packed Hello keeps fp.mul and ntt.butterfly, mont.mul 0" `Quick test_hello_counts ]

@@ -29,6 +29,7 @@ let check_fires what expected ds =
 let test_zl_fixtures () =
   let lint ?cfg name = Zlint.Frontend.check_source ?cfg (fixture name) in
   check_fires "zl000_parse.zl" "ZL000" (lint "zl000_parse.zl");
+  check_fires "zl000_int_literal.zl" "ZL000" (lint "zl000_int_literal.zl");
   check_fires "zl001_uninit.zl" "ZL001" (lint "zl001_uninit.zl");
   check_fires "zl002_unused.zl" "ZL002" (lint "zl002_unused.zl");
   check_fires "zl003_shadow.zl" "ZL003" (lint "zl003_shadow.zl");
