@@ -777,11 +777,13 @@ let run_soundness cfg =
    names (qap_ntt.prover_h vs qap.prover_h — prover_h_forced emits its
    own spans and cannot pollute these), (2) construct_u minor-word
    allocation via the ledger's per-phase GC deltas, (3) verdicts, which
-   must agree exactly, and (4) the packed NTT H against the
-   subproduct-tree reference over the same domain (Karatsuba, not an
-   NTT), which must match bit for bit. Correctness disagreement exits
-   1; the speed and allocation ratios are the "ntt_vs_lagrange"
-   section. *)
+   must agree exactly, (4) the packed NTT H against the subproduct-tree
+   reference over the same domain (Karatsuba, not an NTT), and (5) the
+   Lagrange H against Qap.prover_h_reference (Lagrange-basis
+   interpolation, schoolbook product and long division: no Karatsuba, no
+   Newton iteration, no cached reciprocal); both must match bit for bit.
+   Correctness disagreement exits 1; the speed and allocation ratios are
+   the "ntt_vs_lagrange" section. *)
 let run_ntt_vs_lagrange cfg =
   banner "NTT vs Lagrange: prover_h wall, construct_u allocation, verdict agreement";
   let ctx = ctx_of cfg in
@@ -836,23 +838,28 @@ let run_ntt_vs_lagrange cfg =
           let v_lag, w_lag, m_lag = arm Qapb.Lagrange "qap.prover_h" in
           let verdicts_agree = v_ntt = v_lag in
           let all_accepted = Array.for_all Fun.id v_ntt in
-          (* Differential H: NTT fast path vs subproduct-tree reference
-             over the same roots-of-unity domain. *)
+          (* Differential H: the NTT fast path against the subproduct-tree
+             reference over the same roots-of-unity domain, and the
+             Lagrange prover against its quadratic reference. *)
+          let w = comp.Argsys.Argument.solve inputs.(0) in
+          let same h hr = Array.length h = Array.length hr && Array.for_all2 Fp.equal h hr in
           let h_ok =
             let qntt = Qap_ntt.of_r1cs comp.Argsys.Argument.r1cs in
-            let w = comp.Argsys.Argument.solve inputs.(0) in
-            let h = Qap_ntt.prover_h qntt w in
-            let hr = Qap_ntt.prover_h_reference qntt w in
-            Array.length h = Array.length hr && Array.for_all2 Fp.equal h hr
+            same (Qap_ntt.prover_h qntt w) (Qap_ntt.prover_h_reference qntt w)
           in
-          if not (verdicts_agree && all_accepted && h_ok) then ok := false;
+          let lag_ok =
+            let qlag = Qap.of_r1cs comp.Argsys.Argument.r1cs in
+            same (Qap.prover_h qlag w) (Qap.prover_h_reference qlag w)
+          in
+          if not (verdicts_agree && all_accepted && h_ok && lag_ok) then ok := false;
           let wall_ratio = w_lag /. w_ntt and alloc_ratio = m_lag /. Float.max 1.0 m_ntt in
           Printf.printf
-            "%-28s prover_h %s -> %s (%5.1fx)  construct_u minor words %12.0f -> %10.0f (%5.1fx)  %s%s\n%!"
+            "%-28s prover_h %s -> %s (%5.1fx)  construct_u minor words %12.0f -> %10.0f (%5.1fx)  %s%s%s\n%!"
             app.Apps.App_def.display (fmt_s w_lag) (fmt_s w_ntt) wall_ratio m_lag m_ntt
             alloc_ratio
             (if verdicts_agree && all_accepted then "verdicts ok" else "VERDICTS DIVERGE")
-            (if h_ok then ", H ok" else ", H MISMATCH");
+            (if h_ok then ", H ok" else ", H MISMATCH")
+            (if lag_ok then ", Lagrange H ok" else ", LAGRANGE H MISMATCH");
           ( app.Apps.App_def.name,
             Zobs.Json.Obj
               [
@@ -862,6 +869,7 @@ let run_ntt_vs_lagrange cfg =
                 ("alloc_ratio", num alloc_ratio);
                 ("verdicts_agree", Zobs.Json.Bool (verdicts_agree && all_accepted));
                 ("h_matches_reference", Zobs.Json.Bool h_ok);
+                ("lagrange_h_matches_reference", Zobs.Json.Bool lag_ok);
               ] ))
         apps
     in
@@ -897,7 +905,9 @@ let rec run_ablation cfg =
   Printf.printf "\npolynomial division (degree 2046 by degree 1023):\n";
   let big = Polylib.Poly.mul ctx a b in
   bench "schoolbook long division" (fun () -> Polylib.Poly.div_rem ctx big a);
-  bench "Newton iteration (production path)" (fun () -> Polylib.Poly.div_rem_fast ctx big a);
+  bench "Newton iteration per division" (fun () -> Polylib.Poly.div_rem_fast ctx big a);
+  let dv = Polylib.Poly.divisor ctx a 1024 in
+  bench "cached reciprocal (production path)" (fun () -> Polylib.Poly.div_rem_by ctx dv big);
   Printf.printf "\nfield inversion (127-bit field):\n";
   let xs = Array.init 256 (fun _ -> Chacha.Prg.field_nonzero ctx prg) in
   bench "extended Euclid x256 (production path)" (fun () -> Array.map (Fp.inv ctx) xs);
@@ -921,6 +931,7 @@ let rec run_ablation cfg =
   let qap = Qap.of_r1cs sys in
   ignore (Lazy.force qap.Qap.divisor);
   ignore (Lazy.force qap.Qap.interp);
+  ignore (Lazy.force qap.Qap.rows);
   bench "sigma_j = j, subproduct trees (paper, §A.3)" (fun () -> Qap.prover_h qap w);
   let qntt = Qap_ntt.of_r1cs sys in
   bench "sigma_j = roots of unity, NTT (modern)" (fun () -> Qap_ntt.prover_h qntt w);

@@ -59,8 +59,9 @@ let default =
 
 (* Resident-size estimate for one cached QAP: the NTT backend keeps the
    evaluation domain and padded scratch shapes (twiddle plans are
-   process-global); Lagrange keeps the divisor and the O(nc log nc)
-   subproduct/interpolation trees. Estimates only steer LRU eviction. *)
+   process-global); Lagrange keeps the divisor, its reciprocal and the
+   O(nc log nc) subproduct/interpolation trees. Estimates only steer LRU
+   eviction. *)
 let approx_qap_bytes qap =
   let el_bytes = ((Nat.num_bits (Fp.modulus (Qapb.ctx qap)) + 7) / 8) + 32 in
   let nc = Qapb.nc qap in
@@ -70,7 +71,7 @@ let approx_qap_bytes qap =
   in
   match Qapb.backend qap with
   | Qapb.Ntt -> ((2 * Qapb.h_len qap) + nc) * el_bytes
-  | Qapb.Lagrange | Qapb.Auto -> nc * (log2 + 6) * el_bytes
+  | Qapb.Lagrange | Qapb.Auto -> nc * (log2 + 7) * el_bytes
 
 let c_setup_built = Zobs.Counter.make "farm.setup.built"
 let h_session_ms = Zobs.Histogram.make "farm.session_ms"

@@ -209,24 +209,67 @@ let inv_mod_xk ctx (f : t) k =
   done;
   truncate !g k
 
-let div_rem_fast ctx (a : t) (b : t) =
-  if is_zero b then raise Division_by_zero;
-  let da = degree a and db = degree b in
-  if da < db then (zero, a)
-  else if db = 0 then (scale ctx (Fp.inv ctx b.(0)) a, zero)
+(* A fixed divisor d, packed with the reciprocal R = rev(d)^-1 mod x^prec
+   of its reversal. Dividing P by d is then two products: the top k
+   coefficients of P reversed times R truncated to k, whose low k
+   coefficients are the reversed quotient, and the remainder P - d q. *)
+type divisor = { d : Fp.Vec.t; ld : int; r : Fp.Vec.t; prec : int }
+
+let divisor ctx (d : t) prec =
+  if is_zero d then raise Division_by_zero;
+  let r = inv_mod_xk ctx (reverse d (degree d)) prec in
+  { d = Fp.Vec.of_array ctx d; ld = Array.length d; r = Fp.Vec.of_array ctx r; prec }
+
+let divisor_poly dv : t = Fp.Vec.to_array dv.d
+
+let quotient_len dv lp = if lp < dv.ld then 0 else lp - dv.ld + 1
+
+let div_workspace dv lp =
+  let k = quotient_len dv lp in
+  max ((3 * k) + workspace k k) (lp + workspace dv.ld k)
+
+let quotient_slices ctx sc dv p po lp q qo (ws : Fp.Vec.t) wo =
+  let k = quotient_len dv lp in
+  if k > dv.prec then invalid_arg "Poly.quotient_slices: dividend beyond the reciprocal's precision";
+  if k = 0 then 0
   else begin
-    let k = da - db + 1 in
-    let rev_b = reverse b db in
-    let rev_a = reverse a da in
-    let inv_rb = inv_mod_xk ctx rev_b k in
-    let rev_q = truncate (mul ctx rev_a inv_rb) k in
-    let q = reverse rev_q (k - 1) in
-    let r = sub ctx a (mul ctx b q) in
-    (q, r)
+    (* ws: [wo, wo + k) the top k coefficients of p reversed, then their
+       product with R truncated to k. *)
+    for i = 0 to k - 1 do
+      Fp.Vec.blit p (po + lp - 1 - i) ws (wo + i) 1
+    done;
+    let u = wo + k in
+    let lu = mul_slices ctx sc ws wo (top ws wo k) dv.r 0 (top dv.r 0 (min k dv.r.Fp.Vec.n)) ws u ws (u + (2 * k) - 1) in
+    let lrq = top ws u (min k lu) in
+    for i = 0 to k - 1 do
+      if k - 1 - i < lrq then Fp.Vec.blit ws (u + k - 1 - i) q (qo + i) 1 else Fp.Vec.clear q (qo + i) 1
+    done;
+    top q qo k
   end
 
-let divide_exact ctx a b =
-  let q, r = div_rem_fast ctx a b in
+let remainder_slices ctx sc dv p po lp q qo lq (ws : Fp.Vec.t) wo =
+  let l = mul_slices ctx sc dv.d 0 dv.ld q qo lq ws wo ws (wo + lp) in
+  Fp.Vec.clear ws (wo + l) (lp - l);
+  for i = 0 to lp - 1 do
+    Fp.Vec.sub ctx sc ws (wo + i) p (po + i) ws (wo + i)
+  done;
+  top ws wo lp
+
+let div_rem_by ctx dv (a : t) =
+  let lp = Array.length a in
+  let p = Fp.Vec.of_array ctx a and k = quotient_len dv lp in
+  let q = Fp.Vec.create ctx k and ws = Fp.Vec.create ctx (div_workspace dv lp) in
+  let sc = Fp.scratch_for ctx in
+  let lq = quotient_slices ctx sc dv p 0 lp q 0 ws 0 in
+  let lr = remainder_slices ctx sc dv p 0 lp q 0 lq ws 0 in
+  (Array.init lq (Fp.Vec.get q), Array.init lr (Fp.Vec.get ws))
+
+let div_rem_fast ctx (a : t) (b : t) =
+  if is_zero b then raise Division_by_zero;
+  if degree a < degree b then (zero, a) else div_rem_by ctx (divisor ctx b (degree a - degree b + 1)) a
+
+let divide_exact ctx dv a =
+  let q, r = div_rem_by ctx dv a in
   if not (is_zero r) then failwith "Poly.divide_exact: non-zero remainder";
   q
 

@@ -16,12 +16,28 @@
 open Fieldlib
 open Constr
 
+type csr
+(** One constraint matrix compiled into packed compressed rows: a
+    coefficient arena in Montgomery form, column indices and a +-1 tag
+    per term (the operand of {!Fp.Vec.spmv}). *)
+
+val compile : Fp.ctx -> Lincomb.t array -> csr
+
+val spmv : Fp.ctx -> Fp.scratch -> csr -> Fp.Vec.t -> Fp.Vec.t -> unit
+(** [spmv ctx sc m x dst]: slots [0, rows) of [dst] get the rows of [m]
+    evaluated at [x], counted as [Lincomb.eval] counts. *)
+
 type t = {
   ctx : Fp.ctx;
   sys : R1cs.system;
   nc : int; (** |C| *)
-  divisor : Polylib.Poly.t Lazy.t; (** prover side only *)
-  interp : Polylib.Subproduct.interpolator Lazy.t; (** prover side only *)
+  divisor : Polylib.Poly.divisor Lazy.t;
+      (** D(t), with the reciprocal rev(D)^-1 mod t^(|C|+1); prover side
+          only *)
+  interp : Polylib.Subproduct.interpolator Lazy.t;
+      (** the packed product tree over sigma_0..sigma_|C| with the closed
+          form of its weights; prover side only *)
+  rows : (csr * csr * csr) Lazy.t; (** A, B and C compiled; prover side only *)
 }
 
 exception Tau_collision
@@ -37,12 +53,26 @@ val pw_poly : t -> Fp.el array -> Polylib.Poly.t
 
 val prover_h : t -> Fp.el array -> Fp.el array
 (** Coefficients of H = P_w / D, padded to length |C|+1. Raises [Failure]
-    if [w] does not satisfy the constraints (non-zero remainder). *)
+    if [w] does not satisfy the constraints (non-zero remainder). On
+    packed slices throughout: three sparse mat-vecs, one combine over the
+    tree for A, B and C, the product, then the quotient by the cached
+    reciprocal and the remainder P_w - D H; only H is boxed. *)
 
 val prover_h_forced : t -> Fp.el array -> Fp.el array
 (** What a cheating prover would do with an unsatisfying assignment:
     divide and silently drop the remainder. Used by the adversarial tests
     and the soundness bench. *)
+
+val prover_h_reference : t -> Fp.el array -> Fp.el array
+(** Differential reference for {!prover_h}: boxed Lagrange-basis
+    interpolation with directly multiplied weights, {!Polylib.Poly.mul_schoolbook}
+    and schoolbook {!Polylib.Poly.div_rem} — no Karatsuba, no Newton
+    iteration, no cached reciprocal. Quadratic in |C|. *)
+
+val inv_weights : Fp.ctx -> int -> Fp.el array
+(** [inv_weights ctx nc]: M'(sigma_j) = (-1)^(nc-j) j! (nc-j)! for
+    j = 0..nc, M(t) = prod_j (t - sigma_j): the closed form of the
+    barycentric weights' inverses, from the factorial recurrence. *)
 
 type queries = {
   tau : Fp.el;

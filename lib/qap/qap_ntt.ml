@@ -22,12 +22,6 @@
 open Fieldlib
 open Constr
 
-(* One constraint matrix (A, B or C) in compressed rows for
-   [Fp.Vec.spmv]: row j's terms are [ptr.(j), ptr.(j+1)), each an index
-   [var lsl 2 lor tag] (tag 1: coefficient +1, 2: -1, 0: the next slot of
-   [coef], in Montgomery form). *)
-type csr = { ptr : int array; idx : int array; coef : Fp.Vec.t }
-
 type t = {
   ctx : Fp.ctx;
   ntt : Polylib.Ntt.ctx;
@@ -38,25 +32,14 @@ type t = {
   omega : Fp.el; (* primitive n-th root of unity *)
   domain : Fp.el array; (* w^0 .. w^(n-1) *)
   domain_v : Fp.Vec.t; (* the same, packed, for the verifier's queries *)
-  mat_a : csr;
-  mat_b : csr;
-  mat_c : csr;
+  mat_a : Qap.csr;
+  mat_b : Qap.csr;
+  mat_c : Qap.csr;
 }
 
 let next_pow2 n =
   let rec go p l = if p >= n then (p, l) else go (2 * p) (l + 1) in
   go 1 0
-
-let compile ctx (rows : Lincomb.t array) =
-  let ptr = Array.make (Array.length rows + 1) 0 in
-  Array.iteri (fun j lc -> ptr.(j + 1) <- ptr.(j) + Lincomb.num_terms lc) rows;
-  let terms = List.concat_map Lincomb.terms (Array.to_list rows) in
-  let m1 = Fp.neg ctx Fp.one in
-  let tag c = if Fp.equal c Fp.one then 1 else if Fp.equal c m1 then 2 else 0 in
-  let general = List.filter (fun (_, c) -> tag c = 0) terms in
-  let coef = Fp.Vec.create ctx (List.length general) in
-  List.iteri (fun i (_, c) -> Fp.Vec.set_mont ctx coef i c) general;
-  { ptr; idx = Array.of_list (List.map (fun (v, c) -> (v lsl 2) lor tag c) terms); coef }
 
 let of_r1cs (sys : R1cs.system) =
   let ctx = sys.R1cs.field in
@@ -69,7 +52,7 @@ let of_r1cs (sys : R1cs.system) =
   for j = 1 to n - 1 do
     domain.(j) <- Fp.mul ctx domain.(j - 1) omega
   done;
-  let mat f = compile ctx (Array.map f sys.R1cs.constraints) in
+  let mat f = Qap.compile ctx (Array.map f sys.R1cs.constraints) in
   { ctx; ntt; sys; nc; n; log_n; omega; domain; domain_v = Fp.Vec.of_array ctx domain;
     mat_a = mat (fun k -> k.R1cs.a); mat_b = mat (fun k -> k.R1cs.b); mat_c = mat (fun k -> k.R1cs.c) }
 
@@ -83,9 +66,7 @@ let of_r1cs (sys : R1cs.system) =
 let eval_rows q (w : Fp.el array) va vb vc =
   if Array.length w <> q.sys.R1cs.num_vars + 1 then invalid_arg "Qap_ntt: bad assignment length";
   let wv = Fp.Vec.of_array q.ctx w and sc = Fp.scratch_for q.ctx in
-  List.iter2
-    (fun m dst -> Fp.Vec.spmv q.ctx sc ~ptr:m.ptr ~idx:m.idx m.coef wv dst)
-    [ q.mat_a; q.mat_b; q.mat_c ] [ va; vb; vc ]
+  List.iter2 (fun m dst -> Qap.spmv q.ctx sc m wv dst) [ q.mat_a; q.mat_b; q.mat_c ] [ va; vb; vc ]
 
 (* R1cs.satisfied on the packed rows: the same verdict and the same
    counted muls (the row terms, then one product per row up to the first

@@ -10,11 +10,6 @@
 open Fieldlib
 open Constr
 
-type csr
-(** One constraint matrix compiled into packed compressed rows: a
-    coefficient arena in Montgomery form, column indices and a +-1 tag
-    per term (the operand of {!Fp.Vec.spmv}). *)
-
 type t = {
   ctx : Fp.ctx;
   ntt : Polylib.Ntt.ctx;
@@ -25,9 +20,9 @@ type t = {
   omega : Fp.el;
   domain : Fp.el array; (** w^0 .. w^(n-1) *)
   domain_v : Fp.Vec.t; (** the domain, packed *)
-  mat_a : csr; (** the system's A, B and C rows, compiled once *)
-  mat_b : csr;
-  mat_c : csr;
+  mat_a : Qap.csr; (** the system's A, B and C rows, compiled once *)
+  mat_b : Qap.csr;
+  mat_c : Qap.csr;
 }
 
 exception Not_divisible

@@ -72,12 +72,14 @@ let nc = function L q -> q.Qap.nc | N q -> q.Qap_ntt.nc
    divisor of degree |C|, n for the folded NTT quotient. *)
 let h_len = function L q -> q.Qap.nc + 1 | N q -> q.Qap_ntt.n
 
-(* Force one-time lazy structure (subproduct trees, twiddle plans) so
-   timed sections measure steady-state prover work. *)
+(* Force one-time lazy structure (the packed subproduct tree, D's
+   reciprocal, the compiled rows, twiddle plans) so timed sections
+   measure steady-state prover work. *)
 let prewarm = function
   | L q ->
     ignore (Lazy.force q.Qap.divisor);
-    ignore (Lazy.force q.Qap.interp)
+    ignore (Lazy.force q.Qap.interp);
+    ignore (Lazy.force q.Qap.rows)
   | N q ->
     Polylib.Ntt.prewarm q.Qap_ntt.ntt q.Qap_ntt.log_n;
     Polylib.Ntt.prewarm q.Qap_ntt.ntt (q.Qap_ntt.log_n + 1)

@@ -45,8 +45,9 @@ val h_len : t -> int
     power-of-two domain size n (NTT). *)
 
 val prewarm : t -> unit
-(** Force one-time lazy structure (subproduct trees, twiddle plans) so a
-    timed section measures steady-state prover work. *)
+(** Force one-time lazy structure (the Lagrange backend's packed
+    subproduct tree, divisor reciprocal and compiled rows; twiddle plans)
+    so a timed section measures steady-state prover work. *)
 
 val satisfied : t -> Fp.el array -> bool
 (** [R1cs.satisfied] of the system: on the NTT backend by the compiled

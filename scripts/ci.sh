@@ -148,14 +148,19 @@ echo "== ntt-vs-lagrange smoke (QAP backend differential) =="
 # Runs a benchmark app end to end under both QAP backends: the verdicts
 # must agree, the packed NTT H must equal the subproduct-tree reference
 # (packed Karatsuba under the boxed Poly API, an algorithm independent
-# of the NTT), and the wall/allocation ratios land in the summary. The
-# experiment itself exits non-zero on any divergence.
+# of the NTT), the Lagrange H must equal Qap.prover_h_reference
+# (Lagrange-basis interpolation, schoolbook product and long division:
+# no Karatsuba, no Newton iteration, no cached reciprocal), and the
+# wall/allocation ratios land in the summary. The experiment itself
+# exits non-zero on any divergence.
 dune exec bench/main.exe -- ntt-vs-lagrange --quick --json "$tmp/NTT_run.json" | tee "$tmp/ntt.out"
 grep -q "verdicts ok" "$tmp/ntt.out" || { echo "backend verdicts diverged" >&2; exit 1; }
-grep -q "H ok" "$tmp/ntt.out" || { echo "NTT H does not match the reference" >&2; exit 1; }
+grep -q ", H ok" "$tmp/ntt.out" || { echo "NTT H does not match the reference" >&2; exit 1; }
 grep -q '"ntt_vs_lagrange"' "$tmp/NTT_run.json" || { echo "ntt_vs_lagrange section missing from summary" >&2; exit 1; }
 grep -q '"verdicts_agree":true' "$tmp/NTT_run.json" || { echo "verdict agreement not recorded" >&2; exit 1; }
 grep -q '"h_matches_reference":true' "$tmp/NTT_run.json" || { echo "H reference equality not recorded" >&2; exit 1; }
+grep -q "Lagrange H ok" "$tmp/ntt.out" || { echo "Lagrange H does not match the reference" >&2; exit 1; }
+grep -q '"lagrange_h_matches_reference":true' "$tmp/NTT_run.json" || { echo "Lagrange H reference equality not recorded" >&2; exit 1; }
 
 echo "== profile smoke (zaatar profile, folded stacks) =="
 # The profile subcommand must pass its op audit on the shipped matmul

@@ -5,13 +5,16 @@ open Zcrypto
    groups. *)
 let field = Primes.p61
 let ctx = Fp.create field
-let grp = Group.cached ~field_order:field ~p_bits:192 ()
+(* Built when a test first needs it, so a defect in the group's
+   arithmetic fails named tests instead of the module load. *)
+let grp = lazy (Group.cached ~field_order:field ~p_bits:192 ())
 
 let prg seed = Chacha.Prg.create ~seed ()
 
 let unit_tests =
   [
     Alcotest.test_case "group parameters" `Quick (fun () ->
+        let grp = Lazy.force grp in
         Alcotest.(check bool) "p prime" true (Primes.is_prime grp.Group.p);
         Alcotest.(check int) "p bits" 192 (Nat.num_bits grp.Group.p);
         (* g has order exactly q *)
@@ -19,6 +22,7 @@ let unit_tests =
           (Fp.equal (Group.pow grp grp.Group.g grp.Group.q) Fp.one);
         Alcotest.(check bool) "g <> 1" false (Fp.equal grp.Group.g Fp.one));
     Alcotest.test_case "elgamal roundtrip (to group encoding)" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "eg" in
         let sk, pk = Elgamal.keygen grp p in
         for i = 0 to 20 do
@@ -28,6 +32,7 @@ let unit_tests =
             (Group.equal (Elgamal.decrypt_to_group sk c) (Elgamal.encode pk m))
         done);
     Alcotest.test_case "elgamal additive homomorphism" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "hom" in
         let sk, pk = Elgamal.keygen grp p in
         let a = Chacha.Prg.field ctx p and b = Chacha.Prg.field ctx p in
@@ -40,6 +45,7 @@ let unit_tests =
         Alcotest.(check bool) "scale" true
           (Group.equal (Elgamal.decrypt_to_group sk scaled) (Elgamal.encode pk (Fp.mul ctx a s))));
     Alcotest.test_case "elgamal hom_dot = Enc(<u,r>)" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "dot" in
         let sk, pk = Elgamal.keygen grp p in
         let n = 12 in
@@ -50,6 +56,7 @@ let unit_tests =
         Alcotest.(check bool) "dot" true
           (Group.equal (Elgamal.decrypt_to_group sk c) (Elgamal.encode pk (Fp.dot ctx u r))));
     Alcotest.test_case "ciphertexts are randomized" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "rand" in
         let _, pk = Elgamal.keygen grp p in
         let m = Fp.of_int ctx 42 in
@@ -61,6 +68,7 @@ let unit_tests =
 let commit_tests =
   [
     Alcotest.test_case "commitment accepts honest prover" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "commit ok" in
         let u = Array.init 10 (fun i -> Fp.of_int ctx (i + 1)) in
         let req, vs = Commitment.Commit.commit_request ctx grp p ~len:10 in
@@ -74,6 +82,7 @@ let commit_tests =
         Alcotest.(check bool) "accept" true
           (Commitment.Commit.consistency_check vs ch ~commitment:com ans));
     Alcotest.test_case "commitment rejects inconsistent answers" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "commit bad" in
         let u = Array.init 10 (fun i -> Fp.of_int ctx (i + 1)) in
         let req, vs = Commitment.Commit.commit_request ctx grp p ~len:10 in
@@ -90,6 +99,7 @@ let commit_tests =
         Alcotest.(check bool) "reject" false
           (Commitment.Commit.consistency_check vs ch ~commitment:com tampered));
     Alcotest.test_case "commitment rejects equivocation (different u for t)" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "commit equiv" in
         let u = Array.init 8 (fun i -> Fp.of_int ctx (i + 2)) in
         let u' = Array.init 8 (fun i -> Fp.of_int ctx (i + 3)) in
@@ -112,6 +122,7 @@ let of_params_tests =
   let open Group in
   [
     Alcotest.test_case "of_params refuses g outside the order-q subgroup" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
         (* The smallest h with h^q <> 1 (a REDC-free Nat oracle), so g = h
            lies in range, is not 1, and fails only the subgroup check. *)

@@ -11,31 +11,34 @@ open Zcrypto
 
 let field = Primes.p61
 let ctx = Fp.create field
-let grp = Group.cached ~field_order:field ~p_bits:192 ()
+(* Built when a test first needs it, so a defect in the group's
+   arithmetic fails named tests instead of the module load. *)
+let grp = lazy (Group.cached ~field_order:field ~p_bits:192 ())
 let prg seed = Chacha.Prg.create ~seed ()
-let q1 = Nat.sub grp.Group.q Nat.one
+let q1 () = Nat.sub (Lazy.force grp).Group.q Nat.one
 
-let oracle = Test_fp.powmod grp.Group.p
-let mulmod = Test_fp.mulmod grp.Group.p
-let rand_el p = oracle grp.Group.g (Fp.to_nat (Chacha.Prg.field ctx p))
+let oracle b e = Test_fp.powmod (Lazy.force grp).Group.p b e
+let mulmod a b = Test_fp.mulmod (Lazy.force grp).Group.p a b
+let rand_el p = oracle (Lazy.force grp).Group.g (Fp.to_nat (Chacha.Prg.field ctx p))
 let rand_exp p = Fp.to_nat (Chacha.Prg.field ctx p)
 
 (* Exponent edge cases every kernel must handle: 0, 1, and q-1 (the widest
    exponent a Z_q table must cover). *)
-let edge_exps = [ Nat.zero; Nat.one; q1 ]
+let edge_exps () = [ Nat.zero; Nat.one; q1 () ]
 
 let check_pow name expect got = Alcotest.(check bool) name true (Group.equal expect got)
 
 let fixed_base_tests =
   [
     Alcotest.test_case "fb_pow = pow for windows 1-6" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "fb windows" in
         let bases = [ ("g", grp.Group.g); ("rand", rand_el p) ] in
         List.iter
           (fun (bname, base) ->
             for window = 1 to 6 do
               let tab = Group.fb_precompute ~window grp base in
-              let exps = edge_exps @ List.init 8 (fun _ -> rand_exp p) in
+              let exps = edge_exps () @ List.init 8 (fun _ -> rand_exp p) in
               List.iter
                 (fun e ->
                   check_pow
@@ -45,12 +48,14 @@ let fixed_base_tests =
             done)
           bases);
     Alcotest.test_case "cached g-table matches pow" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "fb g" in
         let tab = Group.fb_g grp in
         List.iter
           (fun e -> check_pow "g table" (oracle grp.Group.g e) (Group.fb_pow grp tab e))
-          (edge_exps @ List.init 16 (fun _ -> rand_exp p)));
+          (edge_exps () @ List.init 16 (fun _ -> rand_exp p)));
     Alcotest.test_case "fb_pow falls back beyond the table range" `Quick (fun () ->
+        let grp = Lazy.force grp in
         (* A table sized for Z_q exponents must still be correct for wider
            exponents (generic-ladder fallback). *)
         let wide = Nat.mul grp.Group.q (Nat.of_int 3) in
@@ -61,9 +66,10 @@ let fixed_base_tests =
 let shamir_tests =
   [
     Alcotest.test_case "pow2 = pow * pow" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "shamir" in
         let cases =
-          List.concat_map (fun e1 -> List.map (fun e2 -> (e1, e2)) edge_exps) edge_exps
+          List.concat_map (fun e1 -> List.map (fun e2 -> (e1, e2)) (edge_exps ())) (edge_exps ())
           @ List.init 12 (fun _ -> (rand_exp p, rand_exp p))
         in
         List.iter
@@ -78,6 +84,7 @@ let shamir_tests =
 let multi_pow_tests =
   [
     Alcotest.test_case "multi_pow = fold of pow" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "pippenger" in
         let naive bases exps =
           let acc = ref Group.one in
@@ -89,7 +96,7 @@ let multi_pow_tests =
             let bases = Array.init n (fun _ -> rand_el p) in
             let exps =
               Array.init n (fun i ->
-                  match i with 0 -> Nat.zero | 1 -> Nat.one | 2 -> q1 | _ -> rand_exp p)
+                  match i with 0 -> Nat.zero | 1 -> Nat.one | 2 -> q1 () | _ -> rand_exp p)
             in
             let expect = naive bases exps in
             List.iter
@@ -110,6 +117,7 @@ let ct_equal (a : Elgamal.ciphertext) (b : Elgamal.ciphertext) =
 let hom_dot_tests =
   [
     Alcotest.test_case "hom_dot = hom_dot_naive" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "hom_dot" in
         let _, pk = Elgamal.keygen grp p in
         List.iter
@@ -147,6 +155,7 @@ let parallel_tests =
   [
     Alcotest.test_case "prepared commitments are byte-identical at domains 1 and 4" `Quick
       (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "prepared domains" in
         let req_z, _ = Commitment.Commit.commit_request ctx grp p ~len:13 in
         let req_h, _ = Commitment.Commit.commit_request ctx grp p ~len:7 in
@@ -178,6 +187,7 @@ let parallel_tests =
         Alcotest.(check string) "domains 1 = 4" (commit 1) (commit 4);
         Alcotest.(check string) "prepared = unprepared" unprepared (commit 1));
     Alcotest.test_case "commit_request transcript is domain-count independent" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let run domains =
           Commitment.Commit.commit_request ~domains ctx grp (prg "par commit") ~len:17
         in
@@ -198,6 +208,7 @@ let parallel_tests =
               (Fp.equal r1 vs4.Commitment.Commit.r.(i)))
           vs1.Commitment.Commit.r);
     Alcotest.test_case "commitment protocol accepts with domains > 1" `Quick (fun () ->
+        let grp = Lazy.force grp in
         let p = prg "par protocol" in
         let n = 11 in
         let u = Array.init n (fun _ -> Chacha.Prg.field ctx p) in

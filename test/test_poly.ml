@@ -210,7 +210,7 @@ let unit_tests =
         let b = Poly.of_coeffs [| Fp.of_int ctx 2; Fp.one |] in
         Alcotest.(check bool) "raises" true
           (try
-             ignore (Poly.divide_exact ctx a b);
+             ignore (Poly.divide_exact ctx (Poly.divisor ctx b 1) a);
              false
            with Failure _ -> true));
     Alcotest.test_case "subproduct multipoint evaluation" `Quick (fun () ->
@@ -283,4 +283,56 @@ let property_tests =
       (fun (a, b) -> Poly.degree (Poly.mul ctx a b) = Poly.degree a + Poly.degree b);
   ]
 
-let suite = unit_tests @ leaf_edge_tests @ convolve_bound_tests @ property_tests
+(* Division by a fixed divisor as the QAP prover runs it: D of degree c
+   (1-300, biased to straddle the 32-coefficient threshold) with its
+   reciprocal cached to precision c + 1, a quotient H of h + 1 <= c + 1
+   coefficients (h = -1: H = 0, so P = 0 or deg P < deg D; h < c: the
+   reciprocal is truncated), and a perturbation S of degree below c
+   (s = 0: none). The reference is schoolbook long division. *)
+type div_case = { c : int; h : int; s : int; seed : int }
+
+let gen_div_case =
+  QCheck.Gen.(
+    let c = frequency [ (3, int_range 1 300); (2, int_range 28 36); (1, int_range 60 68) ] in
+    c >>= fun c ->
+    let h = frequency [ (1, return (-1)); (1, return c); (1, int_range 0 (min c 4)); (4, int_range 0 c) ] in
+    let s = frequency [ (1, return 0); (1, int_range 1 c) ] in
+    map3 (fun h s seed -> { c; h; s; seed }) h s int)
+
+let arb_div_case =
+  QCheck.make
+    ~print:(fun d -> Printf.sprintf "deg D %d, deg H %d, deg S %d, seed %d" d.c d.h (d.s - 1) d.seed)
+    gen_div_case
+
+let div_operands ctx d =
+  let prg = Chacha.Prg.create ~seed:(Printf.sprintf "division %d" d.seed) () in
+  let dpoly =
+    Poly.add ctx (Poly.random ctx prg (d.c - 1)) (Poly.monomial (Chacha.Prg.field_nonzero ctx prg) d.c)
+  in
+  let h = if d.h < 0 then Poly.zero else Poly.random ctx prg d.h in
+  let s = if d.s = 0 then Poly.zero else Poly.random ctx prg (d.s - 1) in
+  (dpoly, h, s)
+
+let division_tests =
+  [
+    qtest "cached-reciprocal division of D*H = schoolbook div_rem, degrees 1-300" 80 arb_div_case (fun d ->
+        let dpoly, h, _ = div_operands ctx127 d in
+        let p = Poly.mul_schoolbook ctx127 dpoly h in
+        let dv = Poly.divisor ctx127 dpoly (d.c + 1) in
+        let q, r = Poly.div_rem_by ctx127 dv p in
+        let q', r' = Poly.div_rem ctx127 p dpoly in
+        Poly.equal q q' && Poly.equal r r' && Poly.is_zero r && Poly.equal q h
+        && Poly.equal (Poly.divide_exact ctx127 dv p) h);
+    qtest "cached-reciprocal division raises on D*H + S, S nonzero, deg S < deg D" 60
+      (QCheck.map (fun d -> { d with s = max d.s 1 }) arb_div_case)
+      (fun d ->
+        let dpoly, h, s = div_operands ctx127 d in
+        let p = Poly.add ctx127 (Poly.mul_schoolbook ctx127 dpoly h) s in
+        let dv = Poly.divisor ctx127 dpoly (d.c + 1) in
+        let q, r = Poly.div_rem_by ctx127 dv p in
+        let q', r' = Poly.div_rem ctx127 p dpoly in
+        Poly.equal q q' && Poly.equal r r' && Poly.equal r s
+        && (Poly.is_zero s || try ignore (Poly.divide_exact ctx127 dv p); false with Failure _ -> true));
+  ]
+
+let suite = unit_tests @ leaf_edge_tests @ convolve_bound_tests @ property_tests @ division_tests

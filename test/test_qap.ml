@@ -15,6 +15,7 @@ let qtest name count arb law = QCheck_alcotest.to_alcotest (QCheck.Test.make ~co
    vector (z, h), without the PCP blinding: D(tau) * <qd, h> must equal
    (<qa,z> + La)(<qb,z> + Lb) - (<qc,z> + Lc). *)
 let divisibility_holds qap (w : Fp.el array) (h : Fp.el array) tau =
+  let ctx = qap.Qap.ctx in
   let q = Qap.queries qap ~tau in
   let sys = qap.Qap.sys in
   let z = Array.sub w 1 sys.R1cs.num_z in
@@ -35,7 +36,7 @@ let unit_tests =
         let sys, w = random_sys 7 in
         let qap = Qap.of_r1cs sys in
         let p = Qap.pw_poly qap w in
-        let _, r = Poly.div_rem_fast ctx p (Lazy.force qap.Qap.divisor) in
+        let _, r = Poly.div_rem_fast ctx p (Poly.divisor_poly (Lazy.force qap.Qap.divisor)) in
         Alcotest.(check bool) "remainder zero" true (Poly.is_zero r));
     Alcotest.test_case "claim A.1: unsatisfied => not divisible" `Quick (fun () ->
         let sys, w = random_sys 8 in
@@ -44,7 +45,7 @@ let unit_tests =
         w'.(1) <- Fp.add ctx w'.(1) Fp.one;
         if not (R1cs.satisfied ctx sys w') then begin
           let p = Qap.pw_poly qap w' in
-          let _, r = Poly.div_rem_fast ctx p (Lazy.force qap.Qap.divisor) in
+          let _, r = Poly.div_rem_fast ctx p (Poly.divisor_poly (Lazy.force qap.Qap.divisor)) in
           Alcotest.(check bool) "remainder nonzero" false (Poly.is_zero r)
         end);
     Alcotest.test_case "P_w(sigma_j) equals constraint residual" `Quick (fun () ->
@@ -140,6 +141,10 @@ let property_tests =
           let tau = Chacha.Prg.field ctx prg in
           try not (divisibility_holds qap w' h tau) with Qap.Tau_collision -> true
         end);
+    qtest "prover_h = the quadratic reference on satisfying assignments" 30 QCheck.small_int (fun seed ->
+        let sys, w = random_sys seed in
+        let qap = Qap.of_r1cs sys in
+        Array.for_all2 Fp.equal (Qap.prover_h qap w) (Qap.prover_h_reference qap w));
     qtest "prover_h raises on unsatisfying assignment" 30 QCheck.small_int (fun seed ->
         let sys, w = random_sys seed in
         let qap = Qap.of_r1cs sys in
@@ -149,4 +154,50 @@ let property_tests =
         else (try ignore (Qap.prover_h qap w'); false with Failure _ -> true));
   ]
 
-let suite = unit_tests @ property_tests
+(* The closed form of the interpolation weights, 1/M'(j) =
+   ((-1)^(|C|-j) j! (|C|-j)!)^-1, against the remainder-tree evaluation of
+   M' it replaces, at the |C| of tiny systems and of lcs (312) and pam
+   (927). *)
+let weight_tests =
+  List.map
+    (fun nc ->
+      Alcotest.test_case (Printf.sprintf "closed-form weights = eval_all of M' at |C| = %d" nc) `Quick
+        (fun () ->
+          let ctx = Fp.create Primes.p127 in
+          let tree = Subproduct.build ctx (Array.init (nc + 1) (Fp.of_int ctx)) in
+          let closed = Fp.batch_inv ctx (Qap.inv_weights ctx nc) in
+          Alcotest.(check bool) "equal" true (Array.for_all2 Fp.equal closed (Subproduct.weights ctx tree))))
+    [ 1; 2; 31; 312; 927 ]
+
+(* The prover at the sizes the benchmark serves, far above the Karatsuba
+   threshold (|C| = 312, 758 and 927 over p127): a corrupted witness
+   makes prover_h raise, and the forced H fails the divisibility check at
+   a random tau. On lcs the honest H also equals the quadratic reference's
+   (bisection's and pam's are pinned by digest in the hotpath suite). *)
+let real_size_tests =
+  List.map
+    (fun ((app : Apps.App_def.t), reference) ->
+      Alcotest.test_case (Printf.sprintf "prover_h at scale 1 on %s: honest, corrupted, forced" app.Apps.App_def.name)
+        `Quick (fun () ->
+          let ctx = Fp.create Primes.p127 in
+          let comp = Apps.Glue.computation_of (Apps.Glue.compile ctx app) in
+          let sys = comp.Argsys.Argument.r1cs in
+          let iprg = Chacha.Prg.create ~seed:("real size " ^ app.Apps.App_def.name) () in
+          let w = comp.Argsys.Argument.solve (Apps.Glue.field_inputs ctx (app.Apps.App_def.gen_inputs iprg)) in
+          let qap = Qap.of_r1cs sys in
+          let h = Qap.prover_h qap w in
+          if reference then
+            Alcotest.(check bool) "honest H = reference H" true
+              (Array.for_all2 Fp.equal h (Qap.prover_h_reference qap w));
+          let w' = Array.copy w in
+          w'.(1) <- Fp.add ctx w'.(1) Fp.one;
+          Alcotest.(check bool) "the corrupted witness is unsatisfying" false (R1cs.satisfied ctx sys w');
+          Alcotest.(check bool) "prover_h raises" true
+            (try ignore (Qap.prover_h qap w'); false with Failure _ -> true);
+          let forced = Qap.prover_h_forced qap w' in
+          let tau = Chacha.Prg.field ctx (Chacha.Prg.create ~seed:("tau " ^ app.Apps.App_def.name) ()) in
+          Alcotest.(check bool) "the forced H fails the divisibility check" false
+            (divisibility_holds qap w' forced tau)))
+    Apps.Registry.[ (lcs ~scale:1, true); (bisection ~scale:1, false); (pam ~scale:1, false) ]
+
+let suite = unit_tests @ property_tests @ weight_tests @ real_size_tests
