@@ -781,7 +781,7 @@ let run_soundness cfg =
    reference over the same domain (Karatsuba, not an NTT), and (5) the
    Lagrange H against Qap.prover_h_reference (Lagrange-basis
    interpolation, schoolbook product and long division: no Karatsuba, no
-   Newton iteration, no cached reciprocal); both must match bit for bit.
+   middle product, no derivatives); both must match bit for bit.
    Correctness disagreement exits 1; the speed and allocation ratios are
    the "ntt_vs_lagrange" section. *)
 let run_ntt_vs_lagrange cfg =
@@ -906,8 +906,6 @@ let rec run_ablation cfg =
   let big = Polylib.Poly.mul ctx a b in
   bench "schoolbook long division" (fun () -> Polylib.Poly.div_rem ctx big a);
   bench "Newton iteration per division" (fun () -> Polylib.Poly.div_rem_fast ctx big a);
-  let dv = Polylib.Poly.divisor ctx a 1024 in
-  bench "cached reciprocal (production path)" (fun () -> Polylib.Poly.div_rem_by ctx dv big);
   Printf.printf "\nfield inversion (127-bit field):\n";
   let xs = Array.init 256 (fun _ -> Chacha.Prg.field_nonzero ctx prg) in
   bench "extended Euclid x256 (production path)" (fun () -> Array.map (Fp.inv ctx) xs);
@@ -923,16 +921,20 @@ let rec run_ablation cfg =
   let bases = Array.map (Zcrypto.Group.pow grp grp.Zcrypto.Group.g) exps in
   bench "Pippenger multi-exp, 16 terms (hom_dot path)" (fun () ->
       Zcrypto.Group.multi_pow grp bases exps);
-  Printf.printf "\nprover H(t) pipeline at |C| = 511 (interpolate, multiply, divide):\n";
+  Printf.printf "\nprover H(t) pipeline at |C| = 511:\n";
   (* Over the NTT-friendly field so the two sigma_j choices are compared
      like for like: the paper's arithmetic progression + subproduct trees
-     vs. roots of unity + NTT. *)
+     vs. roots of unity + NTT. The first row is §A.3 as written, boxed:
+     interpolate A, B and C, multiply, divide by D. *)
   let sys, w = random_r1cs_for_h fr 511 in
   let qap = Qap.of_r1cs sys in
-  ignore (Lazy.force qap.Qap.divisor);
+  ignore (Lazy.force qap.Qap.deriv);
   ignore (Lazy.force qap.Qap.interp);
   ignore (Lazy.force qap.Qap.rows);
-  bench "sigma_j = j, subproduct trees (paper, §A.3)" (fun () -> Qap.prover_h qap w);
+  let d = Polylib.Subproduct.(root_poly fr (build fr (Array.init 511 (fun j -> Fp.of_int fr (j + 1))))) in
+  bench "sigma_j = j, interpolate-multiply-divide" (fun () ->
+      Polylib.Poly.div_rem_fast fr (Qap.pw_poly qap w) d);
+  bench "sigma_j = j, derivative route (production path)" (fun () -> Qap.prover_h qap w);
   let qntt = Qap_ntt.of_r1cs sys in
   bench "sigma_j = roots of unity, NTT (modern)" (fun () -> Qap_ntt.prover_h qntt w);
   (* Nat.karatsuba_threshold sweep: the cutover only matters above field

@@ -11,8 +11,8 @@
    batch across connections exactly as the paper batches them within one
    verifier.
 
-   Setup amortization across users: the compiled QAP (divisor polynomial,
-   subproduct trees, NTT twiddle plans) is a pure function of the
+   Setup amortization across users: the compiled QAP (subproduct tree,
+   middle-product kernel, NTT twiddle plans) is a pure function of the
    constraint-system digest, so it lives in a byte-bounded per-digest LRU
    ({!Setup_cache}) and is built (and prewarmed) once per program, not
    once per connection.
@@ -59,11 +59,12 @@ let default =
 
 (* Resident-size estimate for one cached QAP: the NTT backend keeps the
    evaluation domain and padded scratch shapes (twiddle plans are
-   process-global); Lagrange keeps the divisor, its reciprocal and the
-   O(nc log nc) subproduct/interpolation trees. Estimates only steer LRU
-   eviction. *)
+   process-global); Lagrange keeps packed slots for the O(nc log nc)
+   interpolation tree, the weights and two per-node factors, and the
+   middle-product kernel's window. Estimates only steer LRU eviction. *)
 let approx_qap_bytes qap =
-  let el_bytes = ((Nat.num_bits (Fp.modulus (Qapb.ctx qap)) + 7) / 8) + 32 in
+  let bits = Nat.num_bits (Fp.modulus (Qapb.ctx qap)) in
+  let el_bytes = ((bits + 7) / 8) + 32 and slot_bytes = 8 * ((bits + 30) / 31) in
   let nc = Qapb.nc qap in
   let log2 =
     let rec go p l = if p >= nc then l else go (2 * p) (l + 1) in
@@ -71,7 +72,8 @@ let approx_qap_bytes qap =
   in
   match Qapb.backend qap with
   | Qapb.Ntt -> ((2 * Qapb.h_len qap) + nc) * el_bytes
-  | Qapb.Lagrange | Qapb.Auto -> nc * (log2 + 7) * el_bytes
+  | Qapb.Lagrange | Qapb.Auto ->
+    ((nc * (log2 + 5)) + (2 * Polylib.Poly.kernel_size (nc + 1))) * slot_bytes
 
 let c_setup_built = Zobs.Counter.make "farm.setup.built"
 let h_session_ms = Zobs.Histogram.make "farm.session_ms"

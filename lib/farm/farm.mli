@@ -5,9 +5,9 @@
     state machines over [select]/nonblocking sockets — slow verifiers never
     stall fast ones — while ready frames are grouped by computation digest
     and fanned out over the Pool domain workers. Per-digest setup (the
-    compiled QAP with its divisor, subproduct trees and twiddle plans)
-    lives in a byte-bounded LRU ({!Setup_cache}), amortizing the paper's
-    per-batch setup across {i users}. Admission control parks up to
+    compiled QAP with its subproduct tree, middle-product kernel and
+    twiddle plans) lives in a byte-bounded LRU ({!Setup_cache}),
+    amortizing the paper's per-batch setup across {i users}. Admission control parks up to
     [accept_queue] connections beyond [max_sessions] and sheds the rest
     with a wire [busy retry-after] reply ({!Zwire.busy_msg}).
 

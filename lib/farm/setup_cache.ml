@@ -1,10 +1,10 @@
 (* Setup_cache: a byte-bounded LRU keyed by computation digest.
 
    The protocol amortizes setup within one verifier's batch; this cache
-   amortizes it across connections — the compiled QAP (divisor, subproduct
-   trees, NTT domain) is a pure function of the constraint system, so any
-   two sessions naming the same digest can share one prewarmed copy
-   (DESIGN.md §14). Values are built under the lock: when two same-digest
+   amortizes it across connections — the compiled QAP (subproduct tree,
+   middle-product kernel, NTT domain) is a pure function of the
+   constraint system, so any two sessions naming the same digest can
+   share one prewarmed copy (DESIGN.md §14). Values are built under the lock: when two same-digest
    sessions race on a cold cache, the second blocks briefly and then hits,
    instead of both paying for construction.
 

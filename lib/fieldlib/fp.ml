@@ -614,12 +614,62 @@ module Vec = struct
   let sub _ctx sc (dst : t) di (a : t) ai (b : t) bi =
     sub_slice sc dst.buf (di * dst.k) a.buf (ai * a.k) b.buf (bi * b.k)
 
-  let add_n ctx sc (dst : t) di (a : t) ai (b : t) bi len =
-    check "add_n" dst di len;
-    check "add_n" a ai len;
-    check "add_n" b bi len;
+  (* The range forms of [add] and [sub]: one range check a call (none
+     for an empty range), and each slot's limb pass and correction by p
+     inlined in the loop. Index-synchronous, so [dst] may alias either
+     input. *)
+  let add_n _ctx sc (dst : t) di (a : t) ai (b : t) bi len =
+    if len > 0 then begin
+      check "add_n" dst di len;
+      check "add_n" a ai len;
+      check "add_n" b bi len
+    end;
+    let k = sc.sk and p = sc.p_l and d = dst.buf and ab = a.buf and bb = b.buf in
     for j = 0 to len - 1 do
-      add ctx sc dst (di + j) a (ai + j) b (bi + j)
+      let o = (di + j) * k and ao = (ai + j) * k and bo = (bi + j) * k in
+      let c = ref 0 in
+      for l = 0 to k - 1 do
+        let s = lget ab (ao + l) + lget bb (bo + l) + !c in
+        lset d (o + l) (s land limb_mask);
+        c := s asr 31
+      done;
+      let i = ref (k - 1) in
+      while !i > 0 && lget d (o + !i) = lget p !i do
+        decr i
+      done;
+      if !c = 1 || lget d (o + !i) >= lget p !i then begin
+        let c = ref 0 in
+        for l = 0 to k - 1 do
+          let s = lget d (o + l) - lget p l + !c in
+          lset d (o + l) (s land limb_mask);
+          c := s asr 31
+        done
+      end
+    done
+
+  let sub_n _ctx sc (dst : t) di (a : t) ai (b : t) bi len =
+    if len > 0 then begin
+      check "sub_n" dst di len;
+      check "sub_n" a ai len;
+      check "sub_n" b bi len
+    end;
+    let k = sc.sk and p = sc.p_l and d = dst.buf and ab = a.buf and bb = b.buf in
+    for j = 0 to len - 1 do
+      let o = (di + j) * k and ao = (ai + j) * k and bo = (bi + j) * k in
+      let c = ref 0 in
+      for l = 0 to k - 1 do
+        let s = lget ab (ao + l) - lget bb (bo + l) + !c in
+        lset d (o + l) (s land limb_mask);
+        c := s asr 31
+      done;
+      if !c < 0 then begin
+        let c = ref 0 in
+        for l = 0 to k - 1 do
+          let s = lget d (o + l) + lget p l + !c in
+          lset d (o + l) (s land limb_mask);
+          c := s asr 31
+        done
+      end
     done
 
   (* y.(yi+j) += c.(ci) * x.(xi+j), c in Montgomery form: one REDC and one
@@ -660,6 +710,35 @@ module Vec = struct
           if !ci >= coef.n then invalid_arg "Fp.Vec.spmv: more terms than coefficients";
           Montgomery.redc_into ctx.mont sc.ms sc.tmp o coef.buf (!ci * k) x.buf (v * k);
           add_slice sc d ro d ro sc.tmp o;
+          incr ci
+      done
+    done;
+    Zobs.Counter.add ctx.cnt_mul ptr.(rows)
+
+  (* The transpose: dst = M^T x, each term of row r adding slot r of [x]
+     times its coefficient into its column's slot, counted as [spmv]. *)
+  let spmv_t ctx sc ~(ptr : int array) ~(idx : int array) (coef : t) (x : t) (dst : t) =
+    let rows = Array.length ptr - 1 in
+    check "spmv_t" x 0 rows;
+    if ptr.(0) <> 0 || ptr.(rows) > Array.length idx then
+      invalid_arg "Fp.Vec.spmv_t: row pointers outside the term array";
+    let k = sc.sk and o = slot_t and d = dst.buf in
+    Limb.clear d 0 (dst.n * k);
+    let ci = ref 0 in
+    for r = 0 to rows - 1 do
+      let xo = r * k in
+      for t = ptr.(r) to ptr.(r + 1) - 1 do
+        let e = idx.(t) in
+        let v = e lsr 2 in
+        if v >= dst.n then invalid_arg "Fp.Vec.spmv_t: column outside the vector";
+        let vo = v * k in
+        match e land 3 with
+        | 1 -> add_slice sc d vo d vo x.buf xo
+        | 2 -> sub_slice sc d vo d vo x.buf xo
+        | _ ->
+          if !ci >= coef.n then invalid_arg "Fp.Vec.spmv_t: more terms than coefficients";
+          Montgomery.redc_into ctx.mont sc.ms sc.tmp o coef.buf (!ci * k) x.buf xo;
+          add_slice sc d vo d vo sc.tmp o;
           incr ci
       done
     done;
@@ -741,9 +820,9 @@ module Vec = struct
   (* The 5 x 5 body: output i's nine columns stay in locals while it
      scans its coefficient pairs (j, i - j), a's at slot j and b's at slot
      la + i - j of [l26]. *)
-  let convolve5 sc la lb (d : Limb.a) di =
+  let convolve5 sc la lb i0 i1 (d : Limb.a) di =
     let l = sc.l26 and k = sc.sk in
-    for i = 0 to la + lb - 2 do
+    for i = i0 to i1 - 1 do
       let c0 = ref 0 and c1 = ref 0 and c2 = ref 0 and c3 = ref 0 and c4 = ref 0 in
       let c5 = ref 0 and c6 = ref 0 and c7 = ref 0 and c8 = ref 0 in
       for j = max 0 (i - lb + 1) to min (la - 1) i do
@@ -765,15 +844,15 @@ module Vec = struct
         c8 := !c8 + (a4 * b4)
       done;
       redc5 sc !c0 !c1 !c2 !c3 !c4 !c5 !c6 !c7 !c8;
-      store31 sc d ((di + i) * k)
+      store31 sc d ((di + i - i0) * k)
     done
 
   (* Any width: the same scan with the columns in [cols26], skipping each
      slot's zero top limbs. *)
-  let convolve_cols sc la lb (d : Limb.a) di =
+  let convolve_cols sc la lb i0 i1 (d : Limb.a) di =
     let l = sc.l26 and ln = sc.n26 and cols = sc.cols26 and w = sc.w26 and k = sc.sk in
     let ncols = (2 * w) - 1 in
-    for i = 0 to la + lb - 2 do
+    for i = i0 to i1 - 1 do
       Array.fill cols 0 ncols 0;
       for j = max 0 (i - lb + 1) to min (la - 1) i do
         let x = w * j and y = w * (la + i - j) in
@@ -786,8 +865,34 @@ module Vec = struct
         done
       done;
       redc26 sc ncols;
-      store31 sc d ((di + i) * k)
+      store31 sc d ((di + i - i0) * k)
     done
+
+  (* Both operands re-limbed to 26 bits into the scratch (a's slots at 0,
+     b's at la), the shorter one times R; returns the number of pairs
+     with both nonzero. *)
+  let load name ctx sc (a : t) ai la (b : t) bi lb =
+    if min la lb > convolve_bound ctx then
+      invalid_arg
+        (Printf.sprintf "Fp.Vec.%s: %d x %d exceeds the column-overflow bound %d" name la lb
+           (convolve_bound ctx));
+    check name a ai la;
+    check name b bi lb;
+    let w = sc.w26 in
+    if Array.length sc.n26 < la + lb then begin
+      let n = max (la + lb) (2 * Array.length sc.n26) in
+      sc.l26 <- Array.make (n * w) 0;
+      sc.n26 <- Array.make n 0
+    end;
+    let nza = relimb sc a.buf ai la 0 in
+    let nzb = relimb sc b.buf bi lb la in
+    (* Each output's REDC divides by R, so the shorter operand carries
+       the factor R: min(la, lb) products instead of one per output. *)
+    let s0 = if la <= lb then 0 else la in
+    for s = s0 to s0 + min la lb - 1 do
+      to_mont26 sc s
+    done;
+    nza * nzb
 
   (* Product-scanning schoolbook: both operands are re-limbed to 26 bits
      once, so a limb product is below 2^52 and each column takes a whole
@@ -796,30 +901,34 @@ module Vec = struct
      and the count is of the pairs with both nonzero, as [Fp.dot]'s. *)
   let convolve ctx sc (a : t) ai la (b : t) bi lb (d : t) di =
     if la > 0 && lb > 0 then begin
-      if min la lb > convolve_bound ctx then
-        invalid_arg
-          (Printf.sprintf "Fp.Vec.convolve: %d x %d exceeds the column-overflow bound %d" la lb
-             (convolve_bound ctx));
-      check "convolve" a ai la;
-      check "convolve" b bi lb;
       check "convolve" d di (la + lb - 1);
-      let w = sc.w26 in
-      if Array.length sc.n26 < la + lb then begin
-        let n = max (la + lb) (2 * Array.length sc.n26) in
-        sc.l26 <- Array.make (n * w) 0;
-        sc.n26 <- Array.make n 0
-      end;
-      let nza = relimb sc a.buf ai la 0 in
-      let nzb = relimb sc b.buf bi lb la in
-      Zobs.Counter.add ctx.cnt_mul_lazy (nza * nzb);
-      (* Each output's REDC divides by R, so the shorter operand carries
-         the factor R: min(la, lb) products instead of one per output. *)
-      let s0 = if la <= lb then 0 else la in
-      for s = s0 to s0 + min la lb - 1 do
-        to_mont26 sc s
-      done;
-      if w = 5 then convolve5 sc la lb d.buf di else convolve_cols sc la lb d.buf di
+      Zobs.Counter.add ctx.cnt_mul_lazy (load "convolve" ctx sc a ai la b bi lb);
+      if sc.w26 = 5 then convolve5 sc la lb 0 (la + lb - 1) d.buf di
+      else convolve_cols sc la lb 0 (la + lb - 1) d.buf di
     end
+
+  (* 1 if b's slot l (at la in the scratch) is in range and nonzero. *)
+  let nz26 sc la lb l = if l >= 0 && l < lb && Array.unsafe_get sc.n26 (la + l) > 0 then 1 else 0
+
+  (* Coefficients [lo, lo+n) of the product only. Slot j of a meets b's
+     slots [lo-j, lo+n-1-j] there, a window that slides down one slot as
+     j grows, so the count of nonzero pairs is one pass over each. *)
+  let convolve_mid ctx sc (a : t) ai la (b : t) bi lb lo n (d : t) di =
+    if la = 0 || lb = 0 || lo < 0 || n < 0 || lo + n > la + lb - 1 then
+      invalid_arg "Fp.Vec.convolve_mid: range outside the product";
+    check "convolve_mid" d di n;
+    ignore (load "convolve_mid" ctx sc a ai la b bi lb);
+    let win = ref 0 and pairs = ref 0 in
+    for l = lo to lo + n - 1 do
+      win := !win + nz26 sc la lb l
+    done;
+    for j = 0 to la - 1 do
+      if j > 0 then win := !win + nz26 sc la lb (lo - j) - nz26 sc la lb (lo + n - j);
+      if Array.unsafe_get sc.n26 j > 0 then pairs := !pairs + !win
+    done;
+    Zobs.Counter.add ctx.cnt_mul_lazy !pairs;
+    if sc.w26 = 5 then convolve5 sc la lb lo (lo + n) d.buf di
+    else convolve_cols sc la lb lo (lo + n) d.buf di
 
   (* Fused CT butterfly, tw in Montgomery form: t = data[j] * tw[ti] by
      one REDC; data[j] <- data[i] - t; data[i] <- data[i] + t. One counted

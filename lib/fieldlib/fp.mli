@@ -177,6 +177,14 @@ module Vec : sig
   val add : ctx -> scratch -> t -> int -> t -> int -> t -> int -> unit
   val sub : ctx -> scratch -> t -> int -> t -> int -> t -> int -> unit
 
+  val add_n : ctx -> scratch -> t -> int -> t -> int -> t -> int -> int -> unit
+  (** [add_n ctx sc dst di a ai b bi len]: {!add} on slots [j < len] of
+      each range, one range check a call; [dst] may alias either operand
+      slot for slot. *)
+
+  val sub_n : ctx -> scratch -> t -> int -> t -> int -> t -> int -> int -> unit
+  (** {!sub} on ranges, as {!add_n}. *)
+
   val axpy : ctx -> scratch -> t -> int -> t -> int -> t -> int -> int -> unit
   (** [axpy ctx sc y yi c ci x xi len]: [y.(yi+j) += c * x.(xi+j)] for
       [j < len], slot [ci] of [c] holding [c] in Montgomery form; one
@@ -190,6 +198,12 @@ module Vec : sig
       [dst] must not share an arena with [x] or [coef]. Counts one
       [fp.mul] per term, as [Lincomb.eval] does. Raises [Invalid_argument]
       on [ptr.(0) <> 0], a column outside [x] or too few coefficients. *)
+
+  val spmv_t : ctx -> scratch -> ptr:int array -> idx:int array -> t -> t -> t -> unit
+  (** [spmv_t ctx sc ~ptr ~idx coef x dst]: [dst = M^T x], every slot of
+      [dst] first cleared, then each term of row [r] adding slot [r] of
+      [x] times its coefficient into slot [idx.(t) lsr 2]. Counts one
+      [fp.mul] per term, as {!spmv}; raises as it does. *)
 
   val dot_bound : ctx -> int
   (** The most terms {!dot} accepts: [max_int / (k * 2^32)] for a k-limb
@@ -224,6 +238,14 @@ module Vec : sig
       nonzero, as {!Fp.dot} does; allocates nothing once the scratch has
       grown to the operands. Raises [Invalid_argument] above
       {!convolve_bound} or outside a vector. *)
+
+  val convolve_mid : ctx -> scratch -> t -> int -> int -> t -> int -> int -> int -> int -> t -> int -> unit
+  (** [convolve_mid ctx sc a ai la b bi lb lo n d di]: slots [[di, di+n)]
+      of [d] get coefficients [[lo, lo+n)] of the product {!convolve}
+      computes, and only those are scanned; counts one [fp.mul_lazy] per
+      pair with both operands nonzero whose product lands in the range.
+      Raises [Invalid_argument] unless both operands are nonempty and the
+      range lies within the product, and as {!convolve} does. *)
 
   val butterfly : ctx -> scratch -> t -> int -> int -> t -> int -> unit
   (** [butterfly ctx sc data i j tw ti]: the fused Cooley-Tukey step

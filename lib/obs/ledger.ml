@@ -26,12 +26,15 @@
                                     packed hot path; the mul is also counted
                                     under f)
 
-   [with_phase] snapshots the merged counter view and [Gc.quick_stat] around
-   a unit of work and accumulates the deltas into a global per-phase table.
-   Phases are sequential on the calling domain and every [Pool] fan-out
-   joins inside its phase, so the merged op deltas are exact under any
-   [--domains] count; worker-domain GC (minor words are domain-local in
-   OCaml 5) is folded in via [worker_scope], which Pool workers run in. *)
+   [with_phase] snapshots the merged counter view and a [Span.gc_now]
+   reading around a unit of work and accumulates the deltas into a global
+   per-phase table. Phases are sequential on the calling domain and every
+   [Pool] fan-out joins inside its phase, so the merged op deltas are
+   exact under any [--domains] count. The word counts are the calling
+   domain's own ([Gc.counters]); a worker's words reach the phase once,
+   through [worker_scope], which Pool workers run in, and no other live
+   domain's (a profiler ticker, a metrics server) reach it at all. The
+   collection and compaction counts are process-wide. *)
 
 type ops = { e : int; d : int; h : int; f : int; f_lazy : int; f_div : int; c : int; butterfly : int }
 
@@ -104,16 +107,19 @@ let read_worker_gc () =
   Mutex.unlock mu;
   g
 
-(* Wrap a Pool worker's whole run: account the worker domain's GC to the
-   enclosing phase and fold its counter shards into the shared base before
-   the domain exits (Registry.flush_domain), so worker-side tallies are
-   never dropped and the shard lists stay bounded. *)
+(* Wrap a Pool worker's whole run: account the worker domain's words to
+   the enclosing phase and fold its counter shards into the shared base
+   before the domain exits (Registry.flush_domain), so worker-side tallies
+   are never dropped and the shard lists stay bounded. Its collection
+   counts are left out: the phase's own reading, process-wide, already
+   holds them. *)
 let worker_scope f =
   if not (Registry.on ()) then f ()
   else begin
-    let g0 = Gc.quick_stat () in
+    let g0 = Span.gc_now () in
     let finish () =
-      note_worker_gc (Span.gc_delta g0 (Gc.quick_stat ()));
+      let g = Span.gc_delta g0 (Span.gc_now ()) in
+      note_worker_gc { g with Span.minor_collections = 0; major_collections = 0; compactions = 0 };
       Registry.flush_domain ()
     in
     Fun.protect ~finally:finish f
@@ -139,12 +145,12 @@ let with_phase name f =
   if not (Registry.on ()) then f ()
   else begin
     let ops0 = snapshot () in
-    let gc0 = Gc.quick_stat () in
+    let gc0 = Span.gc_now () in
     let wgc0 = read_worker_gc () in
     let t0 = Unix.gettimeofday () in
     let finish () =
       let seconds = Unix.gettimeofday () -. t0 in
-      let gc = Span.gc_add (Span.gc_delta gc0 (Gc.quick_stat ())) (Span.gc_sub (read_worker_gc ()) wgc0) in
+      let gc = Span.gc_add (Span.gc_delta gc0 (Span.gc_now ())) (Span.gc_sub (read_worker_gc ()) wgc0) in
       accumulate name ~ops:(sub_ops (snapshot ()) ops0) ~gc ~seconds
     in
     Fun.protect ~finally:finish f

@@ -17,10 +17,17 @@ type event = {
 
 type stat = { total : float; exclusive : float; count : int }
 
-(* Per-name GC deltas, accumulated from [Gc.quick_stat] taken at span open
-   and close. Word counts are floats because that is what Gc reports; minor
-   words are domain-local in OCaml 5, so a span only sees the allocation of
-   the domain it ran on (Pool workers account theirs via Ledger). *)
+(* Per-name GC deltas, accumulated from a {!gc_now} reading taken at span
+   open and close. Word counts are floats because that is what Gc
+   reports. They are the calling domain's own in OCaml 5 — minor words
+   from [Gc.minor_words] (exact; [Gc.counters]' minor figure lags the
+   allocation pointer), promoted and major words from [Gc.counters] — so
+   a span sees the allocation of the domain it ran on and nothing of any
+   other live domain (Pool workers account theirs via
+   Ledger.worker_scope). [Gc.quick_stat]'s word counts would take in
+   every domain's. The collection and compaction counts do come from
+   [Gc.quick_stat] and are process-wide: a collection stops every
+   domain. *)
 type gc_stat = {
   minor_words : float;
   major_words : float;
@@ -60,11 +67,19 @@ let gc_sub a b =
     compactions = a.compactions - b.compactions;
   }
 
-let gc_delta (g0 : Gc.stat) (g1 : Gc.stat) =
+(* The calling domain's minor words and (_, promoted, major) words, and
+   the process-wide collection counts. *)
+type gc_reading = float * (float * float * float) * Gc.stat
+
+let gc_now () : gc_reading =
+  let mi = Gc.minor_words () in
+  (mi, Gc.counters (), Gc.quick_stat ())
+
+let gc_delta ((mi0, (_, pr0, ma0), g0) : gc_reading) ((mi1, (_, pr1, ma1), g1) : gc_reading) =
   {
-    minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-    major_words = g1.Gc.major_words -. g0.Gc.major_words;
-    promoted_words = g1.Gc.promoted_words -. g0.Gc.promoted_words;
+    minor_words = mi1 -. mi0;
+    major_words = ma1 -. ma0;
+    promoted_words = pr1 -. pr0;
     minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
     major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
     compactions = g1.Gc.compactions - g0.Gc.compactions;
@@ -74,7 +89,7 @@ type frame = {
   fname : string;
   fattrs : (string * string) list;
   start : float;
-  gc0 : Gc.stat; (* GC state at open, for the per-name gc aggregates *)
+  gc0 : gc_reading; (* GC state at open, for the per-name gc aggregates *)
   mutable child : float; (* accumulated duration of direct children *)
 }
 
@@ -140,8 +155,8 @@ let record ~name ~attrs ~start ~dur ~excl ~depth ~gc =
   Mutex.unlock mu
 
 (* Shared dummy for stacks-only frames: nothing reads their gc0/start, so
-   one quick_stat taken at module init serves every frame. *)
-let gc_dummy = Gc.quick_stat ()
+   one reading taken at module init serves every frame. *)
+let gc_dummy = gc_now ()
 
 (* Stacks-only span: push/pop the frame so [live_stacks] sees the path,
    skip timing, GC snapshots and the mutex-protected record. *)
@@ -164,12 +179,12 @@ let with_ ?(attrs = []) ~name f =
     if Registry.stacks_on () then with_stack_only ~name ~attrs f else f ()
   else begin
     let stack = Domain.DLS.get stack_key in
-    let fr = { fname = name; fattrs = attrs; start = now (); gc0 = Gc.quick_stat (); child = 0.0 } in
+    let fr = { fname = name; fattrs = attrs; start = now (); gc0 = gc_now (); child = 0.0 } in
     let depth = List.length !stack in
     stack := fr :: !stack;
     let finish () =
       let dur = now () -. fr.start in
-      let gc = gc_delta fr.gc0 (Gc.quick_stat ()) in
+      let gc = gc_delta fr.gc0 (gc_now ()) in
       (* Pop down to (and including) our frame; intermediate frames can only
          appear if an exception skipped a finaliser, which Fun.protect
          prevents — but recover rather than corrupt the stack. *)

@@ -31,36 +31,14 @@ let is_zero (p : t) = Array.length p = 0
 let equal (a : t) (b : t) =
   Array.length a = Array.length b && Array.for_all2 (fun x y -> Fp.equal x y) a b
 
-let add ctx (a : t) (b : t) : t =
+(* Coefficientwise, the shorter operand zero-padded. *)
+let zip f (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in
-  let l = max la lb in
-  trim
-    (Array.init l (fun i ->
-         let x = if i < la then a.(i) else Fp.zero in
-         let y = if i < lb then b.(i) else Fp.zero in
-         Fp.add ctx x y))
+  let get x lx i = if i < lx then x.(i) else Fp.zero in
+  trim (Array.init (max la lb) (fun i -> f (get a la i) (get b lb i)))
 
-let neg ctx (a : t) : t = Array.map (Fp.neg ctx) a
-
-let sub ctx (a : t) (b : t) : t =
-  let la = Array.length a and lb = Array.length b in
-  let l = max la lb in
-  trim
-    (Array.init l (fun i ->
-         let x = if i < la then a.(i) else Fp.zero in
-         let y = if i < lb then b.(i) else Fp.zero in
-         Fp.sub ctx x y))
-
-let scale ctx c (a : t) : t =
-  if Fp.is_zero c then zero else trim (Array.map (Fp.mul ctx c) a)
-
-let shift (a : t) k : t =
-  if is_zero a then zero
-  else begin
-    let r = Array.make (Array.length a + k) Fp.zero in
-    Array.blit a 0 r k (Array.length a);
-    r
-  end
+let add ctx = zip (Fp.add ctx)
+let sub ctx = zip (Fp.sub ctx)
 
 let mul_schoolbook ctx (a : t) (b : t) : t =
   let la = Array.length a and lb = Array.length b in
@@ -103,9 +81,7 @@ let rec workspace la lb =
    the trimmed length of the sum. *)
 let sum ctx sc (x : Fp.Vec.t) o0 l0 o1 l1 (s : Fp.Vec.t) so =
   let m = min l0 l1 in
-  for i = 0 to m - 1 do
-    Fp.Vec.add ctx sc s (so + i) x (o0 + i) x (o1 + i)
-  done;
+  Fp.Vec.add_n ctx sc s so x o0 x o1 m;
   if l0 > m then Fp.Vec.blit x (o0 + m) s (so + m) (l0 - m);
   if l1 > m then Fp.Vec.blit x (o1 + m) s (so + m) (l1 - m);
   top s so (max l0 l1)
@@ -135,16 +111,10 @@ let rec mul_slices ctx sc a ao la b bo lb (d : Fp.Vec.t) dof (ws : Fp.Vec.t) wo 
     let lsb = sum ctx sc b bo lb0 (bo + k) lb1 ws sb in
     let ls = mul_slices ctx sc ws sa lsa ws sb lsb ws z1 ws free in
     Fp.Vec.clear ws (z1 + ls) ((2 * k) - ls);
-    for i = 0 to l0 - 1 do
-      Fp.Vec.sub ctx sc ws (z1 + i) ws (z1 + i) d (dof + i)
-    done;
-    for i = 0 to l2 - 1 do
-      Fp.Vec.sub ctx sc ws (z1 + i) ws (z1 + i) d (dof + (2 * k) + i)
-    done;
+    Fp.Vec.sub_n ctx sc ws z1 ws z1 d dof l0;
+    Fp.Vec.sub_n ctx sc ws z1 ws z1 d (dof + (2 * k)) l2;
     (* z1 = a1 b0 + a0 b1 has no coefficient at n - k or above. *)
-    for i = 0 to min ((2 * k) - 1) (n - k) - 1 do
-      Fp.Vec.add ctx sc d (dof + k + i) d (dof + k + i) ws (z1 + i)
-    done;
+    Fp.Vec.add_n ctx sc d (dof + k) d (dof + k) ws z1 (min ((2 * k) - 1) (n - k));
     n
   end
 
@@ -209,69 +179,80 @@ let inv_mod_xk ctx (f : t) k =
   done;
   truncate !g k
 
-(* A fixed divisor d, packed with the reciprocal R = rev(d)^-1 mod x^prec
-   of its reversal. Dividing P by d is then two products: the top k
-   coefficients of P reversed times R truncated to k, whose low k
-   coefficients are the reversed quotient, and the remainder P - d q. *)
-type divisor = { d : Fp.Vec.t; ld : int; r : Fp.Vec.t; prec : int }
-
-let divisor ctx (d : t) prec =
-  if is_zero d then raise Division_by_zero;
-  let r = inv_mod_xk ctx (reverse d (degree d)) prec in
-  { d = Fp.Vec.of_array ctx d; ld = Array.length d; r = Fp.Vec.of_array ctx r; prec }
-
-let divisor_poly dv : t = Fp.Vec.to_array dv.d
-
-let quotient_len dv lp = if lp < dv.ld then 0 else lp - dv.ld + 1
-
-let div_workspace dv lp =
-  let k = quotient_len dv lp in
-  max ((3 * k) + workspace k k) (lp + workspace dv.ld k)
-
-let quotient_slices ctx sc dv p po lp q qo (ws : Fp.Vec.t) wo =
-  let k = quotient_len dv lp in
-  if k > dv.prec then invalid_arg "Poly.quotient_slices: dividend beyond the reciprocal's precision";
-  if k = 0 then 0
-  else begin
-    (* ws: [wo, wo + k) the top k coefficients of p reversed, then their
-       product with R truncated to k. *)
-    for i = 0 to k - 1 do
-      Fp.Vec.blit p (po + lp - 1 - i) ws (wo + i) 1
-    done;
-    let u = wo + k in
-    let lu = mul_slices ctx sc ws wo (top ws wo k) dv.r 0 (top dv.r 0 (min k dv.r.Fp.Vec.n)) ws u ws (u + (2 * k) - 1) in
-    let lrq = top ws u (min k lu) in
-    for i = 0 to k - 1 do
-      if k - 1 - i < lrq then Fp.Vec.blit ws (u + k - 1 - i) q (qo + i) 1 else Fp.Vec.clear q (qo + i) 1
-    done;
-    top q qo k
-  end
-
-let remainder_slices ctx sc dv p po lp q qo lq (ws : Fp.Vec.t) wo =
-  let l = mul_slices ctx sc dv.d 0 dv.ld q qo lq ws wo ws (wo + lp) in
-  Fp.Vec.clear ws (wo + l) (lp - l);
-  for i = 0 to lp - 1 do
-    Fp.Vec.sub ctx sc ws (wo + i) p (po + i) ws (wo + i)
-  done;
-  top ws wo lp
-
-let div_rem_by ctx dv (a : t) =
-  let lp = Array.length a in
-  let p = Fp.Vec.of_array ctx a and k = quotient_len dv lp in
-  let q = Fp.Vec.create ctx k and ws = Fp.Vec.create ctx (div_workspace dv lp) in
-  let sc = Fp.scratch_for ctx in
-  let lq = quotient_slices ctx sc dv p 0 lp q 0 ws 0 in
-  let lr = remainder_slices ctx sc dv p 0 lp q 0 lq ws 0 in
-  (Array.init lq (Fp.Vec.get q), Array.init lr (Fp.Vec.get ws))
-
 let div_rem_fast ctx (a : t) (b : t) =
   if is_zero b then raise Division_by_zero;
-  if degree a < degree b then (zero, a) else div_rem_by ctx (divisor ctx b (degree a - degree b + 1)) a
+  let da = degree a and db = degree b in
+  if da < db then (zero, a)
+  else begin
+    (* The reversed quotient is rev(a) / rev(b) mod x^k. *)
+    let k = da - db + 1 in
+    let qr = truncate (mul ctx (truncate (reverse a da) k) (inv_mod_xk ctx (reverse b db) k)) k in
+    let q = reverse qr (k - 1) in
+    (q, sub ctx a (mul ctx b q))
+  end
 
-let divide_exact ctx dv a =
-  let q, r = div_rem_by ctx dv a in
-  if not (is_zero r) then failwith "Poly.divide_exact: non-zero remainder";
-  q
+(* Middle products against a fixed kernel: transposed Karatsuba (Hanrot,
+   Quercia and Zimmermann, "The Middle Product Algorithm I", AAECC 2004).
+   For x of n = 2m coefficients and a window y of 2n - 1, MP(x, y)_j =
+   sum_i x_i y_(j+n-1-i), j < n, is the middle of x y. With x = x0 + x1 t^m
+   and y's overlapping thirds y0, y1, y2 of 2m - 1 coefficients from 0, m
+   and 2m, MP(x, y) = (a + b, a + c) for a = MP(x0 + x1, y1),
+   b = MP(x1, y0 - y1) and c = MP(x0, y2 - y1): three half-size middle
+   products. The kernel is packed once, as a window of N = s 2^L >= n
+   (s below the threshold) that is y with N - n zero slots on either
+   side; these meet only x's zero slots past n or outputs past n. The
+   differences are formed in the workspace as a node needs them: stored,
+   they would take about 4N (3/2)^L slots a kernel. *)
+type kernel = { kn : int; size : int; win : Fp.Vec.t }
+
+let kernel_size n =
+  let rec leaf s = if s < karatsuba_threshold then s else leaf ((s + 1) / 2) in
+  let rec up sz = if sz >= n then sz else up (2 * sz) in
+  up (leaf n)
+
+let kernel ctx (y : Fp.el array) =
+  let ly = Array.length y in
+  if ly = 0 || ly land 1 = 0 then invalid_arg "Poly.kernel: the window must have 2n - 1 slots";
+  let n = (ly + 1) / 2 in
+  let size = kernel_size n in
+  let win = Fp.Vec.create ctx ((2 * size) - 1) in
+  Array.iteri (fun i c -> Fp.Vec.set win (size - n + i) c) y;
+  { kn = n; size; win }
+
+(* Per node: the half sum and a's outputs (2m slots) and a difference
+   window (2m - 1), then the children's. *)
+let middle_workspace kn =
+  let rec go sz = if sz < karatsuba_threshold then 0 else (2 * sz) - 1 + go (sz / 2) in
+  go kn.size
+
+(* Slots [dof, dof + nout) of [d] get the first nout <= sz outputs of
+   MP(x, y) for the slices (x, xo, lx), lx <= sz, and (y, yo, 2 sz - 1). *)
+let rec middle ctx sc y yo sz x xo lx nout (d : Fp.Vec.t) dof (ws : Fp.Vec.t) wo =
+  if lx = 0 then Fp.Vec.clear d dof nout
+  else if sz < karatsuba_threshold then
+    Fp.Vec.convolve_mid ctx sc x xo lx y (yo + sz - lx) (lx + nout - 1) (lx - 1) nout d dof
+  else begin
+    let m = sz / 2 and l = sz - 1 in
+    let lx1 = max 0 (lx - m) and lx0 = top x xo (min lx m) in
+    let n0 = min m nout and n1 = nout - m in
+    let sx = wo and a = wo + m and yd = wo + (2 * m) in
+    let free = yd + l in
+    (* a into ws, b into the low outputs, c into the high ones. *)
+    let ls = sum ctx sc x xo lx0 (xo + m) lx1 ws sx in
+    middle ctx sc y (yo + m) m ws sx ls n0 ws a ws free;
+    Fp.Vec.sub_n ctx sc ws yd y yo y (yo + m) l;
+    middle ctx sc ws yd m x (xo + m) lx1 n0 d dof ws free;
+    Fp.Vec.add_n ctx sc d dof d dof ws a n0;
+    if n1 > 0 then begin
+      Fp.Vec.sub_n ctx sc ws yd y (yo + (2 * m)) y (yo + m) l;
+      middle ctx sc ws yd m x xo lx0 n1 d (dof + m) ws free;
+      Fp.Vec.add_n ctx sc d (dof + m) d (dof + m) ws a n1
+    end
+  end
+
+let middle_slices ctx sc kn x xo lx d dof ws wo =
+  if lx > kn.kn then invalid_arg "Poly.middle_slices: operand longer than the kernel's size";
+  middle ctx sc kn.win 0 kn.size x xo lx kn.kn d dof ws wo
 
 let random ctx prg deg_bound =
   trim (Array.init (deg_bound + 1) (fun _ -> Chacha.Prg.field ctx prg))

@@ -1,15 +1,13 @@
 (** Dense univariate polynomials over a prime field.
 
-    The QAP prover needs interpolation, multiplication and exact division of
+    The QAP prover needs interpolation, multiplication and derivatives of
     degree-|C| polynomials (paper §A.3, "operations based on the FFT":
-    interpolation [35], polynomial multiplication [21], polynomial
-    division). Our M(n) is Karatsuba, run on packed {!Fp.Vec} slices.
-    Division is by a {!divisor}: the reciprocal of the reversed divisor is
-    found once by Newton iteration, after which each quotient is one
-    product of the dividend's top coefficients with it and each remainder
-    one product with the divisor. The subproduct trees above this give
-    the O(M(n) log n) profile the cost model's [3 f |C| log^2 |C|] term
-    abstracts.
+    interpolation [35], polynomial multiplication [21]). Our M(n) is
+    Karatsuba, run on packed {!Fp.Vec} slices, and its transpose, the
+    middle product against a fixed {!kernel}, gives the Lagrange prover
+    every node's derivative at the cost of one n x n product. The
+    subproduct trees above this give the O(M(n) log n) profile the cost
+    model's [3 f |C| log^2 |C|] term abstracts.
 
     Representation: arrays of coefficients, lowest degree first, canonical
     (no trailing zero coefficients); the zero polynomial is the empty
@@ -30,7 +28,6 @@ val coeffs : t -> Fp.el array
 val coeff : t -> int -> Fp.el
 (** Zero beyond the degree. *)
 
-val constant : Fp.el -> t
 val monomial : Fp.el -> int -> t
 (** [monomial c k] is [c * x^k]. *)
 
@@ -43,10 +40,6 @@ val equal : t -> t -> bool
 
 val add : Fp.ctx -> t -> t -> t
 val sub : Fp.ctx -> t -> t -> t
-val neg : Fp.ctx -> t -> t
-val scale : Fp.ctx -> Fp.el -> t -> t
-val shift : t -> int -> t
-(** Multiply by [x^k]. *)
 
 val mul : Fp.ctx -> t -> t -> t
 (** Karatsuba above 32 coefficients, schoolbook below, run on packed
@@ -86,53 +79,39 @@ val div_rem : Fp.ctx -> t -> t -> t * t
 (** Schoolbook long division; raises [Division_by_zero] on zero divisor. *)
 
 val div_rem_fast : Fp.ctx -> t -> t -> t * t
-(** Division through a {!divisor} built for this one dividend. *)
+(** Division by one Newton iteration for the reversed divisor's
+    reciprocal, then two products. *)
 
 val inv_mod_xk : Fp.ctx -> t -> int -> t
 (** Power-series inverse mod [x^k] by Newton iteration; constant term
     must be non-zero. *)
 
-(** {2 Division by a fixed divisor} *)
+(** {2 Middle products against a fixed kernel} *)
 
-type divisor
-(** A divisor d, packed, with R = rev(d)^-1 mod x^prec, the reciprocal
-    of its reversal: it divides any dividend of degree below
-    [deg d + prec]. *)
+type kernel
+(** A window y of 2n - 1 coefficients, packed once with zero padding to
+    the size the transposed Karatsuba recursion halves. *)
 
-val divisor : Fp.ctx -> t -> int -> divisor
-(** [divisor ctx d prec] runs the Newton iteration for R once. Raises
-    [Division_by_zero] on zero [d]. *)
+val kernel : Fp.ctx -> Fp.el array -> kernel
+(** [kernel ctx y] for [y] of 2n - 1 coefficients. Raises
+    [Invalid_argument] on an even or empty window. *)
 
-val divisor_poly : divisor -> t
+val kernel_size : int -> int
+(** The padded size N >= n of a kernel for n: its window has 2N - 1
+    slots. *)
 
-val div_rem_by : Fp.ctx -> divisor -> t -> t * t
-(** Quotient and remainder by {!quotient_slices} and
-    {!remainder_slices}. Raises [Invalid_argument] beyond the
-    reciprocal's precision. *)
+val middle_workspace : kernel -> int
+(** Workspace slots {!middle_slices} needs. *)
 
-val divide_exact : Fp.ctx -> divisor -> t -> t
-(** The quotient of {!div_rem_by}; raises [Failure] if the remainder is
-    non-zero — the prover-side guard that z really satisfies the
-    constraints (Claim A.1). *)
-
-val div_workspace : divisor -> int -> int
-(** Workspace slots both kernels below need for an [lp]-coefficient
-    dividend. *)
-
-val quotient_slices :
-  Fp.ctx -> Fp.scratch -> divisor -> Fp.Vec.t -> int -> int -> Fp.Vec.t -> int -> Fp.Vec.t -> int -> int
-(** [quotient_slices ctx sc dv p po lp q qo ws wo]: slots [[qo, qo+k)]
-    of [q] get the quotient of the dividend slice [(p, po, lp)], where
-    k = lp - deg d (none when lp <= deg d); returns its trimmed length. The top k
-    coefficients of the dividend, reversed, are multiplied by R truncated
-    to k, and the low k coefficients of that product are the reversed
-    quotient. Uses slots from [wo] of [ws]. *)
-
-val remainder_slices :
-  Fp.ctx -> Fp.scratch -> divisor -> Fp.Vec.t -> int -> int -> Fp.Vec.t -> int -> int -> Fp.Vec.t -> int -> int
-(** [remainder_slices ctx sc dv p po lp q qo lq ws wo]: slots
-    [[wo, wo+lp)] of [ws] get [p - d q]; returns its trimmed length (0
-    when d divides p). The slots above are workspace. *)
+val middle_slices : Fp.ctx -> Fp.scratch -> kernel -> Fp.Vec.t -> int -> int -> Fp.Vec.t -> int -> Fp.Vec.t -> int -> unit
+(** [middle_slices ctx sc k x xo lx d dof ws wo]: slots [[dof, dof+n)] of
+    [d] get the middle product [sum_i x_i y_(j+n-1-i)], j < n, of the
+    slice [(x, xo, lx)], lx <= n, zero-padded to n, with the kernel's
+    window y: coefficients n-1 .. 2n-2 of x y. Three half-size middle
+    products a node down to leaves below 32 coefficients, each one
+    {!Fp.Vec.convolve_mid} over the n x n pairs that reach the outputs,
+    counted as it counts. Slots from [wo] of [ws] ({!middle_workspace} of
+    them) are workspace; [d] must not overlap [x] or them. *)
 
 val random : Fp.ctx -> Chacha.Prg.t -> int -> t
 (** Random polynomial of degree at most the given bound. *)

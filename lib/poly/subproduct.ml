@@ -111,9 +111,7 @@ let interpolate_slices ctx sc ip (v : Fp.Vec.t) m (ws : Fp.Vec.t) wo =
         let len = max l1 l2 in
         Fp.Vec.clear ws (t1 + l1) (len - l1);
         Fp.Vec.clear ws (t2 + l2) (len - l2);
-        for i = 0 to len - 1 do
-          Fp.Vec.add ctx sc v (sl + i) ws (t1 + i) ws (t2 + i)
-        done;
+        Fp.Vec.add_n ctx sc v sl ws t1 ws t2 len;
         lens.(sl) <- Poly.top v sl len
       done
   in

@@ -14,10 +14,11 @@
    Claim A.1: D(t) | P_w(t) iff the z part of w satisfies C(X=x, Y=y).
 
    The prover-side entry point is [prover_h] (coefficients of H = P_w / D,
-   computed by interpolate-multiply-divide, §A.3 steps 1-3); the
-   verifier-side entry point is [queries], which evaluates every A_i, B_i,
-   C_i and D at a random tau via barycentric Lagrange weights
-   (§A.3). Neither side ever materializes P(t, W). *)
+   §A.3), found without division from its values H(j) = P_w'(j) / D'(j)
+   at D's simple roots and one interpolation. The verifier-side entry
+   point is [queries], which evaluates every A_i, B_i, C_i and D at a
+   random tau via barycentric Lagrange weights (§A.3). Neither side ever
+   materializes P(t, W). *)
 
 open Fieldlib
 open Constr
@@ -41,13 +42,18 @@ let compile ctx (rows : Lincomb.t array) =
 
 let spmv ctx sc m x dst = Fp.Vec.spmv ctx sc ~ptr:m.ptr ~idx:m.idx m.coef x dst
 
+(* The prover's constants besides the tree: the middle products' kernel
+   1/d, d = -|C|..|C| (1/0 := 0), the weights v_j = 1/M'(j), and the
+   factors j and e_j = j v_j (H_j - H_(|C|-j)) of H(j), H_k harmonic. *)
+type deriv = { kernel : Polylib.Poly.kernel; v : Fp.Vec.t; js : Fp.Vec.t; es : Fp.Vec.t }
+
 type t = {
   ctx : Fp.ctx;
   sys : R1cs.system;
   nc : int; (* |C| *)
-  divisor : Polylib.Poly.divisor Lazy.t; (* prover side only *)
+  deriv : deriv Lazy.t; (* prover side only *)
   interp : Polylib.Subproduct.interpolator Lazy.t; (* prover side only *)
-  rows : (csr * csr * csr) Lazy.t; (* prover side only *)
+  rows : (csr * csr * csr) Lazy.t;
 }
 
 exception Tau_collision
@@ -66,30 +72,41 @@ let inv_weights ctx nc =
       let m = Fp.mul ctx fact.(j) fact.(nc - j) in
       if (nc - j) land 1 = 1 then Fp.neg ctx m else m)
 
+let deriv ctx nc v =
+  let inv = Fp.batch_inv ctx (Array.init nc (fun d -> Fp.of_int ctx (d + 1))) in
+  let kernel =
+    Array.init ((2 * nc) + 1) (fun i ->
+        let d = i - nc in
+        if d > 0 then inv.(d - 1) else if d < 0 then Fp.neg ctx inv.(-d - 1) else Fp.zero)
+  in
+  let harm = Array.make (nc + 1) Fp.zero in
+  for k = 1 to nc do
+    harm.(k) <- Fp.add ctx harm.(k - 1) inv.(k - 1)
+  done;
+  let js = Array.init (nc + 1) (Fp.of_int ctx) in
+  let es = Array.mapi (fun j x -> Fp.mul ctx (Fp.mul ctx x v.(j)) (Fp.sub ctx harm.(j) harm.(nc - j))) js in
+  let vec = Fp.Vec.of_array ctx in
+  { kernel = Polylib.Poly.kernel ctx kernel; v = vec v; js = vec js; es = vec es }
+
 let of_r1cs (sys : R1cs.system) =
   let ctx = sys.R1cs.field in
   let nc = R1cs.num_constraints sys in
   if nc = 0 then invalid_arg "Qap.of_r1cs: empty system";
   if Nat.compare (Nat.of_int (nc + 1)) (Fp.modulus ctx) >= 0 then
     invalid_arg "Qap.of_r1cs: field smaller than the number of constraints";
-  (* The product tree over sigma_0..sigma_nc: its root is M(t) = t D(t). *)
-  let tree = lazy (Polylib.Subproduct.build ctx (Array.init (nc + 1) (Fp.of_int ctx))) in
-  let divisor =
-    lazy
-      (let m = Polylib.Poly.coeffs (Polylib.Subproduct.root_poly ctx (Lazy.force tree)) in
-       Polylib.Poly.divisor ctx (Polylib.Poly.of_coeffs (Array.sub m 1 (nc + 1))) (nc + 1))
-  in
+  let weights = lazy (Fp.batch_inv ctx (inv_weights ctx nc)) in
+  let deriv = lazy (deriv ctx nc (Lazy.force weights)) in
   let interp =
     lazy
-      (let weights = Fp.batch_inv ctx (inv_weights ctx nc) in
-       Polylib.Subproduct.interpolator ~weights ctx (Lazy.force tree))
+      (Polylib.Subproduct.interpolator ~weights:(Lazy.force weights) ctx
+         (Polylib.Subproduct.build ctx (Array.init (nc + 1) (Fp.of_int ctx))))
   in
   let rows =
     lazy
       (let mat f = compile ctx (Array.map f sys.R1cs.constraints) in
        (mat (fun k -> k.R1cs.a), mat (fun k -> k.R1cs.b), mat (fun k -> k.R1cs.c)))
   in
-  { ctx; sys; nc; divisor; interp; rows }
+  { ctx; sys; nc; deriv; interp; rows }
 
 (* ------------------------------------------------------------------ *)
 (* Prover side                                                         *)
@@ -104,79 +121,85 @@ let eval_rows ctx (rows : (R1cs.constr -> Lincomb.t)) sys nc (w : Fp.el array) =
     sys.R1cs.constraints;
   out
 
-(* P_w = A B - C on packed slices, all in one arena [v] of n = nc + 1
-   slots per interpolant: slots [0, 3n) are A, B and C, first their
-   evaluations at sigma_0..sigma_nc (the three sparse mat-vecs, slot 0 of
-   each left 0), then their coefficients after one combine over the
-   tree; slots [3n, 5n) get P. Returns the arena, P's trimmed length and
-   the workspace, which the division reuses. *)
-let pw_packed qap (w : Fp.el array) =
+(* P_w(t) = A(t)B(t) - C(t), interpolated and multiplied boxed. *)
+let pw_poly qap (w : Fp.el array) =
+  let ctx = qap.ctx and ip = Lazy.force qap.interp in
+  let side row = Polylib.Subproduct.interpolate_with ctx ip (eval_rows ctx row qap.sys qap.nc w) in
+  let a = side (fun k -> k.R1cs.a) and b = side (fun k -> k.R1cs.b) in
+  Polylib.Poly.(sub ctx (mul ctx a b) (side (fun k -> k.R1cs.c)))
+
+(* H from its values: with A(0) = B(0) = C(0) = 0, P = A B - C = D H
+   gives H(0) = 0 and, at D's simple roots, H(j) = P'(j) / D'(j). At a
+   node A'(j) = S_A(j) / v_j + A(j) (H_j - H_(nc-j)), where S_A(j) =
+   sum_(i<>j) v_i A(i) / (j - i) is a middle product of the weighted
+   values with the kernel 1/d; and 1/D'(j) = j v_j. So
+   H(j) = j (S_A B + A S_B - S_C)(j) + e_j (2AB - C)(j). One arena of
+   7n + 3 slots: A, B and C's values in [0, 3n) (slot 0 of each 0), one
+   side's weighted values in [3n, 4n), the S in [4n, 7n), three
+   temporaries.
+   H(j) overwrites A(j), and one interpolation turns [0, n) into H. With
+   [exact], the node check A(j)B(j) = C(j), j >= 1 — D | P_w, as D's
+   roots are simple (Claim A.1) — must hold or [Failure] is raised. *)
+let h_of_values qap ~exact (w : Fp.el array) : Fp.el array =
   let ctx = qap.ctx and sc = Fp.scratch_for qap.ctx in
-  let ip = Lazy.force qap.interp and dv = Lazy.force qap.divisor in
+  let dv = Lazy.force qap.deriv and ip = Lazy.force qap.interp in
   let ma, mb, mc = Lazy.force qap.rows in
-  let n = qap.nc + 1 in
-  let v = Fp.Vec.create ctx (5 * n) in
+  let nc = qap.nc in
+  let n = nc + 1 in
+  let v = Fp.Vec.create ctx ((7 * n) + 3) in
   let ws =
     Fp.Vec.create ctx
-      (List.fold_left max qap.nc
-         [ Polylib.Subproduct.space ip; Polylib.Poly.workspace n n; Polylib.Poly.div_workspace dv ((2 * n) - 1) ])
+      (List.fold_left max nc [ Polylib.Subproduct.space ip; Polylib.Poly.middle_workspace dv.kernel ])
   in
   let wv = Fp.Vec.of_array ctx w in
   List.iteri
     (fun t m ->
+      let x = t * n and u = 3 * n in
       spmv ctx sc m wv ws;
-      Fp.Vec.blit ws 0 v ((t * n) + 1) qap.nc)
+      Fp.Vec.blit ws 0 v (x + 1) nc;
+      for i = 1 to nc do
+        Fp.Vec.mul ctx sc v (u + i) v (x + i) dv.v i
+      done;
+      Polylib.Poly.middle_slices ctx sc dv.kernel v u (Polylib.Poly.top v u n) v ((t + 4) * n) ws 0)
     [ ma; mb; mc ];
-  let l = Polylib.Subproduct.interpolate_slices ctx sc ip v 3 ws 0 in
-  let p = 3 * n in
-  let lab = Polylib.Poly.mul_slices ctx sc v 0 l.(0) v n l.(1) v p ws 0 in
-  Fp.Vec.clear v (p + lab) ((2 * n) - lab);
-  for i = 0 to l.(2) - 1 do
-    Fp.Vec.sub ctx sc v (p + i) v (p + i) v ((2 * n) + i)
+  let t0 = 7 * n in
+  let t1 = t0 + 1 and t2 = t0 + 2 in
+  for j = 1 to nc do
+    let b = n + j and c = (2 * n) + j and sa = (4 * n) + j in
+    Fp.Vec.mul ctx sc v t0 v j v b;
+    Fp.Vec.sub ctx sc v t1 v t0 v c;
+    if exact && not (Fp.Vec.is_zero v t1) then failwith "Qap.prover_h: non-zero remainder";
+    Fp.Vec.add ctx sc v t0 v t0 v t1;
+    Fp.Vec.mul ctx sc v t0 v t0 dv.es j;
+    Fp.Vec.mul ctx sc v t1 v sa v b;
+    Fp.Vec.mul ctx sc v t2 v j v (sa + n);
+    Fp.Vec.add ctx sc v t1 v t1 v t2;
+    Fp.Vec.sub ctx sc v t1 v t1 v (sa + (2 * n));
+    Fp.Vec.mul ctx sc v t1 v t1 dv.js j;
+    Fp.Vec.add ctx sc v j v t1 v t0
   done;
-  (v, p, Polylib.Poly.top v p (max lab l.(2)), ws)
-
-(* P_w(t) = A(t)B(t) - C(t), unpacked. *)
-let pw_poly qap (w : Fp.el array) =
-  let v, p, lp, _ = pw_packed qap w in
-  Polylib.Poly.of_coeffs (Array.init lp (fun i -> Fp.Vec.get v (p + i)))
-
-(* H = P_w / D by the cached reciprocal, into slots [0, k) of [v] (A's,
-   no longer needed); H boxed and padded to length |C|+1. With [exact],
-   the remainder P_w - D H must be zero (Claim A.1) or [Failure] is
-   raised. *)
-let quotient qap ~exact (w : Fp.el array) : Fp.el array =
-  let ctx = qap.ctx and sc = Fp.scratch_for qap.ctx in
-  let dv = Lazy.force qap.divisor in
-  let v, p, lp, ws = pw_packed qap w in
-  let lq = Polylib.Poly.quotient_slices ctx sc dv v p lp v 0 ws 0 in
-  if exact && Polylib.Poly.remainder_slices ctx sc dv v p lp v 0 lq ws 0 <> 0 then
-    failwith "Qap.prover_h: non-zero remainder";
-  let out = Array.make (qap.nc + 1) Fp.zero in
-  for i = 0 to lq - 1 do
-    out.(i) <- Fp.Vec.get v i
-  done;
-  out
+  let l = (Polylib.Subproduct.interpolate_slices ctx sc ip v 1 ws 0).(0) in
+  Array.init n (fun i -> if i < l then Fp.Vec.get v i else Fp.zero)
 
 (* Coefficients of H = P_w / D, padded to length |C|+1. Raises [Failure] if
-   w does not satisfy the constraints (non-zero remainder, Claim A.1). *)
+   w does not satisfy the constraints (D does not divide P_w, Claim A.1). *)
 let prover_h qap (w : Fp.el array) : Fp.el array =
-  Zobs.Span.with_ ~name:"qap.prover_h" (fun () -> quotient qap ~exact:true w)
+  Zobs.Span.with_ ~name:"qap.prover_h" (fun () -> h_of_values qap ~exact:true w)
 
-(* What a cheating prover would do with an unsatisfying assignment: divide
-   and silently discard the remainder. Used by the adversarial test suite
-   and the soundness bench. Span name deliberately distinct from
+(* What a cheating prover would do with an unsatisfying assignment: skip
+   the node check and interpolate the same values. Used by the adversarial
+   test suite and the soundness bench. Span name deliberately distinct from
    [prover_h]'s: the bench's ntt-vs-lagrange experiment and ablation
    traces key off qap.prover_h being the honest pipeline only. *)
 let prover_h_forced qap (w : Fp.el array) : Fp.el array =
-  Zobs.Span.with_ ~name:"qap.prover_h_forced" (fun () -> quotient qap ~exact:false w)
+  Zobs.Span.with_ ~name:"qap.prover_h_forced" (fun () -> h_of_values qap ~exact:false w)
 
 (* Differential reference for [prover_h], sharing none of its algorithms:
    boxed row evaluations, interpolation by the Lagrange basis M(t)/(t -
    sigma_j) with weights from the direct products prod_{k<>j} (j - k),
    schoolbook product and schoolbook long division by a D built factor
-   by factor. No Karatsuba, no Newton iteration, no cached reciprocal;
-   quadratic in |C|. *)
+   by factor. No Karatsuba, no middle product, no derivatives; quadratic
+   in |C|. *)
 let prover_h_reference qap (w : Fp.el array) : Fp.el array =
   let ctx = qap.ctx and nc = qap.nc in
   let n = nc + 1 in
@@ -250,21 +273,17 @@ let queries qap ~tau : queries =
   let ell = Array.fold_left (Fp.mul ctx) Fp.one diffs in
   let v = Fp.batch_inv ctx (inv_weights ctx nc) in
   let weight = Array.init (nc + 1) (fun j -> Fp.mul ctx ell (Fp.mul ctx v.(j) inv_diffs.(j))) in
-  let a_tau = Array.make (n + 1) Fp.zero in
-  let b_tau = Array.make (n + 1) Fp.zero in
-  let c_tau = Array.make (n + 1) Fp.zero in
-  Array.iteri
-    (fun jm1 (k : R1cs.constr) ->
-      let wj = weight.(jm1 + 1) in
-      let accumulate dst lc =
-        List.iter
-          (fun (i, coef) -> dst.(i) <- Fp.add ctx dst.(i) (Fp.mul ctx coef wj))
-          (Lincomb.terms lc)
-      in
-      accumulate a_tau k.R1cs.a;
-      accumulate b_tau k.R1cs.b;
-      accumulate c_tau k.R1cs.c)
-    sys.R1cs.constraints;
+  (* a_tau = A^T (weight_1..weight_nc) by the compiled rows' transposed
+     mat-vec, one counted mul per term as the boxed sum counted. *)
+  let sc = Fp.scratch_for ctx and ma, mb, mc = Lazy.force qap.rows in
+  let wv = Fp.Vec.of_array ctx (Array.sub weight 1 nc) and dst = Fp.Vec.create ctx (n + 1) in
+  let side m =
+    Fp.Vec.spmv_t ctx sc ~ptr:m.ptr ~idx:m.idx m.coef wv dst;
+    Fp.Vec.to_array dst
+  in
+  let a_tau = side ma in
+  let b_tau = side mb in
+  let c_tau = side mc in
   let d_tau = Fp.mul ctx ell inv_diffs.(0) in
   let qd = Array.make (nc + 1) Fp.one in
   for i = 1 to nc do

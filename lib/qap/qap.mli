@@ -8,8 +8,9 @@
       P(t, W) = (sum_i W_i A_i(t)) (sum_i W_i B_i(t)) - sum_i W_i C_i(t).
 
     Claim A.1: D(t) divides P_w(t) iff the z part of w satisfies
-    C(X=x, Y=y). The prover computes H = P_w / D (interpolate, multiply,
-    divide — §A.3); the verifier evaluates every A_i, B_i, C_i and D at a
+    C(X=x, Y=y). The prover computes H = P_w / D (§A.3) without dividing:
+    from its values H(j) = P_w'(j) / D'(j) at D's simple roots, then one
+    interpolation; the verifier evaluates every A_i, B_i, C_i and D at a
     random tau through barycentric Lagrange weights. Neither party ever
     materializes P(t, W). *)
 
@@ -27,17 +28,19 @@ val spmv : Fp.ctx -> Fp.scratch -> csr -> Fp.Vec.t -> Fp.Vec.t -> unit
 (** [spmv ctx sc m x dst]: slots [0, rows) of [dst] get the rows of [m]
     evaluated at [x], counted as [Lincomb.eval] counts. *)
 
+type deriv
+(** The prover's constants: the middle products' packed kernel 1/d,
+    d = -|C|..|C|, the barycentric weights and H(j)'s two factors. *)
+
 type t = {
   ctx : Fp.ctx;
   sys : R1cs.system;
   nc : int; (** |C| *)
-  divisor : Polylib.Poly.divisor Lazy.t;
-      (** D(t), with the reciprocal rev(D)^-1 mod t^(|C|+1); prover side
-          only *)
+  deriv : deriv Lazy.t; (** prover side only *)
   interp : Polylib.Subproduct.interpolator Lazy.t;
       (** the packed product tree over sigma_0..sigma_|C| with the closed
           form of its weights; prover side only *)
-  rows : (csr * csr * csr) Lazy.t; (** A, B and C compiled; prover side only *)
+  rows : (csr * csr * csr) Lazy.t; (** A, B and C compiled, for both sides *)
 }
 
 exception Tau_collision
@@ -53,21 +56,22 @@ val pw_poly : t -> Fp.el array -> Polylib.Poly.t
 
 val prover_h : t -> Fp.el array -> Fp.el array
 (** Coefficients of H = P_w / D, padded to length |C|+1. Raises [Failure]
-    if [w] does not satisfy the constraints (non-zero remainder). On
-    packed slices throughout: three sparse mat-vecs, one combine over the
-    tree for A, B and C, the product, then the quotient by the cached
-    reciprocal and the remainder P_w - D H; only H is boxed. *)
+    if [w] does not satisfy the constraints: A(j)B(j) <> C(j) at some
+    sigma_j, j >= 1, which is D not dividing P_w. On packed slices
+    throughout, with no division: three sparse mat-vecs, three middle
+    products for A', B' and C' at the nodes, H(j) = P_w'(j) / D'(j)
+    pointwise, then one interpolation over the tree; only H is boxed. *)
 
 val prover_h_forced : t -> Fp.el array -> Fp.el array
 (** What a cheating prover would do with an unsatisfying assignment:
-    divide and silently drop the remainder. Used by the adversarial tests
-    and the soundness bench. *)
+    skip the node check and interpolate the same values. Used by the
+    adversarial tests and the soundness bench. *)
 
 val prover_h_reference : t -> Fp.el array -> Fp.el array
 (** Differential reference for {!prover_h}: boxed Lagrange-basis
     interpolation with directly multiplied weights, {!Polylib.Poly.mul_schoolbook}
-    and schoolbook {!Polylib.Poly.div_rem} — no Karatsuba, no Newton
-    iteration, no cached reciprocal. Quadratic in |C|. *)
+    and schoolbook {!Polylib.Poly.div_rem} — no Karatsuba, no middle
+    product, no derivatives. Quadratic in |C|. *)
 
 val inv_weights : Fp.ctx -> int -> Fp.el array
 (** [inv_weights ctx nc]: M'(sigma_j) = (-1)^(nc-j) j! (nc-j)! for
@@ -88,7 +92,9 @@ type queries = {
 val queries : t -> tau:Fp.el -> queries
 (** Barycentric evaluation of all A_i, B_i, C_i and D at tau, per §A.3:
     factorial-based weights (the two-operation recurrence), batch-inverted
-    (tau - sigma_j). Raises {!Tau_collision} if tau lies on a sigma_j. *)
+    (tau - sigma_j), and the weighted rows by the compiled rows'
+    transposed mat-vec ({!Fp.Vec.spmv_t}). Raises {!Tau_collision} if tau
+    lies on a sigma_j. *)
 
 val z_slice : t -> Fp.el array -> Fp.el array
 (** The Z-region of an evaluation vector: what is sent to the pi_z

@@ -68,16 +68,16 @@ let ctx = function L q -> q.Qap.ctx | N q -> q.Qap_ntt.ctx
 let sys = function L q -> q.Qap.sys | N q -> q.Qap_ntt.sys
 let nc = function L q -> q.Qap.nc | N q -> q.Qap_ntt.nc
 
-(* Length of the h proof vector: |C|+1 coefficients for the Lagrange
-   divisor of degree |C|, n for the folded NTT quotient. *)
+(* Length of the h proof vector: |C|+1 coefficients for the Lagrange H
+   (deg P_w - deg D <= |C|), n for the folded NTT quotient. *)
 let h_len = function L q -> q.Qap.nc + 1 | N q -> q.Qap_ntt.n
 
-(* Force one-time lazy structure (the packed subproduct tree, D's
-   reciprocal, the compiled rows, twiddle plans) so timed sections
-   measure steady-state prover work. *)
+(* Force one-time lazy structure (the packed subproduct tree, the
+   middle-product kernel and node factors, the compiled rows, twiddle
+   plans) so timed sections measure steady-state prover work. *)
 let prewarm = function
   | L q ->
-    ignore (Lazy.force q.Qap.divisor);
+    ignore (Lazy.force q.Qap.deriv);
     ignore (Lazy.force q.Qap.interp);
     ignore (Lazy.force q.Qap.rows)
   | N q ->

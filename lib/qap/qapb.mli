@@ -46,7 +46,7 @@ val h_len : t -> int
 
 val prewarm : t -> unit
 (** Force one-time lazy structure (the Lagrange backend's packed
-    subproduct tree, divisor reciprocal and compiled rows; twiddle plans)
+    subproduct tree, middle-product kernel and compiled rows; twiddle plans)
     so a timed section measures steady-state prover work. *)
 
 val satisfied : t -> Fp.el array -> bool

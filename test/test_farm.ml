@@ -214,17 +214,29 @@ let test_recv_lazy_payload () =
 (* ------------------------------------------------------------------ *)
 
 (* [body stats addr] against a farm that exits after [max_conns]
-   sessions; [stats] is that farm's own accounting. *)
+   sessions; [stats] is that farm's own accounting. A body that raises
+   may have opened fewer sessions, so the farm is told to stop before
+   the join: the test fails by name instead of waiting forever. *)
 let with_farm ?(fconfig = { Zfarm.Farm.default with arg_config = config }) ~max_conns body =
   let stats = Znet.Svcstats.create () in
   let cap = Test_serve.capture () in
+  let stop = Atomic.make false in
   let server =
     Domain.spawn (fun () ->
         Zfarm.Farm.serve ~config:fconfig ~stats ~lookup ~max_conns
+          ~stop:(fun () -> Atomic.get stop)
           ~log:(Test_serve.log_to cap) "127.0.0.1:0")
   in
   let addr = Test_serve.wait_for cap "listening on " in
-  Fun.protect ~finally:(fun () -> Domain.join server) (fun () -> body stats addr)
+  let ok = ref false in
+  Fun.protect
+    ~finally:(fun () ->
+      if not !ok then Atomic.set stop true;
+      Domain.join server)
+    (fun () ->
+      let r = body stats addr in
+      ok := true;
+      r)
 
 let run_client ?(comp = square_plus_3) ~seed addr =
   let prg = Chacha.Prg.create ~seed () in

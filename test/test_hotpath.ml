@@ -589,8 +589,8 @@ let test_hello_counts () =
    interpolate far below 32 coefficients, so they never split. One
    Qap.prover_h at scale 1 over p127 (lcs |C| = 312, bisection 758, pam
    927) must keep the H the boxed Karatsuba gave, and the fp.mul_lazy
-   count of its products: the interpolations, A B, the dividend's top
-   coefficients times D's cached reciprocal, and D H. *)
+   count of its products: the three middle products for A', B' and C' at
+   the nodes and the one interpolation of H's values. *)
 let lagrange_h_tests =
   List.map
     (fun ((app : Apps.App_def.t), lazy_products, h_digest) ->
@@ -614,9 +614,9 @@ let lagrange_h_tests =
           Alcotest.(check int) "fp.mul_lazy" lazy_products n))
     Apps.Registry.
       [
-        (lcs ~scale:1, 242_342, "05646390353135d4568960ca58791294");
-        (bisection ~scale:1, 1_071_460, "5f297031b533bd9127af02527a553c0d");
-        (pam ~scale:1, 1_390_336, "851d9c609aae38a66f29158cae4ff0b2");
+        (lcs ~scale:1, 117_858, "05646390353135d4568960ca58791294");
+        (bisection ~scale:1, 565_200, "5f297031b533bd9127af02527a553c0d");
+        (pam ~scale:1, 772_059, "851d9c609aae38a66f29158cae4ff0b2");
       ]
 
 (* The Lagrange leaves re-limb their operands into the calling domain's

@@ -94,6 +94,37 @@ let commit_tests =
               (p.Zobs.Ledger.gc.Zobs.Span.minor_words > 0.0);
             (* a phase the code never opened stays absent *)
             Alcotest.(check bool) "unknown phase" true (Zobs.Ledger.phase "nope" = None)));
+    Alcotest.test_case "a phase's words are its own: alone = after a fan-out, beside a live domain" `Quick
+      (fun () ->
+        with_ledger (fun () ->
+            let words name =
+              Zobs.Ledger.with_phase name (fun () ->
+                  ignore (Sys.opaque_identity (List.init 10_000 (fun i -> i))));
+              (Option.get (Zobs.Ledger.phase name)).Zobs.Ledger.gc.Zobs.Span.minor_words
+            in
+            let alone = words "alone" in
+            let stop = Atomic.make false in
+            let background =
+              Domain.spawn (fun () ->
+                  while not (Atomic.get stop) do
+                    ignore (Sys.opaque_identity (List.init 1_000 (fun i -> i)))
+                  done)
+            in
+            let beside =
+              Fun.protect
+                ~finally:(fun () ->
+                  Atomic.set stop true;
+                  Domain.join background)
+                (fun () ->
+                  Zobs.Ledger.with_phase "fan-out" (fun () ->
+                      ignore
+                        (Dompool.Pool.map ~domains:2
+                           (fun x -> List.length (List.init 50_000 (fun i -> i + x)))
+                           [| 1; 2; 3; 4 |]));
+                  words "beside")
+            in
+            Alcotest.(check bool) "the phase allocated" true (alone > 10_000.0);
+            Alcotest.(check (float 0.0)) "minor words" alone beside));
     Alcotest.test_case "audit_pass gates only gated rows" `Quick (fun () ->
         let row ~gated ~pass =
           {

@@ -197,7 +197,7 @@ let unit_tests =
         done);
     Alcotest.test_case "inv_mod_xk" `Quick (fun () ->
         let p = prg () in
-        let f = Poly.add ctx Poly.one (Poly.shift (Poly.random ctx p 30) 1) in
+        let f = Poly.add ctx Poly.one (Poly.mul ctx (Poly.monomial Fp.one 1) (Poly.random ctx p 30)) in
         let g = Poly.inv_mod_xk ctx f 50 in
         let fg = Poly.mul ctx f g in
         (* f*g = 1 mod x^50 *)
@@ -205,14 +205,6 @@ let unit_tests =
         for i = 1 to 49 do
           Alcotest.(check bool) "zero" true (Fp.is_zero (Poly.coeff fg i))
         done);
-    Alcotest.test_case "divide_exact guards remainder" `Quick (fun () ->
-        let a = Poly.of_coeffs [| Fp.one; Fp.one |] in
-        let b = Poly.of_coeffs [| Fp.of_int ctx 2; Fp.one |] in
-        Alcotest.(check bool) "raises" true
-          (try
-             ignore (Poly.divide_exact ctx (Poly.divisor ctx b 1) a);
-             false
-           with Failure _ -> true));
     Alcotest.test_case "subproduct multipoint evaluation" `Quick (fun () ->
         let p = prg () in
         let f = Poly.random ctx p 40 in
@@ -283,12 +275,11 @@ let property_tests =
       (fun (a, b) -> Poly.degree (Poly.mul ctx a b) = Poly.degree a + Poly.degree b);
   ]
 
-(* Division by a fixed divisor as the QAP prover runs it: D of degree c
-   (1-300, biased to straddle the 32-coefficient threshold) with its
-   reciprocal cached to precision c + 1, a quotient H of h + 1 <= c + 1
-   coefficients (h = -1: H = 0, so P = 0 or deg P < deg D; h < c: the
-   reciprocal is truncated), and a perturbation S of degree below c
-   (s = 0: none). The reference is schoolbook long division. *)
+(* Division by one Newton iteration: D of degree c (1-300, biased to
+   straddle the 32-coefficient threshold), a quotient H of h + 1 <= c + 1
+   coefficients (h = -1: H = 0, so P = 0 or deg P < deg D), and a
+   perturbation S of degree below c (s = 0: none). The reference is
+   schoolbook long division. *)
 type div_case = { c : int; h : int; s : int; seed : int }
 
 let gen_div_case =
@@ -315,24 +306,72 @@ let div_operands ctx d =
 
 let division_tests =
   [
-    qtest "cached-reciprocal division of D*H = schoolbook div_rem, degrees 1-300" 80 arb_div_case (fun d ->
-        let dpoly, h, _ = div_operands ctx127 d in
-        let p = Poly.mul_schoolbook ctx127 dpoly h in
-        let dv = Poly.divisor ctx127 dpoly (d.c + 1) in
-        let q, r = Poly.div_rem_by ctx127 dv p in
-        let q', r' = Poly.div_rem ctx127 p dpoly in
-        Poly.equal q q' && Poly.equal r r' && Poly.is_zero r && Poly.equal q h
-        && Poly.equal (Poly.divide_exact ctx127 dv p) h);
-    qtest "cached-reciprocal division raises on D*H + S, S nonzero, deg S < deg D" 60
-      (QCheck.map (fun d -> { d with s = max d.s 1 }) arb_div_case)
-      (fun d ->
+    qtest "div_rem_fast of D*H + S = schoolbook div_rem, degrees 1-300" 80 arb_div_case (fun d ->
         let dpoly, h, s = div_operands ctx127 d in
         let p = Poly.add ctx127 (Poly.mul_schoolbook ctx127 dpoly h) s in
-        let dv = Poly.divisor ctx127 dpoly (d.c + 1) in
-        let q, r = Poly.div_rem_by ctx127 dv p in
+        let q, r = Poly.div_rem_fast ctx127 p dpoly in
         let q', r' = Poly.div_rem ctx127 p dpoly in
-        Poly.equal q q' && Poly.equal r r' && Poly.equal r s
-        && (Poly.is_zero s || try ignore (Poly.divide_exact ctx127 dv p); false with Failure _ -> true));
+        Poly.equal q q' && Poly.equal r r' && Poly.equal q h && Poly.equal r s);
   ]
 
-let suite = unit_tests @ leaf_edge_tests @ convolve_bound_tests @ property_tests @ division_tests
+(* The middle product against a fixed kernel, against the Toeplitz sum
+   r_j = sum_i x_i y_(j+n-1-i) it stands for: n at and around the leaf
+   size and its doublings, n = 257 (padded to 272 = 17 * 16) and the pam
+   size 928 (29 * 32); the window y with zeros at its centre (as the
+   QAP's 1/0 := 0) and in runs, x dense, or with zero runs at both ends
+   (so the operand trims below n and its low half sums start at zero).
+   Below the threshold the root is one leaf, and the count must be the
+   pairs of nonzero x_i and y_(j+n-1-i) the sum takes. *)
+let middle_naive fctx (x : Fp.el array) (y : Fp.el array) n =
+  Array.init n (fun j ->
+      let acc = ref Fp.zero and pairs = ref 0 in
+      Array.iteri
+        (fun i xi ->
+          let yl = y.(j + n - 1 - i) in
+          if not (Fp.is_zero xi || Fp.is_zero yl) then incr pairs;
+          acc := Fp.add fctx !acc (Fp.mul fctx xi yl))
+        x;
+      (!acc, !pairs))
+
+let middle_tests =
+  List.map
+    (fun (label, fctx, sizes) ->
+      Alcotest.test_case (Printf.sprintf "middle_slices = the Toeplitz sum over %s" label) `Quick (fun () ->
+          let prg = Chacha.Prg.create ~seed:("middle " ^ label) () in
+          let sc = Fp.scratch_for fctx in
+          List.iter
+            (fun n ->
+              let y = Array.init ((2 * n) - 1) (fun _ -> Chacha.Prg.field fctx prg) in
+              y.(n - 1) <- Fp.zero;
+              Array.iteri (fun i _ -> if i mod 7 = 3 then y.(i) <- Fp.zero) y;
+              let kn = Poly.kernel fctx y in
+              List.iter
+                (fun (lo0, hi0) ->
+                  let x =
+                    Array.init n (fun i ->
+                        if i < lo0 || i >= n - hi0 then Fp.zero else Chacha.Prg.field fctx prg)
+                  in
+                  let xv = Fp.Vec.of_array fctx x in
+                  let d = Fp.Vec.create fctx n and ws = Fp.Vec.create fctx (Poly.middle_workspace kn) in
+                  let (), count =
+                    Test_hotpath.counted "fp.mul_lazy" (fun () ->
+                        Poly.middle_slices fctx sc kn xv 0 (Poly.top xv 0 n) d 0 ws 0)
+                  in
+                  let naive = middle_naive fctx x y n in
+                  let case = Printf.sprintf "n = %d, %d zeros low, %d high" n lo0 hi0 in
+                  Alcotest.(check bool) case true
+                    (Array.for_all2 Fp.equal (Array.map fst naive) (Fp.Vec.to_array d));
+                  if n < 32 then
+                    Alcotest.(check int) (case ^ ": fp.mul_lazy")
+                      (Array.fold_left (fun s (_, c) -> s + c) 0 naive)
+                      count)
+                [ (0, 0); (min 3 (n - 1), n / 3); (n / 2, 0); (0, n - 1); (0, n) ])
+            sizes))
+    [
+      ("p61", ctx, [ 1; 2; 31; 32; 33; 64; 65; 257 ]);
+      ("p127", ctx127, [ 1; 2; 31; 32; 33; 64; 65; 257; 928 ]);
+      ("bls12_381_fr", Fp.create Primes.bls12_381_fr, [ 2; 31; 65 ]);
+    ]
+
+let suite =
+  unit_tests @ leaf_edge_tests @ convolve_bound_tests @ property_tests @ division_tests @ middle_tests

@@ -30,13 +30,18 @@ let divisibility_holds qap (w : Fp.el array) (h : Fp.el array) tau =
   let rhs = Fp.sub ctx (Fp.mul ctx az bz) cz in
   Fp.equal lhs rhs
 
+(* D(t) = prod_{j=1..|C|} (t - j), by the product tree. *)
+let divisor sys =
+  let nc = R1cs.num_constraints sys in
+  Subproduct.(root_poly ctx (build ctx (Array.init nc (fun j -> fi (j + 1)))))
+
 let unit_tests =
   [
     Alcotest.test_case "claim A.1: satisfied => divisible" `Quick (fun () ->
         let sys, w = random_sys 7 in
         let qap = Qap.of_r1cs sys in
         let p = Qap.pw_poly qap w in
-        let _, r = Poly.div_rem_fast ctx p (Poly.divisor_poly (Lazy.force qap.Qap.divisor)) in
+        let _, r = Poly.div_rem_fast ctx p (divisor sys) in
         Alcotest.(check bool) "remainder zero" true (Poly.is_zero r));
     Alcotest.test_case "claim A.1: unsatisfied => not divisible" `Quick (fun () ->
         let sys, w = random_sys 8 in
@@ -45,7 +50,7 @@ let unit_tests =
         w'.(1) <- Fp.add ctx w'.(1) Fp.one;
         if not (R1cs.satisfied ctx sys w') then begin
           let p = Qap.pw_poly qap w' in
-          let _, r = Poly.div_rem_fast ctx p (Poly.divisor_poly (Lazy.force qap.Qap.divisor)) in
+          let _, r = Poly.div_rem_fast ctx p (divisor sys) in
           Alcotest.(check bool) "remainder nonzero" false (Poly.is_zero r)
         end);
     Alcotest.test_case "P_w(sigma_j) equals constraint residual" `Quick (fun () ->
@@ -92,8 +97,7 @@ let unit_tests =
         check_side (fun (k : R1cs.constr) -> k.R1cs.b) q.Qap.b_tau;
         check_side (fun (k : R1cs.constr) -> k.R1cs.c) q.Qap.c_tau;
         (* D(tau) directly *)
-        let d = Subproduct.(root_poly ctx (build ctx (Array.init nc (fun j -> fi (j + 1))))) in
-        Alcotest.(check bool) "D(tau)" true (Fp.equal (Poly.eval ctx d tau) q.Qap.d_tau));
+        Alcotest.(check bool) "D(tau)" true (Fp.equal (Poly.eval ctx (divisor sys) tau) q.Qap.d_tau));
     Alcotest.test_case "tau collision raises" `Quick (fun () ->
         let sys, _ = random_sys 3 in
         let qap = Qap.of_r1cs sys in
@@ -200,4 +204,45 @@ let real_size_tests =
             (divisibility_holds qap w' forced tau)))
     Apps.Registry.[ (lcs ~scale:1, true); (bisection ~scale:1, false); (pam ~scale:1, false) ]
 
-let suite = unit_tests @ property_tests @ weight_tests @ real_size_tests
+(* A satisfiable system of exactly [nc] constraints over eight
+   variables; from |C| = 8 on, its first two and last three A rows are
+   zero, so A's values at the nodes have zero runs at both ends. *)
+let sized_sys nc =
+  let prg = Chacha.Prg.create ~seed:(Printf.sprintf "sized %d" nc) () in
+  let n = 8 in
+  let w = Array.init (n + 1) (fun i -> if i = 0 then Fp.one else Chacha.Prg.field ctx prg) in
+  let row () =
+    let term lc = Lincomb.add_term ctx lc (Chacha.Prg.int_below prg (n + 1)) (Chacha.Prg.field ctx prg) in
+    term (term Lincomb.zero)
+  in
+  let constraints =
+    Array.init nc (fun j ->
+        let a = if nc >= 8 && (j < 2 || j >= nc - 3) then Lincomb.zero else row () and b = row () in
+        let ab = Fp.mul ctx (Lincomb.eval ctx a w) (Lincomb.eval ctx b w) in
+        let c = Lincomb.add_term ctx Lincomb.zero 0 ab in
+        { R1cs.a; b; c })
+  in
+  ({ R1cs.field = ctx; num_vars = n; num_z = n - 2; constraints }, w)
+
+(* The division-free route at the edges of the middle product's leaves
+   and splits: |C| = 1, 2, 31, 32, 33 and 64 (n = |C| + 1 nodes). *)
+let edge_size_tests =
+  List.map
+    (fun nc ->
+      Alcotest.test_case (Printf.sprintf "prover_h = reference at |C| = %d; the forced H fails" nc) `Quick
+        (fun () ->
+          let sys, w = sized_sys nc in
+          let qap = Qap.of_r1cs sys in
+          Alcotest.(check bool) "satisfied" true (R1cs.satisfied ctx sys w);
+          Alcotest.(check bool) "H = reference H" true
+            (Array.for_all2 Fp.equal (Qap.prover_h qap w) (Qap.prover_h_reference qap w));
+          let w' = Array.mapi (fun i x -> if i = 0 then x else Fp.add ctx x Fp.one) w in
+          Alcotest.(check bool) "the corrupted witness is unsatisfying" false (R1cs.satisfied ctx sys w');
+          Alcotest.(check bool) "prover_h raises" true
+            (try ignore (Qap.prover_h qap w'); false with Failure _ -> true);
+          let tau = Chacha.Prg.field ctx (Chacha.Prg.create ~seed:(Printf.sprintf "tau sized %d" nc) ()) in
+          Alcotest.(check bool) "the forced H fails the divisibility check" false
+            (divisibility_holds qap w' (Qap.prover_h_forced qap w') tau)))
+    [ 1; 2; 31; 32; 33; 64 ]
+
+let suite = unit_tests @ property_tests @ weight_tests @ real_size_tests @ edge_size_tests
