@@ -1,33 +1,22 @@
 (* The bench's regression gates as data (DESIGN.md §10). A row names a
    path into the BENCH_run.json summary and the check the values there
    get; [check] evaluates one gate's rows over a run and, for --baseline,
-   the committed baseline it is diffed against. Pure: no I/O, no exits. *)
+   the committed baseline it is diffed against. Every check compares
+   deterministic facts (counts, bytes, words, flags); wall clock is never
+   gated here. Pure: no I/O, no exits. *)
 
 module J = Zobs.Json
 
 type gate =
-  | Model  (* --check-model *)
   | Ledger  (* --check-ledger *)
   | Baseline  (* --baseline FILE *)
 
 type kind =
   | Exact  (* equal to the baseline's value *)
-  | Drift  (* run / baseline inside [1/drift, drift] *)
-  | Drift_up  (* run / baseline at most drift: only slowing down fails *)
-  | Is_true  (* true in the run *)
   | Ceiling of float  (* at most this in the run *)
-  | Band  (* inside --model-band in the run *)
   | Implies of string * string  (* an object whose field [a] is true has [b] true *)
 
 type row = { gate : gate; kind : kind; path : string list }
-
-(* --drift: wall-clock values may move this factor from the baseline's. *)
-let default_drift = 4.0
-
-(* --model-band: deliberately wide, it catches an order-of-magnitude
-   regression (a broken kernel, a mis-costed phase), not scheduler
-   jitter. *)
-let default_band = (0.2, 5.0)
 
 (* [rows gate kind ["a.*.b"; ...]]: paths split on '.'. A "*" segment
    ranges over an object's keys or an array's elements; an element is
@@ -56,32 +45,23 @@ let show = function J.Num x -> Printf.sprintf "%g" x | v -> J.to_string v
 
 (* Why [v] fails its row, if it does; [base] is the baseline's value at
    the same path. *)
-let breach ~drift ~band:(lo, hi) kind ~base v =
+let breach kind ~base v =
   let fail fmt = Printf.ksprintf Option.some fmt in
   match (kind, v, base) with
   | Exact, _, Some b -> if b = v then None else fail "%s here, %s in baseline" (show v) (show b)
-  | Is_true, J.Bool true, _ -> None
-  | Is_true, _, _ -> fail "%s, want true" (show v)
-  | (Drift | Drift_up), J.Num c, Some (J.Num b) ->
-    let d = c /. b in
-    if d > drift || (kind = Drift && d < 1.0 /. drift) || Float.is_nan d then
-      fail "%g vs. baseline %g drifts beyond %gx" c b drift
-    else None
+  | Exact, _, None -> fail "no baseline to compare with"
   | Ceiling m, J.Num c, _ -> if c > m || Float.is_nan c then fail "%g over the ceiling %g" c m else None
-  | Band, J.Num c, _ ->
-    if c < lo || c > hi || Float.is_nan c then fail "%.2fx outside [%.2f, %.2f]" c lo hi else None
+  | Ceiling _, _, _ -> fail "%s is not a number" (show v)
   | Implies (a, b), _, _ ->
     if J.member a v = Some (J.Bool true) && J.member b v <> Some (J.Bool true) then
       fail "%s but not %s: %s" a b (J.to_string v)
     else None
-  | (Exact | Drift | Drift_up), _, None -> fail "no baseline to compare with"
-  | _ -> fail "%s is not a number (or has no numeric baseline)" (show v)
 
 (* Evaluate [gate]'s rows of [rows] over [run]. With a [baseline], every
    row's key set is compared both ways: a path either side lacks is a
    named failure. A row that reaches nothing fails too. Returns the number
    of values checked and the failures, each "path: why". *)
-let check ?baseline ~drift ~band gate rows run =
+let check ?baseline gate rows run =
   let name p = String.concat "." p in
   List.fold_left
     (fun (n, fails) row ->
@@ -103,7 +83,7 @@ let check ?baseline ~drift ~band gate rows run =
               (fun (p, v) ->
                 let base = List.assoc_opt p there in
                 if two_way && base = None then None
-                else Option.map (( ^ ) (name p ^ ": ")) (breach ~drift ~band row.kind ~base v))
+                else Option.map (( ^ ) (name p ^ ": ")) (breach row.kind ~base v))
               here
       in
       (n + List.length here, fails @ row_fails))

@@ -17,7 +17,7 @@ let usage () =
     \       [--scale N] [--batch N] [--pbits N] [--paper-params] [--quick] [--domains N]\n\
     \       [--qap-backend auto|ntt|lagrange]\n\
     \       [--trace OUT.json] [--metrics] [--json OUT.json]\n\
-    \       [--check-model] [--model-band LO:HI] [--check-ledger] [--baseline FILE] [--drift X]\n\
+    \       [--check-ledger] [--baseline FILE]\n\
     \       [--history FILE.jsonl] [--trend N]\n"
     (String.concat "|" (List.map (fun e -> e.name) experiments));
   exit 2
@@ -103,8 +103,8 @@ let load_baseline path =
       Printf.eprintf "baseline: %s does not parse as JSON\n" path;
       exit 1)
 
-(* BENCH_history.jsonl: one line per gated run (--check-model,
-   --check-ledger or --baseline), appended before the gates execute so a
+(* BENCH_history.jsonl: one line per gated run (--check-ledger or
+   --baseline), appended before the gates execute so a
    breach still leaves its evidence behind. scripts/ci.sh prints the
    last-N trend with --trend. *)
 
@@ -120,11 +120,7 @@ let append_history cfg path (experiments : (string * float) list) sections =
          ("config", config_json cfg);
          ("experiments", Obj (List.map (fun (n, w) -> (n, Num w)) experiments));
        ]
-      @ List.filter (fun (k, _) -> k = "ledger" || k = "alloc") sections
-      @
-      match Option.bind (List.assoc_opt "profile" sections) (fun p -> dnum p [ "overhead"; "overhead_ratio" ]) with
-      | None -> []
-      | Some r -> [ ("overhead_ratio", Num r) ])
+      @ List.filter (fun (k, _) -> k = "ledger" || k = "alloc") sections)
   in
   let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
   output_string oc (to_string line);
@@ -148,8 +144,7 @@ let print_trend path n =
   (* [lines] is newest-first; show the last [n] oldest-first. *)
   let last = List.filteri (fun i _ -> i < n) !lines |> List.rev in
   Printf.printf "last %d gated run(s) in %s:\n" (List.length last) path;
-  Printf.printf "  %-17s %6s %10s %10s %13s %9s\n" "when" "batch" "commit_s" "setup_s"
-    "construct_f" "overhead";
+  Printf.printf "  %-17s %6s %10s %10s %13s\n" "when" "batch" "commit_s" "setup_s" "construct_f";
   List.iter
     (fun l ->
       match Zobs.Json.parse l with
@@ -164,21 +159,18 @@ let print_trend path n =
               (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
         in
         let show fmt = function None -> "-" | Some v -> Printf.sprintf fmt v in
-        Printf.printf "  %-17s %6s %10s %10s %13s %9s\n" when_
+        Printf.printf "  %-17s %6s %10s %10s %13s\n" when_
           (show "%.0f" (dnum j [ "config"; "batch" ]))
           (show "%.4f" (dnum j [ "ledger"; "crypto_ops"; "seconds" ]))
           (show "%.4f" (dnum j [ "ledger"; "verifier_setup"; "seconds" ]))
-          (show "%.0f" (dnum j [ "ledger"; "construct_u"; "ops"; "f" ]))
-          (show "%.3fx" (dnum j [ "overhead_ratio" ])))
+          (show "%.0f" (dnum j [ "ledger"; "construct_u"; "ops"; "f" ])))
     last
 
 let () =
   let cfg = ref default_cfg in
   let targets = ref [] in
   let trace = ref None and metrics = ref false and json = ref "BENCH_run.json" in
-  let check = ref false and band = ref Gate.default_band in
-  let baseline = ref None and drift = ref Gate.default_drift in
-  let check_ledger = ref false in
+  let baseline = ref None and check_ledger = ref false in
   let history = ref "BENCH_history.jsonl" and trend = ref None in
   let args = Array.to_list Sys.argv |> List.tl in
   (* Flag validation: a typo'd value dies with a clear message instead of
@@ -226,21 +218,6 @@ let () =
     | "--json" :: v :: rest ->
       json := v;
       parse rest
-    | "--check-model" :: rest ->
-      check := true;
-      parse rest
-    | "--model-band" :: v :: rest ->
-      (match String.split_on_char ':' v with
-      | [ lo; hi ] -> (
-        match (float_of_string_opt lo, float_of_string_opt hi) with
-        | Some lo, Some hi when lo > 0.0 && hi > lo -> band := (lo, hi)
-        | _ ->
-          Printf.eprintf "--model-band expects LO:HI with 0 < LO < HI, got %S\n" v;
-          exit 2)
-      | _ ->
-        Printf.eprintf "--model-band expects LO:HI, got %S\n" v;
-        exit 2);
-      parse rest
     | "--check-ledger" :: rest ->
       check_ledger := true;
       parse rest
@@ -252,13 +229,6 @@ let () =
       parse rest
     | "--baseline" :: v :: rest ->
       baseline := Some v;
-      parse rest
-    | "--drift" :: v :: rest ->
-      (match float_of_string_opt v with
-      | Some d when d > 1.0 -> drift := d
-      | _ ->
-        Printf.eprintf "--drift expects a factor > 1, got %S\n" v;
-        exit 2);
       parse rest
     | t :: rest when String.length t > 0 && t.[0] <> '-' ->
       targets := t :: !targets;
@@ -276,7 +246,7 @@ let () =
   let active =
     List.filter_map
       (fun (g, on) -> if on then Some g else None)
-      [ (Gate.Model, !check); (Gate.Ledger, !check_ledger); (Gate.Baseline, baseline <> None) ]
+      [ (Gate.Ledger, !check_ledger); (Gate.Baseline, baseline <> None) ]
   in
   let find name =
     match List.find_opt (fun e -> e.name = name) experiments with
@@ -335,21 +305,17 @@ let () =
   List.iter
     (fun gate ->
       let base = match gate with Gate.Baseline -> Option.map snd baseline | _ -> None in
-      let n, fails = Gate.check ?baseline:base ~drift:!drift ~band:!band gate gates summary in
+      let n, fails = Gate.check ?baseline:base gate gates summary in
       let prefix, ok =
         match gate with
-        | Gate.Model ->
-          let lo, hi = !band in
-          ("cost model breach: ", Printf.sprintf "\ncost model check OK: all deltas within [%.2f, %.2f]" lo hi)
         | Gate.Ledger ->
           ( "--check-ledger: ",
             "--check-ledger OK: every gated op ratio inside its band; hot-path words/op under ceilings" )
         | Gate.Baseline ->
           ( "baseline: ",
             Printf.sprintf
-              "baseline check OK against %s: %d value(s), key sets identical both ways, counts \
-               exact, timings within %gx"
-              (Option.fold ~none:"" ~some:fst baseline) n !drift )
+              "baseline check OK against %s: %d value(s), key sets identical both ways, all exact"
+              (Option.fold ~none:"" ~some:fst baseline) n )
       in
       if fails = [] then print_endline ok
       else begin

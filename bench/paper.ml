@@ -99,7 +99,7 @@ let config_gates =
   Gate.(rows Baseline Exact)
     (List.map (( ^ ) "config.") [ "field_bits"; "rho"; "rho_lin"; "p_bits"; "batch"; "scale"; "quick" ])
 
-(* The small program behind the wire, farm and soundness experiments. *)
+(* The small program behind the wire and soundness experiments. *)
 let sq3 = "computation sq3(input int32 x, input int32 w, output int32 y) { y = x*x + w*w + 3; }"
 
 let banner title =
@@ -217,49 +217,6 @@ let run_micro cfg =
       let p = measured_params c in
       Printf.printf "%-18s %s\n%!" label (Format.asprintf "%a" Costmodel.Params.pp_row p))
     fields
-
-(* Bechamel-based version of the same table: one Test.make per operation,
-   grouped per field size. *)
-let run_bechamel cfg =
-  banner "Microbenchmarks via bechamel (OLS estimates, ns/op)";
-  let open Bechamel in
-  let make_group label field =
-    let ctx = Fp.create field in
-    let grp = Zcrypto.Group.cached ~field_order:field ~p_bits:cfg.p_bits () in
-    let prg = Chacha.Prg.create ~seed:"bechamel" () in
-    let sk, pk = Zcrypto.Elgamal.keygen grp prg in
-    let a = Chacha.Prg.field_nonzero ctx prg and b = Chacha.Prg.field_nonzero ctx prg in
-    let ct = Zcrypto.Elgamal.encrypt pk prg a in
-    ignore sk;
-    Test.make_grouped ~name:label ~fmt:"%s %s"
-      [
-        Test.make ~name:"f (field mul)" (Staged.stage (fun () -> ignore (Fp.mul ctx a b)));
-        Test.make ~name:"f_lazy" (Staged.stage (fun () -> ignore (Fp.mul_lazy ctx a b)));
-        Test.make ~name:"f_div" (Staged.stage (fun () -> ignore (Fp.div ctx a b)));
-        Test.make ~name:"c (prg field)" (Staged.stage (fun () -> ignore (Chacha.Prg.field ctx prg)));
-        Test.make ~name:"h (hom add+mul)"
-          (Staged.stage (fun () -> ignore (Zcrypto.Elgamal.hom_add pk ct (Zcrypto.Elgamal.hom_scale pk ct a))));
-      ]
-  in
-  let test =
-    Test.make_grouped ~name:"micro" ~fmt:"%s/%s"
-      [ make_group "128bit" Primes.p127 ]
-  in
-  let benchmark () =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg' = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.3) ~stabilize:false () in
-    let raw = Benchmark.all cfg' instances test in
-    Analyze.all ols Toolkit.Instance.monotonic_clock raw
-  in
-  let results = benchmark () in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ est ] -> Printf.printf "  %-40s %12.1f ns/op\n" name est
-      | _ -> Printf.printf "  %-40s (no estimate)\n" name)
-    results;
-  flush stdout
 
 (* ------------------------------------------------------------------ *)
 (* F3: cost-model validation (Figure 3)                                *)
@@ -1204,264 +1161,14 @@ let run_wire cfg =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Farm: concurrent prover farm vs one-session-at-a-time serving       *)
-(* ------------------------------------------------------------------ *)
-
-(* Run [f addr] against a farm in its own domain that exits after
-   [max_conns] sessions; returns [f]'s result and the farm's stats. *)
-let with_bench_farm ~what ~(config : Zfarm.Farm.config) ~lookup ~max_conns f =
-  let stats = Znet.Svcstats.create () in
-  let bound = Atomic.make None in
-  let prefix = "listening on " in
-  let k = String.length prefix in
-  let log l =
-    if String.length l > k && String.sub l 0 k = prefix then
-      Atomic.set bound (Some (String.sub l k (String.length l - k)))
-  in
-  let server =
-    Domain.spawn (fun () -> Zfarm.Farm.serve ~config ~stats ~lookup ~max_conns ~log "127.0.0.1:0")
-  in
-  let deadline = Unix.gettimeofday () +. 10.0 in
-  let rec addr () =
-    match Atomic.get bound with
-    | Some a -> a
-    | None ->
-      if Unix.gettimeofday () > deadline then failwith (what ^ ": serve never bound");
-      Unix.sleepf 0.005;
-      addr ()
-  in
-  let r = f (addr ()) in
-  Domain.join server;
-  (r, stats)
-
-let record_session ~config comp ~prg ~inputs addr =
-  let conn = Znet.connect addr in
-  Fun.protect ~finally:(fun () -> Znet.close conn) @@ fun () ->
-  let vs = Argsys.Argument.Verifier_session.create ~config comp ~prg ~inputs in
-  let codec = Argsys.Argument.Verifier_session.codec vs in
-  let transcript = ref [] in
-  let exchange m =
-    let b = Zwire.encode ~codec m in
-    Znet.send conn b;
-    let r = Znet.recv conn in
-    transcript := (b, Some r) :: !transcript;
-    Zwire.decode ~codec r
-  in
-  let rec go m =
-    match Argsys.Argument.Verifier_session.on_msg vs m with
-    | `Send m' -> go (exchange m')
-    | `Finished (Some m') ->
-      let b = Zwire.encode ~codec m' in
-      Znet.send conn b;
-      transcript := (b, None) :: !transcript
-    | `Finished None -> ()
-  in
-  go (exchange (Argsys.Argument.Verifier_session.initial vs));
-  if not (Argsys.Argument.all_accepted (Argsys.Argument.Verifier_session.result vs)) then
-    failwith "farm: recorded session did not verify";
-  List.rev !transcript
-
-let replay_session ~think_s ~addr transcript =
-  let conn = Znet.connect addr in
-  Fun.protect ~finally:(fun () -> Znet.close conn) @@ fun () ->
-  List.for_all
-    (fun (sent, expect) ->
-      Unix.sleepf think_s;
-      Znet.send conn sent;
-      match expect with
-      | None -> true
-      | Some r -> Bytes.equal r (Znet.recv conn))
-    transcript
-
-(* The farm and obs-overhead fixture. The clients are *replay* clients:
-   one real verifier session over sq3 is recorded (frames sent, replies
-   received, verdict checked) against a one-shot farm, then every client
-   replays the same byte stream, sleeping [think_s] before each frame to
-   emulate off-box verifier compute, and asserts the prover's replies are
-   byte-identical (the honest prover draws nothing from its PRG, so
-   replies are a deterministic function of the received frames). Returns
-   the frames per session and [serve ~think_s fc]: [fleet_clients]
-   concurrent replays against one farm arm, as ((wall, all replies
-   identical), the arm's stats). *)
-let fleet_clients = 8
-
-let farm_fleet cfg ~what ~seed =
-  let ctx = ctx_of cfg in
-  let comp = Apps.Glue.computation_of (Zlang.Compile.compile ~ctx sq3) in
-  let config = arg_config cfg in
-  let lookup =
-    let d = Argsys.Argument.digest comp in
-    fun d' -> if String.equal d' d then Some comp else None
-  in
-  let farm fc = with_bench_farm ~what ~config:{ fc with Zfarm.Farm.arg_config = config } ~lookup in
-  let transcript, _ =
-    farm Zfarm.Farm.default ~max_conns:1
-      (record_session ~config comp ~prg:(Chacha.Prg.create ~seed ())
-         ~inputs:[| Apps.Glue.field_inputs ctx [| 7; 11 |] |])
-  in
-  let serve ~think_s fc =
-    farm fc ~max_conns:fleet_clients (fun addr ->
-        let t0 = Unix.gettimeofday () in
-        let doms =
-          Array.init fleet_clients (fun _ ->
-              Domain.spawn (fun () -> replay_session ~think_s ~addr transcript))
-        in
-        let ok = Array.for_all Domain.join doms in
-        (Unix.gettimeofday () -. t0, ok))
-  in
-  (List.length transcript, serve)
-
-(* The "farm" section: sessions/sec and latency percentiles at
-   [fleet_clients] concurrent verifier clients against (a) a farm
-   admitting one session at a time with no setup cache (the others park
-   in its accept queue — the pre-farm sequential accept loop's
-   behaviour), (b) the farm event loop with the setup cache, (c) the farm
-   with the cache disabled. Identical clients hit every arm, so the
-   comparison isolates the server: one-at-a-time serving is held hostage
-   by each client's think time, the event loop overlaps them. *)
-let run_farm cfg =
-  banner "Farm: sessions/sec at concurrent verifier clients (event loop vs one at a time)";
-  let frames, serve = farm_fleet cfg ~what:"farm" ~seed:"bench farm verifier" in
-  let clients = fleet_clients in
-  let think_ms = if cfg.quick then 25 else 60 in
-  Printf.printf
-    "%d concurrent same-digest clients, %d frame(s)/session, %d ms think before each frame\n\n"
-    clients frames think_ms;
-  let farm_arm ~max_sessions ~cache_bytes =
-    let (wall, ok), stats =
-      serve ~think_s:(float_of_int think_ms /. 1000.0)
-        {
-          Zfarm.Farm.default with
-          max_sessions;
-          accept_queue = clients;
-          setup_cache_bytes = cache_bytes;
-        }
-    in
-    let _, hits, misses, _ = Znet.Svcstats.farm_totals stats in
-    (wall, ok, hits, misses, Znet.Svcstats.latency_ms stats)
-  in
-  let seq_wall, seq_ok, _, _, _ = farm_arm ~max_sessions:1 ~cache_bytes:0 in
-  (* Arms 2 and 3: the farm event loop, with and without the setup cache. *)
-  let farm_arm = farm_arm ~max_sessions:(clients + 2) in
-  let built_before = Zobs.Registry.counter_value "farm.setup.built" in
-  let farm_wall, farm_ok, hits, misses, (p50, p95, p99) =
-    farm_arm ~cache_bytes:Zfarm.Farm.default.Zfarm.Farm.setup_cache_bytes
-  in
-  let warm_builds = Zobs.Registry.counter_value "farm.setup.built" - built_before - 1 in
-  let nocache_wall, nocache_ok, _, _, _ = farm_arm ~cache_bytes:0 in
-  let per_s w = float_of_int clients /. w in
-  let speedup = seq_wall /. farm_wall in
-  Printf.printf "%-28s %10s %14s\n" "server" "wall s" "sessions/s";
-  Printf.printf "%-28s %10.3f %14.2f\n" "one at a time (no cache)" seq_wall (per_s seq_wall);
-  Printf.printf "%-28s %10.3f %14.2f\n" "farm (setup cache)" farm_wall (per_s farm_wall);
-  Printf.printf "%-28s %10.3f %14.2f\n\n" "farm (cache disabled)" nocache_wall (per_s nocache_wall);
-  Printf.printf "speedup vs one at a time: %.2fx (acceptance floor 4x)\n" speedup;
-  Printf.printf "setup cache: %d hit(s), %d miss(es); warm-session QAP constructions: %d\n" hits
-    misses warm_builds;
-  Printf.printf "session latency ms (farm, cached): p50 %.1f  p95 %.1f  p99 %.1f\n%!" p50 p95 p99;
-  let ok = seq_ok && farm_ok && nocache_ok in
-  if not ok then begin
-    Printf.eprintf "farm: a replayed session saw a reply that differs from the recorded bytes\n";
-    exit 1
-  end;
-  if warm_builds <> 0 then begin
-    Printf.eprintf "farm: %d QAP construction(s) on warm sessions (cache should serve them)\n"
-      warm_builds;
-    exit 1
-  end;
-  Zobs.Json.Obj
-    [
-      ("clients", int clients);
-      ("think_ms", int think_ms);
-      ("frames_per_session", int frames);
-      ("seq_wall_s", num seq_wall);
-      ("farm_wall_s", num farm_wall);
-      ("farm_nocache_wall_s", num nocache_wall);
-      ("seq_sessions_per_s", num (per_s seq_wall));
-      ("farm_sessions_per_s", num (per_s farm_wall));
-      ("speedup", num speedup);
-      ("cache_hits", int hits);
-      ("cache_misses", int misses);
-      ("warm_qap_constructions", int warm_builds);
-      ("latency_ms", Zobs.Json.Obj [ ("p50", num p50); ("p95", num p95); ("p99", num p99) ]);
-      ("transcripts_identical", Zobs.Json.Bool ok);
-    ]
-
-(* ------------------------------------------------------------------ *)
-(* Zscope overhead: flight recorder + sampling profiler cost           *)
-(* ------------------------------------------------------------------ *)
-
-(* The "obs_overhead" section. Two farm arms serve the same replayed
-   client fleet: one with the Zscope instrumentation on (per-session
-   flight recorder at its default capacity plus the sampling profiler at
-   its default rate), one with both disabled (--flight-cap 0
-   --profile-hz 0). The acceptance band holds the on-arm to within 3% of
-   the off-arm's sessions/sec (DESIGN.md §15's overhead budget);
-   --baseline enforces it. *)
-let obs_overhead_band = 1.03
-
-let run_obs_overhead cfg =
-  banner "Zscope overhead: farm sessions/sec, flight recorder + sampler on vs off";
-  let _, serve = farm_fleet cfg ~what:"obs-overhead" ~seed:"bench obs verifier" in
-  let clients = fleet_clients in
-  let rounds = if cfg.quick then 2 else 3 in
-  (* No think time: the comparison is server-bound on purpose, so any
-     recorder/sampler cost lands squarely in the measured wall. One arm
-     run = [clients] replayed sessions; best-of-[rounds] walls filter
-     scheduler noise. *)
-  let arm ~flight_cap ~profile_hz =
-    let best = ref infinity and all_ok = ref true in
-    for _ = 1 to rounds do
-      let (wall, ok), _ =
-        serve ~think_s:0.0
-          { Zfarm.Farm.default with max_sessions = clients + 2; flight_cap; profile_hz }
-      in
-      all_ok := !all_ok && ok;
-      if wall < !best then best := wall
-    done;
-    (!best, !all_ok)
-  in
-  let on_wall, on_ok =
-    arm ~flight_cap:Zfarm.Farm.default.Zfarm.Farm.flight_cap
-      ~profile_hz:Zfarm.Farm.default.Zfarm.Farm.profile_hz
-  in
-  let off_wall, off_ok = arm ~flight_cap:0 ~profile_hz:0 in
-  let per_s w = float_of_int clients /. w in
-  (* >1 means the instrumented arm was slower; <1 is measurement noise in
-     the on-arm's favor. *)
-  let ratio = on_wall /. off_wall in
-  Printf.printf "%-36s %10s %14s\n" "farm arm" "wall s" "sessions/s";
-  Printf.printf "%-36s %10.3f %14.2f\n" "recorder + sampler on (defaults)" on_wall (per_s on_wall);
-  Printf.printf "%-36s %10.3f %14.2f\n\n" "recorder + sampler off" off_wall (per_s off_wall);
-  Printf.printf "overhead: %.2f%% (band: <= %.0f%%; best of %d round(s) per arm)\n%!"
-    ((ratio -. 1.0) *. 100.0)
-    ((obs_overhead_band -. 1.0) *. 100.0)
-    rounds;
-  if not (on_ok && off_ok) then begin
-    Printf.eprintf "obs-overhead: a replayed session saw a reply that differs from the record\n";
-    exit 1
-  end;
-  Zobs.Json.Obj
-    [
-      ("clients", int clients);
-      ("rounds", int rounds);
-      ("on_wall_s", num on_wall);
-      ("off_wall_s", num off_wall);
-      ("on_sessions_per_s", num (per_s on_wall));
-      ("off_sessions_per_s", num (per_s off_wall));
-      ("overhead_ratio", num ratio);
-      ("band", num obs_overhead_band);
-      ("transcripts_identical", Zobs.Json.Bool (on_ok && off_ok));
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* Lint: Zlint analyzer timing and finding counts over the suite       *)
 (* ------------------------------------------------------------------ *)
 
-(* The "lint" section. The benchmark computations are the largest systems we compile, so timing
-   the backend analyzer over them is the regression canary for Zlint
-   itself; finding counts are deterministic for a fixed configuration and
-   must stay at zero (the suite ships clean). *)
+(* The "lint" section. The benchmark computations are the largest
+   systems we compile. Finding and row counts are deterministic for a
+   fixed configuration, and findings must stay at zero (the suite ships
+   clean); the analyzer's seconds are recorded, not gated (zbench's
+   toolchain workload times it). *)
 let run_lint cfg =
   banner "Zlint: analyzer wall-clock and finding counts over the benchmark suite";
   let ctx = ctx_of cfg in
@@ -1524,9 +1231,10 @@ let run_lint cfg =
    witness from inputs alone; its constraint-propagation throughput is
    compared against the compiler's gadget-replay solver on the same
    systems, and the differential fuzz campaign's program rate rides
-   along. Pinned/defaulted counts and fuzz discrepancies are
-   seed-deterministic, so --baseline compares them exactly; seconds get
-   the usual drift band. *)
+   along. Pinned/defaulted counts, row visits and fuzz discrepancies are
+   seed-deterministic, so --baseline compares them exactly (a solver that
+   goes quadratic shows up as more row visits); seconds are recorded, not
+   gated. *)
 let run_exec cfg =
   banner "Zexec: interpreter solve throughput vs. the compiler's solver, fuzz program rate";
   let ctx = ctx_of cfg in
@@ -1597,6 +1305,7 @@ let run_exec cfg =
                    ("rows_per_s", num (float_of_int nc /. t_interp));
                    ("pinned", int st.Zexec.Exec.pinned);
                    ("defaulted", int st.Zexec.Exec.defaulted);
+                   ("row_visits", int st.Zexec.Exec.row_visits);
                  ])
              rows) );
       ( "fuzz",
@@ -1733,23 +1442,41 @@ let run_alloc cfg =
         (if cfg.quick then 1 else 3),
         gq_sampled,
         fun () -> ignore (Pcp.Pcp_zaatar.gen_queries ~params:(protocol cfg) gq_qap prg) );
+      (* The farm's per-frame flight-recorder event, into a ring at its
+         default capacity. *)
+      ( "flight.record",
+        fast,
+        1,
+        let fl = Zobs.Flight.create () in
+        fun () -> Zobs.Flight.record fl ~n:4096 Zobs.Flight.Read );
     ]
   in
   Printf.printf "  %-18s %10s %14s %12s\n" "kernel" "iters" "words/op" "us/op";
-  let rows =
-    List.map
-      (fun (name, iters, elems, f) ->
-        f ();
-        (* warm-up: one-time setup allocations land outside the window *)
-        let w0 = Gc.minor_words () in
-        let (), t = time_thunk (fun () -> for _ = 1 to iters do f () done) in
-        let ops = float_of_int (iters * elems) in
-        let words = (Gc.minor_words () -. w0) /. ops in
-        let us = 1e6 *. t /. ops in
-        Printf.printf "  %-18s %10d %14.1f %12.3f\n" name iters words us;
-        (name, iters, words, us))
-      kernels
+  let measure (name, iters, elems, f) =
+    f ();
+    (* warm-up: one-time setup allocations land outside the window *)
+    let w0 = Gc.minor_words () in
+    let (), t = time_thunk (fun () -> for _ = 1 to iters do f () done) in
+    let ops = float_of_int (iters * elems) in
+    let words = (Gc.minor_words () -. w0) /. ops in
+    let us = 1e6 *. t /. ops in
+    Printf.printf "  %-18s %10d %14.1f %12.3f\n" name iters words us;
+    (name, iters, words, us)
   in
+  let rows = List.map measure kernels in
+  (* One sampling-profiler tick over one fixed live stack: two frames
+     pushed on this domain (stack only, so no span is recorded), none
+     open on any other. A tick walks a slot for every domain that ever
+     opened a span, live or not, so the row reports words per slot
+     walked; the slot count depends on what ran before. *)
+  let sample =
+    let prof = Zobs.Profiler.make () in
+    Zobs.Span.with_stack_only ~name:"alloc" ~attrs:[] (fun () ->
+        Zobs.Span.with_stack_only ~name:"profiler.sample" ~attrs:[] (fun () ->
+            let slots = Hashtbl.length Zobs.Span.live in
+            measure ("profiler.sample", fast / 10, slots, fun () -> Zobs.Profiler.sample_once prof)))
+  in
+  let rows = rows @ [ sample ] in
   print_newline ();
   Zobs.Json.Obj
     (List.map
@@ -1764,50 +1491,16 @@ let run_alloc cfg =
        rows)
 
 (* ------------------------------------------------------------------ *)
-(* Profile: ledger overhead + the Figure-3 op audit (DESIGN.md §12)    *)
+(* Profile: the Figure-3 op audit (DESIGN.md §12)                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The "profile" section (overhead and audit rows) and the "ledger"
-   section (the audit run's per-phase op vector). *)
+(* The "profile" section (the audit rows) and the "ledger" section (the
+   audit run's per-phase op vector). *)
 let run_profile cfg =
-  banner "Zledger: instrumentation overhead and the op audit";
+  banner "Zledger: the op audit";
   let ctx = ctx_of cfg in
-  (* (1) Overhead: the multiexp commit arm with ledger counters off vs on.
-     Arms alternate and each side keeps its minimum over [reps], so
-     scheduler noise doesn't masquerade as instrumentation cost; the
-     sharded counters are a DLS read + unsynchronized int bump per op, so
-     the budget is < 3% (acceptance criterion). *)
-  let len = if cfg.quick then 96 else 512 in
-  let domains = min (Dompool.Pool.num_cores ()) 8 in
-  let grp = Zcrypto.Group.cached ~field_order:cfg.field ~p_bits:cfg.p_bits () in
-  let commit_once () =
-    let prg = Chacha.Prg.create ~seed:"ledger overhead" () in
-    let req, _vs = Commitment.Commit.commit_request ~domains ctx grp prg ~len in
-    let u =
-      Array.init len (fun i -> if i mod 7 = 0 then Fp.zero else Chacha.Prg.field ctx prg)
-    in
-    ignore (Commitment.Commit.prover_commit req u)
-  in
-  commit_once ();
-  let reps = if cfg.quick then 2 else 3 in
-  let t_off = ref infinity and t_on = ref infinity in
-  let was_on = Zobs.enabled () in
-  for _ = 1 to reps do
-    Zobs.disable ();
-    let (), t = time_thunk commit_once in
-    t_off := min !t_off t;
-    Zobs.enable ();
-    let (), t = time_thunk commit_once in
-    t_on := min !t_on t
-  done;
-  if not was_on then Zobs.disable ();
-  let overhead_ratio = !t_on /. !t_off in
-  Printf.printf
-    "commit arm (|u| = %d, %d domain(s)): ledger off %s, on %s — overhead %+.2f%%\n\n" len
-    domains (fmt_s !t_off) (fmt_s !t_on)
-    (100.0 *. (overhead_ratio -. 1.0));
-  (* (2) Op audit: a dedicated argument run, ledgered from a clean slate,
-     audited against the Figure-3 op-count model. Seeds are fixed, so the
+  (* A dedicated argument run, ledgered from a clean slate, audited
+     against the Figure-3 op-count model. Seeds are fixed, so the
      per-phase op vector is deterministic and baseline-comparable. *)
   Zobs.Ledger.reset ();
   let app = Apps.Registry.pam ~scale:cfg.scale in
@@ -1860,20 +1553,7 @@ let run_profile cfg =
       ]
   in
   [
-    ( "profile",
-      Zobs.Json.Obj
-        [
-          ( "overhead",
-            Zobs.Json.Obj
-              [
-                ("len", int len);
-                ("domains", int domains);
-                ("off_s", num !t_off);
-                ("on_s", num !t_on);
-                ("overhead_ratio", num overhead_ratio);
-              ] );
-          ("audit", Zobs.Json.Arr (List.map row_json rows));
-        ] );
+    ("profile", Zobs.Json.Obj [ ("audit", Zobs.Json.Arr (List.map row_json rows)) ]);
     ("ledger", Zobs.Ledger.phases_json ());
   ]
 
@@ -1909,32 +1589,27 @@ let section ?(gates = []) name key f = { name; run = (fun cfg -> [ (key, f cfg) 
    Karatsuba runs on packed slices and its leaves reduce straight into
    their slots, so a lazy product costs only its share of the packed
    operands and the boxed result (~60 words on the boxed recursion, 0.8
-   with a boxed residue per leaf coefficient). *)
+   with a boxed residue per leaf coefficient). The observability a served
+   session pays: a flight-recorder event allocates its entry and boxed
+   timestamp (8 words), and a profiler tick its folded key and one list
+   cell and pair per domain slot (41 words with a single slot). *)
 let alloc_ceilings =
   [ ("fp.mul", 8.0); ("fp.mul_lazy", 120.0); ("ntt.butterfly", 2.0); ("qap.prover_h", 12.0);
     ("poly.mul", 1.0); ("zwire.decode_el", 1.0); ("commit.prover_answer", 1.0); ("pcp.gen_queries", 4.0);
-    ("prg.field", 64.0); ("elgamal.encrypt", 2000.0); ("elgamal.hom_dot", 32.0) ]
+    ("prg.field", 64.0); ("elgamal.encrypt", 2000.0); ("elgamal.hom_dot", 32.0);
+    ("flight.record", 10.0); ("profiler.sample", 48.0) ]
 
 (* In "all" order, paper figures first (micro leads: later figures reuse
-   its measured constants). Gate rows: counts that are deterministic for
-   a fixed configuration are Exact; wall-clock values get the --drift
-   band, Drift_up where only a slowdown is a regression. *)
+   its measured constants). Gate rows hold deterministic facts only:
+   counts, bytes and flags are Exact under --baseline, words/op and the
+   op audit are checked in-run under --check-ledger. Seconds are printed
+   and recorded, never gated; zbench's interleaved runs measure time. *)
 let experiments =
   Gate.
     [
       report "micro" run_micro;
-      report "bechamel" run_bechamel;
       report "fig9" run_fig9;
-      (* --check-model gates only each total: the per-phase split
-         disagrees by construction (crypto_ops runs under a parallel
-         Dompool map where the model prices sequential work, and at small
-         scales constant factors swamp the model's asymptotic terms), and
-         the paper only validates totals. --baseline holds every phase's
-         delta to the committed one. *)
-      section "model" "model" run_model
-        ~gates:
-          (rows Model Band [ "model.apps.*.phases.total.delta" ]
-          @ rows Baseline Drift [ "model.apps.*.phases.*.delta" ]);
+      section "model" "model" run_model;
       report "fig4" run_fig4;
       report "fig5" run_fig5;
       report "fig7" run_fig7;
@@ -1950,30 +1625,15 @@ let experiments =
           (rows Baseline Exact
              [ "network.bytes_sent"; "network.bytes_recv"; "network.msgs";
                "network.per_phase.*.sent"; "network.per_phase.*.recv"; "network.per_phase.*.msgs" ]);
-      (* The warm-session construction count must stay 0. *)
-      section "farm" "farm" run_farm
-        ~gates:
-          (rows Baseline Exact
-             [ "farm.clients"; "farm.frames_per_session"; "farm.cache_hits"; "farm.cache_misses";
-               "farm.warm_qap_constructions" ]
-          @ rows Baseline Is_true [ "farm.transcripts_identical" ]
-          @ rows Baseline Drift [ "farm.speedup" ]);
-      (* An absolute band, not a drift band: the recorder and sampler must
-         cost at most (band-1) of the uninstrumented farm's sessions/sec
-         on every gated run. *)
-      section "obs-overhead" "obs_overhead" run_obs_overhead
-        ~gates:(rows Baseline (Ceiling obs_overhead_band) [ "obs_overhead.overhead_ratio" ]);
       section "lint" "lint" run_lint
         ~gates:
           (rows Baseline Exact
-             [ "lint.errors"; "lint.warnings"; "lint.info"; "lint.apps.*.findings"; "lint.apps.*.rows" ]
-          @ rows Baseline Drift_up [ "lint.apps.*.backend_s" ]);
+             [ "lint.errors"; "lint.warnings"; "lint.info"; "lint.apps.*.findings"; "lint.apps.*.rows" ]);
       section "exec" "exec" run_exec
         ~gates:
           (rows Baseline Exact
              [ "exec.fuzz.discrepancies"; "exec.apps.*.rows"; "exec.apps.*.pinned";
-               "exec.apps.*.defaulted" ]
-          @ rows Baseline Drift_up [ "exec.apps.*.interp_s" ]);
+               "exec.apps.*.defaulted"; "exec.apps.*.row_visits" ]);
       section "alloc" "alloc" run_alloc
         ~gates:
           (List.map

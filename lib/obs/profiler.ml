@@ -10,9 +10,9 @@
    Cost model: the mutators pay only the stacks-only span path (a DLS load
    and two conses per span); the sampler pays one hashtable upsert per
    non-idle domain per tick on its own domain. At the default 97 Hz that
-   is invisible next to a single field multiplication batch — the
-   obs-overhead bench experiment holds it (together with the flight
-   recorder) under 3% of farm sessions/sec. 97 rather than 100 so the
+   is invisible next to a single field multiplication batch; the bench
+   alloc experiment holds the words a tick allocates under a ceiling
+   (profiler.sample) in --check-ledger. 97 rather than 100 so the
    tick never phase-locks with millisecond-periodic work. *)
 
 type t = {

@@ -109,24 +109,13 @@ grep -q "sent and received bytes balance" "$tmp/wire.out" || { echo "wire bytes 
 grep -q '"network"' "$tmp/WIRE_run.json" || { echo "network section missing from summary" >&2; exit 1; }
 grep -q '"balanced":true' "$tmp/WIRE_run.json" || { echo "network balance not recorded" >&2; exit 1; }
 
-echo "== cost model gate (bench --check-model) =="
+echo "== cost model report smoke (bench model) =="
 # The model experiment records predicted vs. measured prover seconds per
-# phase into the summary; --check-model turns a total outside the band
-# into a non-zero exit. Run it once expecting a pass, once with an absurd
-# band expecting the breach to be fatal. Both are gated runs, so each
-# appends a history line: to a scratch file, never the tracked
-# BENCH_history.jsonl.
-dune exec bench/main.exe -- model --quick --check-model --json "$tmp/MODEL_run.json" \
-  --history "$tmp/model_history.jsonl" | tee "$tmp/model.out"
-grep -q "cost model check OK" "$tmp/model.out" || { echo "check-model did not report OK" >&2; exit 1; }
+# phase into the summary. Wall clock is reported, not gated: the
+# deterministic Figure-3 check is the op audit under --check-ledger below.
+dune exec bench/main.exe -- model --quick --json "$tmp/MODEL_run.json" | tee "$tmp/model.out"
 grep -q '"model"' "$tmp/MODEL_run.json" || { echo "model section missing from summary" >&2; exit 1; }
 grep -q '"delta"' "$tmp/MODEL_run.json" || { echo "model deltas missing from summary" >&2; exit 1; }
-if dune exec bench/main.exe -- model --quick --check-model --model-band 1000:1001 \
-    --json "$tmp/MODEL_fail.json" --history "$tmp/model_history.jsonl" > "$tmp/model_fail.out" 2>&1; then
-  echo "check-model did not exit non-zero on tolerance breach" >&2
-  exit 1
-fi
-grep -q "cost model breach" "$tmp/model_fail.out" || { echo "breach message missing" >&2; cat "$tmp/model_fail.out" >&2; exit 1; }
 
 echo "== ledger gate (bench --check-ledger) + history trend =="
 # The profile experiment ledgers a deterministic argument run and audits
@@ -139,10 +128,25 @@ grep -q -- "--check-ledger OK" "$tmp/ledger.out" || { echo "check-ledger did not
 grep -q "words/op under ceilings" "$tmp/ledger.out" || { echo "allocation gate did not run" >&2; exit 1; }
 grep -q '"ledger"' "$tmp/LEDGER_run.json" || { echo "ledger section missing from summary" >&2; exit 1; }
 grep -q '"alloc"' "$tmp/LEDGER_run.json" || { echo "alloc section missing from summary" >&2; exit 1; }
-grep -q '"overhead_ratio"' "$tmp/LEDGER_run.json" || { echo "instrumentation overhead not recorded" >&2; exit 1; }
+grep -q '"profiler.sample"' "$tmp/LEDGER_run.json" || { echo "profiler tick allocation not recorded" >&2; exit 1; }
 test -s "$tmp/history.jsonl" || { echo "gated run did not append to the history file" >&2; exit 1; }
 dune exec bench/main.exe -- --trend 5 --history "$tmp/history.jsonl" | tee "$tmp/trend.out"
 grep -q "gated run(s)" "$tmp/trend.out" || { echo "--trend did not print the history tail" >&2; exit 1; }
+
+echo "== baseline gate (bench --baseline, exact) =="
+# Every --baseline row is a deterministic count (wire bytes, lint
+# findings, exec solve stats, per-phase ledger ops), so the committed
+# full-config baseline must pass exactly. A --quick run against it must
+# fail on the config mismatch with exit 1.
+dune exec bench/main.exe -- wire lint exec profile --baseline BENCH_baseline.json \
+  --json "$tmp/BASE_run.json" --history "$tmp/base_history.jsonl" | tee "$tmp/base.out"
+grep -q "baseline check OK" "$tmp/base.out" || { echo "baseline gate did not report OK" >&2; exit 1; }
+rc=0
+dune exec bench/main.exe -- wire --quick --baseline BENCH_baseline.json \
+  --json "$tmp/BASE_fail.json" --history "$tmp/base_history.jsonl" > "$tmp/base_fail.out" 2>&1 || rc=$?
+[ "$rc" -eq 1 ] || { echo "baseline breach exited $rc (want 1)" >&2; cat "$tmp/base_fail.out" >&2; exit 1; }
+grep -q "^baseline: config.quick" "$tmp/base_fail.out" \
+  || { echo "baseline breach did not name config.quick" >&2; cat "$tmp/base_fail.out" >&2; exit 1; }
 
 echo "== ntt-vs-lagrange smoke (QAP backend differential) =="
 # Runs a benchmark app end to end under both QAP backends: the verdicts
