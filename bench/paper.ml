@@ -1466,9 +1466,9 @@ let run_alloc cfg =
   let rows = List.map measure kernels in
   (* One sampling-profiler tick over one fixed live stack: two frames
      pushed on this domain (stack only, so no span is recorded), none
-     open on any other. A tick walks a slot for every domain that ever
-     opened a span, live or not, so the row reports words per slot
-     walked; the slot count depends on what ran before. *)
+     open on any other. A tick walks a slot for every live domain that
+     has opened a span (an exiting domain drops its slot), so the row
+     reports words per slot walked. *)
   let sample =
     let prof = Zobs.Profiler.make () in
     Zobs.Span.with_stack_only ~name:"alloc" ~attrs:[] (fun () ->

@@ -558,24 +558,33 @@ module Vec = struct
       invalid_arg
         (Printf.sprintf "Fp.Vec.%s: slots [%d, %d+%d) outside a %d-slot vector" name i i len v.n)
 
-  (* The range check looks at the top limbs first: below p's top limb
-     (nearly every residue) settles it without a full comparison. *)
+  (* The width's generated slot decoder when it has one for w-byte
+     elements and the bytes are all there; else a loop whose range check
+     looks at the top limbs first: below p's top limb (nearly every
+     residue) settles it without a full comparison. *)
   let read_bytes_n ctx (v : t) i n b off w =
     check "read_bytes" v i n;
     let k = v.k in
-    let p_top = lget ctx.p_limbs (k - 1) in
-    let j = ref 0 and ok = ref true in
-    while !ok && !j < n do
-      let o = (i + !j) * k in
-      if
-        Limb.load_bytes b (off + (!j * w)) w v.buf o k
-        &&
-        let top = lget v.buf (o + k - 1) in
-        top < p_top || (top = p_top && Limb.cmp v.buf o ctx.p_limbs 0 k < 0)
-      then incr j
-      else ok := false
-    done;
-    !j
+    let fixed =
+      if off >= 0 && n * w <= Bytes.length b - off then Fixed.read_slots k w ctx.p_limbs v.buf (i * k) n b off
+      else -1
+    in
+    if fixed >= 0 then fixed
+    else begin
+      let p_top = lget ctx.p_limbs (k - 1) in
+      let j = ref 0 and ok = ref true in
+      while !ok && !j < n do
+        let o = (i + !j) * k in
+        if
+          Limb.load_bytes b (off + (!j * w)) w v.buf o k
+          &&
+          let top = lget v.buf (o + k - 1) in
+          top < p_top || (top = p_top && Limb.cmp v.buf o ctx.p_limbs 0 k < 0)
+        then incr j
+        else ok := false
+      done;
+      !j
+    end
 
   let write_bytes (v : t) i b off w =
     check "write_bytes" v i 1;
@@ -932,13 +941,16 @@ module Vec = struct
 
   (* Fused CT butterfly, tw in Montgomery form: t = data[j] * tw[ti] by
      one REDC; data[j] <- data[i] - t; data[i] <- data[i] + t. One counted
-     field mul, zero allocations. *)
+     field mul, zero allocations. The width's generated kernel keeps t in
+     locals; elsewhere it is parked in slot t. *)
   let butterfly ctx sc (data : t) i j (tw : t) ti =
     Zobs.Counter.incr ctx.cnt_mul;
     let k = sc.sk and o = slot_t and d = data.buf in
-    Montgomery.redc_into ctx.mont sc.ms sc.tmp o d (j * k) tw.buf (ti * k);
-    sub_slice sc d (j * k) d (i * k) sc.tmp o;
-    add_slice sc d (i * k) d (i * k) sc.tmp o
+    if not (Montgomery.butterfly_fixed ctx.mont d (i * k) (j * k) tw.buf (ti * k)) then begin
+      Montgomery.redc_into ctx.mont sc.ms sc.tmp o d (j * k) tw.buf (ti * k);
+      sub_slice sc d (j * k) d (i * k) sc.tmp o;
+      add_slice sc d (i * k) d (i * k) sc.tmp o
+    end
 
   (* Multiply every slot of [v] by slot [ci] of [c] (Montgomery form). *)
   let scale_all ctx sc (v : t) (c : t) ci =

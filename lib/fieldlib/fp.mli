@@ -251,7 +251,9 @@ module Vec : sig
   (** [butterfly ctx sc data i j tw ti]: the fused Cooley-Tukey step
       [t = data.(j) * w; data.(j) <- data.(i) - t;
       data.(i) <- data.(i) + t], slot [ti] of [tw] holding [w] in
-      Montgomery form. One REDC and one counted field mul, no allocation. *)
+      Montgomery form; [i] and [j] distinct, [tw] may be [data]. One REDC
+      and one counted field mul, no allocation; at k = 5 and 9 one
+      generated fused body (DESIGN.md §13). *)
 
   val scale_all : ctx -> scratch -> t -> t -> int -> unit
   (** Multiply every slot of the vector by the Montgomery-form slot [ci]

@@ -77,8 +77,9 @@ let scratch_for = domain_cache 8 (fun ctx -> { t = Array.make (ctx.k + 1) 0; r =
    multiplying and reducing in one sweep, 2k^2 + k multiply-adds on the
    (k+1)-limb accumulator. For b < p it stays below 2p, so one conditional
    subtraction finishes (its borrow out cancels a set top limb). Inputs are
-   consumed before [dst] is written, so [dst] may alias either. Uncounted. *)
-let redc_into ctx sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
+   consumed before [dst] is written, so [dst] may alias either. Uncounted.
+   The loop serves every width without a generated kernel. *)
+let redc_loop ctx sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
   let k = ctx.k and p = ctx.p_a and t = sc.t and p0' = ctx.p0' in
   (* a loop, not [Array.fill]: that is a C call per product *)
   for j = 0 to k do
@@ -112,6 +113,13 @@ let redc_into ctx sc (dst : Limb.a) dso (a : Limb.a) ao (b : Limb.a) bo =
     set dst (dso + j) (s land mask);
     borrow := s lsr 62
   done
+
+(* The same product by the width's straight-line kernel (fixed.ml,
+   generated by gen/gen_fixed.ml), one dispatch a call. *)
+let redc_into ctx sc dst dso a ao b bo =
+  if not (Fixed.cios ctx.k ctx.p_a ctx.p0' dst dso a ao b bo) then redc_loop ctx sc dst dso a ao b bo
+
+let butterfly_fixed ctx d io jo tw two = Fixed.butterfly ctx.k ctx.p_a ctx.p0' d io jo tw two
 
 let mul_into ctx sc dst dso a ao b bo =
   Zobs.Counter.incr c_mul;

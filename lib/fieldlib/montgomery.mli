@@ -39,7 +39,20 @@ val mul_into : ctx -> scratch -> Limb.a -> int -> Limb.a -> int -> Limb.a -> int
     alias either input slice. One counted [mont.mul], no allocation. *)
 
 val redc_into : ctx -> scratch -> Limb.a -> int -> Limb.a -> int -> Limb.a -> int -> unit
-(** {!mul_into} without the count, for {!Fp.Vec}, which counts [fp.mul]. *)
+(** {!mul_into} without the count, for {!Fp.Vec}, which counts [fp.mul].
+    At the limb widths with a generated straight-line kernel (k = 5 and
+    9, [gen/gen_fixed.ml]) it runs that kernel, elsewhere {!redc_loop}. *)
+
+val redc_loop : ctx -> scratch -> Limb.a -> int -> Limb.a -> int -> Limb.a -> int -> unit
+(** The CIOS loop of every width: {!redc_into} where no kernel is
+    generated, and the reference the kernels are tested against. *)
+
+val butterfly_fixed : ctx -> Limb.a -> int -> int -> Limb.a -> int -> bool
+(** [butterfly_fixed ctx d io jo tw two]: {!Fp.Vec.butterfly}'s step on
+    the k-limb slices of [d] at [io] and [jo] (distinct) with the
+    Montgomery-form twiddle at [two] of [tw], by the width's generated
+    fused kernel; [false], with nothing written, at a width without one.
+    Uncounted. *)
 
 val to_mont_slice : ctx -> scratch -> Limb.a -> int -> Limb.a -> int -> unit
 (** [to_mont_slice ctx sc dst dso src so]: [dst <- src * R mod p] (REDC

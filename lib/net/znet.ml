@@ -48,7 +48,7 @@ let string_of_sockaddr = function
   | Unix.ADDR_INET (a, p) -> Printf.sprintf "%s:%d" (Unix.string_of_inet_addr a) p
   | Unix.ADDR_UNIX p -> p
 
-type conn = { fd : Unix.file_descr; mutable peer : string }
+type conn = { fd : Unix.file_descr; peer : string }
 
 let of_fd fd = { fd; peer = "fd" }
 let peer conn = conn.peer

@@ -105,10 +105,11 @@ let max_events = 1_000_000
 let aggs : (string, float * float * int) Hashtbl.t = Hashtbl.create 32
 let gc_aggs : (string, gc_stat) Hashtbl.t = Hashtbl.create 32
 
-(* Live-stack registry: every domain that ever opens a span registers its
-   DLS stack ref here (once, from the DLS initializer), so the sampling
-   profiler's ticker domain can walk all open-span stacks without touching
-   the recording path. Reading another domain's ref is a benign race in
+(* Live-stack registry: every domain that opens a span registers its
+   DLS stack ref here (once, from the DLS initializer) and drops it when
+   it exits, so the sampling profiler's ticker domain can walk the open-
+   span stacks of the live domains without touching the recording path.
+   Reading another domain's ref is a benign race in
    the OCaml 5 memory model — a single-word read observes some previously
    stored list spine, and spines are immutable — so the sampler sees a
    recent consistent stack with zero synchronization cost on the mutator.
@@ -123,7 +124,18 @@ let stack_key : frame list ref Domain.DLS.key =
       Mutex.lock live_mu;
       Hashtbl.replace live tid r;
       Mutex.unlock live_mu;
+      Domain.at_exit (fun () ->
+          Mutex.lock live_mu;
+          Hashtbl.remove live tid;
+          Mutex.unlock live_mu);
       r)
+
+(* The domains the registry holds, by id. *)
+let live_domains () =
+  Mutex.lock live_mu;
+  let l = Hashtbl.fold (fun tid _ acc -> tid :: acc) live [] in
+  Mutex.unlock live_mu;
+  List.sort compare l
 
 (* One sample of every domain's open-span path, outermost first; domains
    with no open span are omitted. *)

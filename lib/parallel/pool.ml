@@ -10,18 +10,31 @@
 let num_cores () =
   match Domain.recommended_domain_count () with n when n > 0 -> n | _ -> 1
 
+(* Results go straight into the output array. It cannot exist before a
+   first result (no placeholder value of type 'b, and a float array is
+   flat), so the worker that finishes first creates it and publishes it
+   by compare-and-set; a worker that loses the race writes into the
+   winner's, and its own (at most one per domain) is garbage. *)
 let mapi ?(domains = 1) (f : int -> 'a -> 'b) (arr : 'a array) : 'b array =
   let n = Array.length arr in
   if domains <= 1 || n <= 1 then Array.mapi f arr
   else begin
     let nd = min domains n in
-    let results : 'b option array = Array.make n None in
+    let out : 'b array option Atomic.t = Atomic.make None in
     let next = Atomic.make 0 in
     let worker () =
       let rec go () =
         let i = Atomic.fetch_and_add next 1 in
         if i < n then begin
-          results.(i) <- Some (f i arr.(i));
+          let v = f i arr.(i) in
+          let a =
+            match Atomic.get out with
+            | Some a -> a
+            | None ->
+              let a = Array.make n v in
+              if Atomic.compare_and_set out None (Some a) then a else Option.get (Atomic.get out)
+          in
+          a.(i) <- v;
           go ()
         end
       in
@@ -33,13 +46,14 @@ let mapi ?(domains = 1) (f : int -> 'a -> 'b) (arr : 'a array) : 'b array =
        the domain exits, deterministically — so no [domains] count changes
        counter totals or drops worker-side tallies. The main domain's own
        worker call needs neither: its shards are read live and its GC is
-       already in the phase's delta. *)
+       already in the phase's delta. Joining orders every worker's writes
+       before the read of [out]. *)
     let spawned =
       Array.init (nd - 1) (fun _ -> Domain.spawn (fun () -> Zobs.Ledger.worker_scope worker))
     in
     worker ();
     Array.iter Domain.join spawned;
-    Array.map (function Some v -> v | None -> assert false) results
+    Option.get (Atomic.get out)
   end
 
 let map ?domains (f : 'a -> 'b) (arr : 'a array) : 'b array = mapi ?domains (fun _ x -> f x) arr

@@ -12,8 +12,14 @@ else
   echo "== format check skipped (ocamlformat not installed) =="
 fi
 
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== build =="
 dune build
+
+echo "== release build (the same warning bar, generated kernels included) =="
+dune build --profile release --build-dir "$tmp/release"
 
 echo "== tests =="
 dune runtest
@@ -85,8 +91,6 @@ dune exec bin/zaatar_cli.exe -- fuzz --seed 42 --count 50 \
   || { echo "differential fuzz campaign found discrepancies" >&2; exit 1; }
 
 echo "== bench smoke (summary JSON) =="
-tmp="$(mktemp -d)"
-trap 'rm -rf "$tmp"' EXIT
 dune exec bench/main.exe -- micro --quick --json "$tmp/BENCH_run.json" | tee "$tmp/bench.out"
 test -s "$tmp/BENCH_run.json" || { echo "BENCH_run.json missing or empty" >&2; exit 1; }
 grep -q "parsed back OK" "$tmp/bench.out" || { echo "summary did not parse back" >&2; exit 1; }

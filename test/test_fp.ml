@@ -281,3 +281,136 @@ let redc_tests =
   ]
 
 let suite = suite @ mont_tests @ redc_tests
+
+(* --- The generated fixed-width kernels (fixed.ml) against the CIOS loop --- *)
+
+(* The widths with a generated kernel: k = 5 (the PCP fields) and k = 9
+   (the served 256-bit group and bls12_381_fr). *)
+let fixed_moduli =
+  lazy
+    (let grp = Zcrypto.Group.cached ~field_order:Primes.p127 ~p_bits:256 () in
+     [
+       ("p127", Primes.p127); ("p127_ntt", Primes.p127_ntt); ("group p256", grp.Zcrypto.Group.p);
+       ("bls12_381_fr", Primes.bls12_381_fr);
+     ])
+
+(* Operands below p: 0, 1, p-1, seeded residues, and for two seeded a
+   the b with a b R^-1 = c mod p for c = 1, 2, 3. As a b > c R, those
+   reach c + p before the final subtraction; nearly all other products
+   stay below p. *)
+let redc_operands p ~seed =
+  let k = Nat.num_limbs p in
+  let ctx = Fp.create p in
+  let r = snd (Nat.divmod (Nat.shift_left Nat.one (31 * k)) p) in
+  let prg = Chacha.Prg.create ~seed:(Printf.sprintf "fixed redc %d" seed) () in
+  let rand = List.init 6 (fun _ -> Chacha.Prg.field ctx prg) in
+  let to_c a c = mulmod p (mulmod p r (Fp.inv ctx a)) (Nat.of_int c) in
+  let edge = [ Nat.zero; Nat.one; Nat.sub p Nat.one ] in
+  let sub_side = List.concat_map (fun a -> List.map (fun c -> (a, to_c a c)) [ 1; 2; 3 ]) (List.filteri (fun i _ -> i < 2) rand) in
+  (edge @ rand, sub_side)
+
+(* The CIOS sum before its final subtraction is a b R^-1 mod p, or that
+   plus p exactly when (a b R^-1 mod p) R < a b. *)
+let lands_past_p p rinv a b =
+  let x = Nat.mul a b in
+  Nat.compare (Nat.shift_left (mulmod p x rinv) (31 * Nat.num_limbs p)) x < 0
+
+let fixed_redc_law seed =
+  List.for_all
+    (fun (_, p) ->
+      let k = Nat.num_limbs p in
+      let m = Montgomery.create p in
+      let sc = Montgomery.scratch_for m in
+      let rinv = Fp.inv (Fp.create p) (snd (Nat.divmod (Nat.shift_left Nat.one (31 * k)) p)) in
+      let ops, sub_side = redc_operands p ~seed in
+      let pairs = List.concat_map (fun a -> List.map (fun b -> (a, b)) ops) ops @ sub_side in
+      (* both sides of the final subtraction are exercised *)
+      let past = List.filter (fun (a, b) -> lands_past_p p rinv a b) pairs in
+      let buf = Limb.create (6 * k) in
+      let slot i = i * k in
+      List.length past >= List.length sub_side
+      && List.length past < List.length pairs
+      && List.for_all
+           (fun (a, b) ->
+             let expect = mulmod p (Nat.mul a b) rinv in
+             Limb.of_nat a buf (slot 0) k;
+             Limb.of_nat b buf (slot 1) k;
+             Montgomery.redc_into m sc buf (slot 2) buf (slot 0) buf (slot 1);
+             Montgomery.redc_loop m sc buf (slot 3) buf (slot 0) buf (slot 1);
+             let same = Limb.cmp buf (slot 2) buf (slot 3) k = 0 in
+             (* dst aliasing a, then b, then both operands *)
+             Limb.blit buf (slot 0) buf (slot 4) k;
+             Montgomery.redc_into m sc buf (slot 4) buf (slot 4) buf (slot 1);
+             Limb.blit buf (slot 1) buf (slot 5) k;
+             Montgomery.redc_into m sc buf (slot 5) buf (slot 0) buf (slot 5);
+             let alias_ok = Limb.cmp buf (slot 4) buf (slot 2) k = 0 && Limb.cmp buf (slot 5) buf (slot 2) k = 0 in
+             Montgomery.redc_into m sc buf (slot 0) buf (slot 0) buf (slot 0);
+             same && alias_ok
+             && Nat.equal (Limb.to_nat buf (slot 2) k) expect
+             && Nat.equal (Limb.to_nat buf (slot 0) k) (mulmod p (Nat.mul a a) rinv))
+           pairs)
+    (Lazy.force fixed_moduli)
+
+(* Element [x] as [w] little-endian bytes at [off]; [None] is [nb] bytes
+   of all ones (zero-padded to [w]). *)
+let put_el b off w nb = function
+  | Some x -> Nat.to_bytes_sub x b off w
+  | None -> Bytes.fill b off nb '\255'
+
+(* [read_bytes_n] at the decoder's width w (16 bytes at k = 5, 32 at
+   k = 9) against the same elements at w + 1 bytes, which takes the
+   generic loop: the same count and the same limbs up to the slot it
+   stopped at. *)
+let slot_decoder_case fctx elems =
+  let w = Fp.num_bytes fctx and n = Array.length elems in
+  let read w =
+    let b = Bytes.make (n * w) '\000' in
+    Array.iteri (fun i x -> put_el b (i * w) w (Fp.num_bytes fctx) x) elems;
+    let v = Fp.Vec.create fctx n in
+    (Fp.Vec.read_bytes_n fctx v 0 n b 0 w, v)
+  in
+  let got, v = read w and gen, vg = read (w + 1) in
+  let expect =
+    let rec first i =
+      if i = n then n
+      else match elems.(i) with Some x when Nat.compare x (Fp.modulus fctx) < 0 -> first (i + 1) | _ -> i
+    in
+    first 0
+  in
+  got = expect && gen = expect
+  && List.for_all (fun i -> Nat.equal (Fp.Vec.get v i) (Fp.Vec.get vg i)) (List.init (min n (got + 1)) Fun.id)
+
+let fixed_tests =
+  [
+    qtest "generated REDC = the CIOS loop at k = 5/5/9/9: 0, 1, p-1, both sides of the final subtraction, dst aliasing"
+      4 QCheck.small_int fixed_redc_law;
+    Alcotest.test_case "slot decoder: accepts p-1, rejects p and all-ones, stops where the generic loop does" `Quick
+      (fun () ->
+        List.iter
+          (fun (label, p, w) ->
+            let fctx = Fp.create p in
+            Alcotest.(check int) (label ^ ": decoder width") w (Fp.num_bytes fctx);
+            let prg = Chacha.Prg.create ~seed:("slot decoder " ^ label) () in
+            let good = Array.init 7 (fun i ->
+                Some (match i with 0 -> Nat.sub p Nat.one | 1 -> Nat.zero | 2 -> Nat.one | _ -> Chacha.Prg.field fctx prg))
+            in
+            Alcotest.(check bool) (label ^ ": all in range") true (slot_decoder_case fctx good);
+            List.iter
+              (fun (bad_label, bad) ->
+                List.iter
+                  (fun at ->
+                    let elems = Array.copy good in
+                    elems.(at) <- bad;
+                    Alcotest.(check bool) (Printf.sprintf "%s: %s at %d" label bad_label at) true
+                      (slot_decoder_case fctx elems))
+                  [ 0; 3; 6 ])
+              [ ("p", Some p); ("p+1", Some (Nat.add_int p 1)); ("all-ones", None) ];
+            (* a byte span past the buffer is refused, as by the loop *)
+            let v = Fp.Vec.create fctx 2 in
+            Alcotest.(check bool) (label ^ ": short buffer raises") true
+              (try ignore (Fp.Vec.read_bytes_n fctx v 0 2 (Bytes.make ((2 * w) - 1) '\000') 0 w); false
+               with Invalid_argument _ -> true))
+          [ ("p127", Primes.p127, 16); ("p127_ntt", Primes.p127_ntt, 16); ("bls12_381_fr", Primes.bls12_381_fr, 32) ]);
+  ]
+
+let suite = suite @ fixed_tests

@@ -22,6 +22,34 @@ let mulmod fctx = Test_fp.mulmod (Fp.modulus fctx)
 
 let random_el prg = Chacha.Prg.field ctx prg
 
+let butterfly_fields =
+  [ Fp.create Primes.p61; ctx; Fp.create (Primes.p220 ()); Fp.create Primes.bls12_381_fr ]
+
+(* One butterfly on [x; y] with twiddle [w], the twiddle in its own
+   vector and then in slot 2 of the data vector itself. *)
+let butterfly_case fctx xs =
+  let sc = Fp.scratch_for fctx in
+  let expect_hi w x y = Fp.add fctx x (mulmod fctx w y) in
+  let expect_lo w x y = Fp.sub fctx x (mulmod fctx w y) in
+  (* twiddle in a separate vector, in Montgomery form *)
+  let v = Fp.Vec.of_array fctx [| xs.(0); xs.(1) |] in
+  let tw = Fp.Vec.create fctx 1 in
+  Fp.Vec.set_mont fctx tw 0 xs.(2);
+  Fp.Vec.butterfly fctx sc v 0 1 tw 0;
+  let sep_ok =
+    Fp.equal (Fp.Vec.get v 0) (expect_hi xs.(2) xs.(0) xs.(1))
+    && Fp.equal (Fp.Vec.get v 1) (expect_lo xs.(2) xs.(0) xs.(1))
+  in
+  (* twiddle slot living inside the data vector itself *)
+  let v2 = Fp.Vec.of_array fctx xs in
+  Fp.Vec.set_mont fctx v2 2 xs.(2);
+  let tw_limbs = Fp.Vec.get v2 2 in
+  Fp.Vec.butterfly fctx sc v2 0 1 v2 2;
+  sep_ok
+  && Fp.equal (Fp.Vec.get v2 0) (expect_hi xs.(2) xs.(0) xs.(1))
+  && Fp.equal (Fp.Vec.get v2 1) (expect_lo xs.(2) xs.(0) xs.(1))
+  && Fp.equal (Fp.Vec.get v2 2) tw_limbs
+
 let vec_tests =
   [
     qtest "Fp.Vec.mul/add/sub: every slot-aliasing pattern matches the Nat reference" 150 QCheck.small_int
@@ -47,29 +75,15 @@ let vec_tests =
         !ok);
     qtest "Fp.Vec.butterfly matches the Nat reference, twiddle aliasing included" 150
       QCheck.small_int (fun seed ->
-        let prg = prg_of seed "bfly" in
-        let sc = Fp.scratch_for ctx in
-        let xs = Array.init 3 (fun _ -> random_el prg) in
-        let expect_hi w x y = Fp.add ctx x (mulmod ctx w y) in
-        let expect_lo w x y = Fp.sub ctx x (mulmod ctx w y) in
-        (* twiddle in a separate vector, in Montgomery form *)
-        let v = Fp.Vec.of_array ctx [| xs.(0); xs.(1) |] in
-        let tw = Fp.Vec.create ctx 1 in
-        Fp.Vec.set_mont ctx tw 0 xs.(2);
-        Fp.Vec.butterfly ctx sc v 0 1 tw 0;
-        let sep_ok =
-          Fp.equal (Fp.Vec.get v 0) (expect_hi xs.(2) xs.(0) xs.(1))
-          && Fp.equal (Fp.Vec.get v 1) (expect_lo xs.(2) xs.(0) xs.(1))
-        in
-        (* twiddle slot living inside the data vector itself *)
-        let v2 = Fp.Vec.of_array ctx xs in
-        Fp.Vec.set_mont ctx v2 2 xs.(2);
-        let tw_limbs = Fp.Vec.get v2 2 in
-        Fp.Vec.butterfly ctx sc v2 0 1 v2 2;
-        sep_ok
-        && Fp.equal (Fp.Vec.get v2 0) (expect_hi xs.(2) xs.(0) xs.(1))
-        && Fp.equal (Fp.Vec.get v2 1) (expect_lo xs.(2) xs.(0) xs.(1))
-        && Fp.equal (Fp.Vec.get v2 2) tw_limbs);
+        (* k = 5 and 9 run the generated fused kernel, k = 2 and 8 the
+           REDC and slot add/sub; 0, 1 and p-1 in every position too *)
+        List.for_all
+          (fun fctx ->
+            let prg = prg_of seed "bfly" in
+            let edge = [ Fp.zero; Fp.one; Fp.neg fctx Fp.one ] in
+            let triples = List.concat_map (fun x -> List.concat_map (fun y -> List.map (fun w -> [| x; y; w |]) edge) edge) edge in
+            List.for_all (butterfly_case fctx) (Array.init 3 (fun _ -> Chacha.Prg.field fctx prg) :: triples))
+          butterfly_fields);
   ]
 
 (* ------------------------------------------------------------------ *)

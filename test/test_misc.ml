@@ -14,6 +14,20 @@ let pool_tests =
     Alcotest.test_case "pool on empty and singleton" `Quick (fun () ->
         Alcotest.(check (array int)) "empty" [||] (Dompool.Pool.map ~domains:4 (fun x -> x) [||]);
         Alcotest.(check (array int)) "one" [| 7 |] (Dompool.Pool.map ~domains:4 (fun x -> x) [| 7 |]));
+    Alcotest.test_case "pool mapi: domains 1, 2 and 4 give equal arrays" `Quick (fun () ->
+        let arr = Array.init 257 (fun i -> (i * 37) mod 101) in
+        let run d f = Dompool.Pool.mapi ~domains:d f arr in
+        List.iter
+          (fun d ->
+            Alcotest.(check (array int)) (Printf.sprintf "ints, %d domains" d) (run 1 (fun i x -> (i * 1000) + x))
+              (run d (fun i x -> (i * 1000) + x));
+            Alcotest.(check (array (float 0.))) (Printf.sprintf "floats, %d domains" d)
+              (run 1 (fun i x -> float_of_int (i - x) /. 3.))
+              (run d (fun i x -> float_of_int (i - x) /. 3.));
+            Alcotest.(check (array string)) (Printf.sprintf "strings, %d domains" d)
+              (run 1 (fun i x -> Printf.sprintf "%d:%d" i x))
+              (run d (fun i x -> Printf.sprintf "%d:%d" i x)))
+          [ 2; 4 ]);
     Alcotest.test_case "pool runs field work across domains" `Quick (fun () ->
         (* Shared immutable Fp context used from several domains. *)
         let ctx = Fp.create Primes.p127 in

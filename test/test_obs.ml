@@ -56,6 +56,28 @@ let counter_tests =
             let arr = Array.init 1000 (fun i -> i) in
             ignore (Dompool.Pool.map ~domains:4 (fun _ -> Zobs.Counter.incr c) arr);
             Alcotest.(check int) "1000 increments" 1000 (Zobs.Counter.value c)));
+    Alcotest.test_case "span registry drops exited domains: 50 four-domain maps, a span per task" `Quick
+      (fun () ->
+        with_tracing (fun () ->
+            Zobs.Span.with_ ~name:"test.main" ignore;
+            let before = Zobs.Span.live_domains () in
+            let self = (Domain.self () :> int) in
+            let seen = ref true in
+            for _ = 1 to 50 do
+              let inside =
+                Dompool.Pool.map ~domains:4
+                  (fun _ ->
+                    Zobs.Span.with_ ~name:"test.task" (fun () ->
+                        List.mem (Domain.self () :> int) (Zobs.Span.live_domains ())))
+                  (Array.make 8 ())
+              in
+              seen := !seen && Array.for_all Fun.id inside
+            done;
+            Alcotest.(check bool) "each task's domain registered while it ran" true !seen;
+            Alcotest.(check bool) "this domain is registered" true (List.mem self before);
+            (* a subset: a domain another suite left running may exit meanwhile *)
+            Alcotest.(check bool) "no worker's slot remains" true
+              (List.for_all (fun d -> List.mem d before) (Zobs.Span.live_domains ()))));
     Alcotest.test_case "instrumented field ops tick their counters" `Quick (fun () ->
         with_tracing (fun () ->
             let ctx = Fp.create Primes.p127 in
