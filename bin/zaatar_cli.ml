@@ -229,7 +229,13 @@ let protocol_args =
   let rho_lin = Arg.(value & opt pos_int_conv 5 & info [ "rho-lin" ] ~doc:"Linearity-test iterations (paper: 20).") in
   let pbits = Arg.(value & opt pos_int_conv 256 & info [ "pbits" ] ~doc:"ElGamal group size in bits (paper: 1024).") in
   let domains =
-    Arg.(value & opt pos_int_conv 1 & info [ "domains" ] ~doc:"Domains for the parallel commitment pipeline (transcripts are domain-count independent).")
+    Arg.(
+      value
+      & opt pos_int_conv (Dompool.Pool.num_cores ())
+      & info [ "domains" ] ~absent:"the core count"
+          ~doc:"Domains a batch's instances fan out over: the prover's witnesses, H vectors, \
+                commitments and answers, and the verifier's Enc(r) (transcripts are \
+                domain-count independent).")
   in
   let qap_backend =
     Arg.(

@@ -57,7 +57,7 @@ type config = {
   params : Pcp.Pcp_zaatar.params;
   p_bits : int; (* ElGamal group size *)
   strategy : strategy;
-  domains : int; (* Pool domains for the commitment pipeline (Enc(r), prover commits) *)
+  domains : int; (* Pool domains: Enc(r) and the prover's per-instance steps *)
   qap_backend : Qapb.backend; (* Auto picks NTT iff the field's 2-adicity allows *)
 }
 
@@ -80,14 +80,15 @@ type proof_parts = {
   claimed_output : Fp.el array;
 }
 
-let build_proof_parts ctx comp (qap : Qapb.t) strategy prg (x : Fp.el array) (pm : Metrics.t) :
-    proof_parts =
-  let w = Metrics.time pm "solve_constraints" (fun () -> comp.solve x) in
-  assert (Qapb.satisfied qap w);
+(* The proof vectors of one instance from its satisfying assignment [w].
+   [perturb] is Corrupt_witness's nonzero offset to z_1, drawn from the
+   transcript PRG by the caller (other strategies ignore it). Only
+   [prover_h] counts ops here. *)
+let proof_parts ctx comp (qap : Qapb.t) strategy ~perturb (w : Fp.el array) : proof_parts =
   let num_z = comp.r1cs.R1cs.num_z in
   match strategy with
   | Honest ->
-    let h = Metrics.time pm "construct_u" (fun () -> Qapb.prover_h qap w) in
+    let h = Qapb.prover_h qap w in
     let z = Array.sub w 1 num_z in
     {
       u_z = z;
@@ -99,7 +100,7 @@ let build_proof_parts ctx comp (qap : Qapb.t) strategy prg (x : Fp.el array) (pm
       claimed_output = outputs_of_w comp w;
     }
   | Wrong_output ->
-    let h = Metrics.time pm "construct_u" (fun () -> Qapb.prover_h qap w) in
+    let h = Qapb.prover_h qap w in
     let z = Array.sub w 1 num_z in
     let io = io_of_w comp w in
     let out = outputs_of_w comp w in
@@ -111,30 +112,48 @@ let build_proof_parts ctx comp (qap : Qapb.t) strategy prg (x : Fp.el array) (pm
       claimed_io = io'; claimed_output = out' }
   | Corrupt_witness ->
     let w' = Array.copy w in
-    w'.(1) <- Fp.add ctx w'.(1) (Chacha.Prg.field_nonzero ctx prg);
-    let h = Metrics.time pm "construct_u" (fun () -> Qapb.prover_h_forced qap w') in
+    w'.(1) <- Fp.add ctx w'.(1) perturb;
+    let h = Qapb.prover_h_forced qap w' in
     let z = Array.sub w' 1 num_z in
     { u_z = z; u_h = h; answer_u_z = z; answer_u_h = h; nonlinear = false;
       claimed_io = io_of_w comp w'; claimed_output = outputs_of_w comp w' }
   | Corrupt_h ->
-    let h = Metrics.time pm "construct_u" (fun () -> Qapb.prover_h qap w) in
+    let h = Qapb.prover_h qap w in
     let h' = Array.copy h in
     h'.(0) <- Fp.add ctx h'.(0) Fp.one;
     let z = Array.sub w 1 num_z in
     { u_z = z; u_h = h'; answer_u_z = z; answer_u_h = h'; nonlinear = false;
       claimed_io = io_of_w comp w; claimed_output = outputs_of_w comp w }
   | Equivocate ->
-    let h = Metrics.time pm "construct_u" (fun () -> Qapb.prover_h qap w) in
+    let h = Qapb.prover_h qap w in
     let z = Array.sub w 1 num_z in
     let z' = Array.copy z in
     if Array.length z' > 0 then z'.(0) <- Fp.add ctx z'.(0) Fp.one;
     { u_z = z; u_h = h; answer_u_z = z'; answer_u_h = h; nonlinear = false;
       claimed_io = io_of_w comp w; claimed_output = outputs_of_w comp w }
   | Nonlinear ->
-    let h = Metrics.time pm "construct_u" (fun () -> Qapb.prover_h qap w) in
+    let h = Qapb.prover_h qap w in
     let z = Array.sub w 1 num_z in
     { u_z = z; u_h = h; answer_u_z = z; answer_u_h = h; nonlinear = true;
       claimed_io = io_of_w comp w; claimed_output = outputs_of_w comp w }
+
+(* The honest oracle packs u once; it answers the queries (through the
+   cheat, if any) and the decommit vectors t. *)
+let answer ctx (q : Zwire.queries) (parts : proof_parts) : Zwire.instance_answers =
+  let base = Pcp.Oracle.honest ctx parts.answer_u_z parts.answer_u_h in
+  let oracle = if parts.nonlinear then Pcp.Oracle.nonlinear ctx base else base in
+  let responses =
+    Pcp.Pcp_zaatar.answer oracle
+      { Pcp.Pcp_zaatar.z_queries = q.Zwire.z_queries; h_queries = q.Zwire.h_queries; reps = [||] }
+  in
+  {
+    Zwire.claimed_io = parts.claimed_io;
+    claimed_output = parts.claimed_output;
+    z_resp = responses.Pcp.Pcp_zaatar.z_resp;
+    h_resp = responses.Pcp.Pcp_zaatar.h_resp;
+    a_t_z = base.Pcp.Oracle.query_z (Fp.Rows.of_vec q.Zwire.t_z) 0;
+    a_t_h = base.Pcp.Oracle.query_h (Fp.Rows.of_vec q.Zwire.t_h) 0;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Sessions: the protocol as two message-driven state machines          *)
@@ -381,11 +400,31 @@ module Prover_session = struct
             | Some f -> f h.Zwire.digest comp
             | None -> Qapb.of_r1cs ~backend:t.config.qap_backend comp.r1cs
           in
-          (* Sequential on purpose: proof parts consume the transcript PRG
-             (cheating strategies draw perturbations from it). *)
+          (* The batch's instances are independent, so every prover step
+             fans them out over the Pool domains (§5.2): here the witnesses,
+             then H. Corrupt_witness's perturbations come from the
+             transcript PRG, so they are drawn between the two maps, in
+             instance order. The witness check belongs to neither phase. *)
+          let domains = t.config.domains in
+          let ws =
+            Metrics.time t.pm "solve_constraints" (fun () ->
+                Dompool.Pool.map ~domains comp.solve h.Zwire.inputs)
+          in
+          ignore (Dompool.Pool.map ~domains (fun w -> assert (Qapb.satisfied qap w)) ws);
+          let perturb =
+            Array.map
+              (fun _ ->
+                match t.config.strategy with
+                | Corrupt_witness -> Chacha.Prg.field_nonzero ctx t.prg
+                | _ -> Fp.zero)
+              ws
+          in
           let parts =
-            Array.map (fun x -> build_proof_parts ctx comp qap t.config.strategy t.prg x t.pm)
-              h.Zwire.inputs
+            Metrics.time t.pm "construct_u" (fun () ->
+                Qapb.force_shared qap;
+                Dompool.Pool.mapi ~domains
+                  (fun i w -> proof_parts ctx comp qap t.config.strategy ~perturb:perturb.(i) w)
+                  ws)
           in
           t.codec <- Some (Zwire.codec ctx);
           t.state <- Expect_commit_request { comp; ctx; qap; parts };
@@ -434,31 +473,8 @@ module Prover_session = struct
       if not (fits q.Zwire.h_queries q.Zwire.t_h h_len) then
         session_error "h-queries must have %d entries" h_len;
       let answers =
-        Array.map
-          (fun (parts : proof_parts) ->
-            (* The honest oracle packs u once; it answers the queries (through
-               the cheat, if any) and the decommit vectors t. *)
-            let base = Pcp.Oracle.honest ctx parts.answer_u_z parts.answer_u_h in
-            let oracle = if parts.nonlinear then Pcp.Oracle.nonlinear ctx base else base in
-            let responses =
-              Metrics.time t.pm "answer_queries" (fun () ->
-                  Pcp.Pcp_zaatar.answer oracle
-                    {
-                      Pcp.Pcp_zaatar.z_queries = q.Zwire.z_queries;
-                      h_queries = q.Zwire.h_queries;
-                      reps = [||];
-                    })
-            in
-            Metrics.time t.pm "answer_queries" (fun () ->
-                {
-                  Zwire.claimed_io = parts.claimed_io;
-                  claimed_output = parts.claimed_output;
-                  z_resp = responses.Pcp.Pcp_zaatar.z_resp;
-                  h_resp = responses.Pcp.Pcp_zaatar.h_resp;
-                  a_t_z = base.Pcp.Oracle.query_z (Fp.Rows.of_vec q.Zwire.t_z) 0;
-                  a_t_h = base.Pcp.Oracle.query_h (Fp.Rows.of_vec q.Zwire.t_h) 0;
-                }))
-          r.parts
+        Metrics.time t.pm "answer_queries" (fun () ->
+            Dompool.Pool.map ~domains:t.config.domains (answer ctx q) r.parts)
       in
       t.state <- Expect_verdicts;
       `Send (Zwire.Answers answers)

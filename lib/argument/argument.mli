@@ -49,9 +49,10 @@ type config = {
   p_bits : int; (** ElGamal group size *)
   strategy : strategy;
   domains : int;
-      (** Pool domains for the commitment pipeline: Enc(r) generation and
-          the per-instance prover commitments. Transcripts are identical
-          for every domain count (randomness is pre-drawn sequentially). *)
+      (** Pool domains: the verifier's Enc(r) generation, and the
+          prover's per-instance witnesses, H vectors, commitments and
+          answers. Transcripts are identical for every domain count
+          (randomness is pre-drawn sequentially). *)
   qap_backend : Qapb.backend;
       (** QAP construction: [Auto] (the default) takes the NTT prover path
           whenever the field's 2-adicity covers the constraint count and

@@ -6,10 +6,9 @@
    costs the whole service a second. Here one event loop multiplexes many
    in-flight Prover_session state machines over select/nonblocking
    sockets — a session only occupies the CPU while a complete frame of its
-   is being processed — and ready frames are grouped by computation digest
-   and fanned out over the Pool domain workers, so same-program instances
-   batch across connections exactly as the paper batches them within one
-   verifier.
+   is being processed. Ready sessions compute one after another; within
+   one, the batch's instances fan out over the Pool domains, as the paper
+   parallelizes a batch (§5.2).
 
    Setup amortization across users: the compiled QAP (subproduct tree,
    middle-product kernel, NTT twiddle plans) is a pure function of the
@@ -112,7 +111,7 @@ type session = {
   sid : int;
   outq : (bytes * int ref) Queue.t;  (* framed bytes, write offset *)
   flight : Zobs.Flight.t option;  (* per-session event ring; None when disabled *)
-  mutable digest : string;  (* batching key once the Hello named it *)
+  mutable digest : string;  (* the computation, once the Hello named it *)
   mutable trace_id : string;  (* the id this session's Hello carried *)
   mutable deadline : float;
   mutable closing : [ `No | `Ok | `Err of string ];
@@ -350,10 +349,9 @@ let serve ?(config = default) ?(stats = Svcstats.create ()) ~lookup ?(seed = "za
       (match e with Znet.Timeout _ -> Svcstats.record_timeout stats | _ -> ());
       fail_session s (Znet.error_to_string e)
   in
-  (* Run one session's queued frames through its state machine. Runs on a
-     Pool worker: everything it touches is session-local (or the shared
-     read-only cached QAP), and outcomes are applied back on the loop. *)
-  let compute (s : session) : session * job_out =
+  (* Run one session's queued frames through its state machine; the
+     outcome is applied by [apply_job]. *)
+  let compute (s : session) : job_out =
     let replies = ref [] in
     let enqueue reply =
       let b = Zwire.encode ?codec:(Argument.Prover_session.codec s.ps) reply in
@@ -405,10 +403,8 @@ let serve ?(config = default) ?(stats = Svcstats.create ()) ~lookup ?(seed = "za
           { j_replies = List.rev !replies; j_final = `Done_err m; j_decode_err = false })
     in
     (* Ledger op deltas over this frame batch, recorded to the flight ring.
-       The counters are process-wide merged views, so under concurrent
-       same-phase batches a delta can include a neighbour's ops — exact
-       when one session computes at a time, indicative otherwise. Only
-       live when tracing is on (the counters are gated). *)
+       Sessions compute one at a time, so the delta is this session's own.
+       Only live when tracing is on (the counters are gated). *)
     let ops0 = if Zobs.enabled () then Some (Zobs.Ledger.snapshot ()) else None in
     let out = go s.inbox in
     (match ops0 with
@@ -417,9 +413,9 @@ let serve ?(config = default) ?(stats = Svcstats.create ()) ~lookup ?(seed = "za
       let nz = List.filter (fun (_, v) -> v <> 0) (Zobs.Ledger.ops_to_list d) in
       if nz <> [] then frec s (Zobs.Flight.Ledger_delta nz)
     | None -> ());
-    (s, out)
+    out
   in
-  let apply_job (s, out) =
+  let apply_job s out =
     s.inbox <- [];
     List.iter (fun b -> Queue.add (b, ref 0) s.outq) out.j_replies;
     if out.j_decode_err then Svcstats.record_decode_error stats;
@@ -429,31 +425,12 @@ let serve ?(config = default) ?(stats = Svcstats.create ()) ~lookup ?(seed = "za
     | `Done_err m -> fail_session s m);
     flush s
   in
-  (* Cross-connection batching: ready sessions grouped by digest, each
-     group fanned out over the Pool domains in one map. *)
+  (* Ready sessions compute one at a time, in sid order; each fans its
+     batch's instances out over the Pool domains. *)
   let compute_pass () =
-    let ready =
-      Hashtbl.fold (fun _ s acc -> if s.inbox <> [] then s :: acc else acc) sessions []
-      |> List.sort (fun a b -> compare a.sid b.sid)
-    in
-    if ready <> [] then begin
-      let groups : (string, session list ref) Hashtbl.t = Hashtbl.create 4 in
-      let order = ref [] in
-      List.iter
-        (fun s ->
-          match Hashtbl.find_opt groups s.digest with
-          | Some l -> l := s :: !l
-          | None ->
-            Hashtbl.replace groups s.digest (ref [ s ]);
-            order := s.digest :: !order)
-        ready;
-      List.iter
-        (fun d ->
-          let group = Array.of_list (List.rev !(Hashtbl.find groups d)) in
-          Dompool.Pool.map ~domains:config.arg_config.Argument.domains compute group
-          |> Array.iter apply_job)
-        (List.rev !order)
-    end
+    Hashtbl.fold (fun _ s acc -> if s.inbox <> [] then s :: acc else acc) sessions []
+    |> List.sort (fun a b -> compare a.sid b.sid)
+    |> List.iter (fun s -> apply_job s (compute s))
   in
   let session_slots_free () = Hashtbl.length sessions < config.max_sessions in
   let promote_parked () =
@@ -517,7 +494,8 @@ let serve ?(config = default) ?(stats = Svcstats.create ()) ~lookup ?(seed = "za
       Hashtbl.iter (fun _ s -> Znet.close s.conn) sessions;
       Queue.iter (fun (c, _) -> Znet.close c) parked;
       Znet.close_server srv;
-      match metrics with Some m -> Znet.Metrics_http.stop m | None -> ())
+      (match metrics with Some m -> Znet.Metrics_http.stop m | None -> ());
+      Dompool.Pool.shutdown ())
     (fun () ->
       Atomic.set live true;
       while not (done_serving ()) do

@@ -3,17 +3,19 @@
    cell reached through domain-local storage, so the per-op hot path is an
    unsynchronized load/store with no cache-line contention across Pool
    workers; [value] merges the cells deterministically, summing shards in
-   ascending domain-id order on top of the flushed base. A Pool worker folds
-   its cells into the base via [Registry.flush_domain] before its domain
-   exits, so worker-side tallies survive the domain and the shard list stays
-   bounded. The [Registry.on] check keeps the disabled path to one atomic
-   load, as before. *)
+   ascending domain-id order on top of the folded base. A Pool worker folds
+   its cells into the base at the end of every job
+   ([Registry.flush_domain]) and keeps them attached for the next one; a
+   domain that exits folds and detaches them, so its tallies survive it
+   and the shard list stays bounded by the live domains. The
+   [Registry.on] check keeps the disabled path to one atomic load, as
+   before. *)
 
 type shard = { cell : int ref; mutable attached : bool }
 
 type t = {
   name : string;
-  base : int Atomic.t; (* tallies folded in from flushed (exited) domains *)
+  base : int Atomic.t; (* tallies folded in from cells *)
   mu : Mutex.t;
   shards : (int * shard) list ref; (* live (domain id, cell) pairs *)
   key : shard Domain.DLS.key;
@@ -23,7 +25,24 @@ let make name =
   let mu = Mutex.create () in
   let shards = ref [] in
   let base = Atomic.make 0 in
-  let key = Domain.DLS.new_key (fun () -> { cell = ref 0; attached = false }) in
+  (* Move a cell's tally into the base, on the cell's own domain. *)
+  let fold ~detach s =
+    Mutex.lock mu;
+    Atomic.set base (Atomic.get base + !(s.cell));
+    s.cell := 0;
+    if detach then begin
+      let id = (Domain.self () :> int) in
+      s.attached <- false;
+      shards := List.filter (fun (i, _) -> i <> id) !shards
+    end;
+    Mutex.unlock mu
+  in
+  let key =
+    Domain.DLS.new_key (fun () ->
+        let s = { cell = ref 0; attached = false } in
+        Domain.at_exit (fun () -> if s.attached then fold ~detach:true s);
+        s)
+  in
   let merged () =
     Mutex.lock mu;
     let l = List.sort (fun (a, _) (b, _) -> compare a b) !shards in
@@ -37,19 +56,9 @@ let make name =
     List.iter (fun (_, s) -> s.cell := 0) !shards;
     Mutex.unlock mu
   in
-  (* Fold the calling domain's cell into the base and detach it: the next
-     increment on this domain (if any) re-attaches the same DLS cell. *)
   let flush () =
     let s = Domain.DLS.get key in
-    if s.attached then begin
-      Mutex.lock mu;
-      let id = (Domain.self () :> int) in
-      Atomic.set base (Atomic.get base + !(s.cell));
-      s.cell := 0;
-      s.attached <- false;
-      shards := List.filter (fun (i, _) -> i <> id) !shards;
-      Mutex.unlock mu
-    end
+    if s.attached then fold ~detach:false s
   in
   Registry.register_counter name merged reset;
   Registry.register_flusher flush;

@@ -7,10 +7,9 @@
    things it did are already in memory, ready to dump as a Chrome-trace
    sidecar (Perfetto/trace-merge compatible) plus a JSONL forensic bundle.
 
-   Concurrency: a recorder is written either from the farm's event loop or
-   from the Pool worker currently computing that session's frames — never
-   both at once (Pool.map is a synchronous barrier), so no lock is taken
-   on the record path. Readers (dumps) run on the loop after the session
+   Concurrency: a recorder is written only from the farm's event loop
+   (sessions compute on it, one at a time), so no lock is taken on the
+   record path. Readers (dumps) run on the loop after the session
    closed. *)
 
 type kind =

@@ -31,10 +31,10 @@
    per-phase table. Phases are sequential on the calling domain and every
    [Pool] fan-out joins inside its phase, so the merged op deltas are
    exact under any [--domains] count. The word counts are the calling
-   domain's own ([Gc.counters]); a worker's words reach the phase once,
-   through [worker_scope], which Pool workers run in, and no other live
-   domain's (a profiler ticker, a metrics server) reach it at all. The
-   collection and compaction counts are process-wide. *)
+   domain's own ([Gc.counters]); a worker's words reach the phase once per
+   job, through [worker_scope], which Pool workers run each job in, and no
+   other live domain's (a profiler ticker, a metrics server) reach it at
+   all. The collection and compaction counts are process-wide. *)
 
 type ops = { e : int; d : int; h : int; f : int; f_lazy : int; f_div : int; c : int; butterfly : int }
 
@@ -91,15 +91,10 @@ type phase = { ops : ops; gc : Span.gc_stat; seconds : float; calls : int }
 let mu = Mutex.create ()
 let table : (string, phase) Hashtbl.t = Hashtbl.create 16
 
-(* GC deltas reported by worker domains (Pool): accumulated here and folded
-   into whichever phase is open on the spawning domain when the workers
-   join — fan-outs always join inside their phase. *)
+(* GC deltas reported by Pool workers: accumulated here and folded into
+   whichever phase is open on the caller when its map returns — a map
+   always returns inside its phase. *)
 let worker_gc = ref Span.gc_zero
-
-let note_worker_gc g =
-  Mutex.lock mu;
-  worker_gc := Span.gc_add !worker_gc g;
-  Mutex.unlock mu
 
 let read_worker_gc () =
   Mutex.lock mu;
@@ -107,22 +102,26 @@ let read_worker_gc () =
   Mutex.unlock mu;
   g
 
-(* Wrap a Pool worker's whole run: account the worker domain's words to
-   the enclosing phase and fold its counter shards into the shared base
-   before the domain exits (Registry.flush_domain), so worker-side tallies
-   are never dropped and the shard lists stay bounded. Its collection
-   counts are left out: the phase's own reading, process-wide, already
-   holds them. *)
+(* A Pool worker's share of one job: note the words it allocated for the
+   caller's open phase, and fold its counter shards into the shared base
+   (Registry.flush_domain), both before the caller can return. The
+   readings bracket the job so that their own allocation stays outside
+   it; its collection counts are left out, as the phase's own reading,
+   process-wide, already holds them. [f] must not raise. *)
 let worker_scope f =
   if not (Registry.on ()) then f ()
   else begin
-    let g0 = Span.gc_now () in
-    let finish () =
-      let g = Span.gc_delta g0 (Span.gc_now ()) in
-      note_worker_gc { g with Span.minor_collections = 0; major_collections = 0; compactions = 0 };
-      Registry.flush_domain ()
-    in
-    Fun.protect ~finally:finish f
+    let _, pr0, ma0 = Gc.counters () in
+    let mi0 = Gc.minor_words () in
+    f ();
+    let mi1 = Gc.minor_words () in
+    let _, pr1, ma1 = Gc.counters () in
+    Mutex.lock mu;
+    worker_gc :=
+      Span.gc_add !worker_gc
+        { Span.gc_zero with minor_words = mi1 -. mi0; major_words = ma1 -. ma0; promoted_words = pr1 -. pr0 };
+    Mutex.unlock mu;
+    Registry.flush_domain ()
   end
 
 let accumulate name ~ops ~gc ~seconds =

@@ -72,8 +72,8 @@ let counter_value name =
   match r with Some (_, read, _) -> read () | None -> 0
 
 (* Per-domain flush hooks: sharded counters register one so a Pool worker
-   can fold its domain-local cells into the shared base before the domain
-   exits. Called on the worker's own domain. *)
+   can fold its domain-local cells into the shared base at the end of a
+   job. Called on the worker's own domain. *)
 let flushers : (unit -> unit) list ref = ref []
 
 let register_flusher f =

@@ -75,11 +75,15 @@ let h_len = function L q -> q.Qap.nc + 1 | N q -> q.Qap_ntt.n
 (* Force one-time lazy structure (the packed subproduct tree, the
    middle-product kernel and node factors, the compiled rows, twiddle
    plans) so timed sections measure steady-state prover work. *)
-let prewarm = function
+let force_shared = function
   | L q ->
     ignore (Lazy.force q.Qap.deriv);
     ignore (Lazy.force q.Qap.interp);
     ignore (Lazy.force q.Qap.rows)
+  | N _ -> ()
+
+let prewarm = function
+  | L _ as t -> force_shared t
   | N q ->
     Polylib.Ntt.prewarm q.Qap_ntt.ntt q.Qap_ntt.log_n;
     Polylib.Ntt.prewarm q.Qap_ntt.ntt (q.Qap_ntt.log_n + 1)

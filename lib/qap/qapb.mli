@@ -49,6 +49,12 @@ val prewarm : t -> unit
     subproduct tree, middle-product kernel and compiled rows; twiddle plans)
     so a timed section measures steady-state prover work. *)
 
+val force_shared : t -> unit
+(** Force the lazy structure {!prover_h} reads, and nothing else, so that
+    it can run on several domains at once (a lazy forced from two domains
+    raises [Lazy.Undefined]). A no-op on the NTT backend, whose twiddle
+    plans are built under a lock. *)
+
 val satisfied : t -> Fp.el array -> bool
 (** [R1cs.satisfied] of the system: on the NTT backend by the compiled
     sparse rows ({!Qap_ntt.satisfied}), with the same verdict and count. *)

@@ -343,10 +343,11 @@ wait "$farm_pid" 2>/dev/null || farm_rc=$?
 
 echo "== farm smoke on two domains (Lagrange prover) =="
 # The same payroll farm over the default Mersenne field, where the prover
-# takes the Lagrange QAP, with --domains 2: same-digest Hellos that arrive
-# together are proved in one Dompool map, so the Karatsuba leaves run on
-# two domains at once, each on its own scratch. Four concurrent clients
-# must all verify.
+# takes the Lagrange QAP, with --domains 2: each client sends a beta = 4
+# batch, whose witnesses, H vectors, commitments and answers the prover
+# fans out over the pool, so the Karatsuba leaves run on two domains at
+# once, each on its own scratch. Four concurrent clients must verify all
+# four instances each.
 : > "$tmp/farm2.log"
 "$zcli" serve examples/payroll.zl --listen 127.0.0.1:0 --domains 2 > "$tmp/farm2.log" 2>&1 &
 farm2_pid=$!
@@ -360,7 +361,8 @@ done
 [ -n "$f2addr" ] || { echo "two-domain farm never reported its address:" >&2; cat "$tmp/farm2.log" >&2; kill "$farm2_pid" 2>/dev/null || true; exit 1; }
 client_pids=""
 for i in $(seq 1 4); do
-  "$zcli" run examples/payroll.zl -i 38,45,40,52,31 --connect "$f2addr" \
+  "$zcli" run examples/payroll.zl -i 38,45,40,52,31 -i 40,40,40,40,40 \
+    -i 12,60,33,47,50 -i 55,20,38,41,44 --connect "$f2addr" \
     > "$tmp/farm2_client_$i.out" 2>&1 &
   client_pids="$client_pids $!"
 done
@@ -369,8 +371,8 @@ for pid in $client_pids; do
   wait "$pid" || client_rc=$?
 done
 for i in $(seq 1 4); do
-  grep -q "verified" "$tmp/farm2_client_$i.out" || {
-    echo "two-domain farm client $i did not verify:" >&2
+  [ "$(grep -c "verified$" "$tmp/farm2_client_$i.out")" -eq 4 ] || {
+    echo "two-domain farm client $i did not verify four instances:" >&2
     cat "$tmp/farm2_client_$i.out" >&2
     echo "server log:" >&2; cat "$tmp/farm2.log" >&2
     kill "$farm2_pid" 2>/dev/null || true

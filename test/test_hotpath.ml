@@ -513,13 +513,10 @@ let e2e_tests =
    p127 (2-adicity 1), so both configurations below must reproduce the
    seed transcripts exactly. *)
 
-let transcript_digest backend name src raw_inputs =
-  let ctx = Fp.create Primes.p127 in
-  let compiled = Zlang.Compile.compile ~ctx src in
-  let comp = Apps.Glue.computation_of compiled in
-  let prg = Chacha.Prg.create ~seed:("transcript " ^ name) () in
-  let inputs = [| Apps.Glue.field_inputs ctx raw_inputs |] in
-  let config = { (config backend) with Argument.strategy = Argument.Honest } in
+(* One loopback session, every frame through the codec; [frame dir b]
+   sees each encoded frame, [`V] from the verifier and [`P] from the
+   prover. *)
+let drive_session ~config comp ~prg ~inputs ~frame =
   let vs = Argument.Verifier_session.create ~config comp ~prg ~inputs in
   let d = Argument.digest comp in
   let ps =
@@ -528,18 +525,14 @@ let transcript_digest backend name src raw_inputs =
       ~prg ()
   in
   let vcodec = Argument.Verifier_session.codec vs in
-  let acc = Buffer.create 4096 in
-  let nmsg = ref 0 in
   let v_to_p m =
     let b = Zwire.encode ~codec:vcodec m in
-    Buffer.add_string acc (Bytes.to_string b);
-    incr nmsg;
+    frame `V b;
     Zwire.decode ?codec:(Argument.Prover_session.codec ps) b
   in
   let p_to_v m =
     let b = Zwire.encode ?codec:(Argument.Prover_session.codec ps) m in
-    Buffer.add_string acc (Bytes.to_string b);
-    incr nmsg;
+    frame `P b;
     Zwire.decode ~codec:vcodec b
   in
   let rec pump m =
@@ -555,7 +548,22 @@ let transcript_digest backend name src raw_inputs =
       | `Finished None -> ())
   in
   pump (Argument.Verifier_session.initial vs);
-  let r = Argument.Verifier_session.result ~prover:(Argument.Prover_session.metrics ps) vs in
+  Argument.Verifier_session.result ~prover:(Argument.Prover_session.metrics ps) vs
+
+let transcript_digest backend name src raw_inputs =
+  let ctx = Fp.create Primes.p127 in
+  let compiled = Zlang.Compile.compile ~ctx src in
+  let comp = Apps.Glue.computation_of compiled in
+  let prg = Chacha.Prg.create ~seed:("transcript " ^ name) () in
+  let inputs = [| Apps.Glue.field_inputs ctx raw_inputs |] in
+  let config = { (config backend) with Argument.strategy = Argument.Honest } in
+  let acc = Buffer.create 4096 in
+  let nmsg = ref 0 in
+  let frame _ b =
+    Buffer.add_string acc (Bytes.to_string b);
+    incr nmsg
+  in
+  let r = drive_session ~config comp ~prg ~inputs ~frame in
   Alcotest.(check bool) (name ^ " accepts") true (Argument.all_accepted r);
   (!nmsg, Buffer.length acc, Digest.to_hex (Digest.string (Buffer.contents acc)))
 
@@ -657,6 +665,47 @@ let lagrange_domain_test =
           Alcotest.(check bool) (Printf.sprintf "H on %d domains" domains) true (Array.for_all2 h_equal serial par))
         [ 1; 2; 4 ])
 
+(* Every prover step fans a batch's instances out over the Pool, so a
+   beta = 4 session must send the same Hello_ok, Commitments and Answers
+   frames, and reach the same verdicts, on 1, 2 and 4 domains, for the
+   honest prover and every cheat (Corrupt_witness draws from the
+   transcript PRG between the Hello's two maps). *)
+let session_domains_test =
+  Alcotest.test_case "beta = 4 sessions are byte-identical on 1, 2 and 4 domains, every strategy" `Slow
+    (fun () ->
+      let app = Apps.Registry.lcs ~scale:1 in
+      List.iter
+        (fun (fname, prime) ->
+          let ctx = Fp.create prime in
+          let comp = Apps.Glue.computation_of (Apps.Glue.compile ctx app) in
+          let iprg = Chacha.Prg.create ~seed:("session domains " ^ fname) () in
+          let inputs = Array.init 4 (fun _ -> Apps.Glue.field_inputs ctx (app.Apps.App_def.gen_inputs iprg)) in
+          List.iter
+            (fun (sname, strategy) ->
+              let run domains =
+                let config = { (config Qapb.Auto) with Argument.strategy; domains } in
+                let prg = Chacha.Prg.create ~seed:("session " ^ sname) () in
+                let frames = ref [] in
+                let frame dir b = if dir = `P then frames := Bytes.to_string b :: !frames in
+                let r = drive_session ~config comp ~prg ~inputs ~frame in
+                (List.rev !frames, Array.map (fun (i : Argument.instance_result) -> i.Argument.accepted) r.Argument.instances)
+              in
+              let frames1, verdicts1 = run 1 in
+              Alcotest.(check int) (fname ^ " " ^ sname ^ ": Hello_ok, Commitments, Answers") 3 (List.length frames1);
+              Alcotest.(check bool) (fname ^ " " ^ sname ^ ": verdicts") (strategy = Argument.Honest)
+                (Array.for_all Fun.id verdicts1);
+              List.iter
+                (fun domains ->
+                  let frames, verdicts = run domains in
+                  let label = Printf.sprintf "%s %s, %d domains" fname sname domains in
+                  Alcotest.(check (list string)) (label ^ ": frames") frames1 frames;
+                  Alcotest.(check (array bool)) (label ^ ": verdicts") verdicts1 verdicts)
+                [ 2; 4 ])
+            [ ("honest", Argument.Honest); ("wrong_output", Argument.Wrong_output);
+              ("corrupt_witness", Argument.Corrupt_witness); ("corrupt_h", Argument.Corrupt_h);
+              ("equivocate", Argument.Equivocate); ("nonlinear", Argument.Nonlinear) ])
+        [ ("p127_ntt", Primes.p127_ntt); ("p127", Primes.p127) ])
+
 let transcript_tests =
   List.map
     (fun (label, backend) ->
@@ -676,5 +725,5 @@ let transcript_tests =
 
 let suite =
   vec_tests @ dot_tests @ mont_tests @ kernel_tests @ ntt_tests @ e2e_tests @ transcript_tests
-  @ lagrange_h_tests @ [ lagrange_domain_test ]
+  @ lagrange_h_tests @ [ lagrange_domain_test; session_domains_test ]
   @ [ Alcotest.test_case "packed Hello keeps fp.mul and ntt.butterfly, mont.mul 0" `Quick test_hello_counts ]

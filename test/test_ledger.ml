@@ -150,7 +150,9 @@ let commit_tests =
 (* The ledger must be --domains independent: the per-domain counter shards
    merge deterministically and Pool fan-outs join inside their phase, so
    the same seeds give the identical per-phase op vector at any domain
-   count. *)
+   count. The batch has two instances, so every prover fan-out
+   (solve_constraints, construct_u, crypto_ops, answer_queries) runs on
+   the pool. *)
 let domains_tests =
   [
     Alcotest.test_case "per-phase op vectors identical at --domains 1 and 4" `Slow (fun () ->
@@ -178,6 +180,9 @@ let domains_tests =
               op_lists ())
         in
         let one = run 1 and four = run 4 in
+        List.iter
+          (fun phase -> Alcotest.(check bool) (phase ^ " ledgered") true (List.mem_assoc phase four))
+          [ "solve_constraints"; "construct_u"; "crypto_ops"; "answer_queries" ];
         Alcotest.(check int) "same phase set" (List.length one) (List.length four);
         List.iter2
           (fun (n1, ops1) (n2, ops2) ->

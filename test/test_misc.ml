@@ -28,6 +28,27 @@ let pool_tests =
               (run 1 (fun i x -> Printf.sprintf "%d:%d" i x))
               (run d (fun i x -> Printf.sprintf "%d:%d" i x)))
           [ 2; 4 ]);
+    Alcotest.test_case "pool: a map inside a task runs inline" `Quick (fun () ->
+        let inner = Array.init 16 Fun.id in
+        let s0 = Dompool.Pool.spawned () in
+        let out =
+          Dompool.Pool.map ~domains:4
+            (fun k -> Dompool.Pool.map ~domains:4 (fun x -> x * k) inner)
+            (Array.init 8 Fun.id)
+        in
+        Array.iteri
+          (fun k row -> Alcotest.(check (array int)) (Printf.sprintf "row %d" k) (Array.map (fun x -> x * k) inner) row)
+          out;
+        Alcotest.(check bool) "no more than one map's workers" true (Dompool.Pool.spawned () - s0 <= 3));
+    Alcotest.test_case "pool: a raising task re-raises on the caller, and the pool goes on" `Quick
+      (fun () ->
+        let arr = Array.init 64 Fun.id in
+        for _ = 1 to 20 do
+          match Dompool.Pool.map ~domains:4 (fun x -> if x mod 7 = 3 then failwith (string_of_int x) else x) arr with
+          | _ -> Alcotest.fail "no exception"
+          | exception Failure m -> Alcotest.(check string) "lowest raising index" "3" m
+        done;
+        Alcotest.(check (array int)) "next map" (Array.map succ arr) (Dompool.Pool.map ~domains:4 succ arr));
     Alcotest.test_case "pool runs field work across domains" `Quick (fun () ->
         (* Shared immutable Fp context used from several domains. *)
         let ctx = Fp.create Primes.p127 in

@@ -75,9 +75,35 @@ let counter_tests =
             done;
             Alcotest.(check bool) "each task's domain registered while it ran" true !seen;
             Alcotest.(check bool) "this domain is registered" true (List.mem self before);
-            (* a subset: a domain another suite left running may exit meanwhile *)
+            (* the pool's workers park between maps; joining them drops
+               their slots (a subset: a domain another suite left running
+               may exit meanwhile) *)
+            Dompool.Pool.shutdown ();
             Alcotest.(check bool) "no worker's slot remains" true
               (List.for_all (fun d -> List.mem d before) (Zobs.Span.live_domains ()))));
+    Alcotest.test_case "pool: 200 four-domain maps start the workers once" `Quick (fun () ->
+        with_tracing (fun () ->
+            Zobs.Span.with_ ~name:"test.main" ignore;
+            let maps () =
+              for _ = 1 to 100 do
+                ignore
+                  (Dompool.Pool.map ~domains:4
+                     (fun x -> Zobs.Span.with_ ~name:"test.task" (fun () -> x + 1))
+                     (Array.make 8 0))
+              done
+            in
+            let s0 = Dompool.Pool.spawned () in
+            maps ();
+            let s1 = Dompool.Pool.spawned () in
+            maps ();
+            Alcotest.(check bool) "at most three workers started" true (s1 - s0 <= 3);
+            Alcotest.(check int) "none started after" s1 (Dompool.Pool.spawned ());
+            Alcotest.(check bool) "three workers parked" true (Dompool.Pool.size () >= 3);
+            let live = List.length (Zobs.Span.live_domains ()) in
+            Alcotest.(check bool)
+              (Printf.sprintf "%d live domains <= pool %d + caller" live (Dompool.Pool.size ()))
+              true
+              (live <= Dompool.Pool.size () + 1)));
     Alcotest.test_case "instrumented field ops tick their counters" `Quick (fun () ->
         with_tracing (fun () ->
             let ctx = Fp.create Primes.p127 in
